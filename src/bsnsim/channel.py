@@ -85,17 +85,11 @@ def rx_power_dbm(tx_dbm: float, loss_db: float) -> float:
     return tx_dbm - loss_db
 
 
-class CcaResult(Enum):
-    IDLE = "Idle"
-    BUSY = "Busy"
-
-
 class DeliveryOutcome(Enum):
     DELIVERED = "Delivered"
     COLLIDED = "Collided"
     BELOW_SENSITIVITY = "BelowSensitivity"
     OFF_CHANNEL = "OffChannel"
-    # Engine-internal extras, never produced by a clean single-link resolve:
     CORRUPTED = "Corrupted"   # interference gate hit
     ABORTED = "Aborted"       # transmitter died mid-frame
 
@@ -177,28 +171,6 @@ def _overlaps(tx: Transmission, start: SimTime, end: SimTime) -> bool:
     return tx.start < end and tx.end > start
 
 
-def cca(channel: ChannelId, listener: Position, threshold_dbm: float,
-        active: Iterable[Transmission], params: PathLossParams, rng=None,
-        at: Optional[SimTime] = None,
-        min_distance: float = DEFAULT_MIN_DISTANCE_M) -> CcaResult:
-    """Energy-detection clear channel assessment at the listener position.
-
-    Busy iff any transmission on the same ChannelId (other channels are
-    invisible) reaches the listener at or above the threshold. When `at`
-    is given, only transmissions in the air at that instant are considered.
-    """
-    for tx in active:
-        if tx.channel != channel:
-            continue
-        if at is not None and not (tx.start <= at < tx.end):
-            continue
-        loss = path_loss_db(tx.tx_position.distance_to(listener), params, rng,
-                            min_distance)
-        if rx_power_dbm(tx.power_dbm, loss) >= threshold_dbm:
-            return CcaResult.BUSY
-    return CcaResult.IDLE
-
-
 def geometric_outcome(rx_dbm: float, interferer_dbms: Iterable[float],
                       sensitivity_dbm: float,
                       capture_margin_db: float) -> DeliveryOutcome:
@@ -209,38 +181,6 @@ def geometric_outcome(rx_dbm: float, interferer_dbms: Iterable[float],
         if o_dbm >= rx_dbm - capture_margin_db:
             return DeliveryOutcome.COLLIDED
     return DeliveryOutcome.DELIVERED
-
-
-def resolve_delivery(tx: Transmission, receiver_pos: Position, *,
-                     params: PathLossParams,
-                     sensitivity_dbm: float = -95.0,
-                     capture_margin_db: float = 10.0,
-                     listening: bool = True,
-                     listening_since: SimTime = 0,
-                     receiver_channel: Optional[ChannelId] = None,
-                     others: Iterable[Transmission] = (),
-                     rng=None) -> DeliveryOutcome:
-    """Single-reception resolution used by unit tests and small harnesses.
-
-    The engine path (Medium) applies the same rules with cached shadowing.
-    """
-    chan = receiver_channel if receiver_channel is not None else tx.channel
-    if chan != tx.channel or not listening or listening_since > tx.start:
-        return DeliveryOutcome.OFF_CHANNEL
-    rx_dbm = rx_power_dbm(
-        tx.power_dbm,
-        path_loss_db(tx.tx_position.distance_to(receiver_pos), params, rng))
-    interferers = []
-    for other in others:
-        if other is tx or other.channel != tx.channel:
-            continue
-        if _overlaps(other, tx.start, tx.end):
-            interferers.append(rx_power_dbm(
-                other.power_dbm,
-                path_loss_db(other.tx_position.distance_to(receiver_pos),
-                             params, rng)))
-    return geometric_outcome(rx_dbm, interferers, sensitivity_dbm,
-                             capture_margin_db)
 
 
 class _ChannelState:

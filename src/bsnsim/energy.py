@@ -9,7 +9,6 @@ pool them against the node's budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import SimTime
 
@@ -38,83 +37,28 @@ class PowerProfile:
                 "rx": self.rx_mw, "tx": self.tx_mw}
 
 
-# Datasheet-order-of-magnitude defaults; swappable scenario configuration.
-NRF2401_PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
-                               tx_mw=26.0, wakeup_rx_uw=50.0)
-CC2420_PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=56.0, rx_mw=56.0,
-                              tx_mw=31.0, wakeup_rx_uw=50.0)
-
-
 class EnergyLedger:
     """Accumulates per-state ticks for one radio and converts them to joules.
 
-    When initial_j is set, account() clips at the budget: it accrues only the
-    ticks that fit and marks the ledger dead, reporting how many ticks were
-    actually charged so the caller can place the death instant.
+    The node, not the ledger, owns the energy budget (`Node.power_changed`).
     """
 
-    def __init__(self, node: str, initial_j: Optional[float] = 5.0,
-                 power_mw: Optional[dict[str, float]] = None):
+    def __init__(self, node: str, power_mw: dict[str, float]):
         self.node = node
-        self.initial_j = initial_j
-        self.power_mw = dict(power_mw or {})
+        self.power_mw = dict(power_mw)
         self.per_state_ticks: dict[str, int] = {}
-        self.dead = False
-
-    def state_power(self, state: str) -> float:
-        try:
-            return self.power_mw[state]
-        except KeyError:
-            raise ValueError(f"no power configured for state {state!r}") from None
 
     @property
     def consumed_j(self) -> float:
         return sum(ticks * self.power_mw[state] * J_PER_MW_TICK
                    for state, ticks in self.per_state_ticks.items())
 
-    def remaining(self) -> float:
-        if self.initial_j is None:
-            return float("inf")
-        return max(0.0, self.initial_j - self.consumed_j)
-
     def total_ticks(self) -> SimTime:
         return sum(self.per_state_ticks.values())
 
-    def ticks_until_exhaustion(self, state: str) -> Optional[SimTime]:
-        """Whole ticks the radio can spend in `state` before the budget runs out."""
-        if self.initial_j is None:
-            return None
-        cost = self.state_power(state) * J_PER_MW_TICK
-        if cost <= 0.0:
-            return None
-        return int(self.remaining() / cost)
-
-    def account(self, state: str, duration: SimTime) -> SimTime:
-        """Charge `duration` ticks in `state`; returns the ticks accrued."""
+    def account(self, state: str, duration: SimTime) -> None:
+        """Charge `duration` ticks in `state`."""
         if duration < 0:
             raise ValueError(f"negative duration: {duration}")
-        if self.dead or duration == 0:
-            return 0
-        accrued = duration
-        if self.initial_j is not None:
-            cost = self.state_power(state) * J_PER_MW_TICK
-            if cost > 0.0:
-                fits = int(self.remaining() / cost)
-                if fits < duration:
-                    accrued = fits
-                    self.dead = True
-        if accrued:
-            self.per_state_ticks[state] = self.per_state_ticks.get(state, 0) + accrued
-        return accrued
-
-
-def energy_per_delivered_bit(ledger_or_joules, delivered_bits: int) -> Optional[float]:
-    """Joules per delivered bit; None (absent) when nothing was delivered."""
-    if delivered_bits < 0:
-        raise ValueError("delivered_bits must be >= 0")
-    if delivered_bits == 0:
-        return None
-    consumed = (ledger_or_joules.consumed_j
-                if isinstance(ledger_or_joules, EnergyLedger)
-                else float(ledger_or_joules))
-    return consumed / delivered_bits
+        if duration:
+            self.per_state_ticks[state] = self.per_state_ticks.get(state, 0) + duration

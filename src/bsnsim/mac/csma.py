@@ -8,12 +8,12 @@ Guaranteed slots expire after a configurable number of idle superframes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..core import SimTime
 from ..frames import BEACON_BYTES, Frame, FrameKind, Mpdu
-from .base import CCA_US, TURNAROUND_US, UNIT_BACKOFF_US, MacBase
+from .base import TURNAROUND_US, SlottedCsmaMac
 
 BASE_SLOT_US = 960         # one superframe slot at SO=0
 NUM_SUPERFRAME_SLOTS = 16
@@ -46,57 +46,6 @@ class SuperframeConfig:
     @property
     def slot_ticks(self) -> SimTime:
         return self.base_slot_ticks * (1 << self.superframe_order)
-
-
-@dataclass(frozen=True)
-class CsmaState:
-    """Slotted CSMA/CA backoff state."""
-
-    nb: int = 0
-    be: int = 3
-    min_be: int = 3
-    max_be: int = 5
-    max_backoffs: int = 4
-
-    def __post_init__(self):
-        if not self.min_be <= self.be <= self.max_be:
-            raise ValueError("need macMinBE <= BE <= aMaxBE")
-        if not 0 <= self.nb:
-            raise ValueError("NB must be non-negative")
-
-
-@dataclass(frozen=True)
-class TransmitAfter:
-    delay: SimTime  # ticks until the transmission may start
-
-
-@dataclass(frozen=True)
-class Deferred:
-    state: CsmaState
-
-
-@dataclass(frozen=True)
-class ChannelAccessFailure:
-    pass
-
-
-def csma_attempt(state: CsmaState, rng, cca_fn: Callable[[int], bool]):
-    """One backoff round of slotted CSMA/CA.
-
-    Draws a backoff in [0, 2^BE - 1] units, then performs CCA at that unit
-    boundary and the next (CW = 2); cca_fn(unit_offset) reports Busy. Both
-    idle yields TransmitAfter with the total delay to the transmit boundary;
-    a busy CCA yields Deferred with bumped NB/BE, or ChannelAccessFailure
-    once NB exceeds macMaxCSMABackoffs.
-    """
-    backoff = rng.randrange(1 << state.be)
-    if cca_fn(backoff) or cca_fn(backoff + 1):
-        nb = state.nb + 1
-        if nb > state.max_backoffs:
-            return ChannelAccessFailure()
-        return Deferred(replace(state, nb=nb,
-                                be=min(state.be + 1, state.max_be)))
-    return TransmitAfter((backoff + 2) * UNIT_BACKOFF_US)
 
 
 @dataclass
@@ -146,7 +95,7 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
     return kept
 
 
-class Beacon802154Mac(MacBase):
+class Beacon802154Mac(SlottedCsmaMac):
     """Device and coordinator roles of the beacon-enabled MAC."""
 
     def __init__(self, sim, medium, node, network, cfg):
@@ -155,11 +104,8 @@ class Beacon802154Mac(MacBase):
             beacon_order=cfg.get("BO", 6),
             superframe_order=cfg.get("SO", 6),
             num_gts_slots=cfg.get("num_gts_slots", 2))
-        self.min_be = cfg.get("macMinBE", 3)
-        self.max_be = cfg.get("aMaxBE", 5)
-        self.max_backoffs = cfg.get("macMaxCSMABackoffs", 4)
-        self.retry_limit = cfg.get("retry_limit", 3)
-        self.cca_threshold = cfg.get("cca_threshold_dbm", -85.0)
+        # channel access fails once NB exceeds macMaxCSMABackoffs
+        self.busy_limit = cfg.get("macMaxCSMABackoffs", 4) + 1
         self.guard_us = cfg.get("guard_us", 2000)
         self.gts_expiry = cfg.get("gts_expiry_superframes", 4)
         self.gts_enabled = node.node_id in cfg.get("gts_nodes", ())
@@ -168,17 +114,10 @@ class Beacon802154Mac(MacBase):
             initial_state="listen" if self.is_coordinator else "sleep")
         self.radio.on_frame = self._on_frame
         self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES, self.radio.channel)
-        # device sync state
-        self._session = 0           # token invalidating stale scheduled steps
+        # device sync state; the CAP is the access period
         self._synced = False
-        self._cap_start: SimTime = 0
-        self._cap_end: SimTime = 0
         self._next_beacon_at: SimTime = 0
         self._beacon_timeout = None
-        self._ack_timer = None
-        self._retries = 0
-        self._nb = 0
-        self._be = self.min_be
         self._my_gts: Optional[tuple[int, ...]] = None
         # coordinator state
         self.gts_requests: list[str] = []
@@ -240,16 +179,6 @@ class Beacon802154Mac(MacBase):
         if owner not in self.gts_requests:
             self.gts_requests.append(owner)
 
-    def _coord_on_data(self, frame: Frame) -> None:
-        mpdu = frame.mpdu
-        in_gts = self.sim.now >= self._gts_region_start and any(
-            d.owner == frame.src for d in self.descriptors)
-        self.network.handle_data_delivery(self.node, mpdu)
-        if in_gts:
-            self._gts_activity.add(frame.src)
-        else:
-            self.send_ack_after_turnaround(self.radio, frame.src, mpdu)
-
     # -- device -------------------------------------------------------------
 
     def _wake_for_beacon(self) -> None:
@@ -282,8 +211,8 @@ class Beacon802154Mac(MacBase):
             self._beacon_timeout = None
         info = frame.info
         self._synced = True
-        self._cap_start = self.sim.now
-        self._cap_end = info["cap_end"]
+        self._access_start = self.sim.now
+        self._access_end = info["cap_end"]
         self._next_beacon_at = info["sd_start"] + self.sf.beacon_interval
         self._my_gts = info["gts"].get(self.node.node_id)
         token = self._session
@@ -301,7 +230,7 @@ class Beacon802154Mac(MacBase):
                 self.radio.set_state("sleep")
             return
         if self.in_service is not None or len(self.queue):
-            self._start_cap_service()
+            self._start_service()
         else:
             self.radio.set_state("sleep")
 
@@ -313,108 +242,24 @@ class Beacon802154Mac(MacBase):
                 self.network.coordinator_mac.request_gts(self.node.node_id)
             return
         if (self._synced and self.in_service is None
-                and self.sim.now < self._cap_end):
+                and self.sim.now < self._access_end):
             self.radio.set_state("listen")
-            self._start_cap_service()
+            self._start_service()
 
-    # CAP service: slotted CSMA/CA with ack and retransmissions.
+    # CAP service: the shared slotted CSMA/CA engine, run while synced.
 
-    def _start_cap_service(self) -> None:
-        if self.in_service is None:
-            if not len(self.queue):
-                self._maybe_sleep()
-                return
-            self.in_service = self.queue.pop()
-            self._retries = 0
-        self._csma_begin()
+    def _may_contend(self) -> bool:
+        return self._synced
 
-    def _csma_begin(self) -> None:
-        self._nb = 0
-        self._be = self.min_be
-        self._backoff()
-
-    def _boundary_after(self, t: SimTime) -> SimTime:
-        k = -((self._cap_start - t) // UNIT_BACKOFF_US)  # ceil division
-        return self._cap_start + max(0, k) * UNIT_BACKOFF_US
-
-    def _frame_cost(self) -> SimTime:
-        airtime = self.medium.airtime_ticks(self.in_service.payload_bytes,
-                                            self.radio.channel)
-        return airtime + self.ack_wait_ticks(self.radio.channel)
-
-    def _backoff(self) -> None:
-        if self.node.dead or not self._synced:
-            return
-        token = self._session
-        delay_units = self.rng.randrange(1 << self._be)
-        b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
-        tx_at = b0 + 2 * UNIT_BACKOFF_US
-        if tx_at + self._frame_cost() > self._cap_end:
-            # does not fit this CAP; hold the frame for the next superframe
-            self._maybe_sleep()
-            return
-        self.sim.schedule_at(b0 + CCA_US, "cca", self.target,
-                             lambda: self._cca_done(b0, False, token))
-
-    def _cca_done(self, window_start: SimTime, second: bool, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        if self.medium.cca_busy(self.radio, self.cca_threshold, window_start):
-            self._nb += 1
-            self._be = min(self._be + 1, self.max_be)
-            if self._nb > self.max_backoffs:
-                self.metrics.csma_failures += 1
-                self.metrics.on_dropped(self.in_service)
-                self.in_service = None
-                self._start_cap_service()
-            else:
-                self._backoff()
-            return
-        if not second:
-            w2 = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(w2 + CCA_US, "cca", self.target,
-                                 lambda: self._cca_done(w2, True, token))
-        else:
-            tx_at = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(tx_at, "tx_start", self.target,
-                                 lambda: self._transmit(token))
-
-    def _transmit(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.radio.state == "tx":
-            return
-        frame = Frame.data(self.in_service, self.node.node_id,
-                           self.network.link_dst(self.in_service))
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=lambda outcome: self._await_ack(token))
-
-    def _await_ack(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self._ack_timer = self.sim.schedule(
-            self.ack_wait_ticks(self.radio.channel), "ack_timeout",
-            self.target, lambda: self._ack_timeout(token))
-
-    def _ack_timeout(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.in_service is None:
-            return
-        self._retries += 1
-        if self._retries > self.retry_limit:
-            self.metrics.on_dropped(self.in_service)
-            self.in_service = None
-            self._start_cap_service()
-        else:
-            self._csma_begin()
-
-    def _on_ack(self, frame: Frame) -> None:
-        if self._ack_timer is not None:
-            self.sim.cancel(self._ack_timer)
-            self._ack_timer = None
-        self.in_service = None
-        self._start_cap_service()
-
-    def _maybe_sleep(self) -> None:
+    def _idle(self) -> None:
         if not self.is_coordinator and self.radio.state == "listen":
             self.radio.set_state("sleep")
+
+    def _access_failed(self) -> None:
+        self.metrics.csma_failures += 1
+        self.metrics.on_dropped(self.in_service)
+        self.in_service = None
+        self._start_service()
 
     # GTS transmission: one unacknowledged frame per owned slot.
 
@@ -462,14 +307,15 @@ class Beacon802154Mac(MacBase):
     def _on_frame(self, frame: Frame, tx) -> None:
         if frame.kind is FrameKind.BEACON and not self.is_coordinator:
             self._on_beacon(frame)
-        elif frame.kind is FrameKind.DATA:
-            if frame.link_dst == self.node.node_id:
-                if self.is_coordinator:
-                    self._coord_on_data(frame)
-                else:
-                    self.network.handle_data_delivery(self.node, frame.mpdu)
-                    self.send_ack_after_turnaround(self.radio, frame.src,
-                                                   frame.mpdu)
-        elif frame.kind is FrameKind.ACK:
-            if self.is_ack_for_me(frame, self.in_service):
-                self._on_ack(frame)
+        else:
+            super()._on_frame(frame, tx)
+
+    def _on_data(self, frame: Frame) -> None:
+        # only the coordinator holds descriptors; GTS frames go unacknowledged
+        in_gts = self.sim.now >= self._gts_region_start and any(
+            d.owner == frame.src for d in self.descriptors)
+        if not in_gts:
+            super()._on_data(frame)
+            return
+        self.network.handle_data_delivery(self.node, frame.mpdu)
+        self._gts_activity.add(frame.src)

@@ -1,7 +1,6 @@
 """Minimal service discipline: transmit the head frame as soon as the radio
 is free. Used by bridge relay scenarios and link-level harnesses where
-contention is not the point. Acknowledgements are optional and off by
-default (no retransmissions)."""
+contention is not the point. Frames are unacknowledged and never retried."""
 
 from __future__ import annotations
 
@@ -13,13 +12,9 @@ from .base import MacBase
 class DirectMac(MacBase):
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
-        self.ack = cfg.get("ack", False)
-        self.retry_limit = cfg.get("retry_limit", 0)
         self.radio = node.add_radio("data", cfg["channel"],
                                     initial_state="listen")
         self.radio.on_frame = self._on_frame
-        self._retries = 0
-        self._ack_timer = None
 
     def start(self) -> None:
         pass
@@ -31,47 +26,17 @@ class DirectMac(MacBase):
         if (self.node.dead or self.in_service is not None
                 or self.radio.state == "tx" or not len(self.queue)):
             return
-        self.in_service = self.queue.pop()
-        self._retries = 0
-        self._transmit()
-
-    def _transmit(self) -> None:
-        mpdu = self.in_service
+        mpdu = self.in_service = self.queue.pop()
         frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
         self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
                              on_result=lambda outcome: self._done(mpdu, outcome))
 
     def _done(self, mpdu: Mpdu, outcome) -> None:
-        if self.ack:
-            self._ack_timer = self.sim.schedule(
-                self.ack_wait_ticks(self.radio.channel), "ack_timeout",
-                self.target, lambda: self._timeout(mpdu))
-            return
         if outcome is not DeliveryOutcome.DELIVERED:
             self.metrics.on_dropped(mpdu)
         self.in_service = None
         self._pump()
 
-    def _timeout(self, mpdu: Mpdu) -> None:
-        if self.in_service is not mpdu:
-            return
-        self._retries += 1
-        if self._retries > self.retry_limit:
-            self.metrics.on_dropped(mpdu)
-            self.in_service = None
-            self._pump()
-        else:
-            self._transmit()
-
     def _on_frame(self, frame: Frame, tx) -> None:
         if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
             self.network.handle_data_delivery(self.node, frame.mpdu)
-            if self.ack:
-                self.send_ack_after_turnaround(self.radio, frame.src, frame.mpdu)
-        elif frame.kind is FrameKind.ACK:
-            if self.is_ack_for_me(frame, self.in_service):
-                if self._ack_timer is not None:
-                    self.sim.cancel(self._ack_timer)
-                    self._ack_timer = None
-                self.in_service = None
-                self._pump()

@@ -1,9 +1,9 @@
 """Simplified S-MAC: synchronized duty cycle, contention inside listen windows.
 
 All nodes share the same phase. Frames arriving in the sleep phase queue up
-for the next listen window; transmissions use the same slotted contention
-machinery as the CAP (no RTS/CTS; frames are short), with acknowledgements
-and retransmissions.
+for the next listen window; transmissions use the slotted CSMA/CA engine the
+802.15.4 CAP uses (no RTS/CTS; frames are short), with acknowledgements and
+retransmissions.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..core import SimTime
-from ..frames import Frame, FrameKind, Mpdu
-from .base import CCA_US, UNIT_BACKOFF_US, MacBase
+from ..frames import Mpdu
+from .base import SlottedCsmaMac
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,25 @@ def smac_window(now: SimTime, cfg: SmacConfig) -> SmacPhase:
     return SmacPhase.SLEEP
 
 
-class SMac(MacBase):
-    """Duty-cycled contention MAC; the coordinator only listens and acks."""
+class SMac(SlottedCsmaMac):
+    """Duty-cycled contention MAC; the coordinator only listens and acks.
+
+    Each listen window is the access period. A frame that loses
+    `max_window_attempts` CCAs in a row, or does not fit before the window
+    closes, stays in service and contends again in the next window.
+    """
 
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
         self.smac = SmacConfig(cycle_ticks=cfg.get("cycle_ticks", 1_000_000),
                                listen_fraction=cfg.get("listen_fraction", 0.1))
-        self.min_be = cfg.get("macMinBE", 3)
-        self.max_be = cfg.get("aMaxBE", 5)
         # a node that keeps losing contention sleeps on the frame until the
         # next listen window instead of burning backoff rounds
-        self.max_window_attempts = cfg.get("max_window_attempts", 2)
-        self.retry_limit = cfg.get("retry_limit", 3)
-        self.cca_threshold = cfg.get("cca_threshold_dbm", -85.0)
+        self.busy_limit = cfg.get("max_window_attempts", 2)
         self.radio = node.add_radio(
             "data", cfg["channel"],
             initial_state="listen")
         self.radio.on_frame = self._on_frame
-        self._session = 0
-        self._window_start: SimTime = 0
-        self._window_end: SimTime = 0
-        self._ack_timer = None
-        self._retries = 0
-        self._nb = 0
-        self._be = self.min_be
 
     def start(self) -> None:
         self.sim.schedule_at(0, "smac_listen", self.target,
@@ -78,12 +72,12 @@ class SMac(MacBase):
         if self.node.dead:
             return
         self._session += 1
-        self._window_start = self.sim.now
-        self._window_end = self.sim.now + self.smac.listen_ticks
+        self._access_start = self.sim.now
+        self._access_end = self.sim.now + self.smac.listen_ticks
         self.radio.set_state("listen")
-        self.sim.schedule_at(self._window_end, "smac_sleep",
+        self.sim.schedule_at(self._access_end, "smac_sleep",
                              self.target, self._enter_sleep)
-        self.sim.schedule_at(self._window_start + self.smac.cycle_ticks,
+        self.sim.schedule_at(self._access_start + self.smac.cycle_ticks,
                              "smac_listen", self.target,
                              self._enter_listen)
         if not self.is_coordinator:
@@ -96,101 +90,10 @@ class SMac(MacBase):
         if self.radio.state != "tx":
             self.radio.set_state("sleep")
 
-    def _in_listen(self) -> bool:
+    def _may_contend(self) -> bool:
         return smac_window(self.sim.now, self.smac) is SmacPhase.LISTEN
 
     def _on_enqueued(self, mpdu: Mpdu) -> None:
         if (not self.is_coordinator and self.in_service is None
-                and self._in_listen()):
+                and self._may_contend()):
             self._start_service()
-
-    # Contention: same slotted backoff/CCA shape as the CAP, bounded by the
-    # listen window; a frame and its ack must fit before the window closes.
-
-    def _start_service(self) -> None:
-        if self.in_service is None:
-            if not len(self.queue):
-                return
-            self.in_service = self.queue.pop()
-            self._retries = 0
-        self._csma_begin()
-
-    def _csma_begin(self) -> None:
-        self._nb = 0
-        self._be = self.min_be
-        self._backoff()
-
-    def _boundary_after(self, t: SimTime) -> SimTime:
-        k = -((self._window_start - t) // UNIT_BACKOFF_US)
-        return self._window_start + max(0, k) * UNIT_BACKOFF_US
-
-    def _backoff(self) -> None:
-        if self.node.dead or not self._in_listen():
-            return
-        token = self._session
-        delay_units = self.rng.randrange(1 << self._be)
-        b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
-        tx_at = b0 + 2 * UNIT_BACKOFF_US
-        airtime = self.medium.airtime_ticks(self.in_service.payload_bytes,
-                                            self.radio.channel)
-        if tx_at + airtime + self.ack_wait_ticks(self.radio.channel) > self._window_end:
-            return  # carry over to the next listen window
-        self.sim.schedule_at(b0 + CCA_US, "cca", self.target,
-                             lambda: self._cca_done(b0, False, token))
-
-    def _cca_done(self, window_start: SimTime, second: bool, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        if self.medium.cca_busy(self.radio, self.cca_threshold, window_start):
-            self._nb += 1
-            self._be = min(self._be + 1, self.max_be)
-            if self._nb >= self.max_window_attempts:
-                return  # lost this window; the frame waits for the next one
-            self._backoff()
-            return
-        if not second:
-            w2 = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(w2 + CCA_US, "cca", self.target,
-                                 lambda: self._cca_done(w2, True, token))
-        else:
-            tx_at = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(tx_at, "tx_start", self.target,
-                                 lambda: self._transmit(token))
-
-    def _transmit(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.radio.state == "tx":
-            return
-        frame = Frame.data(self.in_service, self.node.node_id,
-                           self.network.link_dst(self.in_service))
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=lambda outcome: self._await_ack(token))
-
-    def _await_ack(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self._ack_timer = self.sim.schedule(
-            self.ack_wait_ticks(self.radio.channel), "ack_timeout",
-            self.target, lambda: self._ack_timeout(token))
-
-    def _ack_timeout(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.in_service is None:
-            return
-        self._retries += 1
-        if self._retries > self.retry_limit:
-            self.metrics.on_dropped(self.in_service)
-            self.in_service = None
-            self._start_service()
-        else:
-            self._csma_begin()
-
-    def _on_frame(self, frame: Frame, tx) -> None:
-        if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
-            self.network.handle_data_delivery(self.node, frame.mpdu)
-            self.send_ack_after_turnaround(self.radio, frame.src, frame.mpdu)
-        elif frame.kind is FrameKind.ACK:
-            if self.is_ack_for_me(frame, self.in_service):
-                if self._ack_timer is not None:
-                    self.sim.cancel(self._ack_timer)
-                    self._ack_timer = None
-                self.in_service = None
-                self._start_service()

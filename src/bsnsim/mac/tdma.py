@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from ..channel import DeliveryOutcome
 from ..core import SimTime
-from ..frames import Frame, FrameKind, Mpdu
+from ..frames import Frame, FrameKind
 from .base import TURNAROUND_US, MacBase
 
 
@@ -25,7 +25,7 @@ class TdmaSchedule:
     def __post_init__(self):
         owners = list(self.assignment.values())
         if len(owners) != len(set(owners)):
-            raise ValueError("a node may own several slots, but via distinct indices")
+            raise ValueError("each node may own at most one slot")
         if self.slot_ticks <= 0 or self.preamble_ticks <= 0:
             raise ValueError("slot and preamble durations must be positive")
 
@@ -42,21 +42,6 @@ class TdmaSchedule:
 
     def slots_of(self, node: str) -> list[int]:
         return [s for s, n in self.assignment.items() if n == node]
-
-
-def tdma_round(schedule: TdmaSchedule, pending: dict[str, list[Mpdu]]):
-    """Plan one round: at most one frame per owned slot, in slot order."""
-    plan = []
-    taken: dict[str, int] = {}
-    for slot in sorted(schedule.assignment):
-        node = schedule.assignment[slot]
-        idx = taken.get(node, 0)
-        frames = pending.get(node, [])
-        frame = frames[idx] if idx < len(frames) else None
-        if frame is not None:
-            taken[node] = idx + 1
-        plan.append((slot, node, frame))
-    return plan
 
 
 class PbTdmaMac(MacBase):

@@ -36,7 +36,7 @@ class Radio:
         self.listening = initial_state in ("listen", "rx")
         self.rx_ok_since: SimTime = sim.now if self.listening else -1
         self._last_change: SimTime = sim.now
-        self.ledger = EnergyLedger(node.node_id, initial_j=None, power_mw=power_mw)
+        self.ledger = EnergyLedger(node.node_id, power_mw)
         self._mw = power_mw[initial_state]
         self.dead = False
         self.current_tx = None
@@ -56,9 +56,6 @@ class Radio:
     def site(self) -> str:
         return self.node.site
 
-    def is_listening(self) -> bool:
-        return self.listening
-
     def flush(self, at: Optional[SimTime] = None) -> None:
         """Accrue time spent in the current state up to `at` (default now)."""
         if self.dead:
@@ -66,8 +63,8 @@ class Radio:
         at = self.sim.now if at is None else at
         elapsed = at - self._last_change
         if elapsed > 0:
-            accrued = self.ledger.account(self.state, elapsed)
-            self.node.consumed_cache_j += accrued * self._mw * 1e-9
+            self.ledger.account(self.state, elapsed)
+            self.node.consumed_cache_j += elapsed * self._mw * 1e-9
         self._last_change = at
 
     def _apply(self, state: str) -> None:
@@ -137,10 +134,6 @@ class Node:
         self._death_event: Optional[Event] = None
         self.mac = None
 
-    @property
-    def is_inbody(self) -> bool:
-        return self.kind == "inbody"
-
     def add_radio(self, label: str, channel: ChannelId,
                   initial_state: str = "sleep") -> Radio:
         radio = Radio(self.sim, self.medium, self, label, channel,
@@ -164,11 +157,6 @@ class Node:
             for radio in self.radios.values():
                 radio.flush()
         return sum(r.ledger.consumed_j for r in self.radios.values())
-
-    def remaining_j(self) -> float:
-        if self.initial_j is None:
-            return float("inf")
-        return max(0.0, self.initial_j - self.consumed_j())
 
     def power_changed(self) -> None:
         """Re-aim the death event at the current total draw."""
@@ -205,7 +193,7 @@ class Node:
             if radio.current_tx is not None:
                 self.medium.abort_tx(radio.current_tx)
             radio.die()
-        if self.mac is not None and hasattr(self.mac, "on_death"):
+        if self.mac is not None:
             self.mac.on_death()
 
     def finalize(self) -> None:

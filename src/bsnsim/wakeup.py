@@ -94,27 +94,6 @@ def table_update(table: WakeupTable, entry: WakeupEntry, action: TableAction,
     return table
 
 
-class WakeupSignalDirection(Enum):
-    NODE_TO_BNC = "NodeToBnc"
-    BNC_TO_NODE = "BncToNode"
-
-
-@dataclass(frozen=True)
-class WakeupSignal:
-    """A short wakeup-radio burst. Emergencies flow to the BNC, on-demand out."""
-
-    direction: WakeupSignalDirection
-    purpose: str                      # "Emergency" | "OnDemand"
-    duration: SimTime
-    tone_target: Optional[str] = None  # None = broadcast
-
-    def __post_init__(self):
-        if self.purpose == "Emergency" and self.direction is not WakeupSignalDirection.NODE_TO_BNC:
-            raise ValueError("emergency signals travel node -> BNC")
-        if self.purpose == "OnDemand" and self.direction is not WakeupSignalDirection.BNC_TO_NODE:
-            raise ValueError("on-demand signals travel BNC -> node")
-
-
 @dataclass
 class BncPattern:
     """Merged awake intervals of the coordinator over one hyperperiod.

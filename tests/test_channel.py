@@ -1,15 +1,17 @@
-"""Path loss, CCA, delivery resolution, empirical links, interference gate."""
+"""Path loss, CCA and delivery on the medium, empirical links, interference gate."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bsnsim.channel import (Band, CcaResult, ChannelId, DeliveryOutcome,
-                            LinkMatrix, PathLossParams, Position, Transmission,
-                            cca, empirical_outcome, interference_gate,
-                            path_loss_db, resolve_delivery, rx_power_dbm)
+from bsnsim.channel import (Band, ChannelId, DeliveryOutcome, LinkMatrix,
+                            Medium, PathLossParams, Position, empirical_outcome,
+                            interference_gate, path_loss_db, rx_power_dbm)
 from bsnsim.core import Simulator
+from bsnsim.energy import PowerProfile
+from bsnsim.frames import Frame, FrameKind
+from bsnsim.node import Node
 
 
 def test_reference_distance_identity():
@@ -54,93 +56,122 @@ def test_rx_power_arithmetic():
     assert rx_power_dbm(-5.0, 90.0) == -95.0
 
 
-# CCA ---------------------------------------------------------------------
+# CCA and delivery on the medium ---------------------------------------------
 
 IN_BODY = PathLossParams(pl_d0=46.0, d0=0.05, exponent=2.0, shadow_sigma=0.0)
+FLAT = PathLossParams(pl_d0=40.0, d0=0.1, exponent=2.0, shadow_sigma=0.0)
 MICS = ChannelId(Band.MICS_402_405, 0)
 ISM = ChannelId(Band.ISM_2_4, 0)
+PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
+                       tx_mw=30.0)
 
 
-def _implant_tx(channel=MICS, power=-5.0):
-    return Transmission(channel=channel, power_dbm=power, start=0,
-                        airtime=4096, tx_position=Position(0.0, 0.0))
+def _medium():
+    sim = Simulator()
+    return Medium(sim, pathloss={MICS: IN_BODY, ISM: FLAT})
+
+
+def _radio(medium, node_id, x, y=0.0, channel=ISM, state="listen"):
+    node = Node(medium.sim, medium, node_id, position=Position(x, y),
+                profile=PROFILE, initial_j=None)
+    return node.add_radio("data", channel, initial_state=state)
+
+
+def _send(medium, radio, dst, power_dbm=-5.0):
+    """Unicast a 4096-us frame now; the list receives its outcome."""
+    outcomes = []
+    frame = Frame(FrameKind.DATA, radio.nid, dst, 128)
+    medium.begin_tx(radio, frame, power_dbm, on_result=outcomes.append)
+    return outcomes
+
+
+def _cca_at_100us(medium, listener):
+    medium.sim.run(100)
+    return medium.cca_busy(listener, -85.0, 100)
 
 
 def test_cca_idle_with_no_transmissions():
-    assert cca(MICS, Position(3.0, 0.0), -85.0, [], IN_BODY) is CcaResult.IDLE
+    medium = _medium()
+    assert not _cca_at_100us(medium, _radio(medium, "l", 3.0, channel=MICS))
 
 
 def test_cca_blindness_at_three_meters():
     # loss(3 m) = 46 + 20*log10(60) = 81.56 dB >= 81; rx = -86.56 < -85
-    tx = _implant_tx()
     loss = path_loss_db(3.0, IN_BODY)
     assert loss >= 81.0
     assert rx_power_dbm(-5.0, loss) < -85.0
-    assert cca(MICS, Position(3.0, 0.0), -85.0, [tx], IN_BODY, at=100) is CcaResult.IDLE
+    medium = _medium()
+    listener = _radio(medium, "l", 3.0, channel=MICS)
+    _send(medium, _radio(medium, "s", 0.0, channel=MICS), "l")
+    assert not _cca_at_100us(medium, listener)
 
 
 def test_cca_same_piconet_within_half_meter_is_busy():
-    tx = _implant_tx()
     loss = path_loss_db(0.5, IN_BODY)  # 66 dB -> rx -71 dBm
     assert rx_power_dbm(-5.0, loss) >= -85.0
-    assert cca(MICS, Position(0.5, 0.0), -85.0, [tx], IN_BODY, at=100) is CcaResult.BUSY
+    medium = _medium()
+    listener = _radio(medium, "l", 0.5, channel=MICS)
+    _send(medium, _radio(medium, "s", 0.0, channel=MICS), "l")
+    assert _cca_at_100us(medium, listener)
 
 
 def test_cca_cross_channel_invisibility():
-    tx = _implant_tx(channel=MICS, power=30.0)  # absurdly strong
-    assert cca(ISM, Position(0.05, 0.0), -85.0, [tx], IN_BODY,
-               at=100) is CcaResult.IDLE
-
-
-# Delivery resolution ------------------------------------------------------
-
-FLAT = PathLossParams(pl_d0=40.0, d0=0.1, exponent=2.0, shadow_sigma=0.0)
+    medium = _medium()
+    listener = _radio(medium, "l", 0.05, channel=ISM)
+    _send(medium, _radio(medium, "s", 0.0, channel=MICS), "x",
+          power_dbm=30.0)  # absurdly strong
+    assert not _cca_at_100us(medium, listener)
 
 
 def test_single_transmitter_ideal_channel_delivered():
-    tx = _implant_tx(channel=ISM)
-    out = resolve_delivery(tx, Position(0.5, 0.0), params=FLAT)
-    assert out is DeliveryOutcome.DELIVERED
+    medium = _medium()
+    _radio(medium, "rx", 0.5)
+    out = _send(medium, _radio(medium, "tx", 0.0), "rx")
+    medium.sim.run(10_000)
+    assert out == [DeliveryOutcome.DELIVERED]
 
 
 def test_receiver_asleep_for_airtime_misses():
-    tx = _implant_tx(channel=ISM)
-    out = resolve_delivery(tx, Position(0.5, 0.0), params=FLAT, listening=False)
-    assert out is DeliveryOutcome.OFF_CHANNEL
-    late = resolve_delivery(tx, Position(0.5, 0.0), params=FLAT,
-                            listening_since=10)  # woke after tx start
-    assert late is DeliveryOutcome.OFF_CHANNEL
+    medium = _medium()
+    _radio(medium, "rx", 0.5, state="sleep")
+    asleep = _send(medium, _radio(medium, "tx", 0.0), "rx")
+    medium.sim.run(10_000)
+    assert asleep == [DeliveryOutcome.OFF_CHANNEL]
+
+    medium = _medium()
+    receiver = _radio(medium, "rx", 0.5, state="sleep")
+    late = _send(medium, _radio(medium, "tx", 0.0), "rx")
+    medium.sim.schedule(10, "wake", "rx", lambda: receiver.set_state("listen"))
+    medium.sim.run(10_000)  # woke after the frame started
+    assert late == [DeliveryOutcome.OFF_CHANNEL]
 
 
 def test_symmetric_collision_kills_both():
-    a = Transmission(channel=ISM, power_dbm=-5.0, start=0, airtime=4096,
-                     tx_position=Position(0.0, 0.5))
-    b = Transmission(channel=ISM, power_dbm=-5.0, start=0, airtime=4096,
-                     tx_position=Position(0.0, -0.5))
-    rx = Position(0.0, 0.0)  # equidistant: equal powers, inside capture margin
-    out_a = resolve_delivery(a, rx, params=FLAT, others=[b])
-    out_b = resolve_delivery(b, rx, params=FLAT, others=[a])
-    assert out_a is DeliveryOutcome.COLLIDED
-    assert out_b is DeliveryOutcome.COLLIDED
+    medium = _medium()
+    _radio(medium, "rx", 0.0)  # equidistant: equal powers, inside capture margin
+    out_a = _send(medium, _radio(medium, "a", 0.0, 0.5), "rx")
+    out_b = _send(medium, _radio(medium, "b", 0.0, -0.5), "rx")
+    medium.sim.run(10_000)
+    assert out_a == [DeliveryOutcome.COLLIDED]
+    assert out_b == [DeliveryOutcome.COLLIDED]
 
 
 def test_capture_lets_much_stronger_frame_through():
-    strong = Transmission(channel=ISM, power_dbm=-5.0, start=0, airtime=4096,
-                          tx_position=Position(0.0, 0.11))
-    weak = Transmission(channel=ISM, power_dbm=-5.0, start=0, airtime=4096,
-                        tx_position=Position(0.0, 3.0))
-    rx = Position(0.0, 0.0)
-    assert resolve_delivery(strong, rx, params=FLAT,
-                            others=[weak]) is DeliveryOutcome.DELIVERED
-    assert resolve_delivery(weak, rx, params=FLAT,
-                            others=[strong]) is DeliveryOutcome.COLLIDED
+    medium = _medium()
+    _radio(medium, "rx", 0.0)
+    strong = _send(medium, _radio(medium, "strong", 0.0, 0.11), "rx")
+    weak = _send(medium, _radio(medium, "weak", 0.0, 3.0), "rx")
+    medium.sim.run(10_000)
+    assert strong == [DeliveryOutcome.DELIVERED]
+    assert weak == [DeliveryOutcome.COLLIDED]
 
 
 def test_below_sensitivity():
-    tx = _implant_tx(channel=ISM)
-    far = Position(400.0, 0.0)  # loss = 40 + 20*log10(4000) = 112 dB
-    assert resolve_delivery(tx, far, params=FLAT,
-                            sensitivity_dbm=-95.0) is DeliveryOutcome.BELOW_SENSITIVITY
+    medium = _medium()  # sensitivity -95 dBm
+    _radio(medium, "rx", 400.0)  # loss = 40 + 20*log10(4000) = 112 dB
+    out = _send(medium, _radio(medium, "tx", 0.0), "rx")
+    medium.sim.run(10_000)
+    assert out == [DeliveryOutcome.BELOW_SENSITIVITY]
 
 
 # Empirical link matrix ----------------------------------------------------
@@ -211,6 +242,5 @@ def test_interference_gate_probability_one_boundary():
 
 def test_airtime_of_128_byte_frame_at_250kbps():
     sim = Simulator()
-    from bsnsim.channel import Medium
     medium = Medium(sim, default_params=FLAT)
     assert medium.airtime_ticks(128, ISM) == 4096

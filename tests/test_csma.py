@@ -1,21 +1,60 @@
-"""Slotted CSMA/CA and GTS management against enumeration oracles."""
-
-import random
+"""The shared slotted CSMA/CA engine, run by 802.15.4 and S-MAC, and GTS
+management against enumeration oracles."""
 
 import pytest
 
+from bsnsim.channel import Medium
+from bsnsim.frames import FrameKind
 from bsnsim.mac.base import UNIT_BACKOFF_US
-from bsnsim.mac.csma import (ChannelAccessFailure, CsmaState, Deferred,
-                             SuperframeConfig, TransmitAfter, csma_attempt,
-                             gts_manage)
+from bsnsim.mac.csma import SuperframeConfig, gts_manage
+from bsnsim.runner import build_network
+from bsnsim.traffic import TrafficClass
+from tests.conftest import make_scenario
+
+BI_BO3 = 15360 * 8  # beacon interval at BO=3
 
 
-def idle_cca(_offset):
-    return False
+def _network(protocol, period_s, offset_s, horizon_s, protocols):
+    """A coordinator and one device n1 sending NormalHigh frames."""
+    sc = make_scenario({
+        "horizon_s": horizon_s,
+        "nodes": [
+            {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+             "initial_j": None},
+            {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
+             "initial_j": None},
+        ],
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": period_s,
+                     "offset_s": offset_s}],
+        "protocols": protocols,
+    })
+    network, _macs = build_network(sc, protocol, seed=21, keep_tx_log=True)
+    return network, sc.horizon
 
 
-def busy_cca(_offset):
-    return True
+def _patch_cca(monkeypatch, busy):
+    """Replace energy detection on the medium; returns the CCA log."""
+    calls = []
+
+    def cca_busy(medium, radio, threshold_dbm, window_start):
+        calls.append((medium.sim.now, window_start))
+        return busy(medium.sim.now)
+
+    monkeypatch.setattr(Medium, "cca_busy", cca_busy)
+    return calls
+
+
+def _record_draws(monkeypatch, mac):
+    """Log the range of every backoff draw the MAC makes."""
+    draws = []
+    randrange = mac.rng.randrange
+
+    def logged(n):
+        draws.append(n)
+        return randrange(n)
+
+    monkeypatch.setattr(mac.rng, "randrange", logged)
+    return draws
 
 
 def test_superframe_config_invariants():
@@ -29,54 +68,83 @@ def test_superframe_config_invariants():
         SuperframeConfig(beacon_order=15, superframe_order=15)
 
 
-def test_backoff_delay_range_for_be3():
-    # BE=3 -> drawn backoff in {0..7} units; TransmitAfter adds the 2 CCA units
-    rng = random.Random(0)
+def test_backoff_delay_range_for_be3(monkeypatch):
+    # BE=3 -> backoff in {0..7} units, then two CCA units: the frame starts
+    # 2..9 units after the grid boundary that follows its arrival
+    _patch_cca(monkeypatch, lambda now: False)
+    offset = 5_000
+    network, horizon = _network(
+        "csma802154", BI_BO3 / 1e6, offset / 1e6, 200 * BI_BO3 / 1e6, {"csma802154": {"BO": 3, "SO": 3}})
+    network.sim.run(horizon)
+    log = network.medium.tx_log
+    beacon_ends = [end for (_s, end, _c, _src, kind, *_r) in log
+                   if kind is FrameKind.BEACON]
+    data = [start for (start, _e, _c, src, kind, *_r) in log
+            if kind is FrameKind.DATA and src == "n1"]
+    assert len(data) == horizon // BI_BO3
     seen = set()
-    for _ in range(500):
-        res = csma_attempt(CsmaState(), rng, idle_cca)
-        assert isinstance(res, TransmitAfter)
-        units = res.delay // UNIT_BACKOFF_US - 2
-        assert 0 <= units <= 7
+    for k, start in enumerate(data):
+        arrival = k * BI_BO3 + offset
+        anchor = max(end for end in beacon_ends if end <= arrival)
+        boundary = anchor - (anchor - arrival) // UNIT_BACKOFF_US * UNIT_BACKOFF_US
+        units, rest = divmod(start - boundary, UNIT_BACKOFF_US)
+        assert rest == 0
+        assert 2 <= units <= 9
         seen.add(units)
-    assert seen == set(range(8))
+    assert seen == set(range(2, 10))
 
 
-def test_busy_channel_defers_with_be_growth():
-    rng = random.Random(1)
-    state = CsmaState()
-    res = csma_attempt(state, rng, busy_cca)
-    assert isinstance(res, Deferred)
-    assert res.state.nb == 1
-    assert res.state.be == 4
-    res2 = csma_attempt(res.state, rng, busy_cca)
-    assert res2.state.be == 5
-    res3 = csma_attempt(res2.state, rng, busy_cca)
-    assert res3.state.be == 5  # clamped at aMaxBE
+def _always_busy_802154(monkeypatch):
+    """Two frames, 0.5 s apart, against a channel that is always busy."""
+    calls = _patch_cca(monkeypatch, lambda now: True)
+    network, horizon = _network(
+        "csma802154", 0.5, 0.03, 1.0,
+        {"csma802154": {"BO": 3, "SO": 3}})
+    draws = _record_draws(monkeypatch, network.nodes["n1"].mac)
+    network.sim.run(horizon)
+    return network, calls, draws
 
 
-def test_channel_access_failure_after_five_attempts():
-    rng = random.Random(2)
-    state = CsmaState(max_backoffs=4)
-    attempts = 0
-    while True:
-        attempts += 1
-        res = csma_attempt(state, rng, busy_cca)
-        if isinstance(res, ChannelAccessFailure):
-            break
-        state = res.state
-    assert attempts == 5
+def test_busy_channel_defers_with_be_growth(monkeypatch):
+    _, _, draws = _always_busy_802154(monkeypatch)
+    # BE grows 3, 4, 5 and stays clamped at aMaxBE
+    assert draws == [8, 16, 32, 32, 32] * 2
 
 
-def test_first_cca_busy_skips_second():
-    calls = []
+def test_channel_access_failure_after_five_attempts(monkeypatch):
+    network, _, _ = _always_busy_802154(monkeypatch)
+    metrics = network.metrics
+    assert metrics.csma_failures == 2
+    assert metrics.counts[TrafficClass.NORMAL_HIGH].dropped == 2
+    assert not [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
 
-    def tracking_cca(offset):
-        calls.append(offset)
-        return True
 
-    csma_attempt(CsmaState(), random.Random(3), tracking_cca)
-    assert len(calls) == 1
+def test_first_cca_busy_skips_second(monkeypatch):
+    _, calls, _ = _always_busy_802154(monkeypatch)
+    # macMaxCSMABackoffs + 1 = 5 backoff rounds per frame, one CCA each
+    assert len(calls) == 10
+    assert len({window for _now, window in calls}) == 10
+
+
+def test_smac_busy_window_keeps_frame_for_next_window(monkeypatch):
+    # busy through the first listen window [0, 100 ms), idle afterwards
+    cycle = 500_000
+    calls = _patch_cca(monkeypatch, lambda now: now < cycle)
+    network, horizon = _network(
+        "smac", 10.0, 0.01, 0.7,
+        {"smac": {"cycle_s": 0.5, "listen_fraction": 0.2}})
+    mac = network.nodes["n1"].mac
+    network.sim.run(cycle - 1)
+    assert len(calls) == mac.busy_limit == 2  # max_window_attempts
+    assert mac.in_service is not None
+    assert network.metrics.csma_failures == 0
+    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].dropped == 0
+    network.sim.run(horizon)
+    data = [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
+    assert len(data) == 1
+    assert cycle <= data[0][0] < cycle + 100_000
+    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 1
+    assert network.metrics.csma_failures == 0
 
 
 def enumeration_collision_probability() -> float:
@@ -91,22 +159,6 @@ def enumeration_collision_probability() -> float:
 
 def test_enumeration_oracle_is_one_eighth():
     assert enumeration_collision_probability() == 1 / 8
-
-
-def test_two_node_collision_frequency_monte_carlo():
-    # Drive csma_attempt for both nodes with ideal (clean) CCA to extract the
-    # committed transmit boundary; equal boundaries collide (see oracle).
-    rng_a = random.Random(1001)
-    rng_b = random.Random(2002)
-    n = 100_000
-    collisions = 0
-    for _ in range(n):
-        res_a = csma_attempt(CsmaState(), rng_a, idle_cca)
-        res_b = csma_attempt(CsmaState(), rng_b, idle_cca)
-        if res_a.delay == res_b.delay:
-            collisions += 1
-    freq = collisions / n
-    assert abs(freq - enumeration_collision_probability()) < 0.01
 
 
 # GTS management --------------------------------------------------------------
@@ -147,10 +199,3 @@ def test_gts_active_descriptor_retained_indefinitely():
         descriptors = gts_manage([], descriptors, {"n1"}, num_gts_slots=2)
     assert len(descriptors) == 1
     assert descriptors[0].inactivity_countdown == 4
-
-
-def test_csma_state_validation():
-    with pytest.raises(ValueError):
-        CsmaState(be=2, min_be=3)
-    with pytest.raises(ValueError):
-        CsmaState(nb=-1)

@@ -207,7 +207,6 @@ def test_death_mid_transmission_kills_the_frame():
         ],
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
                      "offset_s": 0.01}],
-        "protocols": {"direct": {"ack": False}},
     })
     m = run_one(sc, "direct", seed=14)
     cc = m.counts[TrafficClass.NORMAL_HIGH]
@@ -229,7 +228,6 @@ def test_dead_node_stops_generating_and_receiving():
         ],
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.05,
                      "offset_s": 0.02}],
-        "protocols": {"direct": {"ack": False}},
     })
     net = run_net(sc, "direct", seed=15, keep_tx_log=True)
     m = finalize(net)

@@ -1,17 +1,10 @@
-"""PB-TDMA planning and S-MAC window function."""
+"""PB-TDMA schedule arithmetic and S-MAC window function."""
 
 import pytest
 
 from bsnsim.core import US_PER_S
-from bsnsim.frames import Mpdu
 from bsnsim.mac.smac import SmacConfig, SmacPhase, smac_window
-from bsnsim.mac.tdma import TdmaSchedule, tdma_round
-from bsnsim.traffic import TrafficClass
-
-
-def _mpdu(seq, src):
-    return Mpdu(seq=seq, src=src, dst="bnc", cls=TrafficClass.NORMAL_HIGH,
-                payload_bytes=128, created_at=0)
+from bsnsim.mac.tdma import TdmaSchedule
 
 
 def nine_node_schedule(slot_ms=5.0, preamble_ms=5.0):
@@ -27,15 +20,6 @@ def test_round_length_arithmetic():
     assert sched.round_ticks == 50_000
     assert sched.slot_start(0, 0) == 5_000
     assert sched.slot_start(0, 8) == 45_000
-
-
-def test_round_plan_one_frame_per_owned_slot():
-    sched = nine_node_schedule()
-    pending = {"n0": [_mpdu(0, "n0"), _mpdu(1, "n0")], "n3": [_mpdu(0, "n3")]}
-    plan = tdma_round(sched, pending)
-    assert len(plan) == 9
-    sent = {(node, frame.seq) for _, node, frame in plan if frame is not None}
-    assert sent == {("n0", 0), ("n3", 0)}  # max throughput 1 frame/node/round
 
 
 def test_duplicate_slot_owner_rejected():

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsnsim.core import US_PER_S
 from bsnsim.traffic import TrafficClass
-from bsnsim.wakeup import (TableAction, WakeupEntry, WakeupSignal,
-                           WakeupSignalDirection, WakeupTable,
+from bsnsim.wakeup import (TableAction, WakeupEntry, WakeupTable,
                            derive_bnc_pattern, merge_intervals, table_update)
 
 S = US_PER_S
@@ -73,15 +72,6 @@ def test_occurrence_after():
     assert e.occurrence_after(0) == 2 * S
     assert e.occurrence_after(2 * S) == 12 * S  # strictly after
     assert e.occurrence_after(15 * S) == 22 * S
-
-
-def test_signal_direction_rules():
-    WakeupSignal(WakeupSignalDirection.NODE_TO_BNC, "Emergency", 10_000)
-    WakeupSignal(WakeupSignalDirection.BNC_TO_NODE, "OnDemand", 10_000, "n3")
-    with pytest.raises(ValueError):
-        WakeupSignal(WakeupSignalDirection.BNC_TO_NODE, "Emergency", 10_000)
-    with pytest.raises(ValueError):
-        WakeupSignal(WakeupSignalDirection.NODE_TO_BNC, "OnDemand", 10_000)
 
 
 # pattern derivation ----------------------------------------------------------
