@@ -6,10 +6,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bridging import ChannelMap, Direct, ViaBridge
+from .bridging import Direct, ViaBridge
 from .core import ticks_from_seconds
 from .metrics import RunMetrics, aggregate
-from .runner import compare_protocols, run_one, run_replications
+from .runner import (build_channel_map, compare_protocols, run_one,
+                     run_replications)
 from .scenario import Scenario, ScenarioError, load_scenario
 
 
@@ -109,11 +110,7 @@ def cmd_dump_routes(args) -> int:
     if not scenario.channel_map:
         print("src,dst,route_kind,ingress,bridge,egress")
         return 0
-    cmap = ChannelMap(
-        inbody_nodes={n.id for n in scenario.nodes if n.kind == "inbody"},
-        bridge_nodes={scenario.bridge["node"]} if scenario.bridge else set())
-    for record in scenario.channel_map:
-        cmap.register(record)
+    cmap = build_channel_map(scenario)
     print("src,dst,route_kind,ingress,bridge,egress")
     for src in scenario.nodes:
         for dst in scenario.nodes:

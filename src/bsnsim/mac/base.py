@@ -1,11 +1,13 @@
-"""Shared MAC machinery: timing constants, priority queues, ack exchange,
-and the slotted CSMA/CA engine with acks and retransmissions."""
+"""Shared MAC machinery: timing constants, priority queues, the session
+rule for stale steps, unacknowledged and acknowledged sends, and the slotted
+CSMA/CA engine with acks and retransmissions."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from ..core import SimTime, Simulator
+from ..channel import DeliveryOutcome
+from ..core import Event, SimTime, Simulator
 from ..frames import ACK_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import priority
 
@@ -48,7 +50,16 @@ class FrameQueue:
 
 
 class MacBase:
-    """Common plumbing every protocol shares; subclasses drive the radio."""
+    """Common plumbing every protocol shares; subclasses drive the radio.
+    The shared sends transmit on `self.radio`, which subclasses create.
+
+    Session rule: a scheduled step belongs to the session in which it was
+    scheduled and does nothing once `new_session()` has started another one
+    or the node has died. Its event is still dispatched.
+    """
+
+    # scenario keys under `protocols.<name>` that the protocol accepts
+    params: tuple[str, ...] = ("queue_capacity", "cca_threshold_dbm")
 
     def __init__(self, sim: Simulator, medium, node, network, cfg: dict):
         self.sim = sim
@@ -60,6 +71,8 @@ class MacBase:
         self.queue = FrameQueue(capacity=cfg.get("queue_capacity", 16))
         self.target = f"node:{node.node_id}"
         self.in_service: Optional[Mpdu] = None
+        self._session = 0
+        self._ack_timer: Optional[Event] = None
         node.mac = self
 
     @property
@@ -90,8 +103,56 @@ class MacBase:
             out.append(self.in_service)
         return out
 
-    def on_death(self) -> None:
-        pass
+    # Sessions --------------------------------------------------------------
+
+    def new_session(self) -> None:
+        """Make every step of the current session stale."""
+        self._session += 1
+
+    def in_session(self, fn: Callable) -> Callable:
+        """`fn`, run only while this session lasts and the node lives."""
+        session = self._session
+        node = self.node
+
+        def step(*args):
+            if session == self._session and not node.dead:
+                fn(*args)
+        return step
+
+    def at(self, when: SimTime, kind: str, fn: Callable[[], None]) -> Event:
+        return self.sim.schedule_at(when, kind, self.target, self.in_session(fn))
+
+    def after(self, delay: SimTime, kind: str, fn: Callable[[], None]) -> Event:
+        return self.sim.schedule(delay, kind, self.target, self.in_session(fn))
+
+    # Unacknowledged sends --------------------------------------------------
+
+    def send_unacked(self, then: Callable[[], None]) -> None:
+        """Send the head frame once on `self.radio`; a frame that is not
+        delivered is dropped. `then` runs when the transmission ends."""
+        mpdu = self.in_service = self.queue.pop()
+        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
+
+        def _result(outcome):
+            if outcome is not DeliveryOutcome.DELIVERED:
+                self.metrics.on_dropped(mpdu)
+            self.in_service = None
+            then()
+
+        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
+                             on_result=_result)
+
+    def send_in_slot(self, wake_at: SimTime, tx_at: SimTime, kind: str) -> None:
+        """Switch to rx at `wake_at`, send one frame unacknowledged at `tx_at`,
+        then sleep. The steps' event kinds are `<kind>_wake` and `<kind>_tx`."""
+        self.at(wake_at, f"{kind}_wake", lambda: self.radio.set_state("rx"))
+        self.at(tx_at, f"{kind}_tx", self._slot_tx)
+
+    def _slot_tx(self) -> None:
+        if not len(self.queue):
+            self.radio.set_state("sleep")
+            return
+        self.send_unacked(lambda: self.radio.set_state("sleep"))
 
     # Ack exchange ----------------------------------------------------------
 
@@ -113,10 +174,31 @@ class MacBase:
         return (TURNAROUND_US + self.medium.airtime_ticks(ACK_BYTES, channel)
                 + ACK_WAIT_MARGIN_US)
 
-    def is_ack_for_me(self, frame: Frame, mpdu: Mpdu) -> bool:
-        return (frame.kind is FrameKind.ACK and frame.link_dst == self.node.node_id
-                and mpdu is not None and frame.info.get("seq") == mpdu.seq
-                and frame.info.get("of") == mpdu.src)
+    def send_awaiting_ack(self, radio, on_timeout: Callable[[], None]) -> None:
+        """Send the frame in service once, then wait for its ack; `on_timeout`
+        runs in this session if none arrives in time."""
+        mpdu = self.in_service
+        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
+
+        def _await_ack(outcome):
+            self._ack_timer = self.after(self.ack_wait_ticks(radio.channel),
+                                         "ack_timeout", on_timeout)
+
+        self.medium.begin_tx(radio, frame, self.node.tx_power_dbm,
+                             on_result=self.in_session(_await_ack))
+
+    def ack_received(self, frame: Frame) -> bool:
+        """Whether an ACK frame acknowledges the frame in service; if so its
+        ack timer is cancelled."""
+        mpdu = self.in_service
+        if (mpdu is None or frame.link_dst != self.node.node_id
+                or frame.info.get("seq") != mpdu.seq
+                or frame.info.get("of") != mpdu.src):
+            return False
+        if self._ack_timer is not None:
+            self.sim.cancel(self._ack_timer)
+            self._ack_timer = None
+        return True
 
 
 class SlottedCsmaMac(MacBase):
@@ -134,6 +216,7 @@ class SlottedCsmaMac(MacBase):
     service until `_start_service` runs again.
     """
 
+    params = MacBase.params + ("macMinBE", "aMaxBE", "retry_limit")
     busy_limit: int
 
     def __init__(self, sim: Simulator, medium, node, network, cfg: dict):
@@ -142,10 +225,8 @@ class SlottedCsmaMac(MacBase):
         self.max_be = cfg.get("aMaxBE", 5)
         self.retry_limit = cfg.get("retry_limit", 3)
         self.cca_threshold = cfg.get("cca_threshold_dbm", -85.0)
-        self._session = 0           # token invalidating stale scheduled steps
         self._access_start: SimTime = 0
         self._access_end: SimTime = 0
-        self._ack_timer = None
         self._retries = 0
         self._nb = 0
         self._be = self.min_be
@@ -180,7 +261,6 @@ class SlottedCsmaMac(MacBase):
     def _backoff(self) -> None:
         if self.node.dead or not self._may_contend():
             return
-        token = self._session
         delay_units = self.rng.randrange(1 << self._be)
         b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
         tx_at = b0 + 2 * UNIT_BACKOFF_US
@@ -189,12 +269,9 @@ class SlottedCsmaMac(MacBase):
         if tx_at + airtime + self.ack_wait_ticks(self.radio.channel) > self._access_end:
             self._idle()
             return
-        self.sim.schedule_at(b0 + CCA_US, "cca", self.target,
-                             lambda: self._cca_done(b0, False, token))
+        self.at(b0 + CCA_US, "cca", lambda: self._cca_done(b0, False))
 
-    def _cca_done(self, window_start: SimTime, second: bool, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
+    def _cca_done(self, window_start: SimTime, second: bool) -> None:
         if self.medium.cca_busy(self.radio, self.cca_threshold, window_start):
             self._nb += 1
             self._be = min(self._be + 1, self.max_be)
@@ -205,31 +282,15 @@ class SlottedCsmaMac(MacBase):
             return
         if not second:
             w2 = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(w2 + CCA_US, "cca", self.target,
-                                 lambda: self._cca_done(w2, True, token))
+            self.at(w2 + CCA_US, "cca", lambda: self._cca_done(w2, True))
         else:
-            tx_at = window_start + UNIT_BACKOFF_US
-            self.sim.schedule_at(tx_at, "tx_start", self.target,
-                                 lambda: self._transmit(token))
+            self.at(window_start + UNIT_BACKOFF_US, "tx_start", self._transmit)
 
-    def _transmit(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.radio.state == "tx":
-            return
-        frame = Frame.data(self.in_service, self.node.node_id,
-                           self.network.link_dst(self.in_service))
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=lambda outcome: self._await_ack(token))
+    def _transmit(self) -> None:
+        if self.radio.state != "tx":
+            self.send_awaiting_ack(self.radio, self._ack_timeout)
 
-    def _await_ack(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self._ack_timer = self.sim.schedule(
-            self.ack_wait_ticks(self.radio.channel), "ack_timeout",
-            self.target, lambda: self._ack_timeout(token))
-
-    def _ack_timeout(self, token: int) -> None:
-        if token != self._session or self.node.dead or self.in_service is None:
-            return
+    def _ack_timeout(self) -> None:
         self._retries += 1
         if self._retries > self.retry_limit:
             self.metrics.on_dropped(self.in_service)
@@ -241,10 +302,7 @@ class SlottedCsmaMac(MacBase):
     def _on_frame(self, frame: Frame, tx) -> None:
         if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
             self._on_data(frame)
-        elif frame.kind is FrameKind.ACK and self.is_ack_for_me(frame, self.in_service):
-            if self._ack_timer is not None:
-                self.sim.cancel(self._ack_timer)
-                self._ack_timer = None
+        elif frame.kind is FrameKind.ACK and self.ack_received(frame):
             self.in_service = None
             self._start_service()
 

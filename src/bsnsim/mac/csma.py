@@ -98,6 +98,10 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
 class Beacon802154Mac(SlottedCsmaMac):
     """Device and coordinator roles of the beacon-enabled MAC."""
 
+    params = SlottedCsmaMac.params + (
+        "BO", "SO", "num_gts_slots", "macMaxCSMABackoffs", "guard_us",
+        "gts_expiry_superframes", "gts_nodes")
+
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
         self.sf = SuperframeConfig(
@@ -135,9 +139,6 @@ class Beacon802154Mac(SlottedCsmaMac):
             self._next_beacon_at = 0
             self.sim.schedule_at(0, "wake_beacon", self.target,
                                  self._wake_for_beacon)
-
-    def on_death(self) -> None:
-        self._session += 1  # queued frames stay put, counted in flight
 
     # -- coordinator --------------------------------------------------------
 
@@ -184,17 +185,13 @@ class Beacon802154Mac(SlottedCsmaMac):
     def _wake_for_beacon(self) -> None:
         if self.node.dead:
             return
-        self._session += 1
-        token = self._session
+        self.new_session()
         self.radio.set_state("listen")
         deadline = self._next_beacon_at + self.beacon_airtime + self.guard_us
-        self._beacon_timeout = self.sim.schedule_at(
-            deadline, "beacon_timeout", self.target,
-            lambda: self._beacon_missed(token))
+        self._beacon_timeout = self.at(deadline, "beacon_timeout",
+                                       self._beacon_missed)
 
-    def _beacon_missed(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
+    def _beacon_missed(self) -> None:
         self._synced = False
         self._sleep_until_next_beacon()
 
@@ -215,7 +212,6 @@ class Beacon802154Mac(SlottedCsmaMac):
         self._access_end = info["cap_end"]
         self._next_beacon_at = info["sd_start"] + self.sf.beacon_interval
         self._my_gts = info["gts"].get(self.node.node_id)
-        token = self._session
         wake_at = self._next_beacon_at - self.guard_us
         self.sim.schedule_at(wake_at, "wake_beacon",
                              self.target,
@@ -223,7 +219,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         if self.gts_enabled:
             has_traffic = len(self.queue) or self.in_service is not None
             if self._my_gts and has_traffic:
-                self._schedule_gts_tx(info["sd_start"], token)
+                self._schedule_gts_tx(info["sd_start"])
             else:
                 if has_traffic and not self._my_gts:
                     self.network.coordinator_mac.request_gts(self.node.node_id)
@@ -263,44 +259,12 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     # GTS transmission: one unacknowledged frame per owned slot.
 
-    def _schedule_gts_tx(self, sd_start: SimTime, token: int) -> None:
+    def _schedule_gts_tx(self, sd_start: SimTime) -> None:
         self.radio.set_state("sleep")
         for slot in self._my_gts:
             slot_start = sd_start + slot * self.sf.slot_ticks
-            if slot_start - TURNAROUND_US <= self.sim.now:
-                continue
-            self.sim.schedule_at(slot_start - TURNAROUND_US, "gts_wake",
-                                 self.target,
-                                 lambda: self._gts_warmup(token))
-            self.sim.schedule_at(slot_start, "gts_tx",
-                                 self.target,
-                                 lambda: self._gts_transmit(token))
-
-    def _gts_warmup(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self.radio.set_state("rx")
-
-    def _gts_transmit(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        if self.in_service is None:
-            if not len(self.queue):
-                self.radio.set_state("sleep")
-                return
-            self.in_service = self.queue.pop()
-        mpdu = self.in_service
-        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
-
-        def _result(outcome):
-            from ..channel import DeliveryOutcome
-            if outcome is not DeliveryOutcome.DELIVERED:
-                self.metrics.on_dropped(mpdu)
-            self.in_service = None
-            self.radio.set_state("sleep")
-
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=_result)
+            if slot_start - TURNAROUND_US > self.sim.now:
+                self.send_in_slot(slot_start - TURNAROUND_US, slot_start, "gts")
 
     # -- reception ----------------------------------------------------------
 

@@ -4,7 +4,6 @@ contention is not the point. Frames are unacknowledged and never retried."""
 
 from __future__ import annotations
 
-from ..channel import DeliveryOutcome
 from ..frames import Frame, FrameKind, Mpdu
 from .base import MacBase
 
@@ -26,16 +25,7 @@ class DirectMac(MacBase):
         if (self.node.dead or self.in_service is not None
                 or self.radio.state == "tx" or not len(self.queue)):
             return
-        mpdu = self.in_service = self.queue.pop()
-        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=lambda outcome: self._done(mpdu, outcome))
-
-    def _done(self, mpdu: Mpdu, outcome) -> None:
-        if outcome is not DeliveryOutcome.DELIVERED:
-            self.metrics.on_dropped(mpdu)
-        self.in_service = None
-        self._pump()
+        self.send_unacked(self._pump)
 
     def _on_frame(self, frame: Frame, tx) -> None:
         if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:

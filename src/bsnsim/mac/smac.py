@@ -52,6 +52,9 @@ class SMac(SlottedCsmaMac):
     closes, stays in service and contends again in the next window.
     """
 
+    params = SlottedCsmaMac.params + (
+        "cycle_s", "listen_fraction", "max_window_attempts")
+
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
         self.smac = SmacConfig(cycle_ticks=cfg.get("cycle_ticks", 1_000_000),
@@ -71,7 +74,7 @@ class SMac(SlottedCsmaMac):
     def _enter_listen(self) -> None:
         if self.node.dead:
             return
-        self._session += 1
+        self.new_session()
         self._access_start = self.sim.now
         self._access_end = self.sim.now + self.smac.listen_ticks
         self.radio.set_state("listen")
@@ -86,7 +89,7 @@ class SMac(SlottedCsmaMac):
     def _enter_sleep(self) -> None:
         if self.node.dead:
             return
-        self._session += 1  # cancels any pending contention steps
+        self.new_session()  # cancels any pending contention steps
         if self.radio.state != "tx":
             self.radio.set_state("sleep")
 

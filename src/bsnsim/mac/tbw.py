@@ -24,11 +24,17 @@ from .base import TURNAROUND_US, MacBase
 
 GRANT_BYTES = BEACON_BYTES
 POLL_WAIT_US = 20_000
-SESSION_LINGER_US = 5_000
 
 
 class TbwMac(MacBase):
-    """Node and coordinator roles of the traffic-based wakeup mechanism."""
+    """Node and coordinator roles of the traffic-based wakeup mechanism.
+
+    The coordinator's session is its current pattern; rebuilding the
+    pattern from the table starts a new one.
+    """
+
+    params = MacBase.params + ("guard_ms", "wakeup_signal_ms", "wakeup_retry_ms",
+                               "wakeup_max_tries", "retry_limit")
 
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
@@ -40,7 +46,6 @@ class TbwMac(MacBase):
         self.always_on = cfg.get("bnc_always_on", False)
         self.wakeup_channel: ChannelId = cfg["wakeup_channel"]
         self.node_channels: dict[str, ChannelId] = cfg["node_channels"]
-        self._session = 0
         if self.is_coordinator:
             self.table: WakeupTable = cfg.get("table") or WakeupTable(node.node_id)
             self.pattern: BncPattern = BncPattern()
@@ -52,8 +57,8 @@ class TbwMac(MacBase):
                                        else "sleep")
                 radio.on_frame = self._on_frame
                 self.data_radios[ch] = radio
-            self._sessions: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
-            self._epoch = 0
+            # holds keep a data radio awake outside the pattern
+            self._holds: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
         else:
             self.radio = node.add_radio("data",
                                         self.node_channels[node.node_id])
@@ -68,9 +73,8 @@ class TbwMac(MacBase):
         self.wakeup_rx = node.add_wakeup_receiver(self.wakeup_channel)
         self.wakeup_rx.on_frame = self._on_wakeup_signal
         self.wakeup_tx = node.add_radio("wakeup_tx", self.wakeup_channel)
-        self._ack_timer = None
         self._retries = 0
-        self._send_done = None  # callback(success) for the frame in service
+        self._send_done = None  # done(ok, reason) for the frame in service
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -94,55 +98,42 @@ class TbwMac(MacBase):
 
     def _rebuild_schedule(self) -> None:
         """Recompute the pattern and restart beacon/pattern chains."""
-        self._epoch += 1
-        epoch = self._epoch
+        self.new_session()
         self.pattern = derive_bnc_pattern(self.table, self.guard)
-        if not self.always_on and not self.pattern.fallback:
+        # a dead coordinator arms no pattern interval
+        if not (self.always_on or self.pattern.fallback or self.node.dead):
             for s, e in self.pattern.intervals:
-                self._chain_interval(s, e, epoch)
+                self._chain_interval(s, e)
         for entry in self.table.values():
-            self._chain_beacon(entry, epoch)
+            self._chain_beacon(entry)
 
-    def _chain_interval(self, start: SimTime, end: SimTime, epoch: int) -> None:
+    def _chain_interval(self, start: SimTime, end: SimTime) -> None:
         hyper = self.pattern.hyperperiod
         base = (self.sim.now // hyper) * hyper if hyper else 0
 
         def arm(cycle_base):
-            if self._epoch != epoch or self.node.dead:
-                return
             wake_at = cycle_base + start
             if wake_at < self.sim.now:
                 arm(cycle_base + hyper)
                 return
-            self.sim.schedule_at(wake_at, "bnc_wake", self.target,
-                                 lambda: on_wake(cycle_base))
+            self.at(wake_at, "bnc_wake", lambda: on_wake(cycle_base))
 
         def on_wake(cycle_base):
-            if self._epoch != epoch or self.node.dead:
-                return
             for radio in self.data_radios.values():
                 if radio.state == "sleep":
                     radio.set_state("listen")
-            self.sim.schedule_at(cycle_base + end, "bnc_sleep",
-                                 self.target,
-                                 lambda: on_sleep(cycle_base))
+            self.at(cycle_base + end, "bnc_sleep", lambda: on_sleep(cycle_base))
 
         def on_sleep(cycle_base):
-            if self._epoch != epoch or self.node.dead:
-                return
             for ch, radio in self.data_radios.items():
-                if self._sessions[ch] == 0 and radio.state == "listen":
+                if self._holds[ch] == 0 and radio.state == "listen":
                     radio.set_state("sleep")
             arm(cycle_base + hyper)
 
         arm(base)
 
-    def _chain_beacon(self, entry: WakeupEntry, epoch: int) -> None:
-        occ = entry.occurrence_after(self.sim.now - 1)
-
+    def _chain_beacon(self, entry: WakeupEntry) -> None:
         def fire():
-            if self._epoch != epoch or self.node.dead:
-                return
             radio = self.radio_for(entry.node)
             if self.pattern.fallback and radio.state == "sleep":
                 radio.set_state("listen")  # per-event fallback wake
@@ -160,12 +151,9 @@ class TbwMac(MacBase):
                                      "bnc_fallback_sleep",
                                      self.target,
                                      lambda: self._release(radio.channel, 0))
-            nxt = entry.occurrence_after(self.sim.now)
-            self.sim.schedule_at(nxt, "window_beacon",
-                                 self.target, fire)
+            self.at(entry.occurrence_after(self.sim.now), "window_beacon", fire)
 
-        self.sim.schedule_at(occ, "window_beacon", self.target,
-                             fire)
+        self.at(entry.occurrence_after(self.sim.now - 1), "window_beacon", fire)
 
     def apply_table_update(self, entry: WakeupEntry, action: TableAction,
                            caller: str = None) -> None:
@@ -173,18 +161,16 @@ class TbwMac(MacBase):
                      caller=caller if caller is not None else self.node.node_id)
         self._rebuild_schedule()
 
-    # session accounting keeps data radios awake outside the pattern
-
     def _acquire(self, channel: ChannelId) -> None:
-        self._sessions[channel] += 1
+        self._holds[channel] += 1
         radio = self.data_radios[channel]
         if radio.state == "sleep":
             radio.set_state("listen")
 
     def _release(self, channel: ChannelId, already: int = 1) -> None:
         if already:
-            self._sessions[channel] = max(0, self._sessions[channel] - 1)
-        if self.always_on or self._sessions[channel] > 0:
+            self._holds[channel] = max(0, self._holds[channel] - 1)
+        if self.always_on or self._holds[channel] > 0:
             return
         radio = self.data_radios[channel]
         if radio.state == "listen" and not self._within_pattern():
@@ -213,33 +199,26 @@ class TbwMac(MacBase):
 
     def _schedule_next_window(self) -> None:
         occ = self._view_occurrence_after(self.sim.now)
-        token = self._session
-        self.sim.schedule_at(occ, "window_wake", self.target,
-                             lambda: self._window_wake(occ, token))
+        self.at(occ, "window_wake", lambda: self._window_wake(occ))
 
-    def _window_wake(self, occ: SimTime, token: int) -> None:
-        if self.node.dead or token != self._session or self._emg_active:
-            if not self.node.dead and token == self._session:
-                self._schedule_next_window()
+    def _window_wake(self, occ: SimTime) -> None:
+        if self._emg_active:
+            self._schedule_next_window()
             return
-        self._session += 1
-        token = self._session
+        self.new_session()
         self.radio.set_state("listen")
         beacon_air = self.medium.airtime_ticks(BEACON_BYTES, self.radio.channel)
         deadline = occ + beacon_air + self.guard + 500
-        self.sim.schedule_at(deadline, "beacon_timeout",
-                             self.target,
-                             lambda: self._window_beacon_missed(token))
+        self.at(deadline, "beacon_timeout", self._window_beacon_missed)
 
-    def _window_beacon_missed(self, token: int) -> None:
-        if token != self._session or self.node.dead or self._serving_window:
+    def _window_beacon_missed(self) -> None:
+        if self._serving_window:
             return
         self.radio.set_state("sleep")  # retry at the next window
         self._schedule_next_window()
 
     def _on_window_beacon(self, frame: Frame) -> None:
-        self._session += 1
-        token = self._session
+        self.new_session()
         new = frame.info.get("entry")
         if new and new != self.entry_view:
             self.entry_view = dict(new)  # disseminated table change
@@ -247,83 +226,64 @@ class TbwMac(MacBase):
         self._serving_window = True
         if not len(self.queue):
             # stay reachable until the window closes, then sleep
-            self.sim.schedule_at(self._window_end, "window_close",
-                                 self.target,
-                                 lambda: self._window_close(token))
+            self.at(self._window_end, "window_close", self._window_close)
             return
-        self._window_send_next(token)
+        self._window_send_next()
 
-    def _window_close(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
+    def _window_close(self) -> None:
         self._serving_window = False
         self.radio.set_state("sleep")
         self._schedule_next_window()
 
-    def _window_send_next(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
+    def _window_send_next(self) -> None:
         if not len(self.queue):
-            self._window_close(token)
+            self._window_close()
             return
         mpdu = self.queue.peek()
         airtime = self.medium.airtime_ticks(mpdu.payload_bytes, self.radio.channel)
         cost = airtime + self.ack_wait_ticks(self.radio.channel)
         if self.sim.now + cost > self._window_end:
-            self._window_close(token)  # carry over whatever is left
+            self._window_close()  # carry over whatever is left
             return
         self.queue.remove(mpdu)
         self.in_service = mpdu
         self._retries = 0
-        self._acked_send(self.radio, mpdu, token,
-                         lambda ok, reason: self._window_sent(mpdu, ok, reason, token),
-                         deadline=self._window_end)
+        self._acked_send(self.in_session(
+            lambda ok, reason: self._window_sent(mpdu, ok, reason)),
+            deadline=self._window_end)
 
-    def _window_sent(self, mpdu: Mpdu, ok: bool, reason: str, token: int) -> None:
-        if token != self._session:
-            return
+    def _window_sent(self, mpdu: Mpdu, ok: bool, reason: str) -> None:
         self.in_service = None
         if not ok:
             if reason == "deadline":
                 if not self.queue.push(mpdu):  # carry over to the next window
                     self.metrics.on_dropped(mpdu)
-                self._window_close(token)
+                self._window_close()
                 return
             self.metrics.on_dropped(mpdu)
-        self._window_send_next(token)
+        self._window_send_next()
 
     # ------------------------------------------------------------------ #
     # acknowledged unicast with bounded retries (node side helper)       #
     # ------------------------------------------------------------------ #
 
-    def _acked_send(self, radio, mpdu: Mpdu, token: int, done,
-                    deadline: Optional[SimTime] = None) -> None:
+    def _acked_send(self, done, deadline: Optional[SimTime] = None) -> None:
+        """Send the frame in service until it is acked, `retry_limit` retries
+        fail or a retry would end past `deadline`; `done(ok, reason)`."""
         self._send_done = done
-        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
+        channel = self.radio.channel
 
         def attempt():
-            if token != self._session or self.node.dead:
-                return
-            if radio.state == "tx":
-                self.sim.schedule(500, "tx_retry_wait",
-                                  self.target, attempt)
-                return
-            self.medium.begin_tx(radio, frame, self.node.tx_power_dbm,
-                                 on_result=lambda _o: wait_ack())
-
-        def wait_ack():
-            if token != self._session or self.node.dead:
-                return
-            self._ack_timer = self.sim.schedule(
-                self.ack_wait_ticks(radio.channel), "ack_timeout",
-                self.target, timeout)
+            if self.radio.state == "tx":
+                self.after(500, "tx_retry_wait", attempt)
+            else:
+                self.send_awaiting_ack(self.radio, timeout)
 
         def timeout():
-            if token != self._session or self.node.dead or self.in_service is not mpdu:
-                return
             self._retries += 1
-            retry_cost = (self.medium.airtime_ticks(mpdu.payload_bytes, radio.channel)
-                          + self.ack_wait_ticks(radio.channel))
+            retry_cost = (self.medium.airtime_ticks(self.in_service.payload_bytes,
+                                                    channel)
+                          + self.ack_wait_ticks(channel))
             if self._retries > self.retry_limit:
                 done(False, "retries")
             elif deadline is not None and self.sim.now + retry_cost > deadline:
@@ -334,11 +294,8 @@ class TbwMac(MacBase):
         attempt()
 
     def _on_ack_frame(self, frame: Frame) -> None:
-        if self.in_service is None or not self.is_ack_for_me(frame, self.in_service):
+        if not self.ack_received(frame):
             return
-        if self._ack_timer is not None:
-            self.sim.cancel(self._ack_timer)
-            self._ack_timer = None
         done = self._send_done
         self._send_done = None
         if done is not None:
@@ -373,7 +330,7 @@ class TbwMac(MacBase):
             self.in_service = None
 
     def _start_emergency(self) -> None:
-        self._session += 1  # preempt any window service
+        self.new_session()  # preempt any window service
         self._serving_window = False
         self._requeue_in_service()
         self._emg_active = self._pending_emergencies.pop(0)
@@ -389,48 +346,37 @@ class TbwMac(MacBase):
             self.metrics.on_dropped(self._emg_active)
             self._finish_emergency()
             return
-        token = self._session
-        signal = Frame(FrameKind.WAKEUP, self.node.node_id,
-                       self.network.bnc_id, 0,
-                       info={"purpose": "Emergency"})
-        self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,
-                             airtime=self.signal_ticks,
-                             on_result=lambda _o: armed(_o))
 
         def armed(_outcome):
-            if token != self._session or self.node.dead:
-                return
             self.wakeup_tx.set_state("sleep")
             self.radio.set_state("listen")  # await the grant
             # jitter wider than the signal itself so coincident emergencies
             # from different nodes desynchronize within a few retries
             jitter = self.rng.randrange(3 * self.signal_ticks)
-            self.sim.schedule(self.retry_timeout + jitter, "grant_timeout",
-                              self.target,
-                              lambda: grant_timeout())
+            self.after(self.retry_timeout + jitter, "grant_timeout",
+                       self._grant_timeout)
 
-        def grant_timeout():
-            if token != self._session or self.node.dead:
-                return
-            if self._emg_active is not None and self.in_service is None:
-                self.radio.set_state("sleep")
-                self._emergency_signal()
+        signal = Frame(FrameKind.WAKEUP, self.node.node_id,
+                       self.network.bnc_id, 0,
+                       info={"purpose": "Emergency"})
+        self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,
+                             airtime=self.signal_ticks,
+                             on_result=self.in_session(armed))
+
+    def _grant_timeout(self) -> None:
+        if self._emg_active is not None and self.in_service is None:
+            self.radio.set_state("sleep")
+            self._emergency_signal()
 
     def _on_grant(self, frame: Frame) -> None:
         if self._emg_active is None or self.in_service is not None:
             return
-        self._session += 1
-        token = self._session
-        mpdu = self._emg_active
-        self.in_service = mpdu
+        self.new_session()
+        self.in_service = self._emg_active
         self._retries = 0
-        self._acked_send(self.radio, mpdu, token,
-                         lambda ok, _reason: self._emergency_done(ok, token))
+        self._acked_send(self.in_session(self._emergency_done))
 
-    def _emergency_done(self, ok: bool, token: int) -> None:
-        if token != self._session:
-            return
-        mpdu = self._emg_active
+    def _emergency_done(self, ok: bool, reason: str) -> None:
         self.in_service = None
         if ok:
             self._finish_emergency()
@@ -440,7 +386,7 @@ class TbwMac(MacBase):
             self._emergency_signal()
 
     def _finish_emergency(self) -> None:
-        self._session += 1
+        self.new_session()
         self._emg_active = None
         self.radio.set_state("sleep")
         if self._pending_emergencies:
@@ -532,35 +478,27 @@ class TbwMac(MacBase):
         if tone is not None and tone != self.node.node_id:
             return  # tone-addressed elsewhere; the receiver filters it out
         # broadcast or our tone: power the data radio and wait for the poll
-        self._session += 1
-        token = self._session
+        self.new_session()
         self._serving_window = False
         self._requeue_in_service()
         self.radio.set_state("listen")
         self._od_req = dict(frame.info)
+        self.after(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
+                   self._od_finish)
 
-        def poll_timeout():
-            if token != self._session or self.node.dead:
-                return
-            self._od_req = None
-            self.radio.set_state("sleep")
-            if self.entry_view:
-                self._schedule_next_window()
-
-        self.sim.schedule(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
-                          self.target, poll_timeout)
+    def _od_finish(self) -> None:
+        self._od_req = None
+        self.radio.set_state("sleep")
+        if self.entry_view:
+            self._schedule_next_window()
 
     def _on_poll(self, frame: Frame) -> None:
         if self.is_coordinator or self._od_req is None:
             return
-        self._session += 1
-        token = self._session
+        self.new_session()
         if frame.info["target"] != self.node.node_id:
             # woke for someone else's request: pay the price and go back down
-            self._od_req = None
-            self.radio.set_state("sleep")
-            if self.entry_view:
-                self._schedule_next_window()
+            self._od_finish()
             return
         request = OnDemandRequest(
             target=self.node.node_id,
@@ -570,21 +508,18 @@ class TbwMac(MacBase):
         offsets = request.response_offsets()
         base = self.sim.now + TURNAROUND_US
 
+        # every response belongs to the poll's session, also when reached
+        # from an ack that arrives after the session has ended
+        @self.in_session
         def send_kth(k: int):
-            if token != self._session or self.node.dead:
-                return
             if k >= len(offsets):
-                self._od_req = None
-                self.radio.set_state("sleep")
-                if self.entry_view:
-                    self._schedule_next_window()
+                self._od_finish()
                 return
             mpdu = self.network.new_mpdu(self.node.node_id, self.network.bnc_id,
                                          request.cls)
             self.in_service = mpdu
             self._retries = 0
-            self._acked_send(self.radio, mpdu, token,
-                             lambda ok, _reason: next_one(k, ok, mpdu))
+            self._acked_send(lambda ok, _reason: next_one(k, ok, mpdu))
 
         def next_one(k: int, ok: bool, mpdu: Mpdu):
             self.in_service = None
@@ -593,14 +528,11 @@ class TbwMac(MacBase):
             nxt = k + 1
             if nxt < len(offsets):
                 at = max(self.sim.now, base + offsets[nxt])
-                self.sim.schedule_at(at, "od_stream",
-                                     self.target,
-                                     lambda: send_kth(nxt))
+                self.at(at, "od_stream", lambda: send_kth(nxt))
             else:
                 send_kth(nxt)
 
-        self.sim.schedule_at(base, "od_start", self.target,
-                             lambda: send_kth(0))
+        self.at(base, "od_start", lambda: send_kth(0))
 
     # ------------------------------------------------------------------ #
     # reception                                                          #

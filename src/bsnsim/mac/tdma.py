@@ -8,7 +8,7 @@ construction when the assignment is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from ..channel import DeliveryOutcome
+
 from ..core import SimTime
 from ..frames import Frame, FrameKind
 from .base import TURNAROUND_US, MacBase
@@ -47,6 +47,8 @@ class TdmaSchedule:
 class PbTdmaMac(MacBase):
     """Event-driven PB-TDMA node and coordinator."""
 
+    params = MacBase.params + ("slot_ms", "preamble_ms", "assignment")
+
     def __init__(self, sim, medium, node, network, cfg):
         super().__init__(sim, medium, node, network, cfg)
         self.schedule: TdmaSchedule = cfg["schedule"]
@@ -54,7 +56,6 @@ class PbTdmaMac(MacBase):
             "data", cfg["channel"],
             initial_state="listen" if self.is_coordinator else "sleep")
         self.radio.on_frame = self._on_frame
-        self._session = 0
         self._round_start: SimTime = 0
 
     def start(self) -> None:
@@ -83,64 +84,28 @@ class PbTdmaMac(MacBase):
     def _wake_for_preamble(self) -> None:
         if self.node.dead:
             return
-        self._session += 1
-        token = self._session
+        self.new_session()
         self._round_start = self.sim.now
         self.radio.set_state("listen")
         deadline = self.sim.now + self.schedule.preamble_ticks + 500
-        self.sim.schedule_at(deadline, "preamble_timeout",
-                             self.target,
-                             lambda: self._preamble_missed(token))
+        # a missed preamble skips the whole round
+        self.at(deadline, "preamble_timeout",
+                lambda: self.radio.set_state("sleep"))
         self.sim.schedule_at(self._round_start + self.schedule.round_ticks,
                              "tdma_wake", self.target,
                              self._wake_for_preamble)
 
-    def _preamble_missed(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self.radio.set_state("sleep")  # skip the whole round
-
     def _on_preamble(self, frame: Frame) -> None:
-        self._session += 1  # cancels the pending miss timeout
-        token = self._session
+        self.new_session()  # cancels the pending miss timeout
         round_start = frame.info["round_start"]
         self.radio.set_state("sleep")
         if not len(self.queue):
             return
         for slot in self.schedule.slots_of(self.node.node_id):
             slot_at = self.schedule.slot_start(round_start, slot)
-            if slot_at < self.sim.now:
-                continue
-            # the rx/tx turnaround happens inside the owned slot
-            self.sim.schedule_at(slot_at, "tdma_slot_wake", self.target,
-                                 lambda: self._slot_warmup(token))
-            self.sim.schedule_at(slot_at + TURNAROUND_US, "tdma_slot_tx",
-                                 self.target,
-                                 lambda: self._slot_transmit(token))
-
-    def _slot_warmup(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        self.radio.set_state("rx")
-
-    def _slot_transmit(self, token: int) -> None:
-        if token != self._session or self.node.dead:
-            return
-        if not len(self.queue):
-            self.radio.set_state("sleep")
-            return
-        mpdu = self.queue.pop()
-        self.in_service = mpdu
-        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
-
-        def _result(outcome):
-            if outcome is not DeliveryOutcome.DELIVERED:
-                self.metrics.on_dropped(mpdu)
-            self.in_service = None
-            self.radio.set_state("sleep")
-
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=_result)
+            if slot_at >= self.sim.now:
+                # the rx/tx turnaround happens inside the owned slot
+                self.send_in_slot(slot_at, slot_at + TURNAROUND_US, "tdma_slot")
 
     def _on_frame(self, frame: Frame, tx) -> None:
         if frame.kind is FrameKind.PREAMBLE and not self.is_coordinator:

@@ -193,8 +193,6 @@ class Node:
             if radio.current_tx is not None:
                 self.medium.abort_tx(radio.current_tx)
             radio.die()
-        if self.mac is not None:
-            self.mac.on_death()
 
     def finalize(self) -> None:
         """Accrue all live radios to the current instant (end of run)."""

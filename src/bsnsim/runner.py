@@ -169,6 +169,16 @@ def _build_mac_cfg(scenario: Scenario, protocol: str, node_spec,
     return cfg
 
 
+def build_channel_map(scenario: Scenario) -> ChannelMap:
+    """The scenario's channel map, with its in-body and bridge nodes."""
+    cmap = ChannelMap(
+        inbody_nodes={n.id for n in scenario.nodes if n.kind == "inbody"},
+        bridge_nodes={scenario.bridge["node"]} if scenario.bridge else set())
+    for record in scenario.channel_map:
+        cmap.register(record)
+    return cmap
+
+
 def build_network(scenario: Scenario, protocol: str, seed: int, *,
                   trace: bool = False, keep_tx_log: bool = False):
     sim = Simulator(master_seed=seed, trace=trace)
@@ -235,11 +245,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
         ifaces = [scenario.channel_id(k) for k in scenario.bridge["interfaces"]]
         state = BridgeState(bnode.node_id, ifaces,
                             capacity=scenario.bridge["store_capacity"])
-        network.channel_map = ChannelMap(
-            inbody_nodes={n.id for n in scenario.nodes if n.kind == "inbody"},
-            bridge_nodes={bnode.node_id})
-        for record in scenario.channel_map:
-            network.channel_map.register(record)
+        network.channel_map = build_channel_map(scenario)
         radios = {}
         for cid in ifaces:
             existing = next((r for r in bnode.radios.values()

@@ -18,6 +18,7 @@ from .bridging import ChannelMapRecord, ConnectionType, validate_bridge
 from .channel import Band, ChannelId, LinkMatrix, PathLossParams, Position
 from .core import SimTime, ticks_from_seconds
 from .energy import PowerProfile
+from .mac import PROTOCOLS
 from .traffic import TrafficClass, TrafficSpec
 from .wakeup import WakeupEntry
 
@@ -287,7 +288,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
-    norm["protocols"] = {k: dict(v) for k, v in raw.get("protocols", {}).items()}
+    norm["protocols"] = {}
+    for name, params in raw.get("protocols", {}).items():
+        if name not in PROTOCOLS:
+            raise ScenarioError(f"protocols.{name}: unknown protocol")
+        for key in params:
+            if key not in PROTOCOLS[name].params:
+                raise ScenarioError(f"protocols.{name}.{key}: unknown parameter")
+        norm["protocols"][name] = dict(params)
 
     # wakeup table ----------------------------------------------------------
     wakeup_table: list[WakeupEntry] = []

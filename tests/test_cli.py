@@ -1,6 +1,9 @@
 """CLI surface: run, compare, dump-routes, trace; exit codes and outputs."""
 
+import json
+
 from bsnsim.cli import main
+from bsnsim.scenario import bundled_scenario_path
 
 
 def test_run_writes_csvs(tmp_path, capsys):
@@ -71,6 +74,18 @@ def test_unknown_scenario_exit_code(capsys):
     rc = main(["run", "--scenario", "nope", "--protocol", "direct"])
     assert rc == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_unknown_protocol_parameter_exit_code(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path("table1_links").read_text())
+    raw["protocols"] = {"csma802154": {"macMaxCSMABackofs": 9}}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
+               "--until", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "protocols.csma802154.macMaxCSMABackofs: unknown parameter" in err
 
 
 def test_unknown_protocol_exit_code(tmp_path, capsys):

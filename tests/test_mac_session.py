@@ -1,0 +1,69 @@
+"""The session rule in MacBase: a scheduled step runs only while the session
+it was scheduled in lasts and its node is alive; its event is dispatched
+either way."""
+
+from bsnsim.runner import build_network
+from tests.conftest import make_scenario
+
+
+def _bare(initial_j=5.0):
+    """A coordinator and one idle direct-MAC node n1: no traffic, no events."""
+    sc = make_scenario({"nodes": [
+        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+         "initial_j": None},
+        {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
+         "initial_j": initial_j},
+    ]})
+    net, _macs = build_network(sc, "direct", seed=1, trace=True)
+    return net, net.nodes["n1"].mac
+
+
+def _schedule_probes(net, mac, ran):
+    """One step each from `at`, `after` and `in_session`, from 1 ms on."""
+    mac.at(1000, "probe", lambda: ran.append("at"))
+    mac.after(2000, "probe", lambda: ran.append("after"))
+    step = mac.in_session(lambda who: ran.append(who))
+    net.sim.schedule_at(3000, "probe", mac.target, lambda: step("in_session"))
+
+
+def _probes_dispatched(net):
+    return sum(1 for line in net.sim.trace_lines if line.split(",")[2] == "probe")
+
+
+def test_steps_run_while_their_session_is_current():
+    net, mac = _bare()
+    ran = []
+    _schedule_probes(net, mac, ran)
+    assert net.sim.run(10_000) == 3
+    assert ran == ["at", "after", "in_session"]
+
+
+def test_steps_are_noops_after_new_session():
+    net, mac = _bare()
+    ran = []
+    _schedule_probes(net, mac, ran)
+    mac.new_session()
+    assert net.sim.run(10_000) == 3  # still dispatched
+    assert ran == []
+    assert _probes_dispatched(net) == 3
+
+
+def test_steps_of_a_new_session_run():
+    net, mac = _bare()
+    ran = []
+    mac.at(1000, "probe", lambda: ran.append("old"))
+    mac.new_session()
+    mac.at(2000, "probe", lambda: ran.append("new"))
+    net.sim.run(10_000)
+    assert ran == ["new"]
+
+
+def test_steps_are_noops_after_the_node_dies():
+    # 1 uJ at 54 mW idle listening lasts about 19 us, well before 1 ms
+    net, mac = _bare(initial_j=1e-6)
+    ran = []
+    _schedule_probes(net, mac, ran)
+    net.sim.run(10_000)
+    assert net.nodes["n1"].dead and net.nodes["n1"].death_time < 1000
+    assert ran == []
+    assert _probes_dispatched(net) == 3

@@ -108,6 +108,28 @@ def test_duplicate_connection_id_rejected():
             "bridge": None})
 
 
+def test_misspelt_protocol_parameter_rejected_with_path():
+    with pytest.raises(ScenarioError,
+                       match=r"^protocols\.csma802154\.macMaxCSMABackofs: "
+                             r"unknown parameter$"):
+        make_scenario({"protocols": {"csma802154": {"macMaxCSMABackofs": 9}}})
+
+
+def test_unknown_protocol_rejected_with_path():
+    with pytest.raises(ScenarioError, match=r"^protocols\.csmaa: unknown protocol$"):
+        make_scenario({"protocols": {"csmaa": {}}})
+
+
+def test_protocol_parameters_accepted_per_protocol():
+    # a key one protocol accepts is unknown to another
+    make_scenario({"protocols": {"smac": {"cycle_s": 0.5,
+                                          "max_window_attempts": 3}}})
+    with pytest.raises(ScenarioError, match=r"protocols\.pbtdma\.cycle_s"):
+        make_scenario({"protocols": {"pbtdma": {"cycle_s": 0.5}}})
+    with pytest.raises(ScenarioError, match=r"protocols\.direct\.ack"):
+        make_scenario({"protocols": {"direct": {"ack": True}}})
+
+
 def test_parse_error_reported(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
