@@ -85,6 +85,11 @@ def rx_power_dbm(tx_dbm: float, loss_db: float) -> float:
     return tx_dbm - loss_db
 
 
+def frame_airtime(nbytes: int, rate_bps: int) -> SimTime:
+    """Ticks to send `nbytes` at `rate_bps`, rounded up."""
+    return (nbytes * 8 * 1_000_000 + rate_bps - 1) // rate_bps
+
+
 class DeliveryOutcome(Enum):
     DELIVERED = "Delivered"
     COLLIDED = "Collided"
@@ -250,9 +255,7 @@ class Medium:
         return self.data_rates.get(channel, self.default_rate_bps)
 
     def airtime_ticks(self, nbytes: int, channel: ChannelId) -> SimTime:
-        bits = nbytes * 8
-        rate = self.rate_for(channel)
-        return (bits * 1_000_000 + rate - 1) // rate
+        return frame_airtime(nbytes, self.rate_for(channel))
 
     def _chan(self, channel: ChannelId) -> _ChannelState:
         cs = self._chans.get(channel)

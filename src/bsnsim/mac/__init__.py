@@ -3,17 +3,11 @@
 from .csma import Beacon802154Mac
 from .direct import DirectMac
 from .smac import SMac
-from .tbw import TbwMac
+from .tbw import TbwAlwaysOnMac, TbwMac
 from .tdma import PbTdmaMac
 
-PROTOCOLS = {
-    "csma802154": Beacon802154Mac,
-    "pbtdma": PbTdmaMac,
-    "smac": SMac,
-    "tbw": TbwMac,
-    "tbw_alwayson": TbwMac,   # same mechanism, coordinator radio never sleeps
-    "direct": DirectMac,
-}
+PROTOCOLS = {cls.name: cls for cls in (Beacon802154Mac, PbTdmaMac, SMac, TbwMac,
+                                       TbwAlwaysOnMac, DirectMac)}
 
 
 def mac_class(name: str):

@@ -20,7 +20,7 @@ ACK_WAIT_MARGIN_US = 200
 class FrameQueue:
     """Bounded queue ordered by traffic priority, FIFO within a class."""
 
-    def __init__(self, capacity: int = 16):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: list[tuple[int, int, Mpdu]] = []
         self._seq = 0
@@ -56,19 +56,43 @@ class MacBase:
     Session rule: a scheduled step belongs to the session in which it was
     scheduled and does nothing once `new_session()` has started another one
     or the node has died. Its event is still dispatched.
+
+    Parameters: a protocol declares the scenario keys it accepts under
+    `protocols.<name>` in `params`, with their defaults; `settings` reads
+    them for a scenario, and every MAC of a run gets the result.
     """
 
-    # scenario keys under `protocols.<name>` that the protocol accepts
-    params: tuple[str, ...] = ("queue_capacity", "cca_threshold_dbm")
+    name: str  # the protocol's name in scenarios and on the command line
+    profile = "nrf2401"  # power profile of nodes that name none
+    # scenario key -> default; None: derived from the scenario
+    params: dict = {"queue_capacity": None, "cca_threshold_dbm": None}
 
-    def __init__(self, sim: Simulator, medium, node, network, cfg: dict):
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        """The protocol's parameters in `scenario` with the defaults filled
+        in; subclasses add values derived from them. Raises TypeError or
+        ValueError on a value the protocol rejects."""
+        out = {**cls.params,
+               "queue_capacity": scenario.queue_capacity,
+               "cca_threshold_dbm": scenario.channel_model["cca_threshold_dbm"]}
+        for key, value in scenario.protocols.get(cls.name, {}).items():
+            if isinstance(out[key], (int, float)):
+                number = float if isinstance(out[key], float) else int
+                if isinstance(value, bool) or not isinstance(value, (int, number)):
+                    noun = "a number" if number is float else "an integer"
+                    raise TypeError(f"{key}: {value!r} is not {noun}")
+            out[key] = value
+        return out
+
+    def __init__(self, sim: Simulator, medium, node, network, settings: dict):
         self.sim = sim
         self.medium = medium
         self.node = node
         self.network = network
-        self.cfg = cfg
         self.rng = sim.stream(f"mac:{node.node_id}")
-        self.queue = FrameQueue(capacity=cfg.get("queue_capacity", 16))
+        self.queue = FrameQueue(settings["queue_capacity"])
+        scenario = network.scenario
+        self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
         self.target = f"node:{node.node_id}"
         self.in_service: Optional[Mpdu] = None
         self._session = 0
@@ -216,15 +240,15 @@ class SlottedCsmaMac(MacBase):
     service until `_start_service` runs again.
     """
 
-    params = MacBase.params + ("macMinBE", "aMaxBE", "retry_limit")
+    params = {**MacBase.params, "macMinBE": 3, "aMaxBE": 5, "retry_limit": 3}
     busy_limit: int
 
-    def __init__(self, sim: Simulator, medium, node, network, cfg: dict):
-        super().__init__(sim, medium, node, network, cfg)
-        self.min_be = cfg.get("macMinBE", 3)
-        self.max_be = cfg.get("aMaxBE", 5)
-        self.retry_limit = cfg.get("retry_limit", 3)
-        self.cca_threshold = cfg.get("cca_threshold_dbm", -85.0)
+    def __init__(self, sim: Simulator, medium, node, network, settings: dict):
+        super().__init__(sim, medium, node, network, settings)
+        self.min_be = settings["macMinBE"]
+        self.max_be = settings["aMaxBE"]
+        self.retry_limit = settings["retry_limit"]
+        self.cca_threshold = settings["cca_threshold_dbm"]
         self._access_start: SimTime = 0
         self._access_end: SimTime = 0
         self._retries = 0

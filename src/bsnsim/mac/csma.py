@@ -23,11 +23,11 @@ NUM_SUPERFRAME_SLOTS = 16
 class SuperframeConfig:
     """Beacon-enabled superframe shape."""
 
-    beacon_order: int = 6
-    superframe_order: int = 6
+    beacon_order: int
+    superframe_order: int
+    num_gts_slots: int
     base_slot_ticks: int = BASE_SLOT_US
     num_slots: int = NUM_SUPERFRAME_SLOTS
-    num_gts_slots: int = 2
 
     def __post_init__(self):
         if not 0 <= self.superframe_order <= self.beacon_order <= 14:
@@ -98,23 +98,30 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
 class Beacon802154Mac(SlottedCsmaMac):
     """Device and coordinator roles of the beacon-enabled MAC."""
 
-    params = SlottedCsmaMac.params + (
-        "BO", "SO", "num_gts_slots", "macMaxCSMABackoffs", "guard_us",
-        "gts_expiry_superframes", "gts_nodes")
+    name = "csma802154"
+    profile = "cc2420"
+    params = {**SlottedCsmaMac.params, "BO": 6, "SO": 6, "num_gts_slots": 2,
+              "macMaxCSMABackoffs": 4, "guard_us": 2000,
+              "gts_expiry_superframes": 4, "gts_nodes": ()}
 
-    def __init__(self, sim, medium, node, network, cfg):
-        super().__init__(sim, medium, node, network, cfg)
-        self.sf = SuperframeConfig(
-            beacon_order=cfg.get("BO", 6),
-            superframe_order=cfg.get("SO", 6),
-            num_gts_slots=cfg.get("num_gts_slots", 2))
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        out = super().settings(scenario)
+        out["superframe"] = SuperframeConfig(
+            beacon_order=out["BO"], superframe_order=out["SO"],
+            num_gts_slots=out["num_gts_slots"])
+        return out
+
+    def __init__(self, sim, medium, node, network, settings):
+        super().__init__(sim, medium, node, network, settings)
+        self.sf = settings["superframe"]
         # channel access fails once NB exceeds macMaxCSMABackoffs
-        self.busy_limit = cfg.get("macMaxCSMABackoffs", 4) + 1
-        self.guard_us = cfg.get("guard_us", 2000)
-        self.gts_expiry = cfg.get("gts_expiry_superframes", 4)
-        self.gts_enabled = node.node_id in cfg.get("gts_nodes", ())
+        self.busy_limit = settings["macMaxCSMABackoffs"] + 1
+        self.guard_us = settings["guard_us"]
+        self.gts_expiry = settings["gts_expiry_superframes"]
+        self.gts_enabled = node.node_id in settings["gts_nodes"]
         self.radio = node.add_radio(
-            "data", cfg["channel"],
+            "data", self.channel,
             initial_state="listen" if self.is_coordinator else "sleep")
         self.radio.on_frame = self._on_frame
         self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES, self.radio.channel)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..core import SimTime
+from ..core import SimTime, ticks_from_seconds
 from ..frames import Mpdu
 from .base import SlottedCsmaMac
 
@@ -52,19 +52,25 @@ class SMac(SlottedCsmaMac):
     closes, stays in service and contends again in the next window.
     """
 
-    params = SlottedCsmaMac.params + (
-        "cycle_s", "listen_fraction", "max_window_attempts")
+    name = "smac"
+    params = {**SlottedCsmaMac.params, "cycle_s": 1.0, "listen_fraction": 0.1,
+              "max_window_attempts": 2}
 
-    def __init__(self, sim, medium, node, network, cfg):
-        super().__init__(sim, medium, node, network, cfg)
-        self.smac = SmacConfig(cycle_ticks=cfg.get("cycle_ticks", 1_000_000),
-                               listen_fraction=cfg.get("listen_fraction", 0.1))
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        out = super().settings(scenario)
+        out["duty_cycle"] = SmacConfig(
+            cycle_ticks=ticks_from_seconds(out["cycle_s"]),
+            listen_fraction=out["listen_fraction"])
+        return out
+
+    def __init__(self, sim, medium, node, network, settings):
+        super().__init__(sim, medium, node, network, settings)
+        self.smac = settings["duty_cycle"]
         # a node that keeps losing contention sleeps on the frame until the
         # next listen window instead of burning backoff rounds
-        self.busy_limit = cfg.get("max_window_attempts", 2)
-        self.radio = node.add_radio(
-            "data", cfg["channel"],
-            initial_state="listen")
+        self.busy_limit = settings["max_window_attempts"]
+        self.radio = node.add_radio("data", self.channel, initial_state="listen")
         self.radio.on_frame = self._on_frame
 
     def start(self) -> None:

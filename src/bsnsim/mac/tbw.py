@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..channel import ChannelId
-from ..core import SimTime
+from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandMode, OnDemandRequest, TrafficClass
 from ..wakeup import BncPattern, TableAction, WakeupEntry, WakeupTable, \
@@ -33,21 +33,43 @@ class TbwMac(MacBase):
     pattern from the table starts a new one.
     """
 
-    params = MacBase.params + ("guard_ms", "wakeup_signal_ms", "wakeup_retry_ms",
-                               "wakeup_max_tries", "retry_limit")
+    name = "tbw"
+    always_on = False  # whether the coordinator's data radios never sleep
+    params = {**MacBase.params, "guard_ms": 2.0, "wakeup_signal_ms": 10.0,
+              "wakeup_retry_ms": 50.0, "wakeup_max_tries": 10,
+              "retry_limit": 3}
 
-    def __init__(self, sim, medium, node, network, cfg):
-        super().__init__(sim, medium, node, network, cfg)
-        self.guard = cfg.get("guard_us", 2_000)
-        self.signal_ticks = cfg.get("wakeup_signal_us", 10_000)
-        self.retry_timeout = cfg.get("wakeup_retry_us", 50_000)
-        self.max_tries = cfg.get("wakeup_max_tries", 10)
-        self.retry_limit = cfg.get("retry_limit", 3)
-        self.always_on = cfg.get("bnc_always_on", False)
-        self.wakeup_channel: ChannelId = cfg["wakeup_channel"]
-        self.node_channels: dict[str, ChannelId] = cfg["node_channels"]
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        if scenario.wakeup_channel is None:
+            raise ValueError(f"{cls.name} requires a wakeup_channel in the "
+                             f"scenario")
+        out = super().settings(scenario)
+        out["guard_ticks"] = ticks_from_seconds(out["guard_ms"] / 1000.0)
+        out["wakeup_signal_ticks"] = ticks_from_seconds(
+            out["wakeup_signal_ms"] / 1000.0)
+        out["wakeup_retry_ticks"] = ticks_from_seconds(
+            out["wakeup_retry_ms"] / 1000.0)
+        return out
+
+    def __init__(self, sim, medium, node, network, settings):
+        super().__init__(sim, medium, node, network, settings)
+        self.guard = settings["guard_ticks"]
+        self.signal_ticks = settings["wakeup_signal_ticks"]
+        self.retry_timeout = settings["wakeup_retry_ticks"]
+        self.max_tries = settings["wakeup_max_tries"]
+        self.retry_limit = settings["retry_limit"]
+        scenario = network.scenario
+        self.wakeup_channel: ChannelId = scenario.channel_id(
+            scenario.wakeup_channel)
+        self.node_channels: dict[str, ChannelId] = {
+            n.id: scenario.channel_id(n.channel) for n in scenario.nodes
+            if n.id != scenario.bnc}
         if self.is_coordinator:
-            self.table: WakeupTable = cfg.get("table") or WakeupTable(node.node_id)
+            self.table = WakeupTable(owner=node.node_id)
+            for entry in scenario.wakeup_table:
+                table_update(self.table, entry, TableAction.INSERT,
+                             caller=node.node_id)
             self.pattern: BncPattern = BncPattern()
             self.data_radios: dict[ChannelId, object] = {}
             for ch in sorted({*self.node_channels.values()},
@@ -60,10 +82,13 @@ class TbwMac(MacBase):
             # holds keep a data radio awake outside the pattern
             self._holds: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
         else:
-            self.radio = node.add_radio("data",
-                                        self.node_channels[node.node_id])
+            self.radio = node.add_radio("data", self.channel)
             self.radio.on_frame = self._on_frame
-            self.entry_view: Optional[dict] = cfg.get("entry")  # period/offset/window
+            entry = next((e for e in scenario.wakeup_table
+                          if e.node == node.node_id), None)
+            self.entry_view: Optional[dict] = None if entry is None else {
+                "period": entry.period, "offset": entry.offset,
+                "window": entry.window}
             self._window_end: SimTime = 0
             self._serving_window = False
             self._pending_emergencies: list[Mpdu] = []
@@ -555,3 +580,10 @@ class TbwMac(MacBase):
             self._on_ack_frame(frame)
         elif kind is FrameKind.POLL:
             self._on_poll(frame)
+
+
+class TbwAlwaysOnMac(TbwMac):
+    """tbw with the coordinator's data radios pinned on: the energy baseline."""
+
+    name = "tbw_alwayson"
+    always_on = True

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import SimTime
+from ..channel import frame_airtime
+from ..core import SimTime, ticks_from_seconds
 from ..frames import Frame, FrameKind
 from .base import TURNAROUND_US, MacBase
 
@@ -47,13 +48,33 @@ class TdmaSchedule:
 class PbTdmaMac(MacBase):
     """Event-driven PB-TDMA node and coordinator."""
 
-    params = MacBase.params + ("slot_ms", "preamble_ms", "assignment")
+    name = "pbtdma"
+    params = {**MacBase.params, "slot_ms": 10.0, "preamble_ms": 10.0,
+              "assignment": None}  # None: devices in id order
 
-    def __init__(self, sim, medium, node, network, cfg):
-        super().__init__(sim, medium, node, network, cfg)
-        self.schedule: TdmaSchedule = cfg["schedule"]
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        out = super().settings(scenario)
+        devices = [n for n in scenario.nodes if n.id != scenario.bnc]
+        assignment = out["assignment"] or dict(
+            enumerate(sorted(n.id for n in devices)))
+        slot = ticks_from_seconds(out["slot_ms"] / 1000.0)
+        rate = scenario.channel_cfg[devices[0].channel]["data_rate_bps"]
+        need = TURNAROUND_US + frame_airtime(128, rate)
+        if slot < need:
+            raise ValueError(f"TDMA slot {slot} us cannot fit a frame "
+                             f"({need} us)")
+        out["schedule"] = TdmaSchedule(
+            slot_ticks=slot,
+            preamble_ticks=ticks_from_seconds(out["preamble_ms"] / 1000.0),
+            assignment={int(k): v for k, v in assignment.items()})
+        return out
+
+    def __init__(self, sim, medium, node, network, settings):
+        super().__init__(sim, medium, node, network, settings)
+        self.schedule: TdmaSchedule = settings["schedule"]
         self.radio = node.add_radio(
-            "data", cfg["channel"],
+            "data", self.channel,
             initial_state="listen" if self.is_coordinator else "sleep")
         self.radio.on_frame = self._on_frame
         self._round_start: SimTime = 0

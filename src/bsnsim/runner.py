@@ -22,7 +22,6 @@ from .node import Node
 from .scenario import Scenario, load_link_matrix
 from .traffic import (OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec,
                       next_emergency, next_normal_arrival)
-from .wakeup import TableAction, WakeupTable, table_update
 
 
 class BridgePump:
@@ -126,49 +125,6 @@ class Network:
                 self.bridge_pump.accept(mpdu, route.egress)
 
 
-def _tdma_schedule(scenario: Scenario, cfg: dict, medium: Medium):
-    from .mac.tdma import TdmaSchedule
-    slot = ticks_from_seconds(cfg.get("slot_ms", 10.0) / 1000.0)
-    preamble = ticks_from_seconds(cfg.get("preamble_ms", 10.0) / 1000.0)
-    others = [n.id for n in scenario.nodes if n.id != scenario.bnc]
-    assignment = cfg.get("assignment") or {
-        i: nid for i, nid in enumerate(sorted(others))}
-    assignment = {int(k): v for k, v in assignment.items()}
-    data_ch = scenario.channel_id(scenario.node(others[0]).channel)
-    need = TURNAROUND_US + medium.airtime_ticks(128, data_ch)
-    if slot < need:
-        raise ValueError(f"TDMA slot {slot} us cannot fit a frame ({need} us)")
-    return TdmaSchedule(slot_ticks=slot, preamble_ticks=preamble,
-                        assignment=assignment)
-
-
-def _build_mac_cfg(scenario: Scenario, protocol: str, node_spec,
-                   medium: Medium) -> dict:
-    cfg = dict(scenario.protocols.get(protocol, {}))
-    cm = scenario.channel_model
-    cfg.setdefault("queue_capacity", scenario.queue_capacity)
-    cfg.setdefault("cca_threshold_dbm", cm["cca_threshold_dbm"])
-    cfg["channel"] = scenario.channel_id(node_spec.channel)
-    if protocol in ("smac",):
-        cfg["cycle_ticks"] = ticks_from_seconds(cfg.pop("cycle_s", 1.0))
-    if protocol in ("tbw", "tbw_alwayson"):
-        cfg["guard_us"] = ticks_from_seconds(cfg.pop("guard_ms", 2.0) / 1000.0)
-        cfg["wakeup_signal_us"] = ticks_from_seconds(
-            cfg.pop("wakeup_signal_ms", 10.0) / 1000.0)
-        cfg["wakeup_retry_us"] = ticks_from_seconds(
-            cfg.pop("wakeup_retry_ms", 50.0) / 1000.0)
-        if protocol == "tbw_alwayson":
-            cfg["bnc_always_on"] = True
-        wk = scenario.wakeup_channel
-        if wk is None:
-            raise ValueError("tbw requires a wakeup_channel in the scenario")
-        cfg["wakeup_channel"] = scenario.channel_id(wk)
-        cfg["node_channels"] = {
-            n.id: scenario.channel_id(n.channel) for n in scenario.nodes
-            if n.id != scenario.bnc}
-    return cfg
-
-
 def build_channel_map(scenario: Scenario) -> ChannelMap:
     """The scenario's channel map, with its in-body and bridge nodes."""
     cmap = ChannelMap(
@@ -181,6 +137,8 @@ def build_channel_map(scenario: Scenario) -> ChannelMap:
 
 def build_network(scenario: Scenario, protocol: str, seed: int, *,
                   trace: bool = False, keep_tx_log: bool = False):
+    mac_cls = mac_class(protocol)
+    settings = mac_cls.settings(scenario)
     sim = Simulator(master_seed=seed, trace=trace)
     cm = scenario.channel_model
     link_matrix = load_link_matrix(scenario)
@@ -199,19 +157,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
     metrics = RunMetrics(seed, protocol, scenario.horizon)
     network = Network(sim, medium, scenario, metrics)
 
-    profile_key = scenario.protocol_profiles.get(protocol, "nrf2401")
-    tdma_schedule = None
-    if protocol == "pbtdma":
-        tdma_schedule = _tdma_schedule(
-            scenario, scenario.protocols.get(protocol, {}), medium)
-
-    # wakeup table for the coordinator
-    table = None
-    if protocol in ("tbw", "tbw_alwayson"):
-        table = WakeupTable(owner=scenario.bnc)
-        for entry in scenario.wakeup_table:
-            table_update(table, entry, TableAction.INSERT, caller=scenario.bnc)
-
+    profile_key = scenario.protocol_profiles[protocol]
     macs = []
     coordinator_spec = scenario.node(scenario.bnc)
     ordered = [coordinator_spec] + [n for n in scenario.nodes
@@ -223,18 +169,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
                     initial_j=spec.initial_j, tx_power_dbm=spec.tx_power_dbm,
                     horizon_hint=scenario.horizon)
         network.nodes[spec.id] = node
-        cfg = _build_mac_cfg(scenario, protocol, spec, medium)
-        if tdma_schedule is not None:
-            cfg["schedule"] = tdma_schedule
-        if table is not None and spec.id == scenario.bnc:
-            cfg["table"] = table
-        if protocol in ("tbw", "tbw_alwayson") and spec.id != scenario.bnc:
-            entry = next((e for e in scenario.wakeup_table
-                          if e.node == spec.id), None)
-            if entry is not None:
-                cfg["entry"] = {"period": entry.period, "offset": entry.offset,
-                                "window": entry.window}
-        mac = mac_class(protocol)(sim, medium, node, network, cfg)
+        mac = mac_cls(sim, medium, node, network, settings)
         macs.append(mac)
         if spec.id == scenario.bnc:
             network.coordinator_mac = mac

@@ -204,9 +204,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"power_profiles.{key}: {exc}") from exc
         norm["power_profiles"][key] = dict(p)
-    protocol_profiles = {**{"csma802154": "cc2420", "pbtdma": "nrf2401",
-                            "smac": "nrf2401", "tbw": "nrf2401",
-                            "tbw_alwayson": "nrf2401", "direct": "nrf2401"},
+    protocol_profiles = {**{name: cls.profile for name, cls in PROTOCOLS.items()},
                          **raw.get("protocol_profiles", {})}
     for proto, key in protocol_profiles.items():
         if key not in profiles:

@@ -58,14 +58,15 @@ def _record_draws(monkeypatch, mac):
 
 
 def test_superframe_config_invariants():
-    sf = SuperframeConfig(beacon_order=6, superframe_order=6)
+    sf = SuperframeConfig(beacon_order=6, superframe_order=6, num_gts_slots=2)
     assert sf.beacon_interval == 960 * 16 * 64 == 983_040
     assert sf.active_duration == sf.beacon_interval
     assert sf.slot_ticks == 61_440
     with pytest.raises(ValueError):
-        SuperframeConfig(beacon_order=3, superframe_order=5)
+        SuperframeConfig(beacon_order=3, superframe_order=5, num_gts_slots=2)
     with pytest.raises(ValueError):
-        SuperframeConfig(beacon_order=15, superframe_order=15)
+        SuperframeConfig(beacon_order=15, superframe_order=15,
+                         num_gts_slots=2)
 
 
 def test_backoff_delay_range_for_be3(monkeypatch):
