@@ -2,8 +2,9 @@
 
 A scenario is one JSON document. Loading materializes every default into a
 normalized dict (so load -> serialize -> load is a fixed point), converts
-all durations to integer ticks, and cross-validates topology, bridge
-interfaces, and MTU consistency.
+durations to integer ticks, and cross-validates topology, bridge
+interfaces, and MTU consistency. Protocol parameters keep the keys and
+units written: each MAC class reads and checks its own (`settings`).
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"traffic[{i}].dst: star topology requires "
                                 f"dst == bnc unless a bridge is configured")
 
-    return Scenario(
+    scenario = Scenario(
         name=norm["name"], description=norm["description"],
         horizon=ticks_from_seconds(norm["horizon_s"]),
         replications=norm["replications"], seed_base=norm["seed_base"],
@@ -418,6 +419,12 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         traffic=traffic, protocols=norm["protocols"],
         wakeup_table=wakeup_table, on_demand=norm["on_demand"],
         channel_map=channel_map, bridge=bridge, normalized=norm)
+    for name in scenario.protocols:
+        try:
+            PROTOCOLS[name].settings(scenario)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"protocols.{name}: {exc}") from exc
+    return scenario
 
 
 def load_link_matrix(scenario: Scenario) -> Optional[LinkMatrix]:

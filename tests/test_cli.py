@@ -88,6 +88,17 @@ def test_unknown_protocol_parameter_exit_code(tmp_path, capsys):
     assert "protocols.csma802154.macMaxCSMABackofs: unknown parameter" in err
 
 
+def test_bad_protocol_value_exit_code(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
+    raw["protocols"]["csma802154"]["BO"] = 20
+    path = tmp_path / "bad_bo.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
+               "--until", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in capsys.readouterr().err
+
+
 def test_unknown_protocol_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", "table1_links", "--protocol", "bogus",
                "--until", "1", "--out", str(tmp_path)])

@@ -130,6 +130,20 @@ def test_protocol_parameters_accepted_per_protocol():
         make_scenario({"protocols": {"direct": {"ack": True}}})
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("csma802154", {"BO": 20}, "SO <= BO <= 14"),
+    ("smac", {"listen_fraction": 0}, "listen_fraction"),
+    ("pbtdma", {"slot_ms": 1.0}, "cannot fit a frame"),
+    ("smac", {"cycle_s": "fast"}, "cycle_s: 'fast' is not a number"),
+    ("pbtdma", {"assignment": {"0": "n1", "1": "n1"}}, "at most one slot"),
+    ("csma802154", {"retry_limit": "3"}, "retry_limit: '3' is not an integer"),
+])
+def test_bad_protocol_value_rejected_at_load(name, params, message):
+    with pytest.raises(ScenarioError, match=rf"^protocols\.{name}: ") as err:
+        make_scenario({"protocols": {name: params}})
+    assert message in str(err.value)
+
+
 def test_parse_error_reported(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
