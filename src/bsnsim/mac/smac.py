@@ -9,7 +9,6 @@ retransmissions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from ..core import SimTime, ticks_from_seconds
 from ..frames import Mpdu
@@ -30,18 +29,6 @@ class SmacConfig:
     @property
     def listen_ticks(self) -> SimTime:
         return int(self.cycle_ticks * self.listen_fraction)
-
-
-class SmacPhase(Enum):
-    LISTEN = "Listen"
-    SLEEP = "Sleep"
-
-
-def smac_window(now: SimTime, cfg: SmacConfig) -> SmacPhase:
-    """Phase at an instant; all nodes are synchronized."""
-    if now % cfg.cycle_ticks < cfg.listen_ticks:
-        return SmacPhase.LISTEN
-    return SmacPhase.SLEEP
 
 
 class SMac(SlottedCsmaMac):
@@ -100,7 +87,7 @@ class SMac(SlottedCsmaMac):
             self.radio.set_state("sleep")
 
     def _may_contend(self) -> bool:
-        return smac_window(self.sim.now, self.smac) is SmacPhase.LISTEN
+        return self._access_start <= self.sim.now < self._access_end
 
     def _on_enqueued(self, mpdu: Mpdu) -> None:
         if (not self.is_coordinator and self.in_service is None

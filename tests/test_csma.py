@@ -148,6 +148,27 @@ def test_smac_busy_window_keeps_frame_for_next_window(monkeypatch):
     assert network.metrics.csma_failures == 0
 
 
+def test_smac_frame_arriving_as_its_window_opens_draws_once(monkeypatch):
+    # each arrival (1, 2 and 3 s) is dispatched just before its window opens
+    network, horizon = _network("smac", 1.0, 1.0, 3.5,
+                                {"smac": {"cycle_s": 1.0}})
+    draws = _record_draws(monkeypatch, network.nodes["n1"].mac)
+    network.sim.run(horizon)
+    assert len(draws) == 3
+    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 3
+
+
+def test_smac_full_duty_cycle_sends_without_waiting():
+    network, horizon = _network(
+        "smac", 0.25, 0.3, 1.0,
+        {"smac": {"cycle_s": 1.0, "listen_fraction": 1.0}})
+    network.sim.run(horizon)
+    starts = [t[0] for t in network.medium.tx_log if t[4] is FrameKind.DATA]
+    # backoff of at most 7 units and two CCA units after the next boundary
+    for start, arrival in zip(starts, (300_000, 550_000, 800_000), strict=True):
+        assert 0 < start - arrival <= 10 * UNIT_BACKOFF_US
+
+
 def enumeration_collision_probability() -> float:
     """Independent oracle: enumerate all 8x8 backoff pairs.
 

@@ -1,9 +1,9 @@
-"""PB-TDMA schedule arithmetic and S-MAC window function."""
+"""PB-TDMA schedule arithmetic and S-MAC duty-cycle validation."""
 
 import pytest
 
 from bsnsim.core import US_PER_S
-from bsnsim.mac.smac import SmacConfig, SmacPhase, smac_window
+from bsnsim.mac.smac import SmacConfig
 from bsnsim.mac.tdma import TdmaSchedule
 
 
@@ -31,19 +31,6 @@ def test_duplicate_slot_owner_rejected():
 def test_nonpositive_durations_rejected():
     with pytest.raises(ValueError):
         TdmaSchedule(slot_ticks=0, preamble_ticks=5000, assignment={0: "a"})
-
-
-def test_smac_window_arithmetic():
-    cfg = SmacConfig(cycle_ticks=US_PER_S, listen_fraction=0.1)
-    assert smac_window(50_000, cfg) is SmacPhase.LISTEN     # 0.05 s
-    assert smac_window(500_000, cfg) is SmacPhase.SLEEP     # 0.5 s
-    assert smac_window(1_050_000, cfg) is SmacPhase.LISTEN  # next cycle
-
-
-def test_smac_full_duty_cycle_always_listens():
-    cfg = SmacConfig(cycle_ticks=US_PER_S, listen_fraction=1.0)
-    for t in (0, 123_456, 999_999, 10**9):
-        assert smac_window(t, cfg) is SmacPhase.LISTEN
 
 
 def test_smac_config_validation():
