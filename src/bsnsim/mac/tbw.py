@@ -243,6 +243,8 @@ class TbwMac(MacBase):
         self._schedule_next_window()
 
     def _on_window_beacon(self, frame: Frame) -> None:
+        if self._od_req is not None:
+            return  # windows resume once the on-demand request is served
         self.new_session()
         new = frame.info.get("entry")
         if new and new != self.entry_view:
@@ -355,8 +357,9 @@ class TbwMac(MacBase):
             self.in_service = None
 
     def _start_emergency(self) -> None:
-        self.new_session()  # preempt any window service
+        self.new_session()  # preempt any window or on-demand service
         self._serving_window = False
+        self._od_req = None
         self._requeue_in_service()
         self._emg_active = self._pending_emergencies.pop(0)
         self._emg_tries = 0

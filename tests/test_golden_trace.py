@@ -142,7 +142,7 @@ GOLDEN = {
     "gts-csma802154":
         "e53022054d1fa01cb06d9e83b4cd65597d6f30e4819d15b9f2ed6df53e544195",
     "on-demand-tbw":
-        "f1d64984e4a7767e41384dc16f59d90379686a6adefb9ea08dc65acbef5b1ad5",
+        "02e75a820ceed44593565b7c1f439ea07ce914023b64bb1b194c7edef49074b0",
 }
 
 

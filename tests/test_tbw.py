@@ -238,11 +238,11 @@ def test_all_signals_lost_reports_failure():
 # On-demand ---------------------------------------------------------------------
 
 def _paired_energy(addressing, request_mode=OnDemandMode.NON_CONTINUOUS,
-                   duration=0, period=S):
+                   duration=0, period=S, extra=None):
     """Energy per node with and without an on-demand request at 2 s."""
     results = {}
     for with_request in (False, True):
-        sc = tbw_scenario(horizon_s=6.0)
+        sc = tbw_scenario(extra=extra, horizon_s=6.0)
         net, macs = build_network(sc, "tbw", seed=9)
         if with_request:
             req = OnDemandRequest(target="n1", mode=request_mode,
@@ -281,11 +281,43 @@ def test_broadcast_addressing_costs_every_node():
 
 
 def test_continuous_on_demand_streams_expected_count():
-    res = _paired_energy("Tone", request_mode=OnDemandMode.CONTINUOUS,
-                         duration=3 * S, period=S)
-    _, metrics = res[True]
-    cc = metrics.counts[TrafficClass.ON_DEMAND_CONTINUOUS]
-    assert (cc.generated, cc.delivered) == (3, 3)
+    # the stream runs from about 2 s to 4 s; the second case puts the
+    # target's own table window at 3.5 s, inside it
+    window = {"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+              "offset_s": 3.5, "window_ms": 50.0}
+    for table in ([], [window]):
+        res = _paired_energy("Tone", request_mode=OnDemandMode.CONTINUOUS,
+                             duration=3 * S, period=S,
+                             extra={"wakeup_table": table})
+        _, metrics = res[True]
+        cc = metrics.counts[TrafficClass.ON_DEMAND_CONTINUOUS]
+        assert (cc.generated, cc.delivered) == (3, 3)
+
+
+def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
+    sc = tbw_scenario(extra={
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+                     "offset_s": 0.3}],
+        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+                          "offset_s": 0.5, "window_ms": 50.0}],
+    }, horizon_s=8.0)
+    net, macs = build_network(sc, "tbw", seed=12)
+    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
+                          duration=3 * S, stream_period=S)
+    net.sim.schedule_at(2 * S, "test_od", "test",
+                        lambda: net.coordinator_mac.issue_request(req, "Tone"))
+
+    def raise_emergency():
+        net.nodes["n1"].mac.enqueue(
+            net.new_mpdu("n1", "bnc", TrafficClass.EMERGENCY))
+
+    net.sim.schedule_at(int(2.6 * S), "test_emergency", "test", raise_emergency)
+    net.sim.run(sc.horizon)
+    m = net.metrics
+    assert m.counts[TrafficClass.EMERGENCY].delivered == 1
+    # every frame generated before the last window is served in a window
+    cc = m.counts[TrafficClass.NORMAL_HIGH]
+    assert (cc.generated, cc.delivered) == (8, 8)
 
 
 def test_unknown_on_demand_target_rejected():
