@@ -138,6 +138,9 @@ def build_channel_map(scenario: Scenario) -> ChannelMap:
 def build_network(scenario: Scenario, protocol: str, seed: int, *,
                   trace: bool = False, keep_tx_log: bool = False):
     mac_cls = mac_class(protocol)
+    if scenario.on_demand and not hasattr(mac_cls, "issue_request"):
+        raise ValueError(f"{protocol} cannot serve the scenario's on-demand "
+                         f"requests")
     settings = mac_cls.settings(scenario)
     sim = Simulator(master_seed=seed, trace=trace)
     cm = scenario.channel_model

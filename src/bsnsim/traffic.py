@@ -115,13 +115,3 @@ class OnDemandRequest:
         if self.mode is OnDemandMode.CONTINUOUS:
             return TrafficClass.ON_DEMAND_CONTINUOUS
         return TrafficClass.ON_DEMAND_NON_CONTINUOUS
-
-
-def issue_on_demand(target: str, mode: OnDemandMode, duration: SimTime = 0,
-                    stream_period: SimTime = US_PER_S,
-                    known_nodes: Optional[set] = None) -> OnDemandRequest:
-    """Build an on-demand request; rejects unknown targets when a roster is given."""
-    if known_nodes is not None and target not in known_nodes:
-        raise ValueError(f"unknown target node: {target}")
-    return OnDemandRequest(target=target, mode=mode, duration=duration,
-                           stream_period=stream_period)

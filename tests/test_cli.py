@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from bsnsim.cli import main
 from bsnsim.scenario import bundled_scenario_path
 
@@ -97,6 +99,21 @@ def test_bad_protocol_value_exit_code(tmp_path, capsys):
                "--until", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])
+def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
+                                                     protocol):
+    raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
+    raw["on_demand"] = [{"at_s": 0.5, "target": "ecg"}]
+    path = tmp_path / "on_demand.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", protocol,
+               "--until", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{protocol} cannot serve the scenario's on-demand requests" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_protocol_exit_code(tmp_path, capsys):

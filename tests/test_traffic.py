@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsnsim.core import US_PER_S
-from bsnsim.traffic import (OnDemandMode, TrafficClass, TrafficSpec,
-                            issue_on_demand, next_emergency,
-                            next_normal_arrival, priority)
+from bsnsim.traffic import (OnDemandMode, OnDemandRequest, TrafficClass,
+                            TrafficSpec, next_emergency, next_normal_arrival,
+                            priority)
 
 
 def _spec(period_s, offset_s=0.0, cls=TrafficClass.NORMAL_HIGH):
@@ -80,28 +80,23 @@ def test_emergency_draws_deterministic_for_seed():
 
 
 def test_on_demand_non_continuous_single_frame():
-    req = issue_on_demand("n1", OnDemandMode.NON_CONTINUOUS)
+    req = OnDemandRequest(target="n1", mode=OnDemandMode.NON_CONTINUOUS)
     assert req.response_offsets() == [0]
     assert req.cls is TrafficClass.ON_DEMAND_NON_CONTINUOUS
 
 
 def test_on_demand_continuous_count_oracle():
     # duration 10 s at 1 frame/s -> 10 frames
-    req = issue_on_demand("n1", OnDemandMode.CONTINUOUS,
+    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
                           duration=10 * US_PER_S, stream_period=US_PER_S)
     assert len(req.response_offsets()) == 10
     assert req.cls is TrafficClass.ON_DEMAND_CONTINUOUS
 
 
 def test_on_demand_zero_duration_continuous_is_empty():
-    req = issue_on_demand("n1", OnDemandMode.CONTINUOUS, duration=0)
+    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
+                          duration=0)
     assert req.response_offsets() == []
-
-
-def test_on_demand_unknown_target_rejected():
-    with pytest.raises(ValueError, match="unknown target"):
-        issue_on_demand("ghost", OnDemandMode.NON_CONTINUOUS,
-                        known_nodes={"n1", "n2"})
 
 
 def test_priority_total_order():
