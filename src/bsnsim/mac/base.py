@@ -56,21 +56,19 @@ class MacBase:
     Session rule: a scheduled step belongs to the session in which it was
     scheduled and does nothing once `new_session()` has started another one
     or the node has died. Its event is still dispatched.
-
-    Parameters: a protocol declares the scenario keys it accepts under
-    `protocols.<name>` in `params`, with their defaults; `settings` reads
-    them for a scenario, and every MAC of a run gets the result.
     """
 
     name: str  # the protocol's name in scenarios and on the command line
     profile = "nrf2401"  # power profile of nodes that name none
-    # scenario key -> default; None: derived from the scenario
+    # the keys the protocol accepts under `protocols.<name>` in a scenario,
+    # with their defaults; None: derived from the scenario
     params: dict = {"queue_capacity": None, "cca_threshold_dbm": None}
 
     @classmethod
     def settings(cls, scenario) -> dict:
         """The protocol's parameters in `scenario` with the defaults filled
-        in; subclasses add values derived from them. Raises TypeError or
+        in; subclasses add values derived from them. The runner calls this
+        once per run and hands the result to every MAC. Raises TypeError or
         ValueError on a value the protocol rejects."""
         out = {**cls.params,
                "queue_capacity": scenario.queue_capacity,

@@ -84,11 +84,9 @@ class TbwMac(MacBase):
         else:
             self.radio = node.add_radio("data", self.channel)
             self.radio.on_frame = self._on_frame
-            entry = next((e for e in scenario.wakeup_table
-                          if e.node == node.node_id), None)
-            self.entry_view: Optional[dict] = None if entry is None else {
-                "period": entry.period, "offset": entry.offset,
-                "window": entry.window}
+            self.entry_view: Optional[WakeupEntry] = next(
+                (e for e in scenario.wakeup_table if e.node == node.node_id),
+                None)
             self._window_end: SimTime = 0
             self._serving_window = False
             self._pending_emergencies: list[Mpdu] = []
@@ -166,9 +164,7 @@ class TbwMac(MacBase):
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
                                BEACON_BYTES,
                                info={"window_end": self.sim.now + entry.window,
-                                     "entry": {"period": entry.period,
-                                               "offset": entry.offset,
-                                               "window": entry.window},
+                                     "entry": entry,
                                      "revision": self.table.revision})
                 self.medium.begin_tx(radio, beacon, self.node.tx_power_dbm)
             if self.pattern.fallback:
@@ -215,15 +211,8 @@ class TbwMac(MacBase):
     # node: scheduled windows                                            #
     # ------------------------------------------------------------------ #
 
-    def _view_occurrence_after(self, now: SimTime) -> SimTime:
-        v = self.entry_view
-        if v["offset"] > now:
-            return v["offset"]
-        k = (now - v["offset"]) // v["period"] + 1
-        return v["offset"] + k * v["period"]
-
     def _schedule_next_window(self) -> None:
-        occ = self._view_occurrence_after(self.sim.now)
+        occ = self.entry_view.occurrence_after(self.sim.now)
         self.at(occ, "window_wake", lambda: self._window_wake(occ))
 
     def _window_wake(self, occ: SimTime) -> None:
@@ -246,9 +235,7 @@ class TbwMac(MacBase):
         if self._od_req is not None:
             return  # windows resume once the on-demand request is served
         self.new_session()
-        new = frame.info.get("entry")
-        if new and new != self.entry_view:
-            self.entry_view = dict(new)  # disseminated table change
+        self.entry_view = frame.info["entry"]  # disseminates table changes
         self._window_end = frame.info["window_end"]
         self._serving_window = True
         if not len(self.queue):

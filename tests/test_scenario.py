@@ -1,9 +1,12 @@
 """Scenario loading, validation diagnostics, and round-trip stability."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from bsnsim.mac import PROTOCOLS
+from bsnsim.mac.base import MacBase
 from bsnsim.scenario import ScenarioError, load_scenario
 from tests.conftest import make_scenario
 
@@ -142,6 +145,19 @@ def test_bad_protocol_value_rejected_at_load(name, params, message):
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}: ") as err:
         make_scenario({"protocols": {name: params}})
     assert message in str(err.value)
+
+
+def test_readme_parameter_table_matches_params():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    documented = set()
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[1].startswith("`"):
+            documented |= {(name, cells[1].strip("`"))
+                           for name in cells[0].split(", ")}
+    declared = {(name, key) for name, cls in PROTOCOLS.items()
+                for key in cls.params if key not in MacBase.params}
+    assert documented == declared
 
 
 def test_parse_error_reported(tmp_path):

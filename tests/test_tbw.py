@@ -154,7 +154,7 @@ def test_beacon_piggyback_disseminates_table_change():
     # from offset 1: next occurrences at 5 and 9. The node's own wakeups
     # follow the new period after hearing the 5 s beacon.
     assert beacons == [1 * S, 3 * S, 5 * S, 9 * S]
-    assert net.nodes["n1"].mac.entry_view["period"] == 4 * S
+    assert net.nodes["n1"].mac.entry_view.period == 4 * S
 
 
 # Emergency --------------------------------------------------------------------
