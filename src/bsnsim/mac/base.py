@@ -76,7 +76,8 @@ class MacBase:
         for key, value in scenario.protocols.get(cls.name, {}).items():
             if isinstance(out[key], (int, float)):
                 number = float if isinstance(out[key], float) else int
-                if isinstance(value, bool) or not isinstance(value, (int, number)):
+                if (isinstance(value, bool)
+                        or not isinstance(value, (int, number))):
                     noun = "a number" if number is float else "an integer"
                     raise TypeError(f"{key}: {value!r} is not {noun}")
             out[key] = value

@@ -13,7 +13,8 @@ class DirectMac(MacBase):
 
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
-        self.radio = node.add_radio("data", self.channel, initial_state="listen")
+        self.radio = node.add_radio("data", self.channel,
+                                    initial_state="listen")
         self.radio.on_frame = self._on_frame
 
     def start(self) -> None:

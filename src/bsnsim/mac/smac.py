@@ -57,7 +57,8 @@ class SMac(SlottedCsmaMac):
         # a node that keeps losing contention sleeps on the frame until the
         # next listen window instead of burning backoff rounds
         self.busy_limit = settings["max_window_attempts"]
-        self.radio = node.add_radio("data", self.channel, initial_state="listen")
+        self.radio = node.add_radio("data", self.channel,
+                                    initial_state="listen")
         self.radio.on_frame = self._on_frame
 
     def start(self) -> None:

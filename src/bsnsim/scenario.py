@@ -205,8 +205,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"power_profiles.{key}: {exc}") from exc
         norm["power_profiles"][key] = dict(p)
-    protocol_profiles = {**{name: cls.profile for name, cls in PROTOCOLS.items()},
-                         **raw.get("protocol_profiles", {})}
+    protocol_profiles = {name: cls.profile for name, cls in PROTOCOLS.items()}
+    protocol_profiles.update(raw.get("protocol_profiles", {}))
     for proto, key in protocol_profiles.items():
         if key not in profiles:
             raise ScenarioError(f"protocol_profiles.{proto}: unknown profile "

@@ -98,7 +98,8 @@ def test_bad_protocol_value_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
                "--until", "1", "--out", str(tmp_path)])
     assert rc == 2
-    assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in err
 
 
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])
