@@ -6,8 +6,8 @@ from .smac import SMac
 from .tbw import TbwAlwaysOnMac, TbwMac
 from .tdma import PbTdmaMac
 
-PROTOCOLS = {cls.name: cls for cls in (Beacon802154Mac, PbTdmaMac, SMac, TbwMac,
-                                       TbwAlwaysOnMac, DirectMac)}
+PROTOCOLS = {cls.name: cls for cls in (
+    Beacon802154Mac, PbTdmaMac, SMac, TbwMac, TbwAlwaysOnMac, DirectMac)}
 
 
 def mac_class(name: str):

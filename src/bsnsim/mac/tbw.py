@@ -573,7 +573,7 @@ class TbwMac(MacBase):
 
 
 class TbwAlwaysOnMac(TbwMac):
-    """tbw with the coordinator's data radios pinned on: the energy baseline."""
+    """tbw whose coordinator data radios never sleep: the energy baseline."""
 
     name = "tbw_alwayson"
     always_on = True
