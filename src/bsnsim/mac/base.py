@@ -92,7 +92,7 @@ class MacBase:
         self.queue = FrameQueue(settings["queue_capacity"])
         scenario = network.scenario
         self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
-        self.target = f"node:{node.node_id}"
+        self.target = node.target
         self.in_service: Optional[Mpdu] = None
         self._session = 0
         self._ack_timer: Optional[Event] = None

@@ -131,6 +131,11 @@ class Node:
         self.consumed_cache_j = 0.0  # mirror of all ledger accruals
         self.dead = False
         self.death_time: Optional[SimTime] = None
+        self.target = f"node:{node_id}"
+        # The projected death as a dispatch key (None: no death in sight),
+        # and the one pending death event, never later than that key.
+        self._death_at: Optional[SimTime] = None
+        self._death_seq = 0
         self._death_event: Optional[Event] = None
         self.mac = None
 
@@ -159,12 +164,14 @@ class Node:
         return sum(r.ledger.consumed_j for r in self.radios.values())
 
     def power_changed(self) -> None:
-        """Re-aim the death event at the current total draw."""
+        """Project the death at the current total draw.
+
+        The projection takes a sequence number as if it were scheduled, but
+        the one pending death event is pushed again only when the projection
+        moves earlier; when it fires early it moves itself to the projection.
+        """
         if self.dead or self.initial_j is None:
             return
-        if self._death_event is not None:
-            self.sim.cancel(self._death_event)
-            self._death_event = None
         now = self.sim.now
         total_mw = 0.0
         pending_j = 0.0
@@ -173,6 +180,7 @@ class Node:
                 continue
             total_mw += r._mw
             pending_j += (now - r._last_change) * r._mw * 1e-9
+        self._death_at = None
         if total_mw <= 0.0:
             return
         remaining = self.initial_j - self.consumed_cache_j - pending_j
@@ -181,8 +189,27 @@ class Node:
         fire_at = now + int(remaining / (total_mw * 1e-9))
         if self.horizon_hint is not None and fire_at > self.horizon_hint:
             return
-        self._death_event = self.sim.schedule_at(
-            fire_at, "death", f"node:{self.node_id}", self._die)
+        self._death_at = fire_at
+        self._death_seq = self.sim.reserve_seq()
+        pending = self._death_event
+        if pending is None or fire_at < pending.fire_at:
+            if pending is not None:
+                self.sim.cancel(pending)
+            self._push_death()
+
+    def _push_death(self) -> None:
+        self._death_event = self.sim.schedule_reserved(
+            self._death_at, self._death_seq, "death", self.target,
+            self._death_due)
+
+    def _death_due(self) -> None:
+        event, self._death_event = self._death_event, None
+        if self.dead or self._death_at is None:
+            return
+        if (event.fire_at, event.seq) != (self._death_at, self._death_seq):
+            self._push_death()
+            return
+        self._die()
 
     def _die(self) -> None:
         if self.dead:

@@ -61,8 +61,7 @@ class BridgePump:
                 self.network.metrics.on_dropped(mpdu)
             self.pump()
 
-        self.network.sim.schedule(TURNAROUND_US, "bridge_fwd",
-                                  f"node:{self.node.node_id}",
+        self.network.sim.schedule(TURNAROUND_US, "bridge_fwd", self.node.target,
                                   lambda: self._tx(radio, frame, done))
 
     def _tx(self, radio, frame, done) -> None:
@@ -235,7 +234,7 @@ def _schedule_traffic(network: Network) -> None:
             network.nodes[spec.node].mac.enqueue(mpdu)
             arm(spec)
 
-        sim.schedule_at(t, kind, f"node:{spec.node}", fire)
+        sim.schedule_at(t, kind, network.nodes[spec.node].target, fire)
 
     for spec in scenario.traffic:
         arm(spec)
@@ -249,7 +248,7 @@ def _schedule_traffic(network: Network) -> None:
             duration=ticks_from_seconds(od["duration_s"]),
             stream_period=ticks_from_seconds(od["period_s"]))
         sim.schedule_at(
-            at, "on_demand", f"node:{scenario.bnc}",
+            at, "on_demand", network.nodes[scenario.bnc].target,
             lambda request=request, od=od: network.coordinator_mac.issue_request(
                 request, od["addressing"]))
 
