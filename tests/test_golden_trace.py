@@ -131,25 +131,25 @@ GOLDEN = {
         "bd6c662bb2c977794b234b269a4c441cc52a452cd27987e3bff039fc52d87911"),
     "fig2-dying-csma802154": (
         "a0f4a469e416891e7b0330d4dfdaccdd7d13ecb2b0f69a6865463a2ba8cedfbf",
-        "0b77cd086446ba11d20c27541bc27c05d37919f12a666c2f3bb929763c85f986"),
+        "9fb3f15830038fd44208d524140b6f5afb6d03dddf5fa8d58a1aa6f56ca1a953"),
     "fig2-dying-pbtdma": (
         "567ee26cd59276133dbf9879d957f46aab9db682238a46e76a26c1398fb98f78",
-        "be94486675d1b070e65346c2874b82a4dd6882de85bda0fe68766838726f38a4"),
+        "9660630148961f58f8140a24021c22132e2bfbd0222c81ab0d59843109e5e7c5"),
     "fig2-dying-smac": (
         "2e468bd30226feb712a9d2f9d1a40f96cd1f5e9ccecf80797d848b3dd1888264",
-        "4aef39e8406b97495892ba5cdc87653cd7d34c1b100fa6f63bcb78e72f99083f"),
+        "ff5c68f61becc3d33107e034286e3c22326ea15f7c0cb2d8f0bd07260a332084"),
     "emergency-tbw": (
         "a64dcf12ccee32454a9b86c5c64a716bbda8d2059baeee02728737ac524ae22c",
-        "95e62844c3b666ef8330ac406d1bb107924d7540eed7d6f8c3458181f74b9616"),
+        "06523db9cfbfb3976278ef1246d9ac11e1919cc60602ff92c890e84935139dd1"),
     "emergency-tbw_alwayson": (
         "53bb2dd7beb78228a08f2776e0a45df167edde8cc1a81bc2e6b8c97cb3a8e6e8",
-        "aab86ec3d5f0f21356ca75c910589bd7ca2be0c5a1646ade05db3384bd2aa919"),
+        "fa97f950c9d6a3db9e04fc011652524ea6724ac82baaacf0171e77beb0158d97"),
     "emergency-dying-tbw": (
         "be18e313bbbe98367a8f998d4fe9dacde5857dfcf81c51528f5afb10bb5f6425",
-        "1f2c0f952e78c65f3a993ba146fbf98b26b6e800c95f9a069bc1c9389314c423"),
+        "1508bc918b88d663406360deee3c1f7b13fdb53c4dd9dc00e8e316c4715b29fc"),
     "emergency-dying-tbw_alwayson": (
         "354940263c0319bf503221e7f658fec75d45ac24f9fdd9dff75cfd43b342aee3",
-        "c88925512fa1a957e2a38021361db125fadd846d41cc9de8c5be6d36851d2e1f"),
+        "e8f423dc6f2a8cdda4db66f0f283cec86d7caa56869d926b31f482f9b4466a11"),
     "bridge-direct": (
         "26315512053a2d8abed221fd62b173f0ec141b7dcb18689f33275199d936171d",
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
