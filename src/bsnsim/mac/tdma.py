@@ -56,8 +56,14 @@ class PbTdmaMac(MacBase):
     def settings(cls, scenario) -> dict:
         out = super().settings(scenario)
         devices = [n for n in scenario.nodes if n.id != scenario.bnc]
+        if not devices:
+            raise ValueError("no devices to give slots to")
         assignment = out["assignment"] or dict(
             enumerate(sorted(n.id for n in devices)))
+        strangers = set(assignment.values()) - {n.id for n in devices}
+        if strangers:
+            raise ValueError(f"assignment names non-devices "
+                             f"{sorted(strangers)}")
         slot = ticks_from_seconds(out["slot_ms"] / 1000.0)
         rate = scenario.channel_cfg[devices[0].channel]["data_rate_bps"]
         need = TURNAROUND_US + frame_airtime(128, rate)

@@ -1,6 +1,7 @@
 """Energy ledger arithmetic and budget death."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bsnsim.channel import Band, ChannelId, Medium
 from bsnsim.core import Simulator
@@ -93,3 +94,85 @@ def test_profile_validation():
     # the wakeup receiver draw is orders of magnitude below the main rx
     for profile in load_scenario("paper_fig2").power_profiles.values():
         assert profile.wakeup_rx_uw / 1000.0 < profile.rx_mw / 100.0
+
+
+def test_state_toggles_keep_one_pending_death_event():
+    node = _node(5.0)
+    radio = node.add_radio("data", ISM, initial_state="listen")
+    peak = len(node.sim._heap)
+    for _ in range(5_000):
+        for state in ("tx", "listen"):
+            node.sim.run(node.sim.now + 1)
+            radio.set_state(state)
+            peak = max(peak, len(node.sim._heap))
+    assert peak <= 2
+
+
+def test_reprojected_death_keeps_its_order_within_the_tick():
+    # Leaving listen and coming back at once projects the same death tick,
+    # later in sequence than an event scheduled in between for that tick.
+    node = _node(5.0)
+    radio = node.add_radio("data", ISM, initial_state="listen")
+    seen = []
+    node.sim.schedule_at(92_592_592, "probe", "test",
+                         lambda: seen.append(node.dead))
+    radio.set_state("tx")
+    radio.set_state("listen")
+    node.sim.run(92_592_592)
+    assert seen == [False]
+    assert node.death_time == 92_592_592
+
+
+# Budget and horizon sized so that listen (54 mW), rx (40 mW) and tx
+# (30 mW) project deaths around the horizon and sleep (0 mW) none at all.
+DEATH_PROFILE = PowerProfile(sleep_mw=0.0, idle_listen_mw=54.0, rx_mw=40.0,
+                             tx_mw=30.0)
+DEATH_J = 1e-4
+DEATH_HORIZON = 5_000
+STATES = ("sleep", "listen", "rx", "tx")
+
+
+def _projected_death(now, consumed_j, mw):
+    """The death tick projected at a state change, None past the horizon."""
+    if mw <= 0.0:
+        return None
+    remaining = DEATH_J - consumed_j
+    if remaining < 0.0:
+        remaining = 0.0
+    fire_at = now + int(remaining / (mw * 1e-9))
+    return None if fire_at > DEATH_HORIZON else fire_at
+
+
+@given(st.sampled_from(STATES),
+       st.lists(st.tuples(st.integers(0, 1_500), st.sampled_from(STATES)),
+                max_size=25))
+# later (tx), then earlier than the pending event (listen)
+@example("tx", [(100, "listen")])
+# later (tx), earlier again (listen) but after the pending event
+@example("listen", [(100, "tx"), (200, "listen")])
+# past the horizon (tx late in the run) and back (listen)
+@example("listen", [(100, "sleep"), (1_700, "tx"), (50, "listen")])
+# no draw (sleep), then back inside the horizon
+@example("sleep", [(500, "rx"), (300, "sleep"), (300, "listen")])
+def test_death_time_is_the_projection_at_the_last_state_change(initial,
+                                                              steps):
+    sim = Simulator()
+    node = Node(sim, Medium(sim), "n", profile=DEATH_PROFILE,
+                initial_j=DEATH_J, horizon_hint=DEATH_HORIZON)
+    radio = node.add_radio("data", ISM, initial_state=initial)
+    mw = DEATH_PROFILE.state_mw()
+    state, since, consumed = initial, 0, 0.0
+    projected = _projected_death(0, consumed, mw[state])
+    for delay, new in steps:
+        at = sim.now + delay
+        if projected is not None and projected <= at:
+            break
+        sim.run(at)
+        assert not node.dead
+        if new != state:
+            consumed += (at - since) * mw[state] * 1e-9
+            state, since = new, at
+            radio.set_state(new)
+            projected = _projected_death(at, consumed, mw[new])
+    sim.run(max(sim.now, DEATH_HORIZON) + 1_000_000)
+    assert node.death_time == projected

@@ -133,6 +133,10 @@ def test_protocol_parameters_accepted_per_protocol():
         make_scenario({"protocols": {"direct": {"ack": True}}})
 
 
+COORDINATOR_ONLY = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
+                               "pos": [0.5, 0.5], "initial_j": None}]}
+
+
 @pytest.mark.parametrize("name, params, message", [
     ("csma802154", {"BO": 20}, "SO <= BO <= 14"),
     ("smac", {"listen_fraction": 0}, "listen_fraction"),
@@ -140,10 +144,15 @@ def test_protocol_parameters_accepted_per_protocol():
     ("smac", {"cycle_s": "fast"}, "cycle_s: 'fast' is not a number"),
     ("pbtdma", {"assignment": {"0": "n1", "1": "n1"}}, "at most one slot"),
     ("csma802154", {"retry_limit": "3"}, "retry_limit: '3' is not an integer"),
+    ("pbtdma", {"assignment": {"0": "n1", "1": "ghost"}},
+     "assignment names non-devices ['ghost']"),
+    ("pbtdma", {"assignment": {"0": "bnc"}}, "non-devices ['bnc']"),
+    ("pbtdma", {}, "no devices"),  # on COORDINATOR_ONLY
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
+    nodes = COORDINATOR_ONLY if message == "no devices" else {}
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}: ") as err:
-        make_scenario({"protocols": {name: params}})
+        make_scenario({**nodes, "protocols": {name: params}})
     assert message in str(err.value)
 
 
