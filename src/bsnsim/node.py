@@ -204,7 +204,7 @@ class Node:
 
     def _death_due(self) -> None:
         event, self._death_event = self._death_event, None
-        if self.dead or self._death_at is None:
+        if self._death_at is None:
             return
         if (event.fire_at, event.seq) != (self._death_at, self._death_seq):
             self._push_death()
