@@ -146,13 +146,13 @@ def _projected_death(now, consumed_j, mw):
 @given(st.sampled_from(STATES),
        st.lists(st.tuples(st.integers(0, 1_500), st.sampled_from(STATES)),
                 max_size=25))
-# later (tx), then earlier than the pending event (listen)
+# tx, then listen: earlier than the pending event
 @example("tx", [(100, "listen")])
 # later (tx), earlier again (listen) but after the pending event
 @example("listen", [(100, "tx"), (200, "listen")])
-# past the horizon (tx late in the run) and back (listen)
-@example("listen", [(100, "sleep"), (1_700, "tx"), (50, "listen")])
-# no draw (sleep), then back inside the horizon
+# no draw (sleep), past the horizon (tx late in the run) and back (listen)
+@example("listen", [(100, "sleep"), (1_800, "tx"), (50, "listen")])
+# no draw, a death (rx), no draw, then an earlier death (listen)
 @example("sleep", [(500, "rx"), (300, "sleep"), (300, "listen")])
 def test_death_time_is_the_projection_at_the_last_state_change(initial,
                                                               steps):
