@@ -61,6 +61,7 @@ class ChannelMap:
         self.inbody_nodes = set(inbody_nodes or ())
         self.bridge_nodes = set(bridge_nodes or ())
         self._members: dict[ChannelId, set[str]] = {}
+        self._routes: dict[tuple[str, str], object] = {}  # (src, dst) -> route
 
     def register(self, record: ChannelMapRecord) -> "ChannelMap":
         if record.connection_id in self.records:
@@ -71,6 +72,7 @@ class ChannelMap:
                 raise ValueError(f"unmapped endpoint: {endpoint}")
         self.records[record.connection_id] = record
         self._members.setdefault(record.channel, set()).update(record.node_ids)
+        self._routes.clear()
         return self
 
     def _on_some_channel(self, node: str) -> bool:
@@ -80,6 +82,13 @@ class ChannelMap:
         return [ch for ch, members in self._members.items() if node in members]
 
     def lookup_route(self, src: str, dst: str):
+        """The route from `src` to `dst`, resolved once per registered map."""
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self._resolve_route(src, dst)
+        return route
+
+    def _resolve_route(self, src: str, dst: str):
         """Direct only when both ends share a channel and neither is in-body.
 
         A pair whose endpoint is itself a bridge is also direct on a shared

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -68,12 +68,18 @@ class PathLossParams:
             raise ValueError("shadow_sigma must be non-negative")
 
 
+def mean_path_loss_db(distance: float, params: PathLossParams,
+                      min_distance: float = DEFAULT_MIN_DISTANCE_M) -> float:
+    """Path loss in dB at the given distance, without shadowing."""
+    if distance < min_distance:
+        raise ValueError(f"degenerate geometry: distance {distance} < {min_distance}")
+    return params.pl_d0 + 10.0 * params.exponent * math.log10(distance / params.d0)
+
+
 def path_loss_db(distance: float, params: PathLossParams, rng=None,
                  min_distance: float = DEFAULT_MIN_DISTANCE_M) -> float:
     """Path loss in dB at the given distance; draws shadowing when sigma > 0."""
-    if distance < min_distance:
-        raise ValueError(f"degenerate geometry: distance {distance} < {min_distance}")
-    loss = params.pl_d0 + 10.0 * params.exponent * math.log10(distance / params.d0)
+    loss = mean_path_loss_db(distance, params, min_distance)
     if params.shadow_sigma > 0:
         if rng is None:
             raise ValueError("shadowing requires an RNG stream")
@@ -134,7 +140,11 @@ class LinkMatrix:
 def empirical_outcome(src_site: str, dst_site: str, posture: str,
                       matrix: LinkMatrix, rng) -> bool:
     """Bernoulli draw against the matrix entry; True means Success."""
-    p = matrix.success_p(src_site, dst_site, posture)
+    return _link_success(matrix.success_p(src_site, dst_site, posture), rng)
+
+
+def _link_success(p: float, rng) -> bool:
+    """Bernoulli draw with success probability `p`; none at 0 or 1."""
     if p <= 0.0:
         return False
     if p >= 1.0:
@@ -152,28 +162,25 @@ def interference_gate(enabled: bool, rng,
     return rng.random() < pass_probability
 
 
-@dataclass
 class Transmission:
-    """One frame on the air on one channel."""
+    """One frame on the air on one channel, from `start` up to `end`."""
 
-    channel: ChannelId
-    power_dbm: float
-    start: SimTime
-    airtime: SimTime
-    frame: object = None
-    radio: object = None
-    tx_position: Optional[Position] = None
-    on_result: Optional[Callable] = None
-    aborted: bool = False
-    loss_cache: dict = field(default_factory=dict)
+    __slots__ = ("channel", "power_dbm", "start", "airtime", "end", "frame",
+                 "radio", "on_result", "aborted", "loss_cache")
 
-    @property
-    def end(self) -> SimTime:
-        return self.start + self.airtime
-
-
-def _overlaps(tx: Transmission, start: SimTime, end: SimTime) -> bool:
-    return tx.start < end and tx.end > start
+    def __init__(self, channel: ChannelId, power_dbm: float, start: SimTime,
+                 airtime: SimTime, frame=None, radio=None,
+                 on_result: Optional[Callable] = None):
+        self.channel = channel
+        self.power_dbm = power_dbm
+        self.start = start
+        self.airtime = airtime
+        self.end = start + airtime
+        self.frame = frame
+        self.radio = radio
+        self.on_result = on_result
+        self.aborted = False
+        self.loss_cache: dict = {}  # receiving radio -> loss in dB
 
 
 def geometric_outcome(rx_dbm: float, interferer_dbms: Iterable[float],
@@ -202,6 +209,24 @@ class _ChannelState:
         self.recent: list[Transmission] = []
         self.rate = rate
         self.params = params
+
+
+class _Link:
+    """What a run never changes about one (tx radio, rx radio) pair.
+
+    Geometric mode: the mean path loss and the `shadow:` stream (None
+    without shadowing). Empirical mode: the matrix's success probability and
+    the `link:` stream. Streams are named by node ids, so the radios of one
+    node pair share them.
+    """
+
+    __slots__ = ("mean_db", "success_p", "rng")
+
+    def __init__(self, mean_db: float = 0.0, success_p: float = 0.0,
+                 rng=None):
+        self.mean_db = mean_db
+        self.success_p = success_p
+        self.rng = rng
 
 
 class Medium:
@@ -242,6 +267,8 @@ class Medium:
         self.data_rates = dict(data_rates or {})
         self.default_rate_bps = default_rate_bps
         self._chans: dict[ChannelId, _ChannelState] = {}
+        self._links: dict[tuple, _Link] = {}  # (tx radio, rx radio) -> link
+        self._intf_rngs: dict = {}  # rx radio -> its `intf:` stream
         self.data_collisions = 0
         self.interference_corrupts = 0
         self.tx_log: Optional[list] = [] if keep_tx_log else None
@@ -280,10 +307,8 @@ class Medium:
         if airtime is None:
             bits = frame.nbytes * 8
             airtime = (bits * 1_000_000 + cs.rate - 1) // cs.rate
-        tx = Transmission(channel=radio.channel, power_dbm=power_dbm,
-                          start=self.sim.now, airtime=airtime, frame=frame,
-                          radio=radio, tx_position=radio.position,
-                          on_result=on_result)
+        tx = Transmission(radio.channel, power_dbm, self.sim.now, airtime,
+                          frame, radio, on_result)
         radio.enter_tx()
         radio.current_tx = tx
         cs.active.append(tx)
@@ -348,26 +373,43 @@ class Medium:
 
     # -- reception rules ---------------------------------------------------
 
+    def _link(self, tx_radio, radio, cs: _ChannelState) -> _Link:
+        """The pair's link record, built at its first use; in geometric mode
+        that is where degenerate geometry is rejected."""
+        link = self._links.get((tx_radio, radio))
+        if link is None:
+            pair = f"{tx_radio.nid}:{radio.nid}"
+            if self.mode == "geometric":
+                params = cs.params
+                link = _Link(mean_db=mean_path_loss_db(
+                    tx_radio.position.distance_to(radio.position), params,
+                    self.min_distance_m))
+                if params.shadow_sigma > 0:
+                    link.rng = self.sim.stream(f"shadow:{pair}")
+            else:
+                link = _Link(success_p=self.link_matrix.success_p(
+                    tx_radio.site, radio.site, self.posture),
+                    rng=self.sim.stream(f"link:{pair}"))
+            self._links[(tx_radio, radio)] = link
+        return link
+
     def _loss_db(self, tx: Transmission, radio, cs: _ChannelState) -> float:
-        loss = tx.loss_cache.get(radio.key)
+        """The loss `radio` sees from `tx`, shadowing drawn once per pair."""
+        loss = tx.loss_cache.get(radio)
         if loss is None:
-            params = cs.params
-            rng = None
-            if params.shadow_sigma > 0:
-                rng = self.sim.stream(f"shadow:{tx.radio.nid}:{radio.nid}")
-            loss = path_loss_db(tx.tx_position.distance_to(radio.position),
-                                params, rng, self.min_distance_m)
-            tx.loss_cache[radio.key] = loss
+            link = self._link(tx.radio, radio, cs)
+            loss = link.mean_db
+            if link.rng is not None:
+                loss += link.rng.gauss(0.0, cs.params.shadow_sigma)
+            tx.loss_cache[radio] = loss
         return loss
 
     def _resolve(self, tx: Transmission, radio, cs: _ChannelState) -> DeliveryOutcome:
-        if not radio.listening or radio.rx_ok_since > tx.start:
-            return DeliveryOutcome.OFF_CHANNEL
-        interferers = [o for o in cs.active
-                       if o is not tx and _overlaps(o, tx.start, tx.end)]
-        for o in cs.recent:
-            if o is not tx and _overlaps(o, tx.start, tx.end):
-                interferers.append(o)
+        """Judge `tx` at a radio that has been receive-capable since its start."""
+        start = tx.start
+        end = tx.end
+        interferers = [o for pool in (cs.active, cs.recent) for o in pool
+                       if o is not tx and o.start < end and o.end > start]
         if self.mode == "geometric":
             rx_dbm = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
             outcome = geometric_outcome(
@@ -380,12 +422,14 @@ class Medium:
         else:
             if interferers:
                 return DeliveryOutcome.COLLIDED
-            rng = self.sim.stream(f"link:{tx.radio.nid}:{radio.nid}")
-            if not empirical_outcome(tx.radio.site, radio.site, self.posture,
-                                     self.link_matrix, rng):
+            link = self._link(tx.radio, radio, cs)
+            if not _link_success(link.success_p, link.rng):
                 return DeliveryOutcome.BELOW_SENSITIVITY
         if self.interference_enabled:
-            rng = self.sim.stream(f"intf:{radio.nid}")
+            rng = self._intf_rngs.get(radio)
+            if rng is None:
+                rng = self._intf_rngs[radio] = self.sim.stream(
+                    f"intf:{radio.nid}")
             if not interference_gate(True, rng, self.interference_pass_p):
                 self.interference_corrupts += 1
                 return DeliveryOutcome.CORRUPTED

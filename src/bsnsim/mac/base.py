@@ -4,9 +4,10 @@ CSMA/CA engine with acks and retransmissions."""
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Callable, Optional
 
-from ..channel import DeliveryOutcome
+from ..channel import DeliveryOutcome, frame_airtime
 from ..core import Event, SimTime, Simulator
 from ..frames import ACK_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import priority
@@ -29,8 +30,8 @@ class FrameQueue:
         if len(self._items) >= self.capacity:
             return False
         self._seq += 1
-        self._items.append((-priority(mpdu.cls), self._seq, mpdu))
-        self._items.sort(key=lambda t: (t[0], t[1]))
+        # seq is unique, so the comparison never reaches the Mpdu
+        insort(self._items, (-priority(mpdu.cls), self._seq, mpdu))
         return True
 
     def peek(self) -> Optional[Mpdu]:
@@ -92,6 +93,10 @@ class MacBase:
         self.queue = FrameQueue(settings["queue_capacity"])
         scenario = network.scenario
         self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
+        # how long a sender on `self.channel` waits for an ack
+        self.ack_wait: SimTime = (
+            TURNAROUND_US + medium.airtime_ticks(ACK_BYTES, self.channel)
+            + ACK_WAIT_MARGIN_US)
         self.target = node.target
         self.in_service: Optional[Mpdu] = None
         self._session = 0
@@ -193,21 +198,17 @@ class MacBase:
 
         self.sim.schedule(TURNAROUND_US, "ack_tx", self.target, _tx_ack)
 
-    def ack_wait_ticks(self, channel) -> SimTime:
-        return (TURNAROUND_US + self.medium.airtime_ticks(ACK_BYTES, channel)
-                + ACK_WAIT_MARGIN_US)
-
-    def send_awaiting_ack(self, radio, on_timeout: Callable[[], None]) -> None:
-        """Send the frame in service once, then wait for its ack; `on_timeout`
-        runs in this session if none arrives in time."""
+    def send_awaiting_ack(self, on_timeout: Callable[[], None]) -> None:
+        """Send the frame in service once on `self.radio`, then wait for its
+        ack; `on_timeout` runs in this session if none arrives in time."""
         mpdu = self.in_service
         frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
 
         def _await_ack(outcome):
-            self._ack_timer = self.after(self.ack_wait_ticks(radio.channel),
-                                         "ack_timeout", on_timeout)
+            self._ack_timer = self.after(self.ack_wait, "ack_timeout",
+                                         on_timeout)
 
-        self.medium.begin_tx(radio, frame, self.node.tx_power_dbm,
+        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
                              on_result=self.in_session(_await_ack))
 
     def ack_received(self, frame: Frame) -> bool:
@@ -287,9 +288,9 @@ class SlottedCsmaMac(MacBase):
         delay_units = self.rng.randrange(1 << self._be)
         b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
         tx_at = b0 + 2 * UNIT_BACKOFF_US
-        airtime = self.medium.airtime_ticks(self.in_service.payload_bytes,
-                                            self.radio.channel)
-        if tx_at + airtime + self.ack_wait_ticks(self.radio.channel) > self._access_end:
+        airtime = frame_airtime(self.in_service.payload_bytes,
+                                self.radio.chan_state.rate)
+        if tx_at + airtime + self.ack_wait > self._access_end:
             self._idle()
             return
         self.at(b0 + CCA_US, "cca", lambda: self._cca_done(b0, False))
@@ -311,7 +312,7 @@ class SlottedCsmaMac(MacBase):
 
     def _transmit(self) -> None:
         if self.radio.state != "tx":
-            self.send_awaiting_ack(self.radio, self._ack_timeout)
+            self.send_awaiting_ack(self._ack_timeout)
 
     def _ack_timeout(self) -> None:
         self._retries += 1

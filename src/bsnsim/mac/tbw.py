@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..channel import ChannelId
+from ..channel import ChannelId, frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandMode, OnDemandRequest, TrafficClass
@@ -254,8 +254,8 @@ class TbwMac(MacBase):
             self._window_close()
             return
         mpdu = self.queue.peek()
-        airtime = self.medium.airtime_ticks(mpdu.payload_bytes, self.radio.channel)
-        cost = airtime + self.ack_wait_ticks(self.radio.channel)
+        cost = (frame_airtime(mpdu.payload_bytes, self.radio.chan_state.rate)
+                + self.ack_wait)
         if self.sim.now + cost > self._window_end:
             self._window_close()  # carry over whatever is left
             return
@@ -285,19 +285,18 @@ class TbwMac(MacBase):
         """Send the frame in service until it is acked, `retry_limit` retries
         fail or a retry would end past `deadline`; `done(ok, reason)`."""
         self._send_done = done
-        channel = self.radio.channel
+        rate = self.radio.chan_state.rate
 
         def attempt():
             if self.radio.state == "tx":
                 self.after(500, "tx_retry_wait", attempt)
             else:
-                self.send_awaiting_ack(self.radio, timeout)
+                self.send_awaiting_ack(timeout)
 
         def timeout():
             self._retries += 1
-            retry_cost = (self.medium.airtime_ticks(self.in_service.payload_bytes,
-                                                    channel)
-                          + self.ack_wait_ticks(channel))
+            retry_cost = (frame_airtime(self.in_service.payload_bytes, rate)
+                          + self.ack_wait)
             if self._retries > self.retry_limit:
                 done(False, "retries")
             elif deadline is not None and self.sim.now + retry_cost > deadline:

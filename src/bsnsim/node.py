@@ -68,13 +68,19 @@ class Radio:
         self._last_change = at
 
     def _apply(self, state: str) -> None:
-        self.flush()
+        now = self.sim.now
         prev = self.state
+        if not self.dead:  # flush(), inline on this hot path
+            elapsed = now - self._last_change
+            if elapsed > 0:
+                self.ledger.account(prev, elapsed)
+                self.node.consumed_cache_j += elapsed * self._mw * 1e-9
+            self._last_change = now
         self.state = state
         self._mw = self.ledger.power_mw[state]
         self.listening = state in ("listen", "rx")
         if self.listening and prev not in ("listen", "rx"):
-            self.rx_ok_since = self.sim.now
+            self.rx_ok_since = now
         elif state == "sleep":
             self.rx_ok_since = -1
         self.node.power_changed()
@@ -128,6 +134,7 @@ class Node:
         self.tx_power_dbm = tx_power_dbm
         self.horizon_hint = horizon_hint
         self.radios: dict[str, Radio] = {}
+        self._radio_list: list[Radio] = []  # radios.values(), for hot loops
         self.consumed_cache_j = 0.0  # mirror of all ledger accruals
         self.dead = False
         self.death_time: Optional[SimTime] = None
@@ -141,19 +148,19 @@ class Node:
 
     def add_radio(self, label: str, channel: ChannelId,
                   initial_state: str = "sleep") -> Radio:
-        radio = Radio(self.sim, self.medium, self, label, channel,
-                      self.profile.state_mw(), initial_state)
-        self.radios[label] = radio
-        self.power_changed()
-        return radio
+        return self._attach(Radio(self.sim, self.medium, self, label, channel,
+                                  self.profile.state_mw(), initial_state))
 
     def add_wakeup_receiver(self, channel: ChannelId) -> Radio:
         """Ultra-low-power always-on receiver with its own timeline."""
         power = {"sleep": 0.0, "listen": self.profile.wakeup_rx_uw / 1000.0,
                  "rx": self.profile.wakeup_rx_uw / 1000.0, "tx": 0.0}
-        radio = Radio(self.sim, self.medium, self, "wakeup_rx", channel,
-                      power, initial_state="listen")
-        self.radios["wakeup_rx"] = radio
+        return self._attach(Radio(self.sim, self.medium, self, "wakeup_rx",
+                                  channel, power, initial_state="listen"))
+
+    def _attach(self, radio: Radio) -> Radio:
+        self.radios[radio.label] = radio
+        self._radio_list = list(self.radios.values())
         self.power_changed()
         return radio
 
@@ -175,7 +182,7 @@ class Node:
         now = self.sim.now
         total_mw = 0.0
         pending_j = 0.0
-        for r in self.radios.values():
+        for r in self._radio_list:
             if r.dead:
                 continue
             total_mw += r._mw
