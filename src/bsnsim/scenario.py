@@ -245,6 +245,16 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                               channel=chan, initial_j=nn["initial_j"],
                               tx_power_dbm=nn["tx_power_dbm"],
                               profile=nn["profile"]))
+    if mode == "geometric":
+        # path loss is undefined this close; any two nodes may share a channel
+        min_d = norm["channel_model"]["min_distance_m"]
+        for i, a in enumerate(nodes):
+            for b in nodes[:i]:
+                d = a.position.distance_to(b.position)
+                if d < min_d:
+                    raise ScenarioError(
+                        f"nodes[{i}].pos: {d} m from {b.id!r}, closer than "
+                        f"channel_model.min_distance_m ({min_d})")
     bnc = _req(raw, "bnc", "scenario")
     bnc_nodes = [n for n in nodes if n.kind == "bnc"]
     if len(bnc_nodes) != 1 or bnc_nodes[0].id != bnc:

@@ -78,6 +78,15 @@ def test_no_route_without_shared_infrastructure():
     assert cmap.lookup_route("imp1", "chest") == NoRoute()
 
 
+def test_new_record_re_resolves_a_looked_up_route():
+    cmap = ChannelMap(bridge_nodes=set())
+    cmap.register(_record(1, MICS, ["imp1", "bnc"], "imp1", "bnc"))
+    cmap.register(_record(2, ISM, ["chest"], "chest", "chest"))
+    assert cmap.lookup_route("imp1", "chest") == NoRoute()
+    cmap.register(_record(3, ISM, ["imp1", "chest"], "imp1", "chest"))
+    assert cmap.lookup_route("imp1", "chest") == Direct(ISM)
+
+
 def test_validate_bridge():
     validate_bridge([MICS, ISM])  # ok
     validate_bridge([ChannelId(Band.ISM_2_4, 1), ChannelId(Band.ISM_2_4, 2)])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from bsnsim.channel import (Band, ChannelId, DeliveryOutcome, LinkMatrix,
                             Medium, PathLossParams, Position, empirical_outcome,
                             interference_gate, path_loss_db, rx_power_dbm)
-from bsnsim.core import Simulator
+from bsnsim.core import Simulator, substream_seed
 from bsnsim.energy import PowerProfile
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node
@@ -244,3 +244,65 @@ def test_airtime_of_128_byte_frame_at_250kbps():
     sim = Simulator()
     medium = Medium(sim, default_params=FLAT)
     assert medium.airtime_ticks(128, ISM) == 4096
+
+
+# Per-pair link records --------------------------------------------------------
+
+SHADOWED = PathLossParams(pl_d0=40.0, d0=0.1, exponent=2.0, shadow_sigma=4.0)
+
+
+def _shadowed_medium(seed):
+    return Medium(Simulator(master_seed=seed), default_params=SHADOWED)
+
+
+def _send_at(medium, at, radio, dst, sent, airtime=None):
+    """Unicast a 128-byte frame at tick `at`; `sent` receives its
+    Transmission once it is on the air."""
+    def go():
+        frame = Frame(FrameKind.DATA, radio.nid, dst, 128)
+        sent.append(medium.begin_tx(radio, frame, -5.0, airtime=airtime))
+    medium.sim.schedule_at(at, "send", radio.nid, go)
+
+
+def test_shadowed_link_draws_in_stream_order():
+    seed = 17
+    medium = _shadowed_medium(seed)
+    a = _radio(medium, "a", 0.0)
+    b = _radio(medium, "b", 0.7)
+    sent = []
+    for k in range(6):
+        _send_at(medium, k * 5_000, a, "b", sent)
+    medium.sim.run(40_000)
+    oracle = random.Random(substream_seed(seed, "shadow:a:b"))
+    expected = [path_loss_db(0.7, SHADOWED, oracle) for _ in range(6)]
+    assert [tx.loss_cache[b] for tx in sent] == expected
+
+
+def test_interferer_loss_drawn_once_per_receiver():
+    seed = 3
+    medium = _shadowed_medium(seed)
+    a = _radio(medium, "a", 0.0)
+    b = _radio(medium, "b", 0.3)
+    i = _radio(medium, "i", 5.0)
+    _radio(medium, "x", 6.0)
+    # one long frame to x overlaps three receptions at b
+    long_tx, sent = [], []
+    _send_at(medium, 0, i, "x", long_tx, airtime=20_000)
+    for k in range(3):
+        _send_at(medium, 1_000 + k * 5_000, a, "b", sent)
+    medium.sim.run(40_000)
+    oracle = random.Random(substream_seed(seed, "shadow:i:b"))
+    expected = path_loss_db(i.position.distance_to(b.position), SHADOWED,
+                            oracle)
+    assert len(sent) == 3
+    assert long_tx[0].loss_cache[b] == expected
+    # the stream moved by exactly that one draw
+    assert medium.sim.stream("shadow:i:b").getstate() == oracle.getstate()
+
+
+def test_degenerate_geometry_rejected_on_the_medium():
+    medium = _medium()
+    _radio(medium, "rx", 0.0)
+    _send(medium, _radio(medium, "tx", 0.0), "rx")
+    with pytest.raises(ValueError, match="degenerate geometry"):
+        medium.sim.run(10_000)

@@ -102,6 +102,19 @@ def test_bad_protocol_value_exit_code(tmp_path, capsys):
     assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in err
 
 
+def test_co_located_nodes_exit_code(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
+    raw["nodes"][1]["pos"] = list(raw["nodes"][0]["pos"])
+    path = tmp_path / "co_located.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
+               "--until", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nodes[1].pos:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])
 def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
                                                      protocol):

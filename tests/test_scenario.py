@@ -54,6 +54,21 @@ def test_unknown_traffic_node_rejected():
             {"node": "ghost", "class": "NormalHigh", "period_s": 1.0}]})
 
 
+def test_co_located_nodes_rejected_in_geometric_mode():
+    # path loss is undefined below min_distance_m, so this would crash mid-run
+    with pytest.raises(ScenarioError,
+                       match=r"nodes\[1\]\.pos: 0\.0 m from 'bnc'"):
+        make_scenario({
+            "nodes": [
+                {"id": "bnc", "kind": "bnc", "channel": "ism",
+                 "pos": [0.5, 0.5], "initial_j": None},
+                {"id": "n1", "kind": "onbody", "channel": "ism",
+                 "pos": [0.5, 0.5]},
+            ],
+            "traffic": [{"node": "n1", "class": "NormalHigh",
+                         "period_s": 1.0}]})
+
+
 def test_star_topology_enforced_without_bridge():
     with pytest.raises(ScenarioError, match="star topology"):
         make_scenario({
