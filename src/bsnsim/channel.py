@@ -165,19 +165,16 @@ def interference_gate(enabled: bool, rng,
 class Transmission:
     """One frame on the air on one channel, from `start` up to `end`."""
 
-    __slots__ = ("channel", "power_dbm", "start", "airtime", "end", "frame",
-                 "radio", "on_result", "aborted", "loss_cache")
+    __slots__ = ("radio", "frame", "power_dbm", "start", "end", "on_result",
+                 "aborted", "loss_cache")
 
-    def __init__(self, channel: ChannelId, power_dbm: float, start: SimTime,
-                 airtime: SimTime, frame=None, radio=None,
-                 on_result: Optional[Callable] = None):
-        self.channel = channel
+    def __init__(self, radio, frame, power_dbm: float, start: SimTime,
+                 end: SimTime, on_result: Optional[Callable] = None):
+        self.radio = radio
+        self.frame = frame
         self.power_dbm = power_dbm
         self.start = start
-        self.airtime = airtime
-        self.end = start + airtime
-        self.frame = frame
-        self.radio = radio
+        self.end = end
         self.on_result = on_result
         self.aborted = False
         self.loss_cache: dict = {}  # receiving radio -> loss in dB
@@ -307,8 +304,9 @@ class Medium:
         if airtime is None:
             bits = frame.nbytes * 8
             airtime = (bits * 1_000_000 + cs.rate - 1) // cs.rate
-        tx = Transmission(radio.channel, power_dbm, self.sim.now, airtime,
-                          frame, radio, on_result)
+        now = self.sim.now
+        tx = Transmission(radio, frame, power_dbm, now, now + airtime,
+                          on_result)
         radio.enter_tx()
         radio.current_tx = tx
         cs.active.append(tx)
