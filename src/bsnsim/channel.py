@@ -336,6 +336,10 @@ class Medium:
         # to overheard unicasts, and CCA is energy-based, not decode-based.
         candidates = (cs.radios if link_dst is None
                       else cs.by_node.get(link_dst, ()))
+        # The transmissions overlapping tx are the same at every receiver
+        # (one started by a delivery below starts at tx.end), so they are
+        # listed once, at the first receiver that is judged.
+        interferers = None
         for radio in candidates:
             node_id = radio.nid
             if node_id == tx_node or radio.dead:
@@ -344,7 +348,12 @@ class Medium:
                 if node_id == link_dst and link_result is None:
                     link_result = DeliveryOutcome.OFF_CHANNEL
                 continue
-            outcome = self._resolve(tx, radio, cs)
+            if interferers is None:
+                tx_end = tx.end
+                interferers = [o for pool in (cs.active, cs.recent)
+                               for o in pool if o is not tx
+                               and o.start < tx_end and o.end > tx_start]
+            outcome = self._resolve(tx, radio, cs, interferers)
             if node_id == link_dst and link_result is not DeliveryOutcome.DELIVERED:
                 link_result = outcome
             if outcome is DeliveryOutcome.DELIVERED:
@@ -402,12 +411,10 @@ class Medium:
             tx.loss_cache[radio] = loss
         return loss
 
-    def _resolve(self, tx: Transmission, radio, cs: _ChannelState) -> DeliveryOutcome:
-        """Judge `tx` at a radio that has been receive-capable since its start."""
-        start = tx.start
-        end = tx.end
-        interferers = [o for pool in (cs.active, cs.recent) for o in pool
-                       if o is not tx and o.start < end and o.end > start]
+    def _resolve(self, tx: Transmission, radio, cs: _ChannelState,
+                 interferers: list) -> DeliveryOutcome:
+        """Judge `tx` at a radio that has been receive-capable since its
+        start; `interferers` are the transmissions that overlap it."""
         if self.mode == "geometric":
             rx_dbm = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
             outcome = geometric_outcome(

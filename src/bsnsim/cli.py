@@ -140,6 +140,16 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsnsim",
@@ -150,21 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--protocol", required=True)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--reps", type=int, default=None)
+    run.add_argument("--reps", type=_at_least_one, default=None)
     run.add_argument("--until", type=float, default=None,
                      help="horizon override in seconds")
     run.add_argument("--out", default=None)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=_at_least_one, default=1)
     run.set_defaults(fn=cmd_run)
 
     cmp_ = sub.add_parser("compare", help="paired-seed protocol comparison")
     cmp_.add_argument("--scenario", required=True)
     cmp_.add_argument("--protocols", required=True,
                       help="comma-separated protocol list")
-    cmp_.add_argument("--reps", type=int, default=None)
+    cmp_.add_argument("--reps", type=_at_least_one, default=None)
     cmp_.add_argument("--until", type=float, default=None)
     cmp_.add_argument("--out", default=None)
-    cmp_.add_argument("--workers", type=int, default=1)
+    cmp_.add_argument("--workers", type=_at_least_one, default=1)
     cmp_.set_defaults(fn=cmd_compare)
 
     routes = sub.add_parser("dump-routes", help="print resolved routes as CSV")

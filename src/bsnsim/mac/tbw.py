@@ -84,6 +84,8 @@ class TbwMac(MacBase):
         else:
             self.radio = node.add_radio("data", self.channel)
             self.radio.on_frame = self._on_frame
+            self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES,
+                                                       self.radio.channel)
             self.entry_view: Optional[WakeupEntry] = next(
                 (e for e in scenario.wakeup_table if e.node == node.node_id),
                 None)
@@ -221,8 +223,7 @@ class TbwMac(MacBase):
             return
         self.new_session()
         self.radio.set_state("listen")
-        beacon_air = self.medium.airtime_ticks(BEACON_BYTES, self.radio.channel)
-        deadline = occ + beacon_air + self.guard + 500
+        deadline = occ + self.beacon_airtime + self.guard + 500
         self.at(deadline, "beacon_timeout", self._window_beacon_missed)
 
     def _window_beacon_missed(self) -> None:

@@ -278,9 +278,34 @@ def run_one(scenario: Scenario, protocol: str, seed: int, *,
     return metrics
 
 
-def _pool_run(args):
-    scenario, protocol, seed = args
-    return run_one(scenario, protocol, seed)
+_scenario: Optional[Scenario] = None  # the batch's scenario, in a pool worker
+
+
+def _init_worker(scenario: Scenario) -> None:
+    global _scenario
+    _scenario = scenario
+
+
+def _pool_run(job):
+    return run_one(_scenario, *job)
+
+
+def _run_jobs(scenario: Scenario, jobs: list, workers: int) -> list[RunMetrics]:
+    """Run every (protocol, seed) job of one batch; results in job order.
+
+    A forked worker inherits the scenario once, through the pool initializer,
+    so a job carries only its protocol and seed. Jobs go out in chunks of
+    about a twentieth of each worker's share: a small batch is sent one job
+    at a time, so no worker is left with a tail of long runs.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        return [run_one(scenario, *job) for job in jobs]
+    workers = min(workers, len(jobs))
+    chunksize = max(1, len(jobs) // (20 * workers))
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_init_worker,
+                  initargs=(scenario,)) as pool:
+        return pool.map(_pool_run, jobs, chunksize=chunksize)
 
 
 def run_replications(scenario: Scenario, protocol: str,
@@ -289,12 +314,7 @@ def run_replications(scenario: Scenario, protocol: str,
                      workers: int = 1) -> list[RunMetrics]:
     if seeds is None:
         seeds = scenario.seeds(reps)
-    jobs = [(scenario, protocol, s) for s in seeds]
-    if workers > 1 and len(jobs) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(jobs))) as pool:
-            return pool.map(_pool_run, jobs)
-    return [run_one(scenario, protocol, s) for s in seeds]
+    return _run_jobs(scenario, [(protocol, s) for s in seeds], workers)
 
 
 def compare_protocols(scenario: Scenario, protocols: list[str],
@@ -304,13 +324,8 @@ def compare_protocols(scenario: Scenario, protocols: list[str],
         raise ValueError("need >= 2 protocols to compare")
     seeds = scenario.seeds(reps)
     out = {"seeds": seeds, "runs": {}, "aggregates": {}, "ordering": []}
-    jobs = [(scenario, protocol, s) for protocol in protocols for s in seeds]
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(workers, len(jobs))) as pool:
-            results = pool.map(_pool_run, jobs, chunksize=1)
-    else:
-        results = [run_one(*job) for job in jobs]
+    results = _run_jobs(scenario, [(p, s) for p in protocols for s in seeds],
+                        workers)
     for i, protocol in enumerate(protocols):
         runs = results[i * len(seeds):(i + 1) * len(seeds)]
         out["runs"][protocol] = runs

@@ -135,3 +135,22 @@ def test_unknown_protocol_exit_code(tmp_path, capsys):
                "--until", "1", "--out", str(tmp_path)])
     assert rc == 1
     assert "unknown protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--reps", "0"), ("--workers", "0"),
+                                        ("--workers", "-1")])
+@pytest.mark.parametrize("command", [
+    ["run", "--protocol", "tbw"],
+    ["compare", "--protocols", "tbw,tbw_alwayson"],
+])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag,
+                                           value):
+    argv = command + ["--scenario", "tbw_emergency", "--out", str(tmp_path),
+                      "--workers", "2", "--reps", "2", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+    assert "Number of processes" not in err
+    assert not list(tmp_path.iterdir())
