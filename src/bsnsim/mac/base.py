@@ -56,7 +56,8 @@ class MacBase:
 
     Session rule: a scheduled step belongs to the session in which it was
     scheduled and does nothing once `new_session()` has started another one
-    or the node has died. Its event is still dispatched.
+    or the node has died. Its event is still dispatched. Steps that outlive
+    sessions go through `node.at`/`node.after`, which hold the dead-node half.
     """
 
     name: str  # the protocol's name in scenarios and on the command line
@@ -115,8 +116,6 @@ class MacBase:
         raise NotImplementedError
 
     def enqueue(self, mpdu: Mpdu) -> None:
-        if self.node.dead:
-            return
         if not self.queue.push(mpdu):
             self.metrics.on_dropped(mpdu)
             return
@@ -151,7 +150,7 @@ class MacBase:
         return self.sim.schedule_at(when, kind, self.target, self.in_session(fn))
 
     def after(self, delay: SimTime, kind: str, fn: Callable[[], None]) -> Event:
-        return self.sim.schedule(delay, kind, self.target, self.in_session(fn))
+        return self.at(self.sim.now + delay, kind, fn)
 
     # Unacknowledged sends --------------------------------------------------
 
@@ -186,17 +185,16 @@ class MacBase:
 
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
         """Receiver side: switch rx for the turnaround, then transmit the ack."""
-        if radio.state == "tx" or self.node.dead:
+        if radio.state == "tx":
             return
         radio.set_state("rx")
         ack = Frame.ack(self.node.node_id, to, mpdu.seq, mpdu.src)
 
         def _tx_ack():
-            if self.node.dead or radio.state == "tx":
-                return
-            self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)
+            if radio.state != "tx":
+                self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)
 
-        self.sim.schedule(TURNAROUND_US, "ack_tx", self.target, _tx_ack)
+        self.node.after(TURNAROUND_US, "ack_tx", _tx_ack)
 
     def send_awaiting_ack(self, on_timeout: Callable[[], None]) -> None:
         """Send the frame in service once on `self.radio`, then wait for its
@@ -283,7 +281,7 @@ class SlottedCsmaMac(MacBase):
         return self._access_start + max(0, k) * UNIT_BACKOFF_US
 
     def _backoff(self) -> None:
-        if self.node.dead or not self._may_contend():
+        if not self._may_contend():
             return
         delay_units = self.rng.randrange(1 << self._be)
         b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US

@@ -140,18 +140,14 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def start(self) -> None:
         if self.is_coordinator:
-            self.sim.schedule_at(0, "beacon_prep", self.target,
-                                 self._coord_beacon)
+            self.node.at(0, "beacon_prep", self._coord_beacon)
         else:
             self._next_beacon_at = 0
-            self.sim.schedule_at(0, "wake_beacon", self.target,
-                                 self._wake_for_beacon)
+            self.node.at(0, "wake_beacon", self._wake_for_beacon)
 
     # -- coordinator --------------------------------------------------------
 
     def _coord_beacon(self) -> None:
-        if self.node.dead:
-            return
         self.descriptors = gts_manage(
             self.gts_requests, self.descriptors, self._gts_activity,
             num_gts_slots=self.sf.num_gts_slots,
@@ -173,14 +169,12 @@ class Beacon802154Mac(SlottedCsmaMac):
                        info=info)
         self.medium.begin_tx(self.radio, beacon, self.node.tx_power_dbm)
         if self.sf.superframe_order < self.sf.beacon_order:
-            self.sim.schedule_at(sd_start + self.sf.active_duration,
-                                 "coord_sleep", self.target,
-                                 lambda: self.radio.set_state("sleep"))
-            self.sim.schedule_at(sd_start + self.sf.beacon_interval - TURNAROUND_US,
-                                 "coord_wake", self.target,
-                                 lambda: self.radio.set_state("listen"))
-        self.sim.schedule_at(sd_start + self.sf.beacon_interval, "beacon_prep",
-                             self.target, self._coord_beacon)
+            self.node.at(sd_start + self.sf.active_duration, "coord_sleep",
+                         lambda: self.radio.set_state("sleep"))
+            self.node.at(sd_start + self.sf.beacon_interval - TURNAROUND_US,
+                         "coord_wake", lambda: self.radio.set_state("listen"))
+        self.node.at(sd_start + self.sf.beacon_interval, "beacon_prep",
+                     self._coord_beacon)
 
     def request_gts(self, owner: str) -> None:
         """Out-of-band GTS request collection, processed at the next beacon."""
@@ -190,8 +184,6 @@ class Beacon802154Mac(SlottedCsmaMac):
     # -- device -------------------------------------------------------------
 
     def _wake_for_beacon(self) -> None:
-        if self.node.dead:
-            return
         self.new_session()
         self.radio.set_state("listen")
         deadline = self._next_beacon_at + self.beacon_airtime + self.guard_us
@@ -206,8 +198,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         self.radio.set_state("sleep")
         self._next_beacon_at += self.sf.beacon_interval
         wake_at = max(self.sim.now, self._next_beacon_at - self.guard_us)
-        self.sim.schedule_at(wake_at, "wake_beacon",
-                             self.target, self._wake_for_beacon)
+        self.node.at(wake_at, "wake_beacon", self._wake_for_beacon)
 
     def _on_beacon(self, frame: Frame) -> None:
         if self._beacon_timeout is not None:
@@ -219,10 +210,8 @@ class Beacon802154Mac(SlottedCsmaMac):
         self._access_end = info["cap_end"]
         self._next_beacon_at = info["sd_start"] + self.sf.beacon_interval
         self._my_gts = info["gts"].get(self.node.node_id)
-        wake_at = self._next_beacon_at - self.guard_us
-        self.sim.schedule_at(wake_at, "wake_beacon",
-                             self.target,
-                             self._wake_for_beacon)
+        self.node.at(self._next_beacon_at - self.guard_us, "wake_beacon",
+                     self._wake_for_beacon)
         if self.gts_enabled:
             has_traffic = len(self.queue) or self.in_service is not None
             if self._my_gts and has_traffic:

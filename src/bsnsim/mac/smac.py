@@ -62,27 +62,20 @@ class SMac(SlottedCsmaMac):
         self.radio.on_frame = self._on_frame
 
     def start(self) -> None:
-        self.sim.schedule_at(0, "smac_listen", self.target,
-                             self._enter_listen)
+        self.node.at(0, "smac_listen", self._enter_listen)
 
     def _enter_listen(self) -> None:
-        if self.node.dead:
-            return
         self.new_session()
         self._access_start = self.sim.now
         self._access_end = self.sim.now + self.smac.listen_ticks
         self.radio.set_state("listen")
-        self.sim.schedule_at(self._access_end, "smac_sleep",
-                             self.target, self._enter_sleep)
-        self.sim.schedule_at(self._access_start + self.smac.cycle_ticks,
-                             "smac_listen", self.target,
-                             self._enter_listen)
+        self.node.at(self._access_end, "smac_sleep", self._enter_sleep)
+        self.node.at(self._access_start + self.smac.cycle_ticks,
+                     "smac_listen", self._enter_listen)
         if not self.is_coordinator:
             self._start_service()
 
     def _enter_sleep(self) -> None:
-        if self.node.dead:
-            return
         self.new_session()  # cancels any pending contention steps
         if self.radio.state != "tx":
             self.radio.set_state("sleep")

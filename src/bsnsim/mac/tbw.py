@@ -170,10 +170,8 @@ class TbwMac(MacBase):
                                      "revision": self.table.revision})
                 self.medium.begin_tx(radio, beacon, self.node.tx_power_dbm)
             if self.pattern.fallback:
-                self.sim.schedule_at(self.sim.now + entry.window + self.guard,
-                                     "bnc_fallback_sleep",
-                                     self.target,
-                                     lambda: self._release(radio.channel, 0))
+                self.node.after(entry.window + self.guard, "bnc_fallback_sleep",
+                                lambda: self._release(radio.channel, 0))
             self.at(entry.occurrence_after(self.sim.now), "window_beacon", fire)
 
         self.at(entry.occurrence_after(self.sim.now - 1), "window_beacon", fire)
@@ -320,8 +318,6 @@ class TbwMac(MacBase):
     # ------------------------------------------------------------------ #
 
     def enqueue(self, mpdu: Mpdu) -> None:
-        if self.node.dead:
-            return
         if mpdu.cls is TrafficClass.EMERGENCY and not self.is_coordinator:
             self._pending_emergencies.append(mpdu)
             if self._emg_active is None:
@@ -353,7 +349,7 @@ class TbwMac(MacBase):
         self._emergency_signal()
 
     def _emergency_signal(self) -> None:
-        if self.node.dead or self._emg_active is None:
+        if self._emg_active is None:
             return
         self._emg_tries += 1
         if self._emg_tries > self.max_tries:
@@ -418,22 +414,17 @@ class TbwMac(MacBase):
         radio = self.data_radios[channel]
 
         def send_grant():
-            if self.node.dead:
-                return
             if radio.state == "tx":
-                self.sim.schedule(500, "grant_wait", self.target,
-                                  send_grant)
+                self.node.after(500, "grant_wait", send_grant)
                 return
             grant = Frame(FrameKind.GRANT, self.node.node_id, src, GRANT_BYTES)
             self.medium.begin_tx(radio, grant, self.node.tx_power_dbm)
             # hold the radio until the access completes, then re-sleep
-            self.sim.schedule(self.retry_timeout, "session_release",
-                              self.target,
-                              lambda: self._release(channel))
+            self.node.after(self.retry_timeout, "session_release",
+                            lambda: self._release(channel))
 
         radio.set_state("rx")
-        self.sim.schedule(TURNAROUND_US, "grant_tx", self.target,
-                          send_grant)
+        self.node.after(TURNAROUND_US, "grant_tx", send_grant)
 
     # ------------------------------------------------------------------ #
     # on-demand: coordinator-initiated wakeup                            #
@@ -458,7 +449,7 @@ class TbwMac(MacBase):
         radio = self.data_radios[channel]
 
         def send_poll():
-            if self.node.dead or radio.state == "tx":
+            if radio.state == "tx":
                 return
             poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
                          info={"target": request.target,
@@ -466,14 +457,11 @@ class TbwMac(MacBase):
                                "duration": request.duration,
                                "period": request.stream_period})
             self.medium.begin_tx(radio, poll, self.node.tx_power_dbm)
-            hold = request.duration + 200_000
-            self.sim.schedule(hold, "session_release",
-                              self.target,
-                              lambda: self._release(channel))
+            self.node.after(request.duration + 200_000, "session_release",
+                            lambda: self._release(channel))
 
         def after_signal(_outcome):
-            self.sim.schedule(TURNAROUND_US, "poll_tx",
-                              self.target, send_poll)
+            self.node.after(TURNAROUND_US, "poll_tx", send_poll)
             self.wakeup_tx.set_state("sleep")
 
         self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,

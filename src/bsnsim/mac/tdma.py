@@ -87,30 +87,24 @@ class PbTdmaMac(MacBase):
 
     def start(self) -> None:
         if self.is_coordinator:
-            self.sim.schedule_at(0, "tdma_round", self.target,
-                                 self._coord_round)
+            self.node.at(0, "tdma_round", self._coord_round)
         else:
-            self.sim.schedule_at(0, "tdma_wake", self.target,
-                                 self._wake_for_preamble)
+            self.node.at(0, "tdma_wake", self._wake_for_preamble)
 
     # Coordinator: broadcast the preamble, listen for the rest of the round.
 
     def _coord_round(self) -> None:
-        if self.node.dead:
-            return
         start = self.sim.now
         preamble = Frame(FrameKind.PREAMBLE, self.node.node_id, None, 0,
                          info={"round_start": start})
         self.medium.begin_tx(self.radio, preamble, self.node.tx_power_dbm,
                              airtime=self.schedule.preamble_ticks)
-        self.sim.schedule_at(start + self.schedule.round_ticks, "tdma_round",
-                             self.target, self._coord_round)
+        self.node.at(start + self.schedule.round_ticks, "tdma_round",
+                     self._coord_round)
 
     # Device: wake for the preamble; on success, serve owned slots.
 
     def _wake_for_preamble(self) -> None:
-        if self.node.dead:
-            return
         self.new_session()
         self._round_start = self.sim.now
         self.radio.set_state("listen")
@@ -118,9 +112,8 @@ class PbTdmaMac(MacBase):
         # a missed preamble skips the whole round
         self.at(deadline, "preamble_timeout",
                 lambda: self.radio.set_state("sleep"))
-        self.sim.schedule_at(self._round_start + self.schedule.round_ticks,
-                             "tdma_wake", self.target,
-                             self._wake_for_preamble)
+        self.node.at(self._round_start + self.schedule.round_ticks,
+                     "tdma_wake", self._wake_for_preamble)
 
     def _on_preamble(self, frame: Frame) -> None:
         self.new_session()  # cancels the pending miss timeout

@@ -164,6 +164,17 @@ class Node:
         self.power_changed()
         return radio
 
+    def at(self, when: SimTime, kind: str, fn: Callable[[], None]) -> Event:
+        """Schedule `fn` at `when` on this node. It does nothing once the
+        node has died; its event is still dispatched."""
+        def step():
+            if not self.dead:
+                fn()
+        return self.sim.schedule_at(when, kind, self.target, step)
+
+    def after(self, delay: SimTime, kind: str, fn: Callable[[], None]) -> Event:
+        return self.at(self.sim.now + delay, kind, fn)
+
     def consumed_j(self, flush: bool = True) -> float:
         if flush:
             for radio in self.radios.values():

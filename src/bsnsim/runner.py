@@ -61,14 +61,10 @@ class BridgePump:
                 self.network.metrics.on_dropped(mpdu)
             self.pump()
 
-        self.network.sim.schedule(TURNAROUND_US, "bridge_fwd", self.node.target,
-                                  lambda: self._tx(radio, frame, done))
-
-    def _tx(self, radio, frame, done) -> None:
-        if self.node.dead:
-            return
-        self.network.medium.begin_tx(radio, frame, self.node.tx_power_dbm,
-                                     on_result=done)
+        self.node.after(TURNAROUND_US, "bridge_fwd",
+                        lambda: self.network.medium.begin_tx(
+                            radio, frame, self.node.tx_power_dbm,
+                            on_result=done))
 
     def pending(self) -> list[Mpdu]:
         out = [m for m, _ in self.state.store]
@@ -225,16 +221,15 @@ def _schedule_traffic(network: Network) -> None:
             kind = "traffic_arrival"
         if t is None or t > horizon:
             return
+        node = network.nodes[spec.node]
 
         def fire():
-            if network.nodes[spec.node].dead:
-                return  # dead nodes generate nothing
             mpdu = network.new_mpdu(spec.node, spec.dst, spec.cls,
                                     spec.payload_bytes)
-            network.nodes[spec.node].mac.enqueue(mpdu)
+            node.mac.enqueue(mpdu)
             arm(spec)
 
-        sim.schedule_at(t, kind, network.nodes[spec.node].target, fire)
+        node.at(t, kind, fire)  # a dead node generates nothing
 
     for spec in scenario.traffic:
         arm(spec)
@@ -247,8 +242,8 @@ def _schedule_traffic(network: Network) -> None:
             target=od["target"], mode=OnDemandMode(od["mode"]),
             duration=ticks_from_seconds(od["duration_s"]),
             stream_period=ticks_from_seconds(od["period_s"]))
-        sim.schedule_at(
-            at, "on_demand", network.nodes[scenario.bnc].target,
+        network.nodes[scenario.bnc].at(
+            at, "on_demand",
             lambda request=request, od=od: network.coordinator_mac.issue_request(
                 request, od["addressing"]))
 

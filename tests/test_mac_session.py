@@ -1,6 +1,7 @@
 """The session rule in MacBase: a scheduled step runs only while the session
 it was scheduled in lasts and its node is alive; its event is dispatched
-either way."""
+either way. A step scheduled through the node outlives sessions and runs
+only while the node is alive."""
 
 from bsnsim.runner import build_network
 from tests.conftest import make_scenario
@@ -67,3 +68,38 @@ def test_steps_are_noops_after_the_node_dies():
     assert net.nodes["n1"].dead and net.nodes["n1"].death_time < 1000
     assert ran == []
     assert _probes_dispatched(net) == 3
+
+
+
+def _node_probes(net, ran):
+    """One step each from the node's `at` and `after`, from 1 ms on; returns
+    the (tick, kind, target) every dispatched probe should have."""
+    node = net.nodes["n1"]
+    node.at(1000, "node_probe", lambda: ran.append("at"))
+    node.after(2000, "node_probe", lambda: ran.append("after"))
+    return [("1000", "node_probe", "node:n1"), ("2000", "node_probe", "node:n1")]
+
+
+def _dispatched_node_probes(net):
+    fields = (line.split(",") for line in net.sim.trace_lines)
+    return [(f[0], f[2], f[3]) for f in fields if f[2] == "node_probe"]
+
+
+def test_node_steps_outlive_sessions():
+    net, mac = _bare()
+    ran = []
+    expected = _node_probes(net, ran)
+    mac.new_session()
+    net.sim.run(10_000)
+    assert ran == ["at", "after"]
+    assert _dispatched_node_probes(net) == expected
+
+
+def test_node_steps_are_noops_after_the_node_dies():
+    net, _mac = _bare(initial_j=1e-6)
+    ran = []
+    expected = _node_probes(net, ran)
+    net.sim.run(10_000)
+    assert net.nodes["n1"].dead and net.nodes["n1"].death_time < 1000
+    assert ran == []
+    assert _dispatched_node_probes(net) == expected  # still dispatched

@@ -1,11 +1,16 @@
 """End-to-end protocol behavior on small networks."""
 
+import dataclasses
+
+import pytest
+
 from bsnsim.core import US_PER_S
 from bsnsim.frames import FrameKind
 from bsnsim.mac.base import TURNAROUND_US
 from bsnsim.runner import build_network, run_one
 from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
+from tests.test_golden_trace import _bundled, _dying, _on_demand
 
 
 def run_net(scenario, protocol, seed, keep_tx_log=False):
@@ -217,18 +222,54 @@ def test_death_mid_transmission_kills_the_frame():
     assert m.node_energy_j["n1"] <= listen_j + 3e-5 + 1e-12
 
 
-def test_dead_node_stops_generating_and_receiving():
-    sc = make_scenario({
+def _sender_dies():
+    """n1 sends every 50 ms and dies at ~0.185 s of 54 mW listening."""
+    return make_scenario({
         "horizon_s": 2.0,
         "nodes": [
             {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
              "initial_j": None},
             {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
-             "initial_j": 0.01},  # dies at ~0.185 s of 54 mW listening
+             "initial_j": 0.01},
         ],
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.05,
                      "offset_s": 0.02}],
     })
+
+
+def _coordinator_dies_before_request():
+    """The on-demand golden case with a coordinator that dies at ~2.2 s,
+    before the request due at 4.1 s."""
+    sc = _on_demand()
+    return dataclasses.replace(sc, nodes=[
+        dataclasses.replace(n, initial_j=0.01) if n.id == sc.bnc else n
+        for n in sc.nodes])
+
+
+DEATH_CASES = {
+    "direct": (_sender_dies, "direct", 15),
+    "on-demand-tbw": (_coordinator_dies_before_request, "tbw", 9),
+    "fig2-dying-csma802154":
+        (lambda: _dying(_bundled("paper_fig2", 30)), "csma802154", 1001),
+    "fig2-dying-pbtdma":
+        (lambda: _dying(_bundled("paper_fig2", 30)), "pbtdma", 1001),
+    "fig2-dying-smac": (lambda: _dying(_bundled("paper_fig2", 30)), "smac", 1001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEATH_CASES))
+def test_no_transmission_starts_after_its_node_dies(case):
+    build, protocol, seed = DEATH_CASES[case]
+    net = run_net(build(), protocol, seed, keep_tx_log=True)
+    deaths = {nid: node.death_time for nid, node in net.nodes.items()}
+    assert any(t is not None for t in deaths.values())
+    for start, _end, _channel, src, kind, *_rest in net.medium.tx_log:
+        assert deaths[src] is None or start <= deaths[src], \
+            f"{src} starts a {kind.value} at {start} after dying at {deaths[src]}"
+
+
+def test_dead_node_stops_generating_and_receiving():
+    sc = _sender_dies()
     net = run_net(sc, "direct", seed=15, keep_tx_log=True)
     m = finalize(net)
     death = net.nodes["n1"].death_time
