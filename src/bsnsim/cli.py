@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -93,9 +94,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _load(args)
-    protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     out = _outdir(args)
-    result = compare_protocols(scenario, protocols, workers=args.workers)
+    result = compare_protocols(scenario, args.protocols, workers=args.workers)
     write_aggregate_csv(result["aggregates"], out / "aggregate.csv")
     write_report(result["aggregates"], result["ordering"], out / "report.txt")
     for line in result["ordering"]:
@@ -150,6 +150,25 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _protocol_list(text: str) -> list[str]:
+    protocols = [p.strip() for p in text.split(",") if p.strip()]
+    repeated = sorted({p for p in protocols if protocols.count(p) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"listed more than once: {', '.join(repeated)}")
+    return protocols
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsnsim",
@@ -161,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--reps", type=_at_least_one, default=None)
-    run.add_argument("--until", type=float, default=None,
+    run.add_argument("--until", type=_positive_seconds, default=None,
                      help="horizon override in seconds")
     run.add_argument("--out", default=None)
     run.add_argument("--workers", type=_at_least_one, default=1)
@@ -169,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="paired-seed protocol comparison")
     cmp_.add_argument("--scenario", required=True)
-    cmp_.add_argument("--protocols", required=True,
+    cmp_.add_argument("--protocols", type=_protocol_list, required=True,
                       help="comma-separated protocol list")
     cmp_.add_argument("--reps", type=_at_least_one, default=None)
-    cmp_.add_argument("--until", type=float, default=None)
+    cmp_.add_argument("--until", type=_positive_seconds, default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.add_argument("--workers", type=_at_least_one, default=1)
     cmp_.set_defaults(fn=cmd_compare)
@@ -185,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--scenario", required=True)
     trace.add_argument("--protocol", default="csma802154")
     trace.add_argument("--seed", type=int, required=True)
-    trace.add_argument("--until", type=float, default=None)
+    trace.add_argument("--until", type=_positive_seconds, default=None)
     trace.add_argument("--out", default=None)
     trace.set_defaults(fn=cmd_trace)
     return parser

@@ -317,6 +317,10 @@ def compare_protocols(scenario: Scenario, protocols: list[str],
     """Paired-seed comparison; returns per-protocol runs and aggregates."""
     if len(protocols) < 2:
         raise ValueError("need >= 2 protocols to compare")
+    repeated = sorted({p for p in protocols if protocols.count(p) > 1})
+    if repeated:
+        raise ValueError(f"protocols listed more than once: "
+                         f"{', '.join(repeated)}")
     seeds = scenario.seeds(reps)
     out = {"seeds": seeds, "runs": {}, "aggregates": {}, "ordering": []}
     results = _run_jobs(scenario, [(p, s) for p in protocols for s in seeds],

@@ -154,3 +154,32 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag,
     assert f"argument {flag}: must be at least 1, got {value}" in err
     assert "Number of processes" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", [
+    ["run", "--protocol", "tbw"],
+    ["compare", "--protocols", "tbw,tbw_alwayson"],
+    ["trace", "--protocol", "tbw", "--seed", "1"],
+])
+def test_horizons_not_above_zero_are_usage_errors(tmp_path, capsys, command,
+                                                 value):
+    argv = command + ["--scenario", "tbw_emergency", "--out", str(tmp_path),
+                      "--until", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --until: must be positive, got {value}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_protocol_listed_twice_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", "tbw_emergency",
+              "--protocols", "tbw,tbw_alwayson, tbw", "--reps", "1",
+              "--until", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --protocols: listed more than once: tbw" in err
+    assert not list(tmp_path.iterdir())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from bsnsim import runner
 from bsnsim.runner import compare_protocols, run_replications
 from bsnsim.scenario import Scenario, load_scenario
 
@@ -59,3 +60,13 @@ def test_an_empty_batch_starts_no_pool(scenario):
     with pytest.raises(ValueError, match="need at least one run"):
         compare_protocols(scenario, ["tbw", "tbw_alwayson"], reps=0,
                           workers=2)
+
+
+def test_a_protocol_listed_twice_is_rejected_before_any_run(scenario,
+                                                            monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(runner, "_run_jobs", refuse)
+    with pytest.raises(ValueError, match="listed more than once: tbw$"):
+        compare_protocols(scenario, ["tbw", "tbw_alwayson", "tbw"], reps=1)
