@@ -53,9 +53,6 @@ class EnergyLedger:
         return sum(ticks * self.power_mw[state] * J_PER_MW_TICK
                    for state, ticks in self.per_state_ticks.items())
 
-    def total_ticks(self) -> SimTime:
-        return sum(self.per_state_ticks.values())
-
     def account(self, state: str, duration: SimTime) -> None:
         """Charge `duration` ticks in `state`."""
         if duration < 0:

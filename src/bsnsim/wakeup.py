@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from .core import SimTime
 from .traffic import TrafficClass
@@ -59,15 +58,6 @@ class WakeupTable:
         self.entries: dict[tuple[str, TrafficClass], WakeupEntry] = {}
         self.revision = 0
 
-    def entry_for(self, node: str,
-                  cls: Optional[TrafficClass] = None) -> Optional[WakeupEntry]:
-        if cls is not None:
-            return self.entries.get((node, cls))
-        for (n, _), e in self.entries.items():
-            if n == node:
-                return e
-        return None
-
     def values(self) -> list[WakeupEntry]:
         return list(self.entries.values())
 
@@ -107,15 +97,6 @@ class BncPattern:
     intervals: list[tuple[SimTime, SimTime]] = field(default_factory=list)
     hyperperiod: SimTime = 0
     fallback: bool = False
-
-    def total_awake(self) -> SimTime:
-        return sum(e - s for s, e in self.intervals)
-
-    def covers(self, start: SimTime, end: SimTime) -> bool:
-        for s, e in self.intervals:
-            if s <= start and end <= e:
-                return True
-        return False
 
 
 def merge_intervals(raw: list[tuple[SimTime, SimTime]]) -> list[tuple[SimTime, SimTime]]:

@@ -1,4 +1,5 @@
-"""Shared helpers for building small in-memory scenarios."""
+"""Shared helpers for building small in-memory scenarios, and oracles for
+the coordinator's wakeup pattern."""
 
 from __future__ import annotations
 
@@ -37,6 +38,16 @@ def make_scenario(overrides: dict) -> Scenario:
     merged = copy.deepcopy(base)
     merged.update(copy.deepcopy(overrides))
     return _build(merged)
+
+
+def pattern_awake(pattern) -> int:
+    """Ticks the coordinator's pattern is awake in one hyperperiod."""
+    return sum(e - s for s, e in pattern.intervals)
+
+
+def pattern_covers(pattern, start: int, end: int) -> bool:
+    """Whether one interval of the pattern holds all of [start, end)."""
+    return any(s <= start and end <= e for s, e in pattern.intervals)
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from bsnsim.scenario import bundled_data_path, load_scenario
 from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, \
     derive_bnc_pattern, table_update
+from tests.conftest import pattern_awake, pattern_covers
 
 WORKERS = 2
 
@@ -180,7 +181,7 @@ def test_07_energy_ledger_closure():
                         else sc.horizon)
             for radio in node.radios.values():
                 led = radio.ledger
-                assert led.total_ticks() == lifetime, \
+                assert sum(led.per_state_ticks.values()) == lifetime, \
                     f"{name}/{proto}/{node.node_id}/{radio.label}"
                 recomputed = sum(t * led.power_mw[s] * 1e-9
                                  for s, t in led.per_state_ticks.items())
@@ -235,10 +236,10 @@ def test_08_bnc_pattern_optimality(raw, guard):
         k = 0
         while e.offset + k * e.period < pattern.hyperperiod:
             start = e.offset + k * e.period
-            assert pattern.covers(start, start + e.window)
+            assert pattern_covers(pattern, start, start + e.window)
             guarded.append((max(0, start - guard), start + e.window + guard))
             k += 1
-    assert pattern.total_awake() == _sweep_union(guarded)
+    assert pattern_awake(pattern) == _sweep_union(guarded)
 
 
 def test_08_report():

@@ -74,7 +74,7 @@ def test_exhaustion_to_zero_remaining():
     assert node.dead
     assert node.consumed_j() == pytest.approx(5.0, abs=1e-7)
     assert node.consumed_j() <= 5.0
-    assert radio.ledger.total_ticks() == node.death_time
+    assert sum(radio.ledger.per_state_ticks.values()) == node.death_time
 
 
 def test_ledger_identity():

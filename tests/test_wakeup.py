@@ -7,6 +7,7 @@ from bsnsim.core import US_PER_S
 from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import (TableAction, WakeupEntry, WakeupTable,
                            derive_bnc_pattern, merge_intervals, table_update)
+from tests.conftest import pattern_awake, pattern_covers
 
 S = US_PER_S
 
@@ -55,7 +56,7 @@ def test_modify_replaces_and_bumps_revision():
     table_update(t, _entry("ecg", 900.0), TableAction.INSERT)
     table_update(t, _entry("ecg", 1800.0), TableAction.MODIFY)
     assert t.revision == 2
-    assert t.entry_for("ecg").period == 1800 * S
+    assert t.entries[("ecg", TrafficClass.NORMAL_HIGH)].period == 1800 * S
 
 
 def test_entry_validation():
@@ -79,7 +80,7 @@ def test_occurrence_after():
 def test_empty_table_empty_pattern():
     p = derive_bnc_pattern(WakeupTable())
     assert p.intervals == []
-    assert p.total_awake() == 0
+    assert pattern_awake(p) == 0
 
 
 def test_overlapping_windows_merge_hand_case():
@@ -100,7 +101,7 @@ def test_disjoint_windows_hand_case():
     table_update(t, _entry("b", 10.0, 5.0, 1.0), TableAction.INSERT)
     p = derive_bnc_pattern(t, guard=0)
     assert p.intervals == [(0, 1 * S), (5 * S, 6 * S)]
-    assert p.total_awake() == 2 * S
+    assert pattern_awake(p) == 2 * S
 
 
 def test_mixed_periods_unroll_over_hyperperiod():
@@ -182,6 +183,6 @@ def test_pattern_superset_and_minimality(raw_entries, guard_us):
             k += 1
     # superset: every node window fully inside some pattern interval
     for w in windows:
-        assert p.covers(*w), f"window {w} escapes the pattern"
+        assert pattern_covers(p, *w), f"window {w} escapes the pattern"
     # minimality: total awake equals the union measure of guarded windows
-    assert p.total_awake() == sweep_union_measure(guarded)
+    assert pattern_awake(p) == sweep_union_measure(guarded)
