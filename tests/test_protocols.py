@@ -269,13 +269,11 @@ def test_no_transmission_starts_after_its_node_dies(case):
 
 
 def test_dead_node_stops_generating_and_receiving():
-    sc = _sender_dies()
-    net = run_net(sc, "direct", seed=15, keep_tx_log=True)
+    # that it sends nothing after death is the "direct" case above
+    net = run_net(_sender_dies(), "direct", seed=15)
     m = finalize(net)
     death = net.nodes["n1"].death_time
     assert death is not None
-    for (start, *_rest) in net.medium.tx_log:
-        assert start <= death
     cc = m.counts[TrafficClass.NORMAL_HIGH]
     # no frames generated after death
     assert cc.generated <= death // 50_000 + 1
