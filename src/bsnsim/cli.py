@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .bridging import Direct, ViaBridge
-from .core import ticks_from_seconds
+from .core import US_PER_S, ticks_from_seconds
 from .metrics import RunMetrics, aggregate
 from .runner import (build_channel_map, compare_protocols, run_one,
                      run_replications)
@@ -155,8 +155,8 @@ def _positive_seconds(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 1 / US_PER_S <= value < math.inf:  # at least one tick
+        raise argparse.ArgumentTypeError(f"must be at least 1e-06, got {text}")
     return value
 
 

@@ -156,13 +156,13 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1", "4e-7", "nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["run", "--protocol", "tbw"],
     ["compare", "--protocols", "tbw,tbw_alwayson"],
     ["trace", "--protocol", "tbw", "--seed", "1"],
 ])
-def test_horizons_not_above_zero_are_usage_errors(tmp_path, capsys, command,
+def test_horizons_below_one_tick_are_usage_errors(tmp_path, capsys, command,
                                                  value):
     argv = command + ["--scenario", "tbw_emergency", "--out", str(tmp_path),
                       "--until", value]
@@ -170,7 +170,7 @@ def test_horizons_not_above_zero_are_usage_errors(tmp_path, capsys, command,
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --until: must be positive, got {value}" in err
+    assert f"argument --until: must be at least 1e-06, got {value}" in err
     assert not list(tmp_path.iterdir())
 
 
