@@ -68,6 +68,10 @@ class PathLossParams:
             raise ValueError("shadow_sigma must be non-negative")
 
 
+DEFAULT_PATHLOSS = PathLossParams(pl_d0=40.0, d0=0.1, exponent=3.38,
+                                  shadow_sigma=4.0)
+
+
 def mean_path_loss_db(distance: float, params: PathLossParams,
                       min_distance: float = DEFAULT_MIN_DISTANCE_M) -> float:
     """Path loss in dB at the given distance, without shadowing."""
@@ -124,6 +128,8 @@ class LinkMatrix:
             if reader.fieldnames is None or set(reader.fieldnames) != expected:
                 raise ValueError(f"link matrix CSV must have header {sorted(expected)}")
             for row in reader:
+                if None in row.values() or None in row:
+                    raise ValueError(f"line {reader.line_num}: expected 4 fields")
                 key = (row["posture"].strip().lower(), row["src"].strip(),
                        row["dst"].strip())
                 entries[key] = float(row["success_rate"])
@@ -253,7 +259,7 @@ class Medium:
         self.sim = sim
         self.mode = mode
         self.pathloss = dict(pathloss or {})
-        self.default_params = default_params or PathLossParams(40.0, 0.1, 3.38, 4.0)
+        self.default_params = default_params or DEFAULT_PATHLOSS
         self.link_matrix = link_matrix
         self.posture = posture
         self.interference_enabled = interference_enabled
@@ -449,7 +455,6 @@ class Medium:
         """
         now = self.sim.now
         cs = radio.chan_state
-        self._prune_recent(cs)
         me = radio.nid
         for pool in (cs.active, cs.recent):
             for tx in pool:

@@ -1,26 +1,52 @@
-"""Nodes and radios: state machines, lazy energy accrual, budget death."""
+"""Power profiles, nodes and radios: state machines, energy accounts, death."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .channel import ChannelId, Medium, Position
 from .core import Event, SimTime, Simulator
-from .energy import EnergyLedger, PowerProfile
+
+J_PER_MW_TICK = 1e-9  # 1 mW for 1 us
+
+
+@dataclass
+class PowerProfile:
+    """Per-state draw in mW; the wakeup receiver is quoted in uW."""
+
+    sleep_mw: float
+    idle_listen_mw: float
+    rx_mw: float
+    tx_mw: float
+    wakeup_rx_uw: float = 50.0
+
+    def __post_init__(self):
+        for name in ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if self.sleep_mw > self.idle_listen_mw:
+            raise ValueError("sleep power must not exceed idle listen power")
+
+    def state_mw(self) -> dict[str, float]:
+        return {"sleep": self.sleep_mw, "listen": self.idle_listen_mw,
+                "rx": self.rx_mw, "tx": self.tx_mw}
 
 
 class Radio:
     """One transceiver, fixed to a channel, owned by a node.
 
     States: sleep, listen (idle receive), rx (turnaround / locked reception),
-    tx. Energy accrues lazily at state changes; `rx_ok_since` marks the start
-    of the current uninterrupted receive-capable stretch, which decides
-    whether a frame that began earlier can be decoded.
+    tx. The radio keeps its own energy account, ticks per state charged by
+    `accrue`; the node owns the budget (`Node.power_changed`). `rx_ok_since`
+    marks the start of the current uninterrupted receive-capable stretch,
+    which decides whether a frame that began earlier can be decoded.
     """
 
     __slots__ = ("sim", "medium", "node", "label", "channel", "state",
-                 "rx_ok_since", "_last_change", "ledger", "dead", "current_tx",
-                 "on_frame", "listening", "_mw", "chan_state", "nid", "key")
+                 "rx_ok_since", "_last_change", "power_mw", "per_state_ticks",
+                 "dead", "current_tx", "on_frame", "listening", "_mw",
+                 "chan_state", "nid", "key")
 
     def __init__(self, sim: Simulator, medium: Medium, node: "Node", label: str,
                  channel: ChannelId, power_mw: dict[str, float],
@@ -36,17 +62,14 @@ class Radio:
         self.listening = initial_state in ("listen", "rx")
         self.rx_ok_since: SimTime = sim.now if self.listening else -1
         self._last_change: SimTime = sim.now
-        self.ledger = EnergyLedger(node.node_id, power_mw)
+        self.power_mw = dict(power_mw)
+        self.per_state_ticks: dict[str, int] = {}
         self._mw = power_mw[initial_state]
         self.dead = False
         self.current_tx = None
         self.on_frame: Optional[Callable] = None
         self.chan_state = None  # filled by Medium.register_radio
         medium.register_radio(self)
-
-    @property
-    def node_id(self) -> str:
-        return self.nid
 
     @property
     def position(self) -> Position:
@@ -56,28 +79,30 @@ class Radio:
     def site(self) -> str:
         return self.node.site
 
-    def flush(self, at: Optional[SimTime] = None) -> None:
-        """Accrue time spent in the current state up to `at` (default now)."""
+    @property
+    def consumed_j(self) -> float:
+        return sum(ticks * self.power_mw[state] * J_PER_MW_TICK
+                   for state, ticks in self.per_state_ticks.items())
+
+    def accrue(self) -> None:
+        """Charge the current state up to now, here and in the node's
+        running total; a dead radio accrues nothing."""
         if self.dead:
             return
-        at = self.sim.now if at is None else at
-        elapsed = at - self._last_change
+        now = self.sim.now
+        elapsed = now - self._last_change
         if elapsed > 0:
-            self.ledger.account(self.state, elapsed)
-            self.node.consumed_cache_j += elapsed * self._mw * 1e-9
-        self._last_change = at
+            ticks = self.per_state_ticks
+            ticks[self.state] = ticks.get(self.state, 0) + elapsed
+            self.node.consumed_cache_j += elapsed * self._mw * J_PER_MW_TICK
+        self._last_change = now
 
     def _apply(self, state: str) -> None:
         now = self.sim.now
         prev = self.state
-        if not self.dead:  # flush(), inline on this hot path
-            elapsed = now - self._last_change
-            if elapsed > 0:
-                self.ledger.account(prev, elapsed)
-                self.node.consumed_cache_j += elapsed * self._mw * 1e-9
-            self._last_change = now
+        self.accrue()
         self.state = state
-        self._mw = self.ledger.power_mw[state]
+        self._mw = self.power_mw[state]
         self.listening = state in ("listen", "rx")
         if self.listening and prev not in ("listen", "rx"):
             self.rx_ok_since = now
@@ -105,8 +130,8 @@ class Radio:
             self.on_frame(frame, tx)
 
     def die(self) -> None:
-        """Freeze the ledger at the current instant; the radio goes silent."""
-        self.flush()
+        """Close the account at the current instant; the radio goes silent."""
+        self.accrue()
         self.dead = True
         self.state = "sleep"
         self.listening = False
@@ -135,7 +160,7 @@ class Node:
         self.horizon_hint = horizon_hint
         self.radios: dict[str, Radio] = {}
         self._radio_list: list[Radio] = []  # radios.values(), for hot loops
-        self.consumed_cache_j = 0.0  # mirror of all ledger accruals
+        self.consumed_cache_j = 0.0  # running total of the radios' accruals
         self.dead = False
         self.death_time: Optional[SimTime] = None
         self.target = f"node:{node_id}"
@@ -175,11 +200,9 @@ class Node:
     def after(self, delay: SimTime, kind: str, fn: Callable[[], None]) -> Event:
         return self.at(self.sim.now + delay, kind, fn)
 
-    def consumed_j(self, flush: bool = True) -> float:
-        if flush:
-            for radio in self.radios.values():
-                radio.flush()
-        return sum(r.ledger.consumed_j for r in self.radios.values())
+    def consumed_j(self) -> float:
+        """The radios' accounts as of the last `finalize`."""
+        return sum(r.consumed_j for r in self.radios.values())
 
     def power_changed(self) -> None:
         """Project the death at the current total draw.
@@ -194,17 +217,15 @@ class Node:
         total_mw = 0.0
         pending_j = 0.0
         for r in self._radio_list:
-            if r.dead:
-                continue
             total_mw += r._mw
-            pending_j += (now - r._last_change) * r._mw * 1e-9
+            pending_j += (now - r._last_change) * r._mw * J_PER_MW_TICK
         self._death_at = None
         if total_mw <= 0.0:
             return
         remaining = self.initial_j - self.consumed_cache_j - pending_j
         if remaining < 0.0:
             remaining = 0.0
-        fire_at = now + int(remaining / (total_mw * 1e-9))
+        fire_at = now + int(remaining / (total_mw * J_PER_MW_TICK))
         if self.horizon_hint is not None and fire_at > self.horizon_hint:
             return
         self._death_at = fire_at
@@ -240,7 +261,6 @@ class Node:
             radio.die()
 
     def finalize(self) -> None:
-        """Accrue all live radios to the current instant (end of run)."""
-        if not self.dead:
-            for radio in self.radios.values():
-                radio.flush()
+        """Accrue every radio's account up to now (end of run)."""
+        for radio in self.radios.values():
+            radio.accrue()

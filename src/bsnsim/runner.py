@@ -19,7 +19,7 @@ from .mac import mac_class
 from .mac.base import TURNAROUND_US
 from .metrics import RunMetrics, aggregate
 from .node import Node
-from .scenario import Scenario, load_link_matrix
+from .scenario import Scenario
 from .traffic import (OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec,
                       next_emergency, next_normal_arrival)
 
@@ -139,13 +139,12 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
     settings = mac_cls.settings(scenario)
     sim = Simulator(master_seed=seed, trace=trace)
     cm = scenario.channel_model
-    link_matrix = load_link_matrix(scenario)
     pathloss = {scenario.channel_id(k): p for k, p in scenario.pathloss.items()}
     data_rates = {cid: scenario.channel_cfg[key]["data_rate_bps"]
                   for key, cid in scenario.channels.items()}
     medium = Medium(
-        sim, mode=cm["mode"], pathloss=pathloss, link_matrix=link_matrix,
-        posture=cm["posture"],
+        sim, mode=cm["mode"], pathloss=pathloss,
+        link_matrix=scenario.link_matrix, posture=cm["posture"],
         interference_enabled=cm["interference"]["enabled"],
         interference_pass_p=cm["interference"]["pass_probability"],
         capture_margin_db=cm["capture_margin_db"],
@@ -262,7 +261,7 @@ def run_one(scenario: Scenario, protocol: str, seed: int, *,
         leftovers.extend(network.bridge_pump.pending())
     for node in network.nodes.values():
         node.finalize()
-        metrics.node_energy_j[node.node_id] = node.consumed_j(flush=False)
+        metrics.node_energy_j[node.node_id] = node.consumed_j()
         metrics.node_death_us[node.node_id] = node.death_time
     metrics.collisions = network.medium.data_collisions
     metrics.finalize(leftovers)

@@ -10,16 +10,18 @@ units written: each MAC class reads and checks its own (`settings`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .bridging import ChannelMapRecord, ConnectionType, validate_bridge
-from .channel import Band, ChannelId, LinkMatrix, PathLossParams, Position
+from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
+                      MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
+                      PathLossParams, Position)
 from .core import SimTime, ticks_from_seconds
-from .energy import PowerProfile
 from .mac import PROTOCOLS
+from .node import PowerProfile
 from .traffic import TrafficClass, TrafficSpec
 from .wakeup import WakeupEntry
 
@@ -63,6 +65,7 @@ class Scenario:
     on_demand: list[dict]
     channel_map: list[ChannelMapRecord]
     bridge: Optional[dict]
+    link_matrix: Optional[LinkMatrix]
     normalized: dict = field(repr=False, default_factory=dict)
 
     def seeds(self, reps: Optional[int] = None) -> list[int]:
@@ -88,8 +91,6 @@ class Scenario:
         return json.dumps(self.normalized, sort_keys=True, indent=2) + "\n"
 
 
-_DEFAULT_PATHLOSS = {"pl_d0": 40.0, "d0": 0.1, "exponent": 3.38,
-                     "shadow_sigma": 4.0}
 _DEFAULT_PROFILES = {
     "nrf2401": {"sleep_mw": 0.001, "idle_listen_mw": 54.0, "rx_mw": 54.0,
                 "tx_mw": 26.0, "wakeup_rx_uw": 50.0},
@@ -172,13 +173,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     for key, p in cm.get("pathloss", {}).items():
         if key not in channels:
             raise ScenarioError(f"channel_model.pathloss.{key}: unknown channel")
-        merged = {**_DEFAULT_PATHLOSS, **p}
+        merged = {**asdict(DEFAULT_PATHLOSS), **p}
         try:
             pathloss[key] = PathLossParams(**merged)
         except ValueError as exc:
             raise ScenarioError(f"channel_model.pathloss.{key}: {exc}") from exc
         norm_pl[key] = merged
-    interference = {**{"enabled": False, "pass_probability": 0.9685},
+    interference = {"enabled": False,
+                    "pass_probability": MICROWAVE_PASS_PROBABILITY,
                     **cm.get("interference", {})}
     norm["channel_model"] = {
         "mode": mode,
@@ -186,14 +188,16 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         "capture_margin_db": float(cm.get("capture_margin_db", 10.0)),
         "sensitivity_dbm": float(cm.get("sensitivity_dbm", -95.0)),
         "cca_threshold_dbm": float(cm.get("cca_threshold_dbm", -85.0)),
-        "min_distance_m": float(cm.get("min_distance_m", 0.01)),
+        "min_distance_m": float(cm.get("min_distance_m", DEFAULT_MIN_DISTANCE_M)),
         "posture": cm.get("posture", "standing"),
         "link_matrix_csv": cm.get("link_matrix_csv"),
         "interference": interference,
     }
-    if mode == "empirical" and not norm["channel_model"]["link_matrix_csv"]:
+    matrix_name = norm["channel_model"]["link_matrix_csv"]
+    if mode == "empirical" and not matrix_name:
         raise ScenarioError("channel_model.link_matrix_csv: required in "
                             "empirical mode")
+    link_matrix = _load_link_matrix(matrix_name) if matrix_name else None
 
     # power profiles ----------------------------------------------------------
     prof_raw = {**_DEFAULT_PROFILES, **raw.get("power_profiles", {})}
@@ -428,7 +432,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         nodes=nodes, bnc=bnc, queue_capacity=norm["queue_capacity"],
         traffic=traffic, protocols=norm["protocols"],
         wakeup_table=wakeup_table, on_demand=norm["on_demand"],
-        channel_map=channel_map, bridge=bridge, normalized=norm)
+        channel_map=channel_map, bridge=bridge, link_matrix=link_matrix,
+        normalized=norm)
     for name in scenario.protocols:
         try:
             PROTOCOLS[name].settings(scenario)
@@ -437,13 +442,15 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def load_link_matrix(scenario: Scenario) -> Optional[LinkMatrix]:
-    name = scenario.channel_model.get("link_matrix_csv")
-    if not name:
-        return None
+def _load_link_matrix(name: str) -> LinkMatrix:
+    """A CSV path, or the name of a bundled table."""
     p = Path(name)
     if not p.exists():
         p = bundled_data_path(name if name.endswith(".csv") else f"{name}.csv")
     if not p.exists():
-        raise ScenarioError(f"link matrix CSV not found: {name}")
-    return LinkMatrix.from_csv(p)
+        raise ScenarioError(f"channel_model.link_matrix_csv: not found: {name}")
+    try:
+        return LinkMatrix.from_csv(p)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(
+            f"channel_model.link_matrix_csv: {name}: {exc}") from exc

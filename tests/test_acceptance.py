@@ -180,12 +180,11 @@ def test_07_energy_ledger_closure():
             lifetime = (node.death_time if node.death_time is not None
                         else sc.horizon)
             for radio in node.radios.values():
-                led = radio.ledger
-                assert sum(led.per_state_ticks.values()) == lifetime, \
+                assert sum(radio.per_state_ticks.values()) == lifetime, \
                     f"{name}/{proto}/{node.node_id}/{radio.label}"
-                recomputed = sum(t * led.power_mw[s] * 1e-9
-                                 for s, t in led.per_state_ticks.items())
-                consumed = led.consumed_j
+                recomputed = sum(t * radio.power_mw[s] * 1e-9
+                                 for s, t in radio.per_state_ticks.items())
+                consumed = radio.consumed_j
                 if consumed > 0:
                     assert abs(consumed - recomputed) / consumed < 1e-9
                 else:

@@ -9,9 +9,8 @@ from bsnsim.channel import (Band, ChannelId, DeliveryOutcome, LinkMatrix,
                             Medium, PathLossParams, Position, empirical_outcome,
                             interference_gate, path_loss_db, rx_power_dbm)
 from bsnsim.core import Simulator, substream_seed
-from bsnsim.energy import PowerProfile
 from bsnsim.frames import Frame, FrameKind
-from bsnsim.node import Node
+from bsnsim.node import Node, PowerProfile
 
 
 def test_reference_distance_identity():

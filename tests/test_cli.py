@@ -115,6 +115,22 @@ def test_co_located_nodes_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_bad_link_matrix_exit_code(tmp_path, capsys):
+    csv_path = tmp_path / "links.csv"
+    csv_path.write_text("posture,src,dst,success_rate\nstanding,Chest,Waist,1.7\n")
+    raw = json.loads(bundled_scenario_path("table1_links").read_text())
+    raw["channel_model"]["link_matrix_csv"] = str(csv_path)
+    path = tmp_path / "bad_links.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", "direct",
+               "--reps", "1", "--until", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "channel_model.link_matrix_csv:" in err
+    assert "out of [0,1]" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])
 def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
                                                      protocol):

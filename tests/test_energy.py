@@ -1,13 +1,12 @@
-"""Energy ledger arithmetic and budget death."""
+"""Per-radio energy accounts and budget death."""
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from bsnsim.channel import Band, ChannelId, Medium
 from bsnsim.core import Simulator
-from bsnsim.energy import EnergyLedger, PowerProfile
 from bsnsim.frames import Frame, FrameKind
-from bsnsim.node import Node
+from bsnsim.node import Node, PowerProfile
 from bsnsim.scenario import load_scenario
 
 POWER = {"sleep": 0.001, "listen": 54.0, "rx": 54.0, "tx": 30.0}
@@ -21,24 +20,42 @@ def _node(initial_j):
     return Node(sim, Medium(sim), "n", profile=PROFILE, initial_j=initial_j)
 
 
+def _charged(changes, until):
+    """A radio on a node without a budget, put in each (tick, state) of
+    `changes` in turn and finalized at `until`."""
+    node = _node(None)
+    radio = node.add_radio("data", ISM, initial_state="listen")
+    for at, state in changes:
+        node.sim.run(at)
+        radio.set_state(state)
+    node.sim.run(until)
+    node.finalize()
+    return node, radio
+
+
 def test_zero_duration_changes_nothing():
-    led = EnergyLedger("n", POWER)
-    led.account("tx", 0)
-    assert led.consumed_j == 0.0
-    assert led.per_state_ticks == {}
+    node, radio = _charged([(0, "tx"), (0, "listen"), (0, "tx")], 0)
+    assert radio.per_state_ticks == {}
+    assert radio.consumed_j == 0.0
+    assert node.consumed_j() == 0.0
 
 
 def test_hand_computed_tx_energy():
     # 30 mW for 4096 us = 0.030 W * 0.004096 s = 1.2288e-4 J
-    led = EnergyLedger("n", POWER)
-    led.account("tx", 4096)
-    assert led.consumed_j == pytest.approx(1.2288e-4, rel=1e-12)
+    node, radio = _charged([(0, "tx")], 4096)
+    assert radio.per_state_ticks == {"tx": 4096}
+    assert radio.consumed_j == pytest.approx(1.2288e-4, rel=1e-12)
+    assert node.consumed_cache_j == radio.consumed_j
 
 
-def test_negative_duration_rejected():
-    led = EnergyLedger("n", POWER)
-    with pytest.raises(ValueError, match="negative"):
-        led.account("tx", -1)
+def test_ledger_identity():
+    node, radio = _charged([(0, "tx"), (4096, "listen"), (254_096, "sleep")],
+                           10_254_096)
+    assert radio.per_state_ticks == {"tx": 4096, "listen": 250_000,
+                                     "sleep": 10_000_000}
+    total = sum(t * POWER[s] * 1e-9 for s, t in radio.per_state_ticks.items())
+    assert radio.consumed_j == total  # recomputed from the same map: exact
+    assert node.consumed_j() == total
 
 
 def test_fresh_node_has_full_budget():
@@ -60,11 +77,12 @@ def test_budget_crossing_prorates_and_dies():
     node.medium.begin_tx(radio, Frame(FrameKind.DATA, "n", None, 128), 0.0)
     node.sim.run(4096)
     assert node.death_time == 333
-    assert radio.ledger.per_state_ticks == {"tx": 333}
+    assert radio.per_state_ticks == {"tx": 333}
     assert node.consumed_j() <= node.initial_j
     # dead radios accrue nothing further
     node.sim.run(10_000)
-    assert radio.ledger.per_state_ticks == {"tx": 333}
+    node.finalize()
+    assert radio.per_state_ticks == {"tx": 333}
 
 
 def test_exhaustion_to_zero_remaining():
@@ -74,16 +92,7 @@ def test_exhaustion_to_zero_remaining():
     assert node.dead
     assert node.consumed_j() == pytest.approx(5.0, abs=1e-7)
     assert node.consumed_j() <= 5.0
-    assert sum(radio.ledger.per_state_ticks.values()) == node.death_time
-
-
-def test_ledger_identity():
-    led = EnergyLedger("n", POWER)
-    led.account("tx", 4096)
-    led.account("listen", 250_000)
-    led.account("sleep", 10_000_000)
-    total = sum(t * POWER[s] * 1e-9 for s, t in led.per_state_ticks.items())
-    assert led.consumed_j == total  # recomputed from the same map: exact
+    assert sum(radio.per_state_ticks.values()) == node.death_time
 
 
 def test_profile_validation():

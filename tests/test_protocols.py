@@ -192,12 +192,11 @@ def test_ledger_closure_every_radio():
             lifetime = (node.death_time if node.death_time is not None
                         else sc.horizon)
             for radio in node.radios.values():
-                assert sum(radio.ledger.per_state_ticks.values()) == lifetime, \
+                assert sum(radio.per_state_ticks.values()) == lifetime, \
                     f"{proto}/{node.node_id}/{radio.label}"
-                recomputed = sum(
-                    t * radio.ledger.power_mw[s] * 1e-9
-                    for s, t in radio.ledger.per_state_ticks.items())
-                assert radio.ledger.consumed_j == recomputed
+                recomputed = sum(t * radio.power_mw[s] * 1e-9
+                                 for s, t in radio.per_state_ticks.items())
+                assert radio.consumed_j == recomputed
 
 
 def test_death_mid_transmission_kills_the_frame():

@@ -7,7 +7,8 @@ import pytest
 
 from bsnsim.mac import PROTOCOLS
 from bsnsim.mac.base import MacBase
-from bsnsim.scenario import ScenarioError, load_scenario
+from bsnsim.runner import build_network
+from bsnsim.scenario import ScenarioError, bundled_scenario_path, load_scenario
 from tests.conftest import make_scenario
 
 
@@ -194,6 +195,43 @@ def test_parse_error_reported(tmp_path):
 def test_missing_scenario_reported():
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario("no_such_scenario")
+
+
+LINKS_HEADER = "posture,src,dst,success_rate\n"
+
+
+def _links_scenario(tmp_path, csv_text):
+    """table1_links pointed at links.csv holding `csv_text` (None: no file)."""
+    csv_path = tmp_path / "links.csv"
+    if csv_text is not None:
+        csv_path.write_text(csv_text)
+    raw = json.loads(bundled_scenario_path("table1_links").read_text())
+    raw["channel_model"]["link_matrix_csv"] = str(csv_path)
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("csv_text, message", [
+    (None, "not found"),
+    ("posture,from,to,rate\nstanding,Chest,Waist,0.5\n", "must have header"),
+    (LINKS_HEADER + "standing,Chest,Waist,high\n", "could not convert"),
+    (LINKS_HEADER + "standing,Chest,Waist,1.7\n", r"out of \[0,1\]"),
+    (LINKS_HEADER + "standing,Chest,Waist\n", "expected 4 fields"),
+], ids=["missing", "header", "unparsable", "out-of-range", "short-row"])
+def test_bad_link_matrix_rejected_at_load(tmp_path, csv_text, message):
+    with pytest.raises(ScenarioError,
+                       match=r"^channel_model\.link_matrix_csv: .*" + message):
+        load_scenario(_links_scenario(tmp_path, csv_text))
+
+
+def test_link_matrix_loaded_once_with_the_scenario(tmp_path):
+    path = _links_scenario(tmp_path, LINKS_HEADER + "standing,Chest,Waist,0.25\n")
+    sc = load_scenario(path)
+    assert sc.link_matrix.success_p("Chest", "Waist", "standing") == 0.25
+    (tmp_path / "links.csv").unlink()  # runs read the scenario's copy
+    net, _ = build_network(sc, "direct", seed=1)
+    assert net.medium.link_matrix is sc.link_matrix
 
 
 def test_round_trip_serialization_is_fixed_point(tmp_path):

@@ -113,7 +113,7 @@ def test_empty_queue_node_listens_until_window_end():
     assert m.pdr() is None  # nothing generated
     node = net.nodes["n1"]
     node.finalize()
-    listen = node.radios["data"].ledger.per_state_ticks.get("listen", 0)
+    listen = node.radios["data"].per_state_ticks.get("listen", 0)
     # one window at 1.0 s: awake for the whole 100 ms window, nothing more
     assert 100_000 <= listen < 110_000
 
@@ -254,7 +254,7 @@ def _paired_energy(addressing, request_mode=OnDemandMode.NON_CONTINUOUS,
         for node in net.nodes.values():
             node.finalize()
         results[with_request] = (
-            {nid: n.consumed_j(flush=False) for nid, n in net.nodes.items()},
+            {nid: n.consumed_j() for nid, n in net.nodes.items()},
             net.metrics)
     return results
 
