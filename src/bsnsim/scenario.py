@@ -1,16 +1,16 @@
 """Scenario files: schema, validation, tick conversion, bundled scenarios.
 
-A scenario is one JSON document. Loading materializes every default into a
-normalized dict (so load -> serialize -> load is a fixed point), converts
-durations to integer ticks, and cross-validates topology, bridge
-interfaces, and MTU consistency. Protocol parameters keep the keys and
-units written: each MAC class reads and checks its own (`settings`).
+A scenario is one JSON document, read against one field table per section
+(`_fields`) into a normalized dict with every default filled in, so load ->
+serialize -> load is a fixed point; durations become integer ticks, and
+references, topology, bridge interfaces and MTUs are cross-checked. Each
+MAC class reads and checks its own protocol parameters (`settings`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -19,10 +19,10 @@ from .bridging import ChannelMapRecord, ConnectionType, validate_bridge
 from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
                       MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
                       PathLossParams, Position)
-from .core import SimTime, ticks_from_seconds
+from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS
 from .node import PowerProfile
-from .traffic import TrafficClass, TrafficSpec
+from .traffic import OnDemandMode, TrafficClass, TrafficSpec
 from .wakeup import WakeupEntry
 
 
@@ -92,11 +92,10 @@ class Scenario:
 
 
 _DEFAULT_PROFILES = {
-    "nrf2401": {"sleep_mw": 0.001, "idle_listen_mw": 54.0, "rx_mw": 54.0,
-                "tx_mw": 26.0, "wakeup_rx_uw": 50.0},
-    "cc2420": {"sleep_mw": 0.001, "idle_listen_mw": 56.0, "rx_mw": 56.0,
-               "tx_mw": 31.0, "wakeup_rx_uw": 50.0},
-}
+    "nrf2401": PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
+                            tx_mw=26.0),
+    "cc2420": PowerProfile(sleep_mw=0.001, idle_listen_mw=56.0, rx_mw=56.0,
+                           tx_mw=31.0)}
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -128,130 +127,189 @@ def load_scenario(path_or_name) -> Scenario:
     return _build(raw, source=str(path))
 
 
-def _req(d: dict, key: str, path: str):
-    if key not in d:
-        raise ScenarioError(f"{path}.{key}: required field missing")
-    return d[key]
+# One table per section: key -> (kind, default, minimum). A kind is a type
+# (`float` takes any number and stores a float), a tuple of the allowed
+# values, the table of a nested section, `[kind]` for a list and
+# `{str: kind}` for an object keyed by name. A default of `...` marks a
+# required key, and null passes where the default is null. A range that a
+# dataclass checks (PathLossParams, PowerProfile, TrafficSpec, WakeupEntry)
+# is left to it.
+_TICK_S = 1 / US_PER_S
+_CLASSES = tuple(c.value for c in TrafficClass)
+
+CHANNEL_FIELDS = {"band": (tuple(b.value for b in Band), ..., None),
+                  "phy": (int, 0, 0), "data_rate_bps": (int, 250_000, 1),
+                  "mtu_bytes": (int, 128, 1)}
+PATHLOSS_FIELDS = {key: (float, value, None)
+                   for key, value in asdict(DEFAULT_PATHLOSS).items()}
+INTERFERENCE_FIELDS = {
+    "enabled": (bool, False, None),
+    "pass_probability": (float, MICROWAVE_PASS_PROBABILITY, 0.0)}
+CHANNEL_MODEL_FIELDS = {
+    "mode": (("geometric", "empirical"), "geometric", None),
+    "pathloss": ({str: PATHLOSS_FIELDS}, {}, None),
+    "capture_margin_db": (float, 10.0, 0.0),
+    "sensitivity_dbm": (float, -95.0, None),
+    "cca_threshold_dbm": (float, -85.0, None),
+    "min_distance_m": (float, DEFAULT_MIN_DISTANCE_M, 0.0),
+    "posture": (str, "standing", None),
+    "link_matrix_csv": (str, None, None),
+    "interference": (INTERFERENCE_FIELDS, {}, None)}
+POWER_PROFILE_FIELDS = {
+    f.name: (float, ... if f.default is MISSING else f.default, None)
+    for f in fields(PowerProfile)}
+PROTOCOL_PROFILE_FIELDS = {name: (str, cls.profile, None)
+                           for name, cls in PROTOCOLS.items()}
+NODE_FIELDS = {
+    "id": (str, ..., None), "site": (str, "", None),
+    "kind": (("inbody", "onbody", "bnc"), "onbody", None),
+    "pos": ([float], [0.0, 0.0, 0.0], None), "channel": (str, ..., None),
+    "initial_j": (float | None, 5.0, 0.0),  # null: no energy budget
+    "tx_power_dbm": (float, -5.0, None), "profile": (str, None, None)}
+TRAFFIC_FIELDS = {
+    "node": (str, ..., None), "class": (_CLASSES, ..., None),
+    "payload_bytes": (int, 128, None), "period_s": (float, None, None),
+    "rate_per_s": (float, 0.0, None), "offset_s": (float, 0.0, 0.0),
+    "dst": (str, None, None)}  # null: the bnc
+WAKEUP_FIELDS = {
+    "node": (str, ..., None), "class": (_CLASSES, "NormalMedium", None),
+    "period_s": (float, ..., None), "offset_s": (float, 0.0, None),
+    "window_ms": (float, ..., None)}
+ON_DEMAND_FIELDS = {
+    "at_s": (float, ..., 0.0), "target": (str, ..., None),
+    "mode": (tuple(m.value for m in OnDemandMode), "NonContinuous", None),
+    "addressing": (("Tone", "Broadcast"), "Tone", None),
+    "duration_s": (float, 0.0, 0.0), "period_s": (float, 1.0, _TICK_S)}
+BRIDGE_FIELDS = {"node": (str, ..., None), "interfaces": ([str], ..., None),
+                 "store_capacity": (int, 16, 1)}
+CHANNEL_MAP_FIELDS = {
+    "network": (str, "bsn0", None), "channel": (str, ..., None),
+    "nodes": ([str], ..., None), "connection_id": (int, ..., None),
+    "connection_type": (tuple(t.value for t in ConnectionType), "Contention",
+                        None),
+    "src": (str, ..., None), "dst": (str, ..., None)}
+SCENARIO_FIELDS = {
+    "name": (str, "unnamed", None), "description": (str, "", None),
+    "horizon_s": (float, 60.0, _TICK_S), "replications": (int, 1, 1),
+    "seed_base": (int, 1, None), "channels": ({str: CHANNEL_FIELDS}, ..., None),
+    "wakeup_channel": (str, None, None),
+    "channel_model": (CHANNEL_MODEL_FIELDS, {}, None),
+    "power_profiles": ({str: POWER_PROFILE_FIELDS}, {}, None),
+    "protocol_profiles": (PROTOCOL_PROFILE_FIELDS, {}, None),
+    "nodes": ([NODE_FIELDS], ..., None), "bnc": (str, ..., None),
+    "queue_capacity": (int, 16, 1), "traffic": ([TRAFFIC_FIELDS], [], None),
+    "protocols": ({str: dict}, {}, None),  # each MAC checks its own
+    "wakeup_table": ([WAKEUP_FIELDS], [], None),
+    "on_demand": ([ON_DEMAND_FIELDS], [], None),
+    "bridge": (BRIDGE_FIELDS, None, None),
+    "channel_map": ([CHANNEL_MAP_FIELDS], [], None)}
+
+# kind -> (the JSON values it takes, its name in messages)
+_KINDS = {str: ((str,), "a string"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"),
+          float | None: ((int, float), "a number or null"),
+          bool: ((bool,), "true or false"), list: ((list,), "a list"),
+          dict: ((dict,), "an object")}
+
+
+def _fields(raw, path: str, table: dict) -> dict:
+    """The section `raw` at `path` checked against `table`, defaults filled."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path or 'scenario'}: must be an object")
+    at = f"{path}." if path else ""
+    for key in raw:
+        if key not in table:
+            raise ScenarioError(f"{at}{key}: unknown field")
+    out = {}
+    for key, (kind, default, minimum) in table.items():
+        value = raw.get(key, default)
+        if value is ...:
+            raise ScenarioError(f"{at}{key}: required field missing")
+        null_ok = value is None and (default is None or kind == float | None)
+        out[key] = value if null_ok else _value(value, at + key, kind, minimum)
+    return out
+
+
+def _value(value, path: str, kind, minimum=None):
+    """`value` at `path` checked against `kind` (see the tables above)."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ScenarioError(f"{path}: {value!r} is not one of "
+                                f"{', '.join(kind)}")
+        return value
+    accepts, name = _KINDS[type(kind) if isinstance(kind, (list, dict)) else kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepts):
+        raise ScenarioError(f"{path}: {value!r} is not {name}")
+    if isinstance(kind, list):
+        return [_value(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(value)]
+    if isinstance(kind, dict):
+        return ({k: _value(v, f"{path}.{k}", kind[str]) for k, v in value.items()}
+                if str in kind else _fields(value, path, kind))
+    value = float(value) if float in accepts else value
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"{path}: {value!r} is below the minimum {minimum}")
+    return value
+
+
+def _known(value, known, path: str, what: str) -> None:
+    if value not in known:
+        raise ScenarioError(f"{path}: unknown {what} {value!r}")
 
 
 def _build(raw: dict, source: str = "<dict>") -> Scenario:
-    norm: dict = {}
-    norm["name"] = raw.get("name", "unnamed")
-    norm["description"] = raw.get("description", "")
-    norm["horizon_s"] = float(raw.get("horizon_s", 60.0))
-    norm["replications"] = int(raw.get("replications", 1))
-    norm["seed_base"] = int(raw.get("seed_base", 1))
+    norm = _fields(raw, "", SCENARIO_FIELDS)
 
-    # channels ------------------------------------------------------------
-    channels: dict[str, ChannelId] = {}
-    channel_cfg: dict[str, dict] = {}
-    norm["channels"] = {}
-    for key, cfg in _req(raw, "channels", "scenario").items():
-        try:
-            band = Band(cfg["band"])
-        except (KeyError, ValueError):
-            raise ScenarioError(f"channels.{key}.band: unknown band "
-                                f"{cfg.get('band')!r}") from None
-        cc = {"band": band.value, "phy": int(cfg.get("phy", 0)),
-              "data_rate_bps": int(cfg.get("data_rate_bps", 250_000)),
-              "mtu_bytes": int(cfg.get("mtu_bytes", 128))}
-        channels[key] = ChannelId(band, cc["phy"])
-        channel_cfg[key] = cc
-        norm["channels"][key] = cc
-    norm["wakeup_channel"] = raw.get("wakeup_channel")
-    if norm["wakeup_channel"] is not None and norm["wakeup_channel"] not in channels:
-        raise ScenarioError(f"wakeup_channel: unknown channel key "
-                            f"{norm['wakeup_channel']!r}")
-
-    # channel model ---------------------------------------------------------
-    cm = dict(raw.get("channel_model", {}))
-    mode = cm.get("mode", "geometric")
-    if mode not in ("geometric", "empirical"):
-        raise ScenarioError(f"channel_model.mode: must be geometric or empirical")
+    # channels and channel model ---------------------------------------------
+    channel_cfg = norm["channels"]
+    channels = {key: ChannelId(Band(cc["band"]), cc["phy"])
+                for key, cc in channel_cfg.items()}
+    if norm["wakeup_channel"] is not None:
+        _known(norm["wakeup_channel"], channels, "wakeup_channel", "channel key")
+    cm = norm["channel_model"]
     pathloss: dict[str, PathLossParams] = {}
-    norm_pl = {}
-    for key, p in cm.get("pathloss", {}).items():
-        if key not in channels:
-            raise ScenarioError(f"channel_model.pathloss.{key}: unknown channel")
-        merged = {**asdict(DEFAULT_PATHLOSS), **p}
+    for key, p in cm["pathloss"].items():
+        path = f"channel_model.pathloss.{key}"
+        _known(key, channels, path, "channel")
         try:
-            pathloss[key] = PathLossParams(**merged)
+            pathloss[key] = PathLossParams(**p)
         except ValueError as exc:
-            raise ScenarioError(f"channel_model.pathloss.{key}: {exc}") from exc
-        norm_pl[key] = merged
-    interference = {"enabled": False,
-                    "pass_probability": MICROWAVE_PASS_PROBABILITY,
-                    **cm.get("interference", {})}
-    norm["channel_model"] = {
-        "mode": mode,
-        "pathloss": norm_pl,
-        "capture_margin_db": float(cm.get("capture_margin_db", 10.0)),
-        "sensitivity_dbm": float(cm.get("sensitivity_dbm", -95.0)),
-        "cca_threshold_dbm": float(cm.get("cca_threshold_dbm", -85.0)),
-        "min_distance_m": float(cm.get("min_distance_m", DEFAULT_MIN_DISTANCE_M)),
-        "posture": cm.get("posture", "standing"),
-        "link_matrix_csv": cm.get("link_matrix_csv"),
-        "interference": interference,
-    }
-    matrix_name = norm["channel_model"]["link_matrix_csv"]
-    if mode == "empirical" and not matrix_name:
+            raise ScenarioError(f"{path}: {exc}") from exc
+    matrix_name = cm["link_matrix_csv"]
+    if cm["mode"] == "empirical" and not matrix_name:
         raise ScenarioError("channel_model.link_matrix_csv: required in "
                             "empirical mode")
-    link_matrix = _load_link_matrix(matrix_name) if matrix_name else None
+    link_matrix = _load_link_matrix(matrix_name, source) if matrix_name else None
 
     # power profiles ----------------------------------------------------------
-    prof_raw = {**_DEFAULT_PROFILES, **raw.get("power_profiles", {})}
-    profiles = {}
-    norm["power_profiles"] = {}
-    for key, p in prof_raw.items():
+    profiles = dict(_DEFAULT_PROFILES)
+    for key, p in norm["power_profiles"].items():
         try:
             profiles[key] = PowerProfile(**p)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"power_profiles.{key}: {exc}") from exc
-        norm["power_profiles"][key] = dict(p)
-    protocol_profiles = {name: cls.profile for name, cls in PROTOCOLS.items()}
-    protocol_profiles.update(raw.get("protocol_profiles", {}))
-    for proto, key in protocol_profiles.items():
-        if key not in profiles:
-            raise ScenarioError(f"protocol_profiles.{proto}: unknown profile "
-                                f"{key!r}")
-    norm["protocol_profiles"] = protocol_profiles
+    norm["power_profiles"] = {key: asdict(p) for key, p in profiles.items()}
+    for proto, key in norm["protocol_profiles"].items():
+        _known(key, profiles, f"protocol_profiles.{proto}", "profile")
 
     # nodes -------------------------------------------------------------------
     nodes: list[NodeSpec] = []
-    norm["nodes"] = []
     ids = set()
-    for i, n in enumerate(_req(raw, "nodes", "scenario")):
+    for i, nn in enumerate(norm["nodes"]):
         path = f"nodes[{i}]"
-        nid = _req(n, "id", path)
-        if nid in ids:
-            raise ScenarioError(f"{path}.id: duplicate node id {nid!r}")
-        ids.add(nid)
-        kind = n.get("kind", "onbody")
-        if kind not in ("inbody", "onbody", "bnc"):
-            raise ScenarioError(f"{path}.kind: must be inbody, onbody or bnc")
-        chan = _req(n, "channel", path)
-        if chan not in channels:
-            raise ScenarioError(f"{path}.channel: unknown channel {chan!r}")
-        pos = n.get("pos", [0.0, 0.0, 0.0])
-        nn = {"id": nid, "site": n.get("site", ""), "kind": kind,
-              "pos": [float(pos[0]), float(pos[1]),
-                      float(pos[2]) if len(pos) > 2 else 0.0],
-              "channel": chan,
-              "initial_j": n.get("initial_j", 5.0),
-              "tx_power_dbm": float(n.get("tx_power_dbm", -5.0)),
-              "profile": n.get("profile")}
-        if nn["profile"] is not None and nn["profile"] not in profiles:
-            raise ScenarioError(f"{path}.profile: unknown profile")
-        norm["nodes"].append(nn)
-        nodes.append(NodeSpec(id=nid, site=nn["site"], kind=kind,
-                              position=Position(*nn["pos"]),
-                              channel=chan, initial_j=nn["initial_j"],
-                              tx_power_dbm=nn["tx_power_dbm"],
-                              profile=nn["profile"]))
-    if mode == "geometric":
+        if nn["id"] in ids:
+            raise ScenarioError(f"{path}.id: duplicate node id {nn['id']!r}")
+        ids.add(nn["id"])
+        _known(nn["channel"], channels, f"{path}.channel", "channel")
+        if nn["profile"] is not None:
+            _known(nn["profile"], profiles, f"{path}.profile", "profile")
+        if not 2 <= len(nn["pos"]) <= 3:
+            raise ScenarioError(f"{path}.pos: needs 2 or 3 coordinates")
+        nn["pos"] += [0.0] * (3 - len(nn["pos"]))
+        nodes.append(NodeSpec(position=Position(*nn["pos"]), **{
+            k: v for k, v in nn.items() if k != "pos"}))
+    if cm["mode"] == "geometric":
         # path loss is undefined this close; any two nodes may share a channel
-        min_d = norm["channel_model"]["min_distance_m"]
+        min_d = cm["min_distance_m"]
         for i, a in enumerate(nodes):
             for b in nodes[:i]:
                 d = a.position.distance_to(b.position)
@@ -259,145 +317,77 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                     raise ScenarioError(
                         f"nodes[{i}].pos: {d} m from {b.id!r}, closer than "
                         f"channel_model.min_distance_m ({min_d})")
-    bnc = _req(raw, "bnc", "scenario")
-    bnc_nodes = [n for n in nodes if n.kind == "bnc"]
-    if len(bnc_nodes) != 1 or bnc_nodes[0].id != bnc:
+    bnc = norm["bnc"]
+    if [n.id for n in nodes if n.kind == "bnc"] != [bnc]:
         raise ScenarioError("bnc: scenario needs exactly one node of kind "
                             "'bnc' matching the bnc field")
-    norm["bnc"] = bnc
-    norm["queue_capacity"] = int(raw.get("queue_capacity", 16))
 
-    # traffic -------------------------------------------------------------
+    # traffic, protocols, wakeup table, on demand ------------------------------
     traffic: list[TrafficSpec] = []
-    norm["traffic"] = []
-    for i, t in enumerate(raw.get("traffic", [])):
+    for i, tt in enumerate(norm["traffic"]):
         path = f"traffic[{i}]"
-        node_id = _req(t, "node", path)
-        if node_id not in ids:
-            raise ScenarioError(f"{path}.node: unknown node {node_id!r}")
-        try:
-            cls = TrafficClass(_req(t, "class", path))
-        except ValueError:
-            raise ScenarioError(f"{path}.class: unknown class "
-                                f"{t.get('class')!r}") from None
-        dst = t.get("dst", bnc)
-        if dst not in ids:
-            raise ScenarioError(f"{path}.dst: unknown node {dst!r}")
-        tt = {"node": node_id, "class": cls.value,
-              "payload_bytes": int(t.get("payload_bytes", 128)),
-              "period_s": t.get("period_s"),
-              "rate_per_s": float(t.get("rate_per_s", 0.0)),
-              "offset_s": float(t.get("offset_s", 0.0)),
-              "dst": dst}
-        norm["traffic"].append(tt)
+        if tt["dst"] is None:
+            tt["dst"] = bnc
+        for key in ("node", "dst"):
+            _known(tt[key], ids, f"{path}.{key}", "node")
         try:
             traffic.append(TrafficSpec(
-                node=node_id, cls=cls, payload_bytes=tt["payload_bytes"],
+                node=tt["node"], cls=TrafficClass(tt["class"]),
+                payload_bytes=tt["payload_bytes"],
                 period=(ticks_from_seconds(tt["period_s"])
                         if tt["period_s"] is not None else None),
                 rate_per_s=tt["rate_per_s"],
                 start_offset=ticks_from_seconds(tt["offset_s"]),
-                dst=dst))
+                dst=tt["dst"]))
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
-    norm["protocols"] = {}
-    for name, params in raw.get("protocols", {}).items():
+    for name, params in norm["protocols"].items():
         if name not in PROTOCOLS:
             raise ScenarioError(f"protocols.{name}: unknown protocol")
         for key in params:
             if key not in PROTOCOLS[name].params:
                 raise ScenarioError(f"protocols.{name}.{key}: unknown parameter")
-        norm["protocols"][name] = dict(params)
 
-    # wakeup table ----------------------------------------------------------
     wakeup_table: list[WakeupEntry] = []
-    norm["wakeup_table"] = []
-    for i, w in enumerate(raw.get("wakeup_table", [])):
+    for i, ww in enumerate(norm["wakeup_table"]):
         path = f"wakeup_table[{i}]"
-        node_id = _req(w, "node", path)
-        if node_id not in ids:
-            raise ScenarioError(f"{path}.node: unknown node {node_id!r}")
-        cls = TrafficClass(w.get("class", "NormalMedium"))
-        ww = {"node": node_id, "class": cls.value,
-              "period_s": float(_req(w, "period_s", path)),
-              "offset_s": float(w.get("offset_s", 0.0)),
-              "window_ms": float(_req(w, "window_ms", path))}
-        norm["wakeup_table"].append(ww)
+        _known(ww["node"], ids, f"{path}.node", "node")
         try:
             wakeup_table.append(WakeupEntry(
-                node=node_id, cls=cls,
+                node=ww["node"], cls=TrafficClass(ww["class"]),
                 period=ticks_from_seconds(ww["period_s"]),
                 offset=ticks_from_seconds(ww["offset_s"]),
                 window=ticks_from_seconds(ww["window_ms"] / 1000.0)))
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
-    # on demand ------------------------------------------------------------
-    norm["on_demand"] = []
-    for i, od in enumerate(raw.get("on_demand", [])):
-        path = f"on_demand[{i}]"
-        target = _req(od, "target", path)
-        if target not in ids:
-            raise ScenarioError(f"{path}.target: unknown node {target!r}")
-        mode = od.get("mode", "NonContinuous")
-        if mode not in ("Continuous", "NonContinuous"):
-            raise ScenarioError(f"{path}.mode: Continuous or NonContinuous")
-        addressing = od.get("addressing", "Tone")
-        if addressing not in ("Tone", "Broadcast"):
-            raise ScenarioError(f"{path}.addressing: Tone or Broadcast")
-        norm["on_demand"].append({
-            "at_s": float(_req(od, "at_s", path)), "target": target,
-            "mode": mode, "addressing": addressing,
-            "duration_s": float(od.get("duration_s", 0.0)),
-            "period_s": float(od.get("period_s", 1.0))})
+    for i, od in enumerate(norm["on_demand"]):
+        _known(od["target"], ids, f"on_demand[{i}].target", "node")
 
     # channel map + bridge ---------------------------------------------------
     inbody = {n.id for n in nodes if n.kind == "inbody"}
-    bridge_raw = raw.get("bridge")
-    bridge = None
-    if bridge_raw is not None:
-        bnode = _req(bridge_raw, "node", "bridge")
-        if bnode not in ids:
-            raise ScenarioError(f"bridge.node: unknown node {bnode!r}")
-        ifaces = _req(bridge_raw, "interfaces", "bridge")
+    bridge = norm["bridge"]
+    if bridge is not None:
+        _known(bridge["node"], ids, "bridge.node", "node")
+        ifaces = bridge["interfaces"]
         for k in ifaces:
-            if k not in channels:
-                raise ScenarioError(f"bridge.interfaces: unknown channel {k!r}")
+            _known(k, channels, "bridge.interfaces", "channel")
         try:
             validate_bridge([channels[k] for k in ifaces])
         except ValueError as exc:
             raise ScenarioError(f"bridge.interfaces: {exc}") from exc
-        mtus = {channel_cfg[k]["mtu_bytes"] for k in ifaces}
-        if len(mtus) > 1:
+        if len({channel_cfg[k]["mtu_bytes"] for k in ifaces}) > 1:
             raise ScenarioError("bridge.interfaces: differing MTUs across "
                                 "bridged channels are not supported")
-        bridge = {"node": bnode, "interfaces": list(ifaces),
-                  "store_capacity": int(bridge_raw.get("store_capacity", 16))}
-    norm["bridge"] = bridge
 
     channel_map: list[ChannelMapRecord] = []
-    norm["channel_map"] = []
     bridge_ids = {bridge["node"]} if bridge else set()
-    for i, r in enumerate(raw.get("channel_map", [])):
+    for i, rr in enumerate(norm["channel_map"]):
         path = f"channel_map[{i}]"
-        ckey = _req(r, "channel", path)
-        if ckey not in channels:
-            raise ScenarioError(f"{path}.channel: unknown channel {ckey!r}")
-        members = tuple(_req(r, "nodes", path))
-        for m in members + (r.get("src"), r.get("dst")):
-            if m is not None and m not in ids:
-                raise ScenarioError(f"{path}: unknown node {m!r}")
-        rr = {"network": r.get("network", "bsn0"), "channel": ckey,
-              "nodes": list(members),
-              "connection_id": int(_req(r, "connection_id", path)),
-              "connection_type": r.get("connection_type", "Contention"),
-              "src": _req(r, "src", path), "dst": _req(r, "dst", path)}
-        try:
-            ctype = ConnectionType(rr["connection_type"])
-        except ValueError:
-            raise ScenarioError(f"{path}.connection_type: unknown type "
-                                f"{rr['connection_type']!r}") from None
+        _known(rr["channel"], channels, f"{path}.channel", "channel")
+        for m in rr["nodes"] + [rr["src"], rr["dst"]]:
+            _known(m, ids, path, "node")
         # in-body endpoints may only appear on a channel with a bridge
         for endpoint in (rr["src"], rr["dst"]):
             if endpoint in inbody:
@@ -406,11 +396,11 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                     raise ScenarioError(
                         f"{path}: in-body node {endpoint!r} cannot hold a "
                         f"direct connection to non-bridge node {other!r}")
-        norm["channel_map"].append(rr)
         channel_map.append(ChannelMapRecord(
-            network_info=rr["network"], channel=channels[ckey],
-            node_ids=members, connection_id=rr["connection_id"],
-            connection_type=ctype, src=rr["src"], dst=rr["dst"]))
+            network_info=rr["network"], channel=channels[rr["channel"]],
+            node_ids=tuple(rr["nodes"]), connection_id=rr["connection_id"],
+            connection_type=ConnectionType(rr["connection_type"]),
+            src=rr["src"], dst=rr["dst"]))
     conn_ids = [r.connection_id for r in channel_map]
     if len(conn_ids) != len(set(conn_ids)):
         raise ScenarioError("channel_map: duplicate connection_id")
@@ -426,14 +416,13 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         horizon=ticks_from_seconds(norm["horizon_s"]),
         replications=norm["replications"], seed_base=norm["seed_base"],
         channels=channels, channel_cfg=channel_cfg,
-        wakeup_channel=norm["wakeup_channel"],
-        channel_model=norm["channel_model"], pathloss=pathloss,
-        power_profiles=profiles, protocol_profiles=protocol_profiles,
-        nodes=nodes, bnc=bnc, queue_capacity=norm["queue_capacity"],
-        traffic=traffic, protocols=norm["protocols"],
-        wakeup_table=wakeup_table, on_demand=norm["on_demand"],
-        channel_map=channel_map, bridge=bridge, link_matrix=link_matrix,
-        normalized=norm)
+        wakeup_channel=norm["wakeup_channel"], channel_model=cm,
+        pathloss=pathloss, power_profiles=profiles,
+        protocol_profiles=norm["protocol_profiles"], nodes=nodes, bnc=bnc,
+        queue_capacity=norm["queue_capacity"], traffic=traffic,
+        protocols=norm["protocols"], wakeup_table=wakeup_table,
+        on_demand=norm["on_demand"], channel_map=channel_map, bridge=bridge,
+        link_matrix=link_matrix, normalized=norm)
     for name in scenario.protocols:
         try:
             PROTOCOLS[name].settings(scenario)
@@ -442,9 +431,10 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def _load_link_matrix(name: str) -> LinkMatrix:
-    """A CSV path, or the name of a bundled table."""
-    p = Path(name)
+def _load_link_matrix(name: str, source: str) -> LinkMatrix:
+    """A CSV path, relative to the scenario file `source`, or the name of a
+    bundled table."""
+    p = Path(source).parent / name
     if not p.exists():
         p = bundled_data_path(name if name.endswith(".csv") else f"{name}.csv")
     if not p.exists():

@@ -131,6 +131,24 @@ def test_bad_link_matrix_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(horizn_s=600.0), "horizn_s: unknown field"),
+    (lambda raw: raw["channel_model"].update(sensitivity_dbm="low"),
+     "channel_model.sensitivity_dbm: 'low' is not a number"),
+], ids=["misspelt-key", "wrong-kind"])
+def test_bad_field_exit_code(tmp_path, capsys, edit, message):
+    raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
+    edit(raw)
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(raw))
+    rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
+               "--reps", "1", "--until", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])
 def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
                                                      protocol):

@@ -8,8 +8,10 @@ import pytest
 from bsnsim.mac import PROTOCOLS
 from bsnsim.mac.base import MacBase
 from bsnsim.runner import build_network
-from bsnsim.scenario import ScenarioError, bundled_scenario_path, load_scenario
+from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
+                             load_scenario)
 from tests.conftest import make_scenario
+from tests.test_golden_trace import _on_demand
 
 
 def test_bundled_scenarios_load():
@@ -172,6 +174,60 @@ def test_bad_protocol_value_rejected_at_load(name, params, message):
     assert message in str(err.value)
 
 
+PATHLOSS = {"ism": {"pl_d0": 40.0, "d0": 0.1, "exponent": 2.0,
+                    "shadow_sigma": 0.0}}
+
+
+def _n1(**fields):
+    """make_scenario's two nodes, with `fields` set on n1."""
+    return {"nodes": [
+        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+         "initial_j": None},
+        {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
+         **fields}]}
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"horizn_s": 10.0}, "horizn_s: unknown field"),
+    ({"channel_model": {"pathloss": PATHLOSS, "capture_margin_DB": 3.0}},
+     "channel_model.capture_margin_DB: unknown field"),
+    (_n1(tx_power_dBm=0.0), "nodes[1].tx_power_dBm: unknown field"),
+    ({"traffic": [{"node": "n1", "class": "NormalHigh", "perod": 1.0}]},
+     "traffic[0].perod: unknown field"),
+    ({"channels": {"ism": {"band": "ISM_2_4", "rate": 250000}}},
+     "channels.ism.rate: unknown field"),
+    ({"channel_model": {"pathloss": PATHLOSS,
+                        "interference": {"enabeld": True}}},
+     "channel_model.interference.enabeld: unknown field"),
+    ({"protocol_profiles": {"csmaa": "cc2420"}},
+     "protocol_profiles.csmaa: unknown field"),
+    (_n1(initial_j=-1), "nodes[1].initial_j: -1.0 is below the minimum 0.0"),
+    (_n1(initial_j="five"), "nodes[1].initial_j: 'five' is not a number"),
+    ({"horizon_s": -1}, "horizon_s: -1.0 is below the minimum"),
+    ({"replications": 0}, "replications: 0 is below the minimum 1"),
+    ({"queue_capacity": 0}, "queue_capacity: 0 is below the minimum 1"),
+    ({"on_demand": [{"at_s": 1.0, "target": "n1", "duration_s": -1}]},
+     "on_demand[0].duration_s: -1.0 is below the minimum 0.0"),
+    ({"channel_model": {"pathloss": PATHLOSS, "sensitivity_dbm": "low"}},
+     "channel_model.sensitivity_dbm: 'low' is not a number"),
+    ({"wakeup_table": [{"node": "n1", "class": "Urgent", "period_s": 1.0,
+                        "window_ms": 50.0}]},
+     "wakeup_table[0].class: 'Urgent' is not one of"),
+    ({"channel_model": {"pathloss": {"ism": {"pl_d0": 40.0,
+                                             "exponnet": 2.0}}}},
+     "channel_model.pathloss.ism.exponnet: unknown field"),
+    (_n1(pos=[0.5]), "nodes[1].pos: needs 2 or 3 coordinates"),
+    ([], "scenario: must be an object"),  # the document itself
+])
+def test_bad_field_rejected_at_load(override, message):
+    with pytest.raises(ScenarioError) as err:
+        if isinstance(override, dict):
+            make_scenario(override)
+        else:
+            _build(override)
+    assert str(err.value).startswith(message)
+
+
 def test_readme_parameter_table_matches_params():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = set()
@@ -234,11 +290,35 @@ def test_link_matrix_loaded_once_with_the_scenario(tmp_path):
     assert net.medium.link_matrix is sc.link_matrix
 
 
+def test_relative_link_matrix_resolved_against_the_scenario_file(
+        tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "links.csv").write_text(LINKS_HEADER + "standing,Chest,Waist,0.25\n")
+    raw = json.loads(bundled_scenario_path("table1_links").read_text())
+    raw["channel_model"]["link_matrix_csv"] = "links.csv"
+    (sub / "rel.json").write_text(json.dumps(raw))
+    monkeypatch.chdir(tmp_path)
+    sc = load_scenario("sub/rel.json")
+    assert sc.link_matrix.success_p("Chest", "Waist", "standing") == 0.25
+
+
+def _own_power_profile():
+    """A power profile of the scenario's own, named by a protocol and a node;
+    no bundled scenario sets `power_profiles` or `protocol_profiles`."""
+    return make_scenario({
+        "power_profiles": {"tiny": {"sleep_mw": 0.0005, "idle_listen_mw": 20.0,
+                                    "rx_mw": 20.0, "tx_mw": 15.0}},
+        "protocol_profiles": {"direct": "tiny"},
+        **_n1(profile="tiny")})
+
+
 def test_round_trip_serialization_is_fixed_point(tmp_path):
-    for name in ("paper_fig2", "table1_links", "tbw_emergency", "bridge_inbody"):
-        first = load_scenario(name)
+    firsts = [load_scenario(name) for name in (
+        "paper_fig2", "table1_links", "tbw_emergency", "bridge_inbody")]
+    for i, first in enumerate(firsts + [_on_demand(), _own_power_profile()]):
         dumped = first.serialize()
-        p = tmp_path / f"{name}.json"
+        p = tmp_path / f"{i}.json"
         p.write_text(dumped)
         second = load_scenario(p)
         assert second.serialize() == dumped
