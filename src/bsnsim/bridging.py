@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .channel import ChannelId
-from .frames import Mpdu
+from .channel import ChannelId, DeliveryOutcome
+from .frames import Frame, FrameKind, Mpdu
+from .mac.base import TURNAROUND_US
 
 
 class ConnectionType(Enum):
@@ -121,38 +122,69 @@ def validate_bridge(interfaces: list[ChannelId]) -> None:
         raise ValueError("bridge requires two or more distinct channel interfaces")
 
 
-class BridgeState:
-    """Bounded store-and-forward queue living on the bridge node.
+class Bridge:
+    """The relay on the bridge node: its radio on each bridged channel, a
+    bounded store, and a pump that forwards one stored frame at a time."""
 
-    Conservation holds at every instant:
-    frames_in == frames_forwarded + frames_dropped + len(store).
-    """
-
-    def __init__(self, node: str, interfaces: list[ChannelId],
-                 capacity: int = 16):
-        validate_bridge(interfaces)
+    def __init__(self, network, node, channels: list[ChannelId],
+                 capacity: int):
+        self.network = network
         self.node = node
-        self.interfaces = list(interfaces)
         self.capacity = capacity
+        self.radios = {}  # ChannelId -> Radio
+        for cid in channels:
+            radio = next((r for r in node.radios.values() if r.channel == cid
+                          and r.label not in ("wakeup_rx", "wakeup_tx")), None)
+            if radio is None:  # the MAC does not listen here
+                key = network.scenario.channel_key(cid)
+                radio = node.add_radio(f"bridge:{key}", cid,
+                                       initial_state="listen")
+                radio.on_frame = self._on_frame
+            self.radios[cid] = radio
         self.store: list[tuple[Mpdu, ChannelId]] = []
-        self.frames_in = 0
-        self.frames_forwarded = 0
-        self.frames_dropped = 0
+        self._current: Optional[Mpdu] = None
 
-    def accept(self, mpdu: Mpdu, egress: ChannelId) -> bool:
-        """Queue a frame for relay; False (and a counted drop) when full."""
-        self.frames_in += 1
+    def _on_frame(self, frame, tx) -> None:
+        if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
+            self.network.handle_data_delivery(self.node, frame.mpdu)
+
+    def relay(self, mpdu: Mpdu) -> None:
+        """Store a frame routed through the bridge, or drop it when full."""
+        route = self.network.channel_map.lookup_route(mpdu.src, mpdu.dst)
+        if not isinstance(route, ViaBridge):
+            return
         if len(self.store) >= self.capacity:
-            self.frames_dropped += 1
-            return False
-        self.store.append((mpdu, egress))
-        return True
+            self.network.metrics.bridge_drops += 1
+            self.network.metrics.on_dropped(mpdu)
+            return
+        self.store.append((mpdu, route.egress))
+        self._pump()
 
-    def next_out(self) -> Optional[tuple[Mpdu, ChannelId]]:
-        return self.store[0] if self.store else None
+    def _pump(self) -> None:
+        if self._current is not None or self.node.dead or not self.store:
+            return
+        mpdu, egress = self.store[0]
+        radio = self.radios[egress]
+        if radio.state == "tx":
+            return  # retried when the current transmission ends
+        self.store.pop(0)
+        mpdu.hop_trace.append((self.node.node_id, egress))
+        self._current = mpdu
+        frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
+        self.node.after(TURNAROUND_US, "bridge_fwd",
+                        lambda: self.network.medium.begin_tx(
+                            radio, frame, self.node.tx_power_dbm,
+                            on_result=self._sent))
 
-    def pop_forwarded(self) -> tuple[Mpdu, ChannelId]:
-        mpdu, egress = self.store.pop(0)
-        mpdu.hop_trace.append((self.node, egress))
-        self.frames_forwarded += 1
-        return mpdu, egress
+    def _sent(self, outcome: DeliveryOutcome) -> None:
+        if outcome is not DeliveryOutcome.DELIVERED:
+            self.network.metrics.on_dropped(self._current)
+        self._current = None
+        self._pump()
+
+    def pending(self) -> list[Mpdu]:
+        """The frames the bridge still holds, stored or on the air."""
+        out = [m for m, _ in self.store]
+        if self._current is not None:
+            out.append(self._current)
+        return out

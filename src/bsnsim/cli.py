@@ -10,8 +10,7 @@ from pathlib import Path
 from .bridging import Direct, ViaBridge
 from .core import US_PER_S, ticks_from_seconds
 from .metrics import RunMetrics, aggregate
-from .runner import (build_channel_map, compare_protocols, run_one,
-                     run_replications)
+from .runner import compare_protocols, run_one, run_replications
 from .scenario import Scenario, ScenarioError, load_scenario
 
 
@@ -107,16 +106,14 @@ def cmd_compare(args) -> int:
 
 def cmd_dump_routes(args) -> int:
     scenario = load_scenario(args.scenario)
-    if not scenario.channel_map:
-        print("src,dst,route_kind,ingress,bridge,egress")
-        return 0
-    cmap = build_channel_map(scenario)
     print("src,dst,route_kind,ingress,bridge,egress")
+    if not scenario.channel_map.records:
+        return 0
     for src in scenario.nodes:
         for dst in scenario.nodes:
             if src.id == dst.id:
                 continue
-            route = cmap.lookup_route(src.id, dst.id)
+            route = scenario.channel_map.lookup_route(src.id, dst.id)
             if isinstance(route, Direct):
                 key = scenario.channel_key(route.channel)
                 print(f"{src.id},{dst.id},direct,{key},,{key}")

@@ -1,7 +1,7 @@
 """Network assembly and replication driver.
 
 One run = one seeded Simulator, one Medium, one Node+MAC per scenario node,
-traffic sources, and optional bridge wiring. Replications are fully
+traffic sources, and an optional Bridge. Replications are fully
 independent and may execute in parallel worker processes; results merge in
 seed order either way.
 """
@@ -11,66 +11,16 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from .bridging import BridgeState, ChannelMap, Direct, ViaBridge
-from .channel import DeliveryOutcome, Medium
+from .bridging import Bridge, ChannelMap, Direct, ViaBridge
+from .channel import Medium
 from .core import Simulator, ticks_from_seconds
-from .frames import Frame, FrameKind, Mpdu
+from .frames import Mpdu
 from .mac import mac_class
-from .mac.base import TURNAROUND_US
 from .metrics import RunMetrics, aggregate
 from .node import Node
 from .scenario import Scenario
 from .traffic import (OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec,
                       next_emergency, next_normal_arrival)
-
-
-class BridgePump:
-    """Drains the bridge store onto egress radios, one frame at a time."""
-
-    def __init__(self, network, node, state: BridgeState, radios: dict):
-        self.network = network
-        self.node = node
-        self.state = state
-        self.radios = radios  # ChannelId -> Radio
-        self._current: Optional[Mpdu] = None
-
-    def accept(self, mpdu: Mpdu, egress) -> None:
-        if not self.state.accept(mpdu, egress):
-            self.network.metrics.bridge_drops += 1
-            self.network.metrics.on_dropped(mpdu)
-            return
-        self.pump()
-
-    def pump(self) -> None:
-        if self._current is not None or self.node.dead:
-            return
-        nxt = self.state.next_out()
-        if nxt is None:
-            return
-        _, egress = nxt
-        radio = self.radios[egress]
-        if radio.state == "tx":
-            return  # retried when the current transmission ends
-        mpdu, egress = self.state.pop_forwarded()
-        self._current = mpdu
-        frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
-
-        def done(outcome):
-            self._current = None
-            if outcome is not DeliveryOutcome.DELIVERED:
-                self.network.metrics.on_dropped(mpdu)
-            self.pump()
-
-        self.node.after(TURNAROUND_US, "bridge_fwd",
-                        lambda: self.network.medium.begin_tx(
-                            radio, frame, self.node.tx_power_dbm,
-                            on_result=done))
-
-    def pending(self) -> list[Mpdu]:
-        out = [m for m, _ in self.state.store]
-        if self._current is not None:
-            out.append(self._current)
-        return out
 
 
 class Network:
@@ -86,7 +36,7 @@ class Network:
         self.nodes: dict[str, Node] = {}
         self.coordinator_mac = None
         self.channel_map: Optional[ChannelMap] = None
-        self.bridge_pump: Optional[BridgePump] = None
+        self.bridge: Optional[Bridge] = None
         self._seqs: dict[str, int] = {}
 
     def new_mpdu(self, src: str, dst: str, cls: TrafficClass,
@@ -113,21 +63,8 @@ class Network:
         if mpdu.dst == node.node_id:
             self.metrics.on_delivered(mpdu, self.sim.now)
             return
-        if (self.bridge_pump is not None
-                and node.node_id == self.bridge_pump.node.node_id):
-            route = self.channel_map.lookup_route(mpdu.src, mpdu.dst)
-            if isinstance(route, ViaBridge):
-                self.bridge_pump.accept(mpdu, route.egress)
-
-
-def build_channel_map(scenario: Scenario) -> ChannelMap:
-    """The scenario's channel map, with its in-body and bridge nodes."""
-    cmap = ChannelMap(
-        inbody_nodes={n.id for n in scenario.nodes if n.kind == "inbody"},
-        bridge_nodes={scenario.bridge["node"]} if scenario.bridge else set())
-    for record in scenario.channel_map:
-        cmap.register(record)
-    return cmap
+        if self.bridge is not None and node is self.bridge.node:
+            self.bridge.relay(mpdu)
 
 
 def build_network(scenario: Scenario, protocol: str, seed: int, *,
@@ -171,33 +108,12 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
         if spec.id == scenario.bnc:
             network.coordinator_mac = mac
 
-    # bridge wiring
     if scenario.bridge is not None:
-        bnode = network.nodes[scenario.bridge["node"]]
-        ifaces = [scenario.channel_id(k) for k in scenario.bridge["interfaces"]]
-        state = BridgeState(bnode.node_id, ifaces,
-                            capacity=scenario.bridge["store_capacity"])
-        network.channel_map = build_channel_map(scenario)
-        radios = {}
-        for cid in ifaces:
-            existing = next((r for r in bnode.radios.values()
-                             if r.channel == cid and r.label != "wakeup_rx"
-                             and r.label != "wakeup_tx"), None)
-            if existing is None:
-                key = scenario.channel_key(cid)
-                existing = bnode.add_radio(f"bridge:{key}", cid,
-                                           initial_state="listen")
-
-                def _mk(node):
-                    def _rx(frame, tx):
-                        if (frame.kind is FrameKind.DATA
-                                and frame.link_dst == node.node_id):
-                            network.handle_data_delivery(node, frame.mpdu)
-                    return _rx
-
-                existing.on_frame = _mk(bnode)
-            radios[cid] = existing
-        network.bridge_pump = BridgePump(network, bnode, state, radios)
+        network.channel_map = scenario.channel_map
+        network.bridge = Bridge(
+            network, network.nodes[scenario.bridge["node"]],
+            [scenario.channel_id(k) for k in scenario.bridge["interfaces"]],
+            scenario.bridge["store_capacity"])
 
     for mac in macs:
         mac.start()
@@ -257,8 +173,8 @@ def run_one(scenario: Scenario, protocol: str, seed: int, *,
     leftovers: list[Mpdu] = []
     for mac in macs:
         leftovers.extend(mac.pending_frames())
-    if network.bridge_pump is not None:
-        leftovers.extend(network.bridge_pump.pending())
+    if network.bridge is not None:
+        leftovers.extend(network.bridge.pending())
     for node in network.nodes.values():
         node.finalize()
         metrics.node_energy_j[node.node_id] = node.consumed_j()

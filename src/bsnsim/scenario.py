@@ -15,7 +15,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .bridging import ChannelMapRecord, ConnectionType, validate_bridge
+from .bridging import (ChannelMap, ChannelMapRecord, ConnectionType,
+                       validate_bridge)
 from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
                       MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
                       PathLossParams, Position)
@@ -63,7 +64,7 @@ class Scenario:
     protocols: dict[str, dict]
     wakeup_table: list[WakeupEntry]
     on_demand: list[dict]
-    channel_map: list[ChannelMapRecord]
+    channel_map: ChannelMap
     bridge: Optional[dict]
     link_matrix: Optional[LinkMatrix]
     normalized: dict = field(repr=False, default_factory=dict)
@@ -381,8 +382,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError("bridge.interfaces: differing MTUs across "
                                 "bridged channels are not supported")
 
-    channel_map: list[ChannelMapRecord] = []
     bridge_ids = {bridge["node"]} if bridge else set()
+    channel_map = ChannelMap(inbody_nodes=inbody, bridge_nodes=bridge_ids)
     for i, rr in enumerate(norm["channel_map"]):
         path = f"channel_map[{i}]"
         _known(rr["channel"], channels, f"{path}.channel", "channel")
@@ -396,14 +397,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                     raise ScenarioError(
                         f"{path}: in-body node {endpoint!r} cannot hold a "
                         f"direct connection to non-bridge node {other!r}")
-        channel_map.append(ChannelMapRecord(
-            network_info=rr["network"], channel=channels[rr["channel"]],
-            node_ids=tuple(rr["nodes"]), connection_id=rr["connection_id"],
-            connection_type=ConnectionType(rr["connection_type"]),
-            src=rr["src"], dst=rr["dst"]))
-    conn_ids = [r.connection_id for r in channel_map]
-    if len(conn_ids) != len(set(conn_ids)):
-        raise ScenarioError("channel_map: duplicate connection_id")
+        try:
+            channel_map.register(ChannelMapRecord(
+                network_info=rr["network"], channel=channels[rr["channel"]],
+                node_ids=tuple(rr["nodes"]), connection_id=rr["connection_id"],
+                connection_type=ConnectionType(rr["connection_type"]),
+                src=rr["src"], dst=rr["dst"]))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: {exc}") from exc
 
     # star topology: without a bridge, all traffic terminates at the BNC
     for i, t in enumerate(traffic):

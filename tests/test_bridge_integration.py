@@ -61,13 +61,6 @@ def test_inbody_peer_frames_relayed_on_same_channel():
         assert mpdu.hop_trace == [("bnc", mics)]
 
 
-def test_bridge_conservation_counters_at_horizon():
-    sc = load_scenario("bridge_inbody")
-    net, _ = _run_capture(sc, seed=24)
-    st = net.bridge_pump.state
-    assert st.frames_in == st.frames_forwarded + st.frames_dropped + len(st.store)
-
-
 def test_store_overflow_drops_and_counts():
     sc = load_scenario("bridge_inbody")
     sc.bridge["store_capacity"] = 4

@@ -2,11 +2,12 @@
 
 import pytest
 
-from bsnsim.bridging import (BridgeState, ChannelMap, ChannelMapRecord,
-                             ConnectionType, Direct, NoRoute, ViaBridge,
-                             validate_bridge)
+from bsnsim.bridging import (ChannelMap, ChannelMapRecord, ConnectionType,
+                             Direct, NoRoute, ViaBridge, validate_bridge)
 from bsnsim.channel import Band, ChannelId
-from bsnsim.frames import Mpdu
+from bsnsim.core import ticks_from_seconds
+from bsnsim.runner import build_network
+from bsnsim.scenario import load_scenario
 from bsnsim.traffic import TrafficClass
 
 MICS = ChannelId(Band.MICS_402_405, 0)
@@ -101,48 +102,48 @@ def test_channel_id_equality_is_the_pair():
     assert ChannelId(Band.ISM_2_4, 1) == ChannelId(Band.ISM_2_4, 1)
 
 
-# Bridge store ----------------------------------------------------------------
+# The relay -------------------------------------------------------------------
 
-def _mpdu(seq):
-    return Mpdu(seq=seq, src="imp1", dst="chest",
-                cls=TrafficClass.NORMAL_MEDIUM, payload_bytes=128, created_at=0)
+def _quiet_bridge(capacity=16):
+    """build_network's Bridge on bridge_inbody, with no traffic of its own."""
+    sc = load_scenario("bridge_inbody")
+    sc.traffic = []
+    sc.bridge["store_capacity"] = capacity
+    network, macs = build_network(sc, "direct", seed=1)
+    return network, macs
+
+
+def _frame(network):
+    return network.new_mpdu("imp1", "chest", TrafficClass.NORMAL_MEDIUM)
 
 
 def test_store_bounded_and_drop_counted():
-    b = BridgeState("bnc", [MICS, ISM], capacity=16)
-    for i in range(16):
-        assert b.accept(_mpdu(i), ISM) is True
-    assert b.accept(_mpdu(16), ISM) is False  # 17th dropped
-    assert b.frames_dropped == 1
-    assert len(b.store) == 16
-
-
-def test_conservation_counter_identity():
-    b = BridgeState("bnc", [MICS, ISM], capacity=4)
-    for i in range(6):
-        b.accept(_mpdu(i), ISM)
-        assert b.frames_in == b.frames_forwarded + b.frames_dropped + len(b.store)
-    while b.store:
-        b.pop_forwarded()
-        assert b.frames_in == b.frames_forwarded + b.frames_dropped + len(b.store)
+    network, macs = _quiet_bridge(capacity=16)
+    bridge = network.bridge
+    frames = [_frame(network) for _ in range(20)]
+    for i, m in enumerate(frames):
+        bridge.relay(m)
+        assert len(bridge.store) <= 16
+        # the first frame is on its way out, the next 16 wait in the store
+        assert network.metrics.bridge_drops == max(0, i - 16)
+    assert network.metrics.counts[TrafficClass.NORMAL_MEDIUM].dropped == 3
+    assert [m.disposed for m in frames[17:]] == ["dropped"] * 3
+    assert len(bridge.pending()) == 17
+    network.sim.run(ticks_from_seconds(1.0))
+    assert bridge.pending() == []
+    leftovers = [m for mac in macs for m in mac.pending_frames()]
+    network.metrics.finalize(leftovers)  # asserts frame conservation
 
 
 def test_forwarding_extends_hop_trace_once():
-    b = BridgeState("bnc", [MICS, ISM])
-    m = _mpdu(0)
-    b.accept(m, ISM)
-    out, egress = b.pop_forwarded()
-    assert out is m
-    assert egress == ISM
+    network, _ = _quiet_bridge()
+    m = _frame(network)
+    network.bridge.relay(m)
+    network.sim.run(ticks_from_seconds(1.0))
     assert m.hop_trace == [("bnc", ISM)]
     # payload and class untouched by the relay
     assert m.payload_bytes == 128
     assert m.cls is TrafficClass.NORMAL_MEDIUM
-
-
-def test_single_interface_bridge_rejected_at_construction():
-    with pytest.raises(ValueError):
-        BridgeState("bnc", [ISM])
 
 
 def test_bridge_endpoint_pairs_are_single_hop():

@@ -27,8 +27,8 @@ def finalize(network, macs=None):
         if node.mac is not None:
             leftovers.extend(node.mac.pending_frames())
         node.finalize()
-    if network.bridge_pump is not None:
-        leftovers.extend(network.bridge_pump.pending())
+    if network.bridge is not None:
+        leftovers.extend(network.bridge.pending())
     m.finalize(leftovers)
     return m
 

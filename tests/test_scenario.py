@@ -32,7 +32,7 @@ def test_bundled_scenarios_load():
 
     bridge = load_scenario("bridge_inbody")
     assert bridge.bridge["interfaces"] == ["mics", "ism"]
-    assert len(bridge.channel_map) == 4
+    assert len(bridge.channel_map.records) == 4
 
 
 def test_two_bncs_rejected():
