@@ -67,6 +67,10 @@ class ChannelMap:
     def register(self, record: ChannelMapRecord) -> "ChannelMap":
         if record.connection_id in self.records:
             raise ValueError(f"duplicate connection_id {record.connection_id}")
+        twice = sorted({n for n in record.node_ids
+                        if record.node_ids.count(n) > 1})
+        if twice:
+            raise ValueError(f"nodes listed twice: {', '.join(twice)}")
         members = set(record.node_ids)
         for endpoint in (record.src, record.dst):
             if endpoint not in members and not self._on_some_channel(endpoint):
@@ -129,6 +133,7 @@ class Bridge:
     def __init__(self, network, node, channels: list[ChannelId],
                  capacity: int):
         self.network = network
+        self.routes = network.scenario.channel_map
         self.node = node
         self.capacity = capacity
         self.radios = {}  # ChannelId -> Radio
@@ -149,14 +154,20 @@ class Bridge:
             self.network.handle_data_delivery(self.node, frame.mpdu)
 
     def relay(self, mpdu: Mpdu) -> None:
-        """Store a frame routed through the bridge, or drop it when full."""
-        route = self.network.channel_map.lookup_route(mpdu.src, mpdu.dst)
-        if not isinstance(route, ViaBridge):
+        """Store a frame routed through the bridge, or drop it when full.
+
+        The hop is recorded when the frame is stored, so a retransmission of
+        a frame the bridge holds or has forwarded is not relayed again.
+        """
+        route = self.routes.lookup_route(mpdu.src, mpdu.dst)
+        if (not isinstance(route, ViaBridge)
+                or any(hop[0] == self.node.node_id for hop in mpdu.hop_trace)):
             return
         if len(self.store) >= self.capacity:
             self.network.metrics.bridge_drops += 1
             self.network.metrics.on_dropped(mpdu)
             return
+        mpdu.hop_trace.append((self.node.node_id, route.egress))
         self.store.append((mpdu, route.egress))
         self._pump()
 
@@ -168,7 +179,6 @@ class Bridge:
         if radio.state == "tx":
             return  # retried when the current transmission ends
         self.store.pop(0)
-        mpdu.hop_trace.append((self.node.node_id, egress))
         self._current = mpdu
         frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
         self.node.after(TURNAROUND_US, "bridge_fwd",

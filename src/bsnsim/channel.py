@@ -80,17 +80,6 @@ def mean_path_loss_db(distance: float, params: PathLossParams,
     return params.pl_d0 + 10.0 * params.exponent * math.log10(distance / params.d0)
 
 
-def path_loss_db(distance: float, params: PathLossParams, rng=None,
-                 min_distance: float = DEFAULT_MIN_DISTANCE_M) -> float:
-    """Path loss in dB at the given distance; draws shadowing when sigma > 0."""
-    loss = mean_path_loss_db(distance, params, min_distance)
-    if params.shadow_sigma > 0:
-        if rng is None:
-            raise ValueError("shadowing requires an RNG stream")
-        loss += rng.gauss(0.0, params.shadow_sigma)
-    return loss
-
-
 def rx_power_dbm(tx_dbm: float, loss_db: float) -> float:
     return tx_dbm - loss_db
 
@@ -141,12 +130,6 @@ class LinkMatrix:
 
     def keys(self):
         return self._entries.keys()
-
-
-def empirical_outcome(src_site: str, dst_site: str, posture: str,
-                      matrix: LinkMatrix, rng) -> bool:
-    """Bernoulli draw against the matrix entry; True means Success."""
-    return _link_success(matrix.success_p(src_site, dst_site, posture), rng)
 
 
 def _link_success(p: float, rng) -> bool:

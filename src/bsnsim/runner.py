@@ -11,7 +11,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Optional
 
-from .bridging import Bridge, ChannelMap, Direct, ViaBridge
+from .bridging import Bridge, Direct, ViaBridge
 from .channel import Medium
 from .core import Simulator, ticks_from_seconds
 from .frames import Mpdu
@@ -35,7 +35,6 @@ class Network:
         self.bnc_id = scenario.bnc
         self.nodes: dict[str, Node] = {}
         self.coordinator_mac = None
-        self.channel_map: Optional[ChannelMap] = None
         self.bridge: Optional[Bridge] = None
         self._seqs: dict[str, int] = {}
 
@@ -50,9 +49,9 @@ class Network:
 
     def link_dst(self, mpdu: Mpdu) -> str:
         """First-hop link destination for a frame leaving its source."""
-        if self.channel_map is None:
+        if self.bridge is None:
             return mpdu.dst
-        route = self.channel_map.lookup_route(mpdu.src, mpdu.dst)
+        route = self.scenario.channel_map.lookup_route(mpdu.src, mpdu.dst)
         if isinstance(route, ViaBridge):
             return route.bridge
         if isinstance(route, Direct):
@@ -109,7 +108,6 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
             network.coordinator_mac = mac
 
     if scenario.bridge is not None:
-        network.channel_map = scenario.channel_map
         network.bridge = Bridge(
             network, network.nodes[scenario.bridge["node"]],
             [scenario.channel_id(k) for k in scenario.bridge["interfaces"]],

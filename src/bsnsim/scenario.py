@@ -267,6 +267,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     if norm["wakeup_channel"] is not None:
         _known(norm["wakeup_channel"], channels, "wakeup_channel", "channel key")
     cm = norm["channel_model"]
+    # bounds the field tables cannot express
+    if cm["min_distance_m"] <= 0:
+        raise ScenarioError(f"channel_model.min_distance_m: "
+                            f"{cm['min_distance_m']!r} is not above 0")
+    if cm["interference"]["pass_probability"] > 1:
+        raise ScenarioError(f"channel_model.interference.pass_probability: "
+                            f"{cm['interference']['pass_probability']!r} is "
+                            f"above the maximum 1")
     pathloss: dict[str, PathLossParams] = {}
     for key, p in cm["pathloss"].items():
         path = f"channel_model.pathloss.{key}"

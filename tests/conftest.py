@@ -1,5 +1,5 @@
 """Shared helpers for building small in-memory scenarios, and oracles for
-the coordinator's wakeup pattern."""
+the coordinator's wakeup pattern, path loss and empirical links."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import copy
 
 import pytest
 
+from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, PathLossParams,
+                            _link_success, mean_path_loss_db)
 from bsnsim.scenario import Scenario, _build
 
 
@@ -48,6 +50,25 @@ def pattern_awake(pattern) -> int:
 def pattern_covers(pattern, start: int, end: int) -> bool:
     """Whether one interval of the pattern holds all of [start, end)."""
     return any(s <= start and end <= e for s, e in pattern.intervals)
+
+
+def path_loss_db(distance: float, params: PathLossParams, rng=None,
+                 min_distance: float = DEFAULT_MIN_DISTANCE_M) -> float:
+    """Path loss in dB at `distance`, with a shadowing draw when sigma > 0:
+    the loss `Medium` applies to one transmission."""
+    loss = mean_path_loss_db(distance, params, min_distance)
+    if params.shadow_sigma > 0:
+        if rng is None:
+            raise ValueError("shadowing requires an RNG stream")
+        loss += rng.gauss(0.0, params.shadow_sigma)
+    return loss
+
+
+def empirical_outcome(src_site: str, dst_site: str, posture: str,
+                      matrix: LinkMatrix, rng) -> bool:
+    """One draw against the matrix entry, as `Medium` makes it in empirical
+    mode; True means success."""
+    return _link_success(matrix.success_p(src_site, dst_site, posture), rng)
 
 
 @pytest.fixture

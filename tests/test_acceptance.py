@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsnsim.channel import (LinkMatrix, Medium, PathLossParams, Position,
-                            empirical_outcome, interference_gate, path_loss_db,
-                            rx_power_dbm)
+                            interference_gate, rx_power_dbm)
 from bsnsim.cli import main as cli_main
 from bsnsim.core import US_PER_S, Simulator, ticks_from_seconds
 from bsnsim.frames import Frame, FrameKind
@@ -23,7 +22,8 @@ from bsnsim.scenario import bundled_data_path, load_scenario
 from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, \
     derive_bnc_pattern, table_update
-from tests.conftest import pattern_awake, pattern_covers
+from tests.conftest import (empirical_outcome, path_loss_db, pattern_awake,
+                            pattern_covers)
 
 WORKERS = 2
 

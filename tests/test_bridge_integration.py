@@ -6,9 +6,9 @@ from bsnsim.scenario import load_scenario
 from bsnsim.traffic import TrafficClass
 
 
-def _run_capture(scenario, seed):
+def _run_capture(scenario, seed, protocol="direct"):
     """Run and capture every final delivery (mpdu, at)."""
-    net, macs = build_network(scenario, "direct", seed)
+    net, macs = build_network(scenario, protocol, seed)
     delivered = []
     orig = net.metrics.on_delivered
 
@@ -59,6 +59,16 @@ def test_inbody_peer_frames_relayed_on_same_channel():
     mics = sc.channel_id("mics")
     for mpdu in peer:
         assert mpdu.hop_trace == [("bnc", mics)]
+
+
+def test_retransmitted_frame_is_relayed_once():
+    # under an acked MAC a lost ingress ack makes the sender send the same
+    # frame again; the bridge relays it the first time only
+    sc = load_scenario("bridge_inbody")
+    net, delivered = _run_capture(sc, seed=3, protocol="smac")
+    relayed = [m for m in delivered if m.hop_trace]
+    assert relayed
+    assert all(len(m.hop_trace) == 1 for m in relayed)
 
 
 def test_store_overflow_drops_and_counts():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsnsim.channel import (Band, ChannelId, DeliveryOutcome, LinkMatrix,
-                            Medium, PathLossParams, Position, empirical_outcome,
-                            interference_gate, path_loss_db, rx_power_dbm)
+                            Medium, PathLossParams, Position, interference_gate,
+                            rx_power_dbm)
 from bsnsim.core import Simulator, substream_seed
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
+from tests.conftest import empirical_outcome, path_loss_db
 
 
 def test_reference_distance_identity():

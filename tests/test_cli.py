@@ -115,6 +115,23 @@ def test_co_located_nodes_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "dump-routes"])
+def test_unmapped_endpoint_exit_code(tmp_path, capsys, command):
+    # chest is on no channel when the first record is registered
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["channel_map"][0]["src"] = "chest"
+    path = tmp_path / "unmapped.json"
+    path.write_text(json.dumps(raw))
+    run_args = ["--protocol", "direct", "--reps", "1", "--until", "1",
+                "--out", str(tmp_path)]
+    rc = main([command, "--scenario", str(path),
+               *(run_args if command == "run" else [])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "channel_map[0]: unmapped endpoint: chest" in err
+    assert "Traceback" not in err
+
+
 def test_bad_link_matrix_exit_code(tmp_path, capsys):
     csv_path = tmp_path / "links.csv"
     csv_path.write_text("posture,src,dst,success_rate\nstanding,Chest,Waist,1.7\n")

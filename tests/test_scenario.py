@@ -218,6 +218,19 @@ def _n1(**fields):
      "channel_model.pathloss.ism.exponnet: unknown field"),
     (_n1(pos=[0.5]), "nodes[1].pos: needs 2 or 3 coordinates"),
     ([], "scenario: must be an object"),  # the document itself
+    # rules that no field table holds: an exclusive minimum, a maximum, and
+    # the channel-map records, registered at load
+    ({"channel_model": {"pathloss": PATHLOSS, "min_distance_m": 0}},
+     "channel_model.min_distance_m: 0.0 is not above 0"),
+    ({"channel_model": {"pathloss": PATHLOSS,
+                        "interference": {"pass_probability": 1.5}}},
+     "channel_model.interference.pass_probability: 1.5 is above the maximum 1"),
+    ({"channel_map": [{"channel": "ism", "nodes": ["bnc", "n1", "bnc"],
+                       "connection_id": 1, "src": "n1", "dst": "bnc"}]},
+     "channel_map[0]: nodes listed twice: bnc"),
+    ({"channel_map": [{"channel": "ism", "nodes": ["bnc"],
+                       "connection_id": 1, "src": "n1", "dst": "bnc"}]},
+     "channel_map[0]: unmapped endpoint: n1"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
