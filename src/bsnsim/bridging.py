@@ -177,7 +177,7 @@ class Bridge:
         mpdu, egress = self.store[0]
         radio = self.radios[egress]
         if radio.state == "tx":
-            return  # retried when the current transmission ends
+            return  # tried again when the next frame is relayed
         self.store.pop(0)
         self._current = mpdu
         frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
