@@ -1,6 +1,6 @@
 """Shared MAC machinery: timing constants, priority queues, the session
-rule for stale steps, unacknowledged and acknowledged sends, and the slotted
-CSMA/CA engine with acks and retransmissions."""
+rule for stale steps, unacknowledged sends, the acknowledged exchange with
+its retries, the receive dispatch, and the slotted CSMA/CA engine."""
 
 from __future__ import annotations
 
@@ -16,6 +16,19 @@ UNIT_BACKOFF_US = 320     # 20 symbols at 250 kb/s
 CCA_US = 128              # 8 symbols
 TURNAROUND_US = 192       # rx/tx switch, charged at rx power
 ACK_WAIT_MARGIN_US = 200
+
+
+def require_one_channel(scenario) -> None:
+    """Raise ValueError naming each node off the coordinator's channel. A MAC
+    whose devices follow the coordinator's beacons or preambles cannot serve
+    them: they never hear one."""
+    key = scenario.node(scenario.bnc).channel
+    home = scenario.channel_id(key)
+    strays = sorted(n.id for n in scenario.nodes
+                    if scenario.channel_id(n.channel) != home)
+    if strays:
+        raise ValueError(f"nodes not on the coordinator's channel {key!r}: "
+                         f"{', '.join(strays)}")
 
 
 class FrameQueue:
@@ -64,7 +77,8 @@ class MacBase:
     profile = "nrf2401"  # power profile of nodes that name none
     # the keys the protocol accepts under `protocols.<name>` in a scenario,
     # with their defaults; None: derived from the scenario
-    params: dict = {"queue_capacity": None, "cca_threshold_dbm": None}
+    params: dict = {}
+    retry_limit: int  # retransmissions after a missing ack, in acked MACs
 
     @classmethod
     def settings(cls, scenario) -> dict:
@@ -72,9 +86,7 @@ class MacBase:
         in; subclasses add values derived from them. The runner calls this
         once per run and hands the result to every MAC. Raises TypeError or
         ValueError on a value the protocol rejects."""
-        out = {**cls.params,
-               "queue_capacity": scenario.queue_capacity,
-               "cca_threshold_dbm": scenario.channel_model["cca_threshold_dbm"]}
+        out = dict(cls.params)
         for key, value in scenario.protocols.get(cls.name, {}).items():
             if isinstance(out[key], (int, float)):
                 number = float if isinstance(out[key], float) else int
@@ -91,8 +103,8 @@ class MacBase:
         self.node = node
         self.network = network
         self.rng = sim.stream(f"mac:{node.node_id}")
-        self.queue = FrameQueue(settings["queue_capacity"])
         scenario = network.scenario
+        self.queue = FrameQueue(scenario.queue_capacity)
         self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
         # how long a sender on `self.channel` waits for an ack
         self.ack_wait: SimTime = (
@@ -101,7 +113,10 @@ class MacBase:
         self.target = node.target
         self.in_service: Optional[Mpdu] = None
         self._session = 0
+        # the acknowledged exchange of the frame in service
+        self._retries = 0
         self._ack_timer: Optional[Event] = None
+        self._ack_done: Optional[Callable[[bool, str], None]] = None
         node.mac = self
 
     @property
@@ -181,7 +196,61 @@ class MacBase:
             return
         self.send_unacked(lambda: self.radio.set_state("sleep"))
 
-    # Ack exchange ----------------------------------------------------------
+    # Acknowledged exchange -------------------------------------------------
+
+    def exchange_ticks(self, mpdu: Mpdu) -> SimTime:
+        """How long one attempt at `mpdu` takes: its airtime on `self.radio`
+        plus the ack wait."""
+        return (frame_airtime(mpdu.payload_bytes, self.radio.chan_state.rate)
+                + self.ack_wait)
+
+    def serve(self, mpdu: Mpdu) -> None:
+        """Put `mpdu` in service for an acknowledged exchange, with no
+        retries spent."""
+        self.in_service = mpdu
+        self._retries = 0
+
+    def send_acked(self, done: Callable[[bool, str], None],
+                   resend: Callable[[], None],
+                   deadline: Optional[SimTime] = None) -> None:
+        """Send the frame in service once on `self.radio`, then wait for its
+        ack. Without one, `resend()` runs while `_retries` is within
+        `retry_limit` and another attempt would end by `deadline`; it calls
+        `send_acked` again once the radio may send. `done(ok, reason)` ends
+        the exchange with the reason "acked", "retries" or "deadline"."""
+        mpdu = self.in_service
+        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
+        self._ack_done = done
+
+        def _await_ack(outcome):
+            self._ack_timer = self.after(
+                self.ack_wait, "ack_timeout",
+                lambda: self._ack_missed(resend, deadline))
+
+        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
+                             on_result=self.in_session(_await_ack))
+
+    def _ack_missed(self, resend: Callable[[], None],
+                    deadline: Optional[SimTime]) -> None:
+        self._retries += 1
+        if self._retries > self.retry_limit:
+            self._ack_done(False, "retries")
+        elif (deadline is not None and self.sim.now
+              + self.exchange_ticks(self.in_service) > deadline):
+            self._ack_done(False, "deadline")
+        else:
+            resend()
+
+    def _on_ack(self, frame: Frame) -> None:
+        mpdu = self.in_service
+        if (mpdu is None or frame.link_dst != self.node.node_id
+                or frame.info.get("seq") != mpdu.seq
+                or frame.info.get("of") != mpdu.src):
+            return
+        if self._ack_timer is not None:
+            self.sim.cancel(self._ack_timer)
+            self._ack_timer = None
+        self._ack_done(True, "acked")
 
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
         """Receiver side: switch rx for the turnaround, then transmit the ack."""
@@ -196,31 +265,25 @@ class MacBase:
 
         self.node.after(TURNAROUND_US, "ack_tx", _tx_ack)
 
-    def send_awaiting_ack(self, on_timeout: Callable[[], None]) -> None:
-        """Send the frame in service once on `self.radio`, then wait for its
-        ack; `on_timeout` runs in this session if none arrives in time."""
-        mpdu = self.in_service
-        frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
+    # Reception ---------------------------------------------------------------
 
-        def _await_ack(outcome):
-            self._ack_timer = self.after(self.ack_wait, "ack_timeout",
-                                         on_timeout)
+    def _on_frame(self, frame: Frame, tx) -> None:
+        """The receive hook of the MAC's radios."""
+        kind = frame.kind
+        if kind is FrameKind.DATA:
+            if frame.link_dst == self.node.node_id:
+                self._on_data(frame)
+        elif kind is FrameKind.ACK:
+            self._on_ack(frame)
+        else:
+            self._on_control(frame)
 
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=self.in_session(_await_ack))
+    def _on_data(self, frame: Frame) -> None:
+        """A data frame for this node; the acked MACs also send its ack."""
+        self.network.handle_data_delivery(self.node, frame.mpdu)
 
-    def ack_received(self, frame: Frame) -> bool:
-        """Whether an ACK frame acknowledges the frame in service; if so its
-        ack timer is cancelled."""
-        mpdu = self.in_service
-        if (mpdu is None or frame.link_dst != self.node.node_id
-                or frame.info.get("seq") != mpdu.seq
-                or frame.info.get("of") != mpdu.src):
-            return False
-        if self._ack_timer is not None:
-            self.sim.cancel(self._ack_timer)
-            self._ack_timer = None
-        return True
+    def _on_control(self, frame: Frame) -> None:
+        """A frame of the MAC's own kinds: beacons, preambles, grants, polls."""
 
 
 class SlottedCsmaMac(MacBase):
@@ -238,7 +301,7 @@ class SlottedCsmaMac(MacBase):
     service until `_start_service` runs again.
     """
 
-    params = {**MacBase.params, "macMinBE": 3, "aMaxBE": 5, "retry_limit": 3}
+    params = {"macMinBE": 3, "aMaxBE": 5, "retry_limit": 3}
     busy_limit: int
 
     def __init__(self, sim: Simulator, medium, node, network, settings: dict):
@@ -246,10 +309,9 @@ class SlottedCsmaMac(MacBase):
         self.min_be = settings["macMinBE"]
         self.max_be = settings["aMaxBE"]
         self.retry_limit = settings["retry_limit"]
-        self.cca_threshold = settings["cca_threshold_dbm"]
+        self.cca_threshold = network.scenario.channel_model["cca_threshold_dbm"]
         self._access_start: SimTime = 0
         self._access_end: SimTime = 0
-        self._retries = 0
         self._nb = 0
         self._be = self.min_be
 
@@ -267,8 +329,7 @@ class SlottedCsmaMac(MacBase):
             if not len(self.queue):
                 self._idle()
                 return
-            self.in_service = self.queue.pop()
-            self._retries = 0
+            self.serve(self.queue.pop())
         self._csma_begin()
 
     def _csma_begin(self) -> None:
@@ -286,9 +347,7 @@ class SlottedCsmaMac(MacBase):
         delay_units = self.rng.randrange(1 << self._be)
         b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
         tx_at = b0 + 2 * UNIT_BACKOFF_US
-        airtime = frame_airtime(self.in_service.payload_bytes,
-                                self.radio.chan_state.rate)
-        if tx_at + airtime + self.ack_wait > self._access_end:
+        if tx_at + self.exchange_ticks(self.in_service) > self._access_end:
             self._idle()
             return
         self.at(b0 + CCA_US, "cca", lambda: self._cca_done(b0, False))
@@ -310,24 +369,14 @@ class SlottedCsmaMac(MacBase):
 
     def _transmit(self) -> None:
         if self.radio.state != "tx":
-            self.send_awaiting_ack(self._ack_timeout)
+            self.send_acked(self._exchange_done, self._csma_begin)
 
-    def _ack_timeout(self) -> None:
-        self._retries += 1
-        if self._retries > self.retry_limit:
+    def _exchange_done(self, ok: bool, reason: str) -> None:
+        if not ok:
             self.metrics.on_dropped(self.in_service)
-            self.in_service = None
-            self._start_service()
-        else:
-            self._csma_begin()
-
-    def _on_frame(self, frame: Frame, tx) -> None:
-        if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
-            self._on_data(frame)
-        elif frame.kind is FrameKind.ACK and self.ack_received(frame):
-            self.in_service = None
-            self._start_service()
+        self.in_service = None
+        self._start_service()
 
     def _on_data(self, frame: Frame) -> None:
-        self.network.handle_data_delivery(self.node, frame.mpdu)
+        super()._on_data(frame)
         self.send_ack_after_turnaround(self.radio, frame.src, frame.mpdu)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..core import SimTime
 from ..frames import BEACON_BYTES, Frame, FrameKind, Mpdu
-from .base import TURNAROUND_US, SlottedCsmaMac
+from .base import TURNAROUND_US, SlottedCsmaMac, require_one_channel
 
 BASE_SLOT_US = 960         # one superframe slot at SO=0
 NUM_SUPERFRAME_SLOTS = 16
@@ -106,6 +106,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     @classmethod
     def settings(cls, scenario) -> dict:
+        require_one_channel(scenario)
         out = super().settings(scenario)
         out["superframe"] = SuperframeConfig(
             beacon_order=out["BO"], superframe_order=out["SO"],
@@ -264,11 +265,9 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     # -- reception ----------------------------------------------------------
 
-    def _on_frame(self, frame: Frame, tx) -> None:
+    def _on_control(self, frame: Frame) -> None:
         if frame.kind is FrameKind.BEACON and not self.is_coordinator:
             self._on_beacon(frame)
-        else:
-            super()._on_frame(frame, tx)
 
     def _on_data(self, frame: Frame) -> None:
         # only the coordinator holds descriptors; GTS frames go unacknowledged

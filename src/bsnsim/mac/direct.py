@@ -4,7 +4,7 @@ contention is not the point. Frames are unacknowledged and never retried."""
 
 from __future__ import annotations
 
-from ..frames import Frame, FrameKind, Mpdu
+from ..frames import Mpdu
 from .base import MacBase
 
 
@@ -28,7 +28,3 @@ class DirectMac(MacBase):
                 or self.radio.state == "tx" or not len(self.queue)):
             return
         self.send_unacked(self._pump)
-
-    def _on_frame(self, frame: Frame, tx) -> None:
-        if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
-            self.network.handle_data_delivery(self.node, frame.mpdu)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..channel import ChannelId, frame_airtime
+from ..channel import ChannelId
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandMode, OnDemandRequest, TrafficClass
@@ -35,7 +35,7 @@ class TbwMac(MacBase):
 
     name = "tbw"
     always_on = False  # whether the coordinator's data radios never sleep
-    params = {**MacBase.params, "guard_ms": 2.0, "wakeup_signal_ms": 10.0,
+    params = {"guard_ms": 2.0, "wakeup_signal_ms": 10.0,
               "wakeup_retry_ms": 50.0, "wakeup_max_tries": 10,
               "retry_limit": 3}
 
@@ -90,7 +90,6 @@ class TbwMac(MacBase):
                 (e for e in scenario.wakeup_table if e.node == node.node_id),
                 None)
             self._window_end: SimTime = 0
-            self._serving_window = False
             self._pending_emergencies: list[Mpdu] = []
             self._emg_active: Optional[Mpdu] = None
             self._emg_tries = 0
@@ -98,8 +97,6 @@ class TbwMac(MacBase):
         self.wakeup_rx = node.add_wakeup_receiver(self.wakeup_channel)
         self.wakeup_rx.on_frame = self._on_wakeup_signal
         self.wakeup_tx = node.add_radio("wakeup_tx", self.wakeup_channel)
-        self._retries = 0
-        self._send_done = None  # done(ok, reason) for the frame in service
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -222,13 +219,8 @@ class TbwMac(MacBase):
         self.new_session()
         self.radio.set_state("listen")
         deadline = occ + self.beacon_airtime + self.guard + 500
-        self.at(deadline, "beacon_timeout", self._window_beacon_missed)
-
-    def _window_beacon_missed(self) -> None:
-        if self._serving_window:
-            return
-        self.radio.set_state("sleep")  # retry at the next window
-        self._schedule_next_window()
+        # a missed beacon closes the window; the node tries the next one
+        self.at(deadline, "beacon_timeout", self._window_close)
 
     def _on_window_beacon(self, frame: Frame) -> None:
         if self._od_req is not None:
@@ -236,7 +228,6 @@ class TbwMac(MacBase):
         self.new_session()
         self.entry_view = frame.info["entry"]  # disseminates table changes
         self._window_end = frame.info["window_end"]
-        self._serving_window = True
         if not len(self.queue):
             # stay reachable until the window closes, then sleep
             self.at(self._window_end, "window_close", self._window_close)
@@ -244,7 +235,6 @@ class TbwMac(MacBase):
         self._window_send_next()
 
     def _window_close(self) -> None:
-        self._serving_window = False
         self.radio.set_state("sleep")
         self._schedule_next_window()
 
@@ -253,15 +243,11 @@ class TbwMac(MacBase):
             self._window_close()
             return
         mpdu = self.queue.peek()
-        cost = (frame_airtime(mpdu.payload_bytes, self.radio.chan_state.rate)
-                + self.ack_wait)
-        if self.sim.now + cost > self._window_end:
+        if self.sim.now + self.exchange_ticks(mpdu) > self._window_end:
             self._window_close()  # carry over whatever is left
             return
         self.queue.remove(mpdu)
-        self.in_service = mpdu
-        self._retries = 0
-        self._acked_send(self.in_session(
+        self._acked_send(mpdu, self.in_session(
             lambda ok, reason: self._window_sent(mpdu, ok, reason)),
             deadline=self._window_end)
 
@@ -276,42 +262,19 @@ class TbwMac(MacBase):
             self.metrics.on_dropped(mpdu)
         self._window_send_next()
 
-    # ------------------------------------------------------------------ #
-    # acknowledged unicast with bounded retries (node side helper)       #
-    # ------------------------------------------------------------------ #
-
-    def _acked_send(self, done, deadline: Optional[SimTime] = None) -> None:
-        """Send the frame in service until it is acked, `retry_limit` retries
-        fail or a retry would end past `deadline`; `done(ok, reason)`."""
-        self._send_done = done
-        rate = self.radio.chan_state.rate
+    def _acked_send(self, mpdu: Mpdu, done,
+                    deadline: Optional[SimTime] = None) -> None:
+        """Put `mpdu` in service and run its acknowledged exchange; a send
+        waits while the data radio is still transmitting."""
+        self.serve(mpdu)
 
         def attempt():
             if self.radio.state == "tx":
                 self.after(500, "tx_retry_wait", attempt)
             else:
-                self.send_awaiting_ack(timeout)
-
-        def timeout():
-            self._retries += 1
-            retry_cost = (frame_airtime(self.in_service.payload_bytes, rate)
-                          + self.ack_wait)
-            if self._retries > self.retry_limit:
-                done(False, "retries")
-            elif deadline is not None and self.sim.now + retry_cost > deadline:
-                done(False, "deadline")
-            else:
-                attempt()
+                self.send_acked(done, attempt, deadline)
 
         attempt()
-
-    def _on_ack_frame(self, frame: Frame) -> None:
-        if not self.ack_received(frame):
-            return
-        done = self._send_done
-        self._send_done = None
-        if done is not None:
-            done(True, "acked")
 
     # ------------------------------------------------------------------ #
     # emergency: wakeup burst, grant, immediate access                   #
@@ -341,7 +304,6 @@ class TbwMac(MacBase):
 
     def _start_emergency(self) -> None:
         self.new_session()  # preempt any window or on-demand service
-        self._serving_window = False
         self._od_req = None
         self._requeue_in_service()
         self._emg_active = self._pending_emergencies.pop(0)
@@ -383,9 +345,8 @@ class TbwMac(MacBase):
         if self._emg_active is None or self.in_service is not None:
             return
         self.new_session()
-        self.in_service = self._emg_active
-        self._retries = 0
-        self._acked_send(self.in_session(self._emergency_done))
+        self._acked_send(self._emg_active,
+                         self.in_session(self._emergency_done))
 
     def _emergency_done(self, ok: bool, reason: str) -> None:
         self.in_service = None
@@ -482,7 +443,6 @@ class TbwMac(MacBase):
             return  # tone-addressed elsewhere; the receiver filters it out
         # broadcast or our tone: power the data radio and wait for the poll
         self.new_session()
-        self._serving_window = False
         self._requeue_in_service()
         self.radio.set_state("listen")
         self._od_req = dict(frame.info)
@@ -520,9 +480,7 @@ class TbwMac(MacBase):
                 return
             mpdu = self.network.new_mpdu(self.node.node_id, self.network.bnc_id,
                                          request.cls)
-            self.in_service = mpdu
-            self._retries = 0
-            self._acked_send(lambda ok, _reason: next_one(k, ok, mpdu))
+            self._acked_send(mpdu, lambda ok, _reason: next_one(k, ok, mpdu))
 
         def next_one(k: int, ok: bool, mpdu: Mpdu):
             self.in_service = None
@@ -541,23 +499,20 @@ class TbwMac(MacBase):
     # reception                                                          #
     # ------------------------------------------------------------------ #
 
-    def _on_frame(self, frame: Frame, tx) -> None:
+    def _on_data(self, frame: Frame) -> None:
+        super()._on_data(frame)
+        self.send_ack_after_turnaround(self.radio_for(frame.src), frame.src,
+                                       frame.mpdu)
+
+    def _on_control(self, frame: Frame) -> None:
         kind = frame.kind
-        if kind is FrameKind.DATA:
-            if frame.link_dst == self.node.node_id:
-                radio = self.radio_for(frame.src) if self.is_coordinator else self.radio
-                self.network.handle_data_delivery(self.node, frame.mpdu)
-                self.send_ack_after_turnaround(radio, frame.src, frame.mpdu)
-        elif kind is FrameKind.BEACON:
-            if not self.is_coordinator and frame.link_dst == self.node.node_id:
-                self._on_window_beacon(frame)
-        elif kind is FrameKind.GRANT:
-            if not self.is_coordinator and frame.link_dst == self.node.node_id:
-                self._on_grant(frame)
-        elif kind is FrameKind.ACK:
-            self._on_ack_frame(frame)
-        elif kind is FrameKind.POLL:
+        if kind is FrameKind.POLL:
             self._on_poll(frame)
+        elif not self.is_coordinator and frame.link_dst == self.node.node_id:
+            if kind is FrameKind.BEACON:
+                self._on_window_beacon(frame)
+            elif kind is FrameKind.GRANT:
+                self._on_grant(frame)
 
 
 class TbwAlwaysOnMac(TbwMac):

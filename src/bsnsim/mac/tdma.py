@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import Frame, FrameKind
-from .base import TURNAROUND_US, MacBase
+from .base import TURNAROUND_US, MacBase, require_one_channel
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,12 @@ class PbTdmaMac(MacBase):
     """Event-driven PB-TDMA node and coordinator."""
 
     name = "pbtdma"
-    params = {**MacBase.params, "slot_ms": 10.0, "preamble_ms": 10.0,
+    params = {"slot_ms": 10.0, "preamble_ms": 10.0,
               "assignment": None}  # None: devices in id order
 
     @classmethod
     def settings(cls, scenario) -> dict:
+        require_one_channel(scenario)
         out = super().settings(scenario)
         devices = [n for n in scenario.nodes if n.id != scenario.bnc]
         if not devices:
@@ -127,9 +128,6 @@ class PbTdmaMac(MacBase):
                 # the rx/tx turnaround happens inside the owned slot
                 self.send_in_slot(slot_at, slot_at + TURNAROUND_US, "tdma_slot")
 
-    def _on_frame(self, frame: Frame, tx) -> None:
+    def _on_control(self, frame: Frame) -> None:
         if frame.kind is FrameKind.PREAMBLE and not self.is_coordinator:
             self._on_preamble(frame)
-        elif (frame.kind is FrameKind.DATA
-              and frame.link_dst == self.node.node_id):
-            self.network.handle_data_delivery(self.node, frame.mpdu)

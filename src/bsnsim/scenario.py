@@ -372,7 +372,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"{path}: {exc}") from exc
 
     for i, od in enumerate(norm["on_demand"]):
-        _known(od["target"], ids, f"on_demand[{i}].target", "node")
+        _known(od["target"], ids - {bnc}, f"on_demand[{i}].target", "device")
 
     # channel map + bridge ---------------------------------------------------
     inbody = {n.id for n in nodes if n.kind == "inbody"}

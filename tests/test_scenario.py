@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from bsnsim.mac import PROTOCOLS
-from bsnsim.mac.base import MacBase
 from bsnsim.runner import build_network
 from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
                              load_scenario)
@@ -208,6 +207,13 @@ def _n1(**fields):
     ({"queue_capacity": 0}, "queue_capacity: 0 is below the minimum 1"),
     ({"on_demand": [{"at_s": 1.0, "target": "n1", "duration_s": -1}]},
      "on_demand[0].duration_s: -1.0 is below the minimum 0.0"),
+    ({"on_demand": [{"at_s": 1.0, "target": "bnc"}]},
+     "on_demand[0].target: unknown device 'bnc'"),
+    # the queue and the CCA threshold are the scenario's, not a protocol's
+    ({"protocols": {"direct": {"queue_capacity": -3}}},
+     "protocols.direct.queue_capacity: unknown parameter"),
+    ({"protocols": {"pbtdma": {"cca_threshold_dbm": -80.0}}},
+     "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
     ({"channel_model": {"pathloss": PATHLOSS, "sensitivity_dbm": "low"}},
      "channel_model.sensitivity_dbm: 'low' is not a number"),
     ({"wakeup_table": [{"node": "n1", "class": "Urgent", "period_s": 1.0,
@@ -241,6 +247,21 @@ def test_bad_field_rejected_at_load(override, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("protocol", ["csma802154", "pbtdma"])
+def test_nodes_off_the_coordinators_channel_rejected(protocol):
+    # chest and ankle are on ism and never hear the beacon or preamble the
+    # coordinator sends on mics
+    message = "nodes not on the coordinator's channel 'mics': ankle, chest"
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["protocols"] = {protocol: {}}
+    with pytest.raises(ScenarioError) as err:
+        _build(raw)
+    assert str(err.value) == f"protocols.{protocol}: {message}"
+    # not listed: the scenario loads and the run is refused before it starts
+    with pytest.raises(ValueError, match=message):
+        build_network(load_scenario("bridge_inbody"), protocol, seed=3)
+
+
 def test_readme_parameter_table_matches_params():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     documented = set()
@@ -250,7 +271,7 @@ def test_readme_parameter_table_matches_params():
             documented |= {(name, cells[1].strip("`"))
                            for name in cells[0].split(", ")}
     declared = {(name, key) for name, cls in PROTOCOLS.items()
-                for key in cls.params if key not in MacBase.params}
+                for key in cls.params}
     assert documented == declared
 
 
