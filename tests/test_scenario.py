@@ -207,13 +207,6 @@ def _n1(**fields):
     ({"queue_capacity": 0}, "queue_capacity: 0 is below the minimum 1"),
     ({"on_demand": [{"at_s": 1.0, "target": "n1", "duration_s": -1}]},
      "on_demand[0].duration_s: -1.0 is below the minimum 0.0"),
-    ({"on_demand": [{"at_s": 1.0, "target": "bnc"}]},
-     "on_demand[0].target: unknown device 'bnc'"),
-    # the queue and the CCA threshold are the scenario's, not a protocol's
-    ({"protocols": {"direct": {"queue_capacity": -3}}},
-     "protocols.direct.queue_capacity: unknown parameter"),
-    ({"protocols": {"pbtdma": {"cca_threshold_dbm": -80.0}}},
-     "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
     ({"channel_model": {"pathloss": PATHLOSS, "sensitivity_dbm": "low"}},
      "channel_model.sensitivity_dbm: 'low' is not a number"),
     ({"wakeup_table": [{"node": "n1", "class": "Urgent", "period_s": 1.0,
@@ -237,6 +230,13 @@ def _n1(**fields):
     ({"channel_map": [{"channel": "ism", "nodes": ["bnc"],
                        "connection_id": 1, "src": "n1", "dst": "bnc"}]},
      "channel_map[0]: unmapped endpoint: n1"),
+    ({"on_demand": [{"at_s": 1.0, "target": "bnc"}]},
+     "on_demand[0].target: unknown device 'bnc'"),
+    # the queue and the CCA threshold are the scenario's, not a protocol's
+    ({"protocols": {"direct": {"queue_capacity": -3}}},
+     "protocols.direct.queue_capacity: unknown parameter"),
+    ({"protocols": {"pbtdma": {"cca_threshold_dbm": -80.0}}},
+     "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
