@@ -218,68 +218,37 @@ class _Link:
 class Medium:
     """Shared radio medium: tracks live transmissions and resolves receptions.
 
-    All mutations happen inside event dispatch of the owning simulator.
+    Built from a loaded scenario: its channel model, link matrix, and each
+    channel's data rate and path loss (`DEFAULT_PATHLOSS` where it names
+    none). All mutations happen inside event dispatch of the owning simulator.
     """
 
-    def __init__(self, sim: Simulator, *,
-                 mode: str = "geometric",
-                 pathloss: Optional[dict[ChannelId, PathLossParams]] = None,
-                 default_params: Optional[PathLossParams] = None,
-                 link_matrix: Optional[LinkMatrix] = None,
-                 posture: str = "standing",
-                 interference_enabled: bool = False,
-                 interference_pass_p: float = MICROWAVE_PASS_PROBABILITY,
-                 capture_margin_db: float = 10.0,
-                 sensitivity_dbm: float = -95.0,
-                 min_distance_m: float = DEFAULT_MIN_DISTANCE_M,
-                 data_rates: Optional[dict[ChannelId, int]] = None,
-                 default_rate_bps: int = 250_000,
-                 keep_tx_log: bool = False):
-        if mode not in ("geometric", "empirical"):
-            raise ValueError(f"unknown link mode: {mode}")
-        if mode == "empirical" and link_matrix is None:
-            raise ValueError("empirical mode requires a link matrix")
+    def __init__(self, sim: Simulator, scenario, keep_tx_log: bool = False):
+        cm = scenario.channel_model
         self.sim = sim
-        self.mode = mode
-        self.pathloss = dict(pathloss or {})
-        self.default_params = default_params or DEFAULT_PATHLOSS
-        self.link_matrix = link_matrix
-        self.posture = posture
-        self.interference_enabled = interference_enabled
-        self.interference_pass_p = interference_pass_p
-        self.capture_margin_db = capture_margin_db
-        self.sensitivity_dbm = sensitivity_dbm
-        self.min_distance_m = min_distance_m
-        self.data_rates = dict(data_rates or {})
-        self.default_rate_bps = default_rate_bps
-        self._chans: dict[ChannelId, _ChannelState] = {}
+        self.mode = cm["mode"]
+        self.link_matrix = scenario.link_matrix
+        self.posture = cm["posture"]
+        self.interference_enabled = cm["interference"]["enabled"]
+        self.interference_pass_p = cm["interference"]["pass_probability"]
+        self.capture_margin_db = cm["capture_margin_db"]
+        self.sensitivity_dbm = cm["sensitivity_dbm"]
+        self.min_distance_m = cm["min_distance_m"]
+        self._chans = {
+            cid: _ChannelState(cid, scenario.channel_cfg[key]["data_rate_bps"],
+                               scenario.pathloss.get(key, DEFAULT_PATHLOSS))
+            for key, cid in scenario.channels.items()}
         self._links: dict[tuple, _Link] = {}  # (tx radio, rx radio) -> link
         self._intf_rngs: dict = {}  # rx radio -> its `intf:` stream
         self.data_collisions = 0
         self.interference_corrupts = 0
         self.tx_log: Optional[list] = [] if keep_tx_log else None
 
-    # -- configuration helpers -------------------------------------------
-
-    def params_for(self, channel: ChannelId) -> PathLossParams:
-        return self.pathloss.get(channel, self.default_params)
-
-    def rate_for(self, channel: ChannelId) -> int:
-        return self.data_rates.get(channel, self.default_rate_bps)
-
     def airtime_ticks(self, nbytes: int, channel: ChannelId) -> SimTime:
-        return frame_airtime(nbytes, self.rate_for(channel))
-
-    def _chan(self, channel: ChannelId) -> _ChannelState:
-        cs = self._chans.get(channel)
-        if cs is None:
-            cs = _ChannelState(channel, self.rate_for(channel),
-                               self.params_for(channel))
-            self._chans[channel] = cs
-        return cs
+        return frame_airtime(nbytes, self._chans[channel].rate)
 
     def register_radio(self, radio) -> None:
-        cs = self._chan(radio.channel)
+        cs = self._chans[radio.channel]
         cs.radios.append(radio)
         cs.by_node.setdefault(radio.nid, []).append(radio)
         radio.chan_state = cs

@@ -17,7 +17,7 @@ from typing import Optional
 from ..channel import ChannelId
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
-from ..traffic import OnDemandMode, OnDemandRequest, TrafficClass
+from ..traffic import OnDemandRequest, TrafficClass
 from ..wakeup import BncPattern, TableAction, WakeupEntry, WakeupTable, \
     derive_bnc_pattern, table_update
 from .base import TURNAROUND_US, MacBase
@@ -93,7 +93,7 @@ class TbwMac(MacBase):
             self._pending_emergencies: list[Mpdu] = []
             self._emg_active: Optional[Mpdu] = None
             self._emg_tries = 0
-            self._od_req: Optional[dict] = None
+            self._od_req: Optional[OnDemandRequest] = None
         self.wakeup_rx = node.add_wakeup_receiver(self.wakeup_channel)
         self.wakeup_rx.on_frame = self._on_wakeup_signal
         self.wakeup_tx = node.add_radio("wakeup_tx", self.wakeup_channel)
@@ -391,32 +391,21 @@ class TbwMac(MacBase):
     # on-demand: coordinator-initiated wakeup                            #
     # ------------------------------------------------------------------ #
 
-    def issue_request(self, request: OnDemandRequest,
-                      addressing: str = "Tone") -> None:
+    def issue_request(self, request: OnDemandRequest) -> None:
         """Coordinator sends a wakeup signal and polls the target."""
-        if not self.is_coordinator:
-            raise RuntimeError("only the coordinator issues on-demand requests")
-        if request.target not in self.node_channels:
-            raise ValueError(f"unknown target node: {request.target}")
-        tone = request.target if addressing == "Tone" else None
+        tone = request.target if request.addressing == "Tone" else None
         channel = self.node_channels[request.target]
         self._acquire(channel)
         signal = Frame(FrameKind.WAKEUP, self.node.node_id, None, 0,
                        info={"purpose": "OnDemand", "tone": tone,
-                             "target": request.target,
-                             "mode": request.mode.value,
-                             "duration": request.duration,
-                             "period": request.stream_period})
+                             "request": request})
         radio = self.data_radios[channel]
 
         def send_poll():
             if radio.state == "tx":
                 return
             poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
-                         info={"target": request.target,
-                               "mode": request.mode.value,
-                               "duration": request.duration,
-                               "period": request.stream_period})
+                         info={"request": request})
             self.medium.begin_tx(radio, poll, self.node.tx_power_dbm)
             self.node.after(request.duration + 200_000, "session_release",
                             lambda: self._release(channel))
@@ -445,7 +434,7 @@ class TbwMac(MacBase):
         self.new_session()
         self._requeue_in_service()
         self.radio.set_state("listen")
-        self._od_req = dict(frame.info)
+        self._od_req = frame.info["request"]
         self.after(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
                    self._od_finish)
 
@@ -459,15 +448,11 @@ class TbwMac(MacBase):
         if self.is_coordinator or self._od_req is None:
             return
         self.new_session()
-        if frame.info["target"] != self.node.node_id:
+        request = frame.info["request"]
+        if request.target != self.node.node_id:
             # woke for someone else's request: pay the price and go back down
             self._od_finish()
             return
-        request = OnDemandRequest(
-            target=self.node.node_id,
-            mode=OnDemandMode(frame.info["mode"]),
-            duration=frame.info["duration"],
-            stream_period=frame.info["period"])
         offsets = request.response_offsets()
         base = self.sim.now + TURNAROUND_US
 

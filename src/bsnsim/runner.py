@@ -9,18 +9,19 @@ seed order either way.
 from __future__ import annotations
 
 import multiprocessing
+from functools import partial
 from typing import Optional
 
 from .bridging import Bridge, Direct, ViaBridge
 from .channel import Medium
-from .core import Simulator, ticks_from_seconds
+from .core import Simulator
 from .frames import Mpdu
 from .mac import mac_class
 from .metrics import RunMetrics, aggregate
 from .node import Node
 from .scenario import Scenario
-from .traffic import (OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec,
-                      next_emergency, next_normal_arrival)
+from .traffic import (TrafficClass, TrafficSpec, next_emergency,
+                      next_normal_arrival)
 
 
 class Network:
@@ -74,19 +75,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
                          f"requests")
     settings = mac_cls.settings(scenario)
     sim = Simulator(master_seed=seed, trace=trace)
-    cm = scenario.channel_model
-    pathloss = {scenario.channel_id(k): p for k, p in scenario.pathloss.items()}
-    data_rates = {cid: scenario.channel_cfg[key]["data_rate_bps"]
-                  for key, cid in scenario.channels.items()}
-    medium = Medium(
-        sim, mode=cm["mode"], pathloss=pathloss,
-        link_matrix=scenario.link_matrix, posture=cm["posture"],
-        interference_enabled=cm["interference"]["enabled"],
-        interference_pass_p=cm["interference"]["pass_probability"],
-        capture_margin_db=cm["capture_margin_db"],
-        sensitivity_dbm=cm["sensitivity_dbm"],
-        min_distance_m=cm["min_distance_m"], data_rates=data_rates,
-        keep_tx_log=keep_tx_log)
+    medium = Medium(sim, scenario, keep_tx_log)
     metrics = RunMetrics(seed, protocol, scenario.horizon)
     network = Network(sim, medium, scenario, metrics)
 
@@ -147,18 +136,11 @@ def _schedule_traffic(network: Network) -> None:
     for spec in scenario.traffic:
         arm(spec)
 
-    for od in scenario.on_demand:
-        at = ticks_from_seconds(od["at_s"])
-        if at > horizon:
-            continue
-        request = OnDemandRequest(
-            target=od["target"], mode=OnDemandMode(od["mode"]),
-            duration=ticks_from_seconds(od["duration_s"]),
-            stream_period=ticks_from_seconds(od["period_s"]))
-        network.nodes[scenario.bnc].at(
-            at, "on_demand",
-            lambda request=request, od=od: network.coordinator_mac.issue_request(
-                request, od["addressing"]))
+    for request in scenario.on_demand:
+        if request.at <= horizon:
+            network.nodes[scenario.bnc].at(
+                request.at, "on_demand",
+                partial(network.coordinator_mac.issue_request, request))
 
 
 def run_one(scenario: Scenario, protocol: str, seed: int, *,

@@ -23,7 +23,7 @@ from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
 from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS
 from .node import PowerProfile
-from .traffic import OnDemandMode, TrafficClass, TrafficSpec
+from .traffic import OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec
 from .wakeup import WakeupEntry
 
 
@@ -63,7 +63,7 @@ class Scenario:
     traffic: list[TrafficSpec]
     protocols: dict[str, dict]
     wakeup_table: list[WakeupEntry]
-    on_demand: list[dict]
+    on_demand: list[OnDemandRequest]
     channel_map: ChannelMap
     bridge: Optional[dict]
     link_matrix: Optional[LinkMatrix]
@@ -371,8 +371,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
+    on_demand: list[OnDemandRequest] = []
     for i, od in enumerate(norm["on_demand"]):
         _known(od["target"], ids - {bnc}, f"on_demand[{i}].target", "device")
+        on_demand.append(OnDemandRequest(
+            target=od["target"], mode=OnDemandMode(od["mode"]),
+            duration=ticks_from_seconds(od["duration_s"]),
+            stream_period=ticks_from_seconds(od["period_s"]),
+            at=ticks_from_seconds(od["at_s"]), addressing=od["addressing"]))
 
     # channel map + bridge ---------------------------------------------------
     inbody = {n.id for n in nodes if n.kind == "inbody"}
@@ -430,7 +436,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         protocol_profiles=norm["protocol_profiles"], nodes=nodes, bnc=bnc,
         queue_capacity=norm["queue_capacity"], traffic=traffic,
         protocols=norm["protocols"], wakeup_table=wakeup_table,
-        on_demand=norm["on_demand"], channel_map=channel_map, bridge=bridge,
+        on_demand=on_demand, channel_map=channel_map, bridge=bridge,
         link_matrix=link_matrix, normalized=norm)
     for name in scenario.protocols:
         try:

@@ -92,12 +92,15 @@ class OnDemandMode(Enum):
 
 @dataclass
 class OnDemandRequest:
-    """Descriptor for a coordinator-initiated information request."""
+    """A coordinator-initiated information request, issued at tick `at`
+    and addressed by a tone to the target alone or by broadcast to all."""
 
     target: str
     mode: OnDemandMode
     duration: SimTime = 0          # Continuous only
     stream_period: SimTime = US_PER_S
+    at: SimTime = 0
+    addressing: str = "Tone"       # Tone | Broadcast
 
     def response_offsets(self) -> list[SimTime]:
         """Offsets of response frames relative to service start."""

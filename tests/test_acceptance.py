@@ -3,8 +3,10 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
+import copy
 import random
 import time
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,7 @@ from bsnsim.node import Node
 from bsnsim.metrics import percentile
 from bsnsim.runner import build_network, compare_protocols, run_one, \
     run_replications
-from bsnsim.scenario import bundled_data_path, load_scenario
+from bsnsim.scenario import _build, bundled_data_path, load_scenario
 from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, \
     derive_bnc_pattern, table_update
@@ -140,8 +142,10 @@ def test_06_cca_blindness():
     params = PathLossParams(pl_d0=46.0, d0=0.05, exponent=2.0, shadow_sigma=0.0)
     loss_3m = path_loss_db(3.0, params)
     assert loss_3m >= 81.0
+    raw = copy.deepcopy(scenario.normalized)
+    raw["channel_model"]["pathloss"]["mics"] = asdict(params)
     sim = Simulator()
-    medium = Medium(sim, pathloss={mics: params})
+    medium = Medium(sim, _build(raw))
     profile = scenario.power_profiles["nrf2401"]
     radios = {}
     for node_id, x in (("sender", 0.0), ("far", 3.0), ("near", 0.5)):

@@ -1,17 +1,18 @@
 """Path loss, CCA and delivery on the medium, empirical links, interference gate."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bsnsim.channel import (Band, ChannelId, DeliveryOutcome, LinkMatrix,
-                            Medium, PathLossParams, Position, interference_gate,
-                            rx_power_dbm)
+from bsnsim.channel import (DEFAULT_PATHLOSS, Band, ChannelId, DeliveryOutcome,
+                            LinkMatrix, Medium, PathLossParams, Position,
+                            interference_gate, rx_power_dbm)
 from bsnsim.core import Simulator, substream_seed
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
-from tests.conftest import empirical_outcome, path_loss_db
+from tests.conftest import empirical_outcome, make_scenario, path_loss_db
 
 
 def test_reference_distance_identity():
@@ -66,9 +67,18 @@ PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
                        tx_mw=30.0)
 
 
-def _medium():
-    sim = Simulator()
-    return Medium(sim, pathloss={MICS: IN_BODY, ISM: FLAT})
+def _medium(pathloss=None, seed=0, rates=(250_000, 250_000)):
+    """A Medium built from a scenario with an ism and a mics channel, at
+    `rates`; `pathloss` maps channel keys to their entries."""
+    if pathloss is None:
+        pathloss = {"mics": IN_BODY, "ism": FLAT}
+    scenario = make_scenario({
+        "channels": {"ism": {"band": "ISM_2_4", "data_rate_bps": rates[0]},
+                     "mics": {"band": "MICS_402_405",
+                              "data_rate_bps": rates[1]}},
+        "channel_model": {"pathloss": {key: asdict(p)
+                                       for key, p in pathloss.items()}}})
+    return Medium(Simulator(master_seed=seed), scenario)
 
 
 def _radio(medium, node_id, x, y=0.0, channel=ISM, state="listen"):
@@ -241,9 +251,22 @@ def test_interference_gate_probability_one_boundary():
 
 
 def test_airtime_of_128_byte_frame_at_250kbps():
-    sim = Simulator()
-    medium = Medium(sim, default_params=FLAT)
-    assert medium.airtime_ticks(128, ISM) == 4096
+    assert _medium().airtime_ticks(128, ISM) == 4096
+
+
+def test_each_channel_takes_its_own_rate_and_path_loss():
+    medium = _medium({"ism": FLAT}, rates=(250_000, 1_000_000))
+    sent = []
+    for channel in (ISM, MICS):
+        radio = _radio(medium, f"tx-{channel.band.value}", 0.0,
+                       channel=channel)
+        sent.append(medium.begin_tx(radio, Frame(FrameKind.DATA, radio.nid,
+                                                 None, 128), -5.0))
+    assert [tx.end - tx.start for tx in sent] == [4096, 1024]
+    assert medium.airtime_ticks(128, MICS) == 1024
+    # mics names no path loss, so it takes the default
+    assert [tx.radio.chan_state.params for tx in sent] == [FLAT,
+                                                           DEFAULT_PATHLOSS]
 
 
 # Per-pair link records --------------------------------------------------------
@@ -252,7 +275,7 @@ SHADOWED = PathLossParams(pl_d0=40.0, d0=0.1, exponent=2.0, shadow_sigma=4.0)
 
 
 def _shadowed_medium(seed):
-    return Medium(Simulator(master_seed=seed), default_params=SHADOWED)
+    return _medium({"ism": SHADOWED}, seed)
 
 
 def _send_at(medium, at, radio, dst, sent, airtime=None):

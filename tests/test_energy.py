@@ -8,16 +8,19 @@ from bsnsim.core import Simulator
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
 from bsnsim.scenario import load_scenario
+from tests.conftest import make_scenario
 
 POWER = {"sleep": 0.001, "listen": 54.0, "rx": 54.0, "tx": 30.0}
 PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
                        tx_mw=30.0)
 ISM = ChannelId(Band.ISM_2_4, 0)
+SCENARIO = make_scenario({})  # one ism channel
 
 
 def _node(initial_j):
     sim = Simulator()
-    return Node(sim, Medium(sim), "n", profile=PROFILE, initial_j=initial_j)
+    return Node(sim, Medium(sim, SCENARIO), "n", profile=PROFILE,
+                initial_j=initial_j)
 
 
 def _charged(changes, until):
@@ -166,7 +169,7 @@ def _projected_death(now, consumed_j, mw):
 def test_death_time_is_the_projection_at_the_last_state_change(initial,
                                                               steps):
     sim = Simulator()
-    node = Node(sim, Medium(sim), "n", profile=DEATH_PROFILE,
+    node = Node(sim, Medium(sim, SCENARIO), "n", profile=DEATH_PROFILE,
                 initial_j=DEATH_J, horizon_hint=DEATH_HORIZON)
     radio = node.add_radio("data", ISM, initial_state=initial)
     mw = DEATH_PROFILE.state_mw()

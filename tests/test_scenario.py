@@ -237,6 +237,8 @@ def _n1(**fields):
      "protocols.direct.queue_capacity: unknown parameter"),
     ({"protocols": {"pbtdma": {"cca_threshold_dbm": -80.0}}},
      "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
+    ({"on_demand": [{"at_s": 1.0, "target": "ghost"}]},
+     "on_demand[0].target: unknown device 'ghost'"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:

