@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .core import SimTime, Simulator
+from .frames import FrameKind
 
 DEFAULT_MIN_DISTANCE_M = 0.01
 MICROWAVE_PASS_PROBABILITY = 0.9685  # measured mean packet success, oven ON
@@ -279,16 +280,17 @@ class Medium:
         cs.active.remove(tx)
         cs.recent.append(tx)
         self._prune_recent(cs)
-        if tx.radio is not None and not tx.radio.dead:
-            tx.radio.exit_tx()
+        tx_radio = tx.radio
+        if not tx_radio.dead:
+            tx_radio.exit_tx()
         frame = tx.frame
         if tx.aborted:
             if tx.on_result is not None:
                 tx.on_result(DeliveryOutcome.ABORTED)
             return
-        link_dst = getattr(frame, "link_dst", None)
+        link_dst = frame.link_dst
         link_result: Optional[DeliveryOutcome] = None
-        tx_node = tx.radio.nid if tx.radio is not None else None
+        tx_node = tx_radio.nid
         tx_start = tx.start
         # Unicast frames only matter to their destination; no MAC here reacts
         # to overheard unicasts, and CCA is energy-based, not decode-based.
@@ -318,15 +320,12 @@ class Medium:
                 radio.deliver(frame, tx)
         if link_dst is not None and link_result is None:
             link_result = DeliveryOutcome.OFF_CHANNEL
-        if (link_result is DeliveryOutcome.COLLIDED and frame is not None
-                and getattr(frame, "kind", None) is not None
-                and frame.kind.value == "data"):
+        if (link_result is DeliveryOutcome.COLLIDED
+                and frame.kind is FrameKind.DATA):
             self.data_collisions += 1
         if self.tx_log is not None:
-            self.tx_log.append((tx.start, tx.end, cs.channel,
-                                tx.radio.nid if tx.radio else None,
-                                getattr(frame, "kind", None), link_dst,
-                                link_result))
+            self.tx_log.append((tx.start, tx.end, cs.channel, tx_node,
+                                frame.kind, link_dst, link_result))
         if tx.on_result is not None:
             tx.on_result(link_result)
 
