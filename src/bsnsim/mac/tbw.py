@@ -393,12 +393,10 @@ class TbwMac(MacBase):
 
     def issue_request(self, request: OnDemandRequest) -> None:
         """Coordinator sends a wakeup signal and polls the target."""
-        tone = request.target if request.addressing == "Tone" else None
         channel = self.node_channels[request.target]
         self._acquire(channel)
         signal = Frame(FrameKind.WAKEUP, self.node.node_id, None, 0,
-                       info={"purpose": "OnDemand", "tone": tone,
-                             "request": request})
+                       info={"purpose": "OnDemand", "request": request})
         radio = self.data_radios[channel]
 
         def send_poll():
@@ -427,14 +425,15 @@ class TbwMac(MacBase):
             return
         if purpose != "OnDemand":
             return
-        tone = frame.info.get("tone")
-        if tone is not None and tone != self.node.node_id:
+        request = frame.info["request"]
+        if (request.addressing == "Tone"
+                and request.target != self.node.node_id):
             return  # tone-addressed elsewhere; the receiver filters it out
         # broadcast or our tone: power the data radio and wait for the poll
         self.new_session()
         self._requeue_in_service()
         self.radio.set_state("listen")
-        self._od_req = frame.info["request"]
+        self._od_req = request
         self.after(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
                    self._od_finish)
 
