@@ -1,13 +1,13 @@
 """Traffic-Based Wakeup MAC.
 
 Normal traffic is served in table-driven periodic windows: the coordinator
-derives its own minimal wakeup pattern from the table, emits a short beacon
-at each window start, and the node uploads queued frames with per-frame
-acks. Emergencies bypass the table entirely: the node raises a burst on the
-always-on wakeup channel, the coordinator powers its data radio and grants
-immediate access. On-demand requests travel the other way, either tone
-addressed (only the target wakes) or broadcast (every node wakes and the
-non-targets pay the price).
+wakes a guard before each window of its table and sleeps once no window is
+open, emits a short beacon at each window start, and the node uploads queued
+frames with per-frame acks. Emergencies bypass the table entirely: the node
+raises a burst on the always-on wakeup channel, the coordinator powers its
+data radio and grants immediate access. On-demand requests travel the other
+way, either tone addressed (only the target wakes) or broadcast (every node
+wakes and the non-targets pay the price).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from ..channel import ChannelId
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass
-from ..wakeup import BncPattern, TableAction, WakeupEntry, WakeupTable, \
-    derive_bnc_pattern, table_update
+from ..wakeup import TableAction, WakeupEntry, WakeupTable, table_update
 from .base import TURNAROUND_US, MacBase
 
 GRANT_BYTES = BEACON_BYTES
@@ -29,8 +28,8 @@ POLL_WAIT_US = 20_000
 class TbwMac(MacBase):
     """Node and coordinator roles of the traffic-based wakeup mechanism.
 
-    The coordinator's session is its current pattern; rebuilding the
-    pattern from the table starts a new one.
+    The coordinator's session is its current table; restarting the window
+    and beacon chains from the table starts a new one.
     """
 
     name = "tbw"
@@ -70,7 +69,6 @@ class TbwMac(MacBase):
             for entry in scenario.wakeup_table:
                 table_update(self.table, entry, TableAction.INSERT,
                              caller=node.node_id)
-            self.pattern: BncPattern = BncPattern()
             self.data_radios: dict[ChannelId, object] = {}
             for ch in sorted({*self.node_channels.values()},
                              key=lambda c: (c.band.value, c.phy)):
@@ -79,7 +77,7 @@ class TbwMac(MacBase):
                                        else "sleep")
                 radio.on_frame = self._on_frame
                 self.data_radios[ch] = radio
-            # holds keep a data radio awake outside the pattern
+            # holds keep a data radio awake outside the windows
             self._holds: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
         else:
             self.radio = node.add_radio("data", self.channel)
@@ -115,50 +113,44 @@ class TbwMac(MacBase):
         return self.radio
 
     # ------------------------------------------------------------------ #
-    # coordinator: pattern execution and window beacons                  #
+    # coordinator: guarded windows and window beacons                    #
     # ------------------------------------------------------------------ #
 
     def _rebuild_schedule(self) -> None:
-        """Recompute the pattern and restart beacon/pattern chains."""
+        """Restart the window and beacon chains from the table."""
         self.new_session()
-        self.pattern = derive_bnc_pattern(self.table, self.guard)
-        # a dead coordinator arms no pattern interval
-        if not (self.always_on or self.pattern.fallback or self.node.dead):
-            for s, e in self.pattern.intervals:
-                self._chain_interval(s, e)
+        # a dead coordinator opens no window
+        if not (self.always_on or self.node.dead):
+            for entry in self.table.values():
+                self._chain_window(entry)
         for entry in self.table.values():
             self._chain_beacon(entry)
 
-    def _chain_interval(self, start: SimTime, end: SimTime) -> None:
-        hyper = self.pattern.hyperperiod
-        base = (self.sim.now // hyper) * hyper if hyper else 0
-
-        def arm(cycle_base):
-            wake_at = cycle_base + start
-            if wake_at < self.sim.now:
-                arm(cycle_base + hyper)
-                return
-            self.at(wake_at, "bnc_wake", lambda: on_wake(cycle_base))
-
-        def on_wake(cycle_base):
+    def _chain_window(self, entry: WakeupEntry) -> None:
+        """Wake every data radio `guard` before each of the entry's windows
+        and let them sleep `guard` after it ends; each opening arms the next,
+        so windows of one entry that touch or overlap keep the radios up."""
+        def open_window(occ):
             for radio in self.data_radios.values():
                 if radio.state == "sleep":
                     radio.set_state("listen")
-            self.at(cycle_base + end, "bnc_sleep", lambda: on_sleep(cycle_base))
+            nxt = occ + entry.period
+            self.at(nxt - self.guard, "bnc_wake", lambda: open_window(nxt))
+            self.at(occ + entry.window + self.guard, "bnc_sleep", close_window)
 
-        def on_sleep(cycle_base):
-            for ch, radio in self.data_radios.items():
-                if self._holds[ch] == 0 and radio.state == "listen":
-                    radio.set_state("sleep")
-            arm(cycle_base + hyper)
+        def close_window():
+            for channel in self.data_radios:
+                self._sleep_if_idle(channel)
 
-        arm(base)
+        now = self.sim.now
+        occ = entry.occurrence_after(now + self.guard)  # next to open
+        if entry.guarded_open(now, self.guard):
+            occ -= entry.period  # the one open now
+        self.at(max(now, occ - self.guard), "bnc_wake", lambda: open_window(occ))
 
     def _chain_beacon(self, entry: WakeupEntry) -> None:
         def fire():
             radio = self.radio_for(entry.node)
-            if self.pattern.fallback and radio.state == "sleep":
-                radio.set_state("listen")  # per-event fallback wake
             if radio.state != "tx":
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
                                BEACON_BYTES,
@@ -166,9 +158,6 @@ class TbwMac(MacBase):
                                      "entry": entry,
                                      "revision": self.table.revision})
                 self.medium.begin_tx(radio, beacon, self.node.tx_power_dbm)
-            if self.pattern.fallback:
-                self.node.after(entry.window + self.guard, "bnc_fallback_sleep",
-                                lambda: self._release(radio.channel, 0))
             self.at(entry.occurrence_after(self.sim.now), "window_beacon", fire)
 
         self.at(entry.occurrence_after(self.sim.now - 1), "window_beacon", fire)
@@ -185,24 +174,19 @@ class TbwMac(MacBase):
         if radio.state == "sleep":
             radio.set_state("listen")
 
-    def _release(self, channel: ChannelId, already: int = 1) -> None:
-        if already:
-            self._holds[channel] = max(0, self._holds[channel] - 1)
-        if self.always_on or self._holds[channel] > 0:
-            return
-        radio = self.data_radios[channel]
-        if radio.state == "listen" and not self._within_pattern():
-            radio.set_state("sleep")
+    def _release(self, channel: ChannelId) -> None:
+        self._holds[channel] -= 1
+        self._sleep_if_idle(channel)
 
-    def _within_pattern(self) -> bool:
-        if self.pattern.fallback or not self.pattern.intervals:
-            return False
-        hyper = self.pattern.hyperperiod
-        t = self.sim.now % hyper
-        for s, e in self.pattern.intervals:
-            if s <= t < e or s <= t + hyper < e:
-                return True
-        return False
+    def _sleep_if_idle(self, channel: ChannelId) -> None:
+        """Sleep the channel's listening data radio unless a hold is on it or
+        a guarded window of the table is open."""
+        radio = self.data_radios[channel]
+        if (radio.state == "listen" and not self.always_on
+                and self._holds[channel] == 0
+                and not any(e.guarded_open(self.sim.now, self.guard)
+                            for e in self.table.entries.values())):
+            radio.set_state("sleep")
 
     # ------------------------------------------------------------------ #
     # node: scheduled windows                                            #

@@ -1,21 +1,18 @@
-"""Traffic-based wakeup table and coordinator pattern derivation.
+"""Traffic-based wakeup table.
 
-The coordinator owns the table of per-node periodic wakeup windows and can
-merge all windows (plus guard margins) into its own minimal awake pattern
-over one hyperperiod, sleeping whenever no node is due.
+The coordinator owns the table of per-node periodic wakeup windows. It wakes
+for each window widened by a guard margin on both sides and sleeps whenever
+no widened window is open (`WakeupEntry.guarded_open`), so it is awake for
+exactly the union of the guarded windows.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import SimTime
 from .traffic import TrafficClass
-
-# LCMs beyond this are treated as overflow and trigger per-event fallback.
-MAX_HYPERPERIOD_TICKS = 10**13
 
 
 @dataclass(frozen=True)
@@ -42,6 +39,11 @@ class WakeupEntry:
             return self.offset
         k = (now - self.offset) // self.period + 1
         return self.offset + k * self.period
+
+    def guarded_open(self, now: SimTime, guard: SimTime) -> bool:
+        """Whether now lies in a window widened by guard on both sides."""
+        k = (now + guard - self.offset) // self.period  # latest one begun
+        return k >= 0 and now < self.offset + k * self.period + self.window + guard
 
 
 class TableAction(Enum):
@@ -82,53 +84,3 @@ def table_update(table: WakeupTable, entry: WakeupEntry, action: TableAction,
         del table.entries[key]
     table.revision += 1
     return table
-
-
-@dataclass
-class BncPattern:
-    """Merged awake intervals of the coordinator over one hyperperiod.
-
-    Intervals are disjoint, sorted half-open [start, end) tick spans. They may
-    extend past the hyperperiod boundary (no wrapping); execution repeats the
-    pattern every hyperperiod. `fallback` flags hyperperiod overflow, in which
-    case the coordinator schedules each window individually instead.
-    """
-
-    intervals: list[tuple[SimTime, SimTime]] = field(default_factory=list)
-    hyperperiod: SimTime = 0
-    fallback: bool = False
-
-
-def merge_intervals(raw: list[tuple[SimTime, SimTime]]) -> list[tuple[SimTime, SimTime]]:
-    """Union of half-open intervals, sorted and coalesced (touching merges)."""
-    out: list[tuple[SimTime, SimTime]] = []
-    for s, e in sorted(raw):
-        if e <= s:
-            continue
-        if out and s <= out[-1][1]:
-            if e > out[-1][1]:
-                out[-1] = (out[-1][0], e)
-        else:
-            out.append((s, e))
-    return out
-
-
-def derive_bnc_pattern(table: WakeupTable, guard: SimTime = 0,
-                       max_hyperperiod: SimTime = MAX_HYPERPERIOD_TICKS) -> BncPattern:
-    """Merge every entry's guard-extended windows over one hyperperiod."""
-    entries = table.values()
-    if not entries:
-        return BncPattern(intervals=[], hyperperiod=0)
-    hyper = 1
-    for e in entries:
-        hyper = math.lcm(hyper, e.period)
-        if hyper > max_hyperperiod:
-            return BncPattern(intervals=[], hyperperiod=0, fallback=True)
-    raw = []
-    for e in entries:
-        k = 0
-        while e.offset + k * e.period < hyper:
-            start = e.offset + k * e.period
-            raw.append((max(0, start - guard), start + e.window + guard))
-            k += 1
-    return BncPattern(intervals=merge_intervals(raw), hyperperiod=hyper)

@@ -1,14 +1,18 @@
 """Shared helpers for building small in-memory scenarios, and oracles for
-the coordinator's wakeup pattern, path loss and empirical links."""
+the coordinator's awake time, path loss and empirical links."""
 
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 import pytest
 
 from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, PathLossParams,
                             _link_success, mean_path_loss_db)
+from bsnsim.core import US_PER_S
+from bsnsim.node import Radio
+from bsnsim.runner import build_network
 from bsnsim.scenario import Scenario, _build
 
 
@@ -42,14 +46,86 @@ def make_scenario(overrides: dict) -> Scenario:
     return _build(merged)
 
 
-def pattern_awake(pattern) -> int:
-    """Ticks the coordinator's pattern is awake in one hyperperiod."""
-    return sum(e - s for s, e in pattern.intervals)
+def table_scenario(entries, guard: int, horizon: int) -> Scenario:
+    """A tbw scenario with no traffic whose wakeup table holds one entry per
+    (period, offset, window) of `entries`, in ticks, for node n<i> (n0 is
+    there also when the table is empty)."""
+    pl = {"pl_d0": 40.0, "d0": 0.1, "exponent": 2.0, "shadow_sigma": 0.0}
+    return make_scenario({
+        "horizon_s": horizon / US_PER_S,
+        "channels": {"ism": {"band": "ISM_2_4", "phy": 0},
+                     "wakeup": {"band": "ISM_2_4", "phy": 99}},
+        "wakeup_channel": "wakeup",
+        "channel_model": {"mode": "geometric",
+                          "pathloss": {"ism": pl, "wakeup": pl}},
+        "nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
+                   "pos": [0.5, 0.5], "initial_j": None}] + [
+            {"id": f"n{i}", "kind": "onbody", "channel": "ism",
+             "pos": [0.1 * i, 0.9]} for i in range(max(1, len(entries)))],
+        "wakeup_table": [
+            {"node": f"n{i}", "class": "NormalHigh", "period_s": p / US_PER_S,
+             "offset_s": o / US_PER_S, "window_ms": w / 1000}
+            for i, (p, o, w) in enumerate(entries)],
+        "protocols": {"tbw": {"guard_ms": guard / 1000}},
+    })
 
 
-def pattern_covers(pattern, start: int, end: int) -> bool:
-    """Whether one interval of the pattern holds all of [start, end)."""
-    return any(s <= start and end <= e for s, e in pattern.intervals)
+def coordinator_awake(scenario: Scenario, protocol: str = "tbw", seed: int = 1):
+    """Run `scenario` and return the spans [start, end) in which the
+    coordinator's one data radio was awake (listen, rx or tx), with that
+    radio, its account closed at the horizon."""
+    network, _ = build_network(scenario, protocol, seed)
+    radio, = network.coordinator_mac.data_radios.values()
+    spans: list[tuple[int, int]] = []
+    since = None if radio.state == "sleep" else 0
+    apply = Radio._apply
+
+    def record(r, state):
+        nonlocal since
+        if r is radio and (state == "sleep") != (since is None):
+            if since is None:
+                since = network.sim.now
+            else:
+                spans.append((since, network.sim.now))
+                since = None
+        apply(r, state)
+
+    with mock.patch.object(Radio, "_apply", record):
+        network.sim.run(scenario.horizon)
+    if since is not None and since < scenario.horizon:
+        spans.append((since, scenario.horizon))
+    radio.node.finalize()
+    return spans, radio
+
+
+def union(intervals) -> list[tuple[int, int]]:
+    """Sweep-line union of half-open intervals, sorted; touching ones merge
+    and empty ones vanish."""
+    out: list[tuple[int, int]] = []
+    for s, e in sorted(intervals):
+        if e <= s:
+            continue
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def guarded_windows(entries, guard: int, horizon: int):
+    """Every window [start, end) of `entries` ((period, offset, window) in
+    ticks) that begins before `horizon`, and every window widened by `guard`
+    on both sides that begins before it; both clipped to [0, horizon]."""
+    windows, guarded = [], []
+    for period, offset, window in entries:
+        start = offset
+        while start - guard < horizon:
+            if start < horizon:
+                windows.append((start, min(horizon, start + window)))
+            guarded.append((max(0, start - guard),
+                            min(horizon, start + window + guard)))
+            start += period
+    return windows, guarded
 
 
 def path_loss_db(distance: float, params: PathLossParams, rng=None,

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
 import copy
+import math
 import random
 import time
 from dataclasses import asdict
@@ -22,10 +23,9 @@ from bsnsim.runner import build_network, compare_protocols, run_one, \
     run_replications
 from bsnsim.scenario import _build, bundled_data_path, load_scenario
 from bsnsim.traffic import TrafficClass
-from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, \
-    derive_bnc_pattern, table_update
-from tests.conftest import (empirical_outcome, path_loss_db, pattern_awake,
-                            pattern_covers)
+from tests.conftest import (coordinator_awake, empirical_outcome,
+                            guarded_windows, path_loss_db, table_scenario,
+                            union)
 
 WORKERS = 2
 
@@ -198,58 +198,42 @@ def test_07_energy_ledger_closure():
 
 
 # ---------------------------------------------------------------------------
-# 8. Coordinator pattern optimality (1000 randomized tables)
+# 8. Coordinator awake time optimality (1000 randomized tables, tbw runs)
 # ---------------------------------------------------------------------------
-
-def _sweep_union(intervals):
-    total, last_end = 0, None
-    for s, e in sorted(intervals):
-        if last_end is None or s > last_end:
-            total += e - s
-            last_end = e
-        elif e > last_end:
-            total += e - last_end
-            last_end = e
-    return total
-
 
 _pattern_cases = [0]
 
 
+# each family of periods (s) keeps the hyperperiod at 12 or 16 s
 @settings(max_examples=1000, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from([2, 3, 4, 6, 12]),
-                          st.integers(0, 11),
-                          st.integers(1, 3000)),
-                min_size=1, max_size=7),
+@given(st.sampled_from([(2, 3, 4, 6, 12), (2, 4, 8, 16)]).flatmap(
+           lambda periods: st.lists(st.tuples(st.sampled_from(periods),
+                                              st.integers(0, 15),
+                                              st.integers(1, 3000)),
+                                    min_size=1, max_size=7)),
        st.integers(0, 5000))
 def test_08_bnc_pattern_optimality(raw, guard):
     _pattern_cases[0] += 1
-    table = WakeupTable()
-    for i, (period_s, offset_s, window_ms) in enumerate(raw):
-        offset_s = offset_s % period_s
-        window = min(window_ms * 1000, period_s * US_PER_S)
-        table_update(table,
-                     WakeupEntry(node=f"n{i}", period=period_s * US_PER_S,
-                                 offset=offset_s * US_PER_S, window=window),
-                     TableAction.INSERT)
-    pattern = derive_bnc_pattern(table, guard=guard)
-    assert not pattern.fallback
-    guarded = []
-    for e in table.values():
-        k = 0
-        while e.offset + k * e.period < pattern.hyperperiod:
-            start = e.offset + k * e.period
-            assert pattern_covers(pattern, start, start + e.window)
-            guarded.append((max(0, start - guard), start + e.window + guard))
-            k += 1
-    assert pattern_awake(pattern) == _sweep_union(guarded)
+    entries = [(period_s * US_PER_S, offset_s % period_s * US_PER_S,
+                min(window_ms * 1000, period_s * US_PER_S))
+               for period_s, offset_s, window_ms in raw]
+    # two hyperperiods, so that windows wrap past the first one's end
+    horizon = 2 * math.lcm(*(period for period, _, _ in entries))
+    spans, radio = coordinator_awake(table_scenario(entries, guard, horizon))
+    windows, guarded = guarded_windows(entries, guard, horizon)
+    for start, end in windows:
+        assert any(s <= start and end <= e for s, e in spans), \
+            f"window {(start, end)} not awake"
+    awake = sum(radio.per_state_ticks.get(state, 0)
+                for state in ("listen", "rx", "tx"))
+    assert awake == sum(e - s for s, e in union(guarded))
 
 
 def test_08_report():
     assert _pattern_cases[0] >= 1000, "property did not run 1000 cases"
     report(8, "bnc-pattern-optimality",
-           f"{_pattern_cases[0]} randomized tables: superset + exact "
-           f"union measure")
+           f"{_pattern_cases[0]} randomized tables run over two "
+           f"hyperperiods: every window awake + exact union measure")
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,25 @@ def test_bnc_sleeps_outside_pattern_and_alwayson_does_not():
     assert a.node_energy_j["bnc"] < b.node_energy_j["bnc"] / 10
 
 
+def test_window_past_the_table_period_keeps_the_next_window_awake():
+    # n1's guarded window [9.948, 10.152) s runs into n2's next one,
+    # [10.118, 10.222) s: the coordinator must not sleep at 10.152 s, inside
+    # the window that serves n2's frames
+    sc = tbw_scenario(extra={
+        "traffic": [{"node": "n2", "class": "NormalHigh", "period_s": 1.0,
+                     "offset_s": 0.1}],
+        "wakeup_table": [
+            {"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+             "offset_s": 9.95, "window_ms": 200.0},
+            {"node": "n2", "class": "NormalHigh", "period_s": 10.0,
+             "offset_s": 0.12, "window_ms": 100.0}],
+    }, horizon_s=60.0)
+    for protocol in ("tbw", "tbw_alwayson"):
+        cc = run_one(sc, protocol, seed=1).counts[TrafficClass.NORMAL_HIGH]
+        # every frame generated before the 50.12 s window is delivered
+        assert (cc.generated, cc.delivered, cc.dropped) == (60, 51, 0)
+
+
 def test_beacon_piggyback_disseminates_table_change():
     sc = tbw_scenario(extra={
         "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 2.0,

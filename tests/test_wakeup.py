@@ -1,13 +1,12 @@
-"""Wakeup table mutations and coordinator pattern derivation."""
+"""Wakeup table mutations, and the coordinator's awake spans in a run."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bsnsim.core import US_PER_S
 from bsnsim.traffic import TrafficClass
-from bsnsim.wakeup import (TableAction, WakeupEntry, WakeupTable,
-                           derive_bnc_pattern, merge_intervals, table_update)
-from tests.conftest import pattern_awake, pattern_covers
+from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, table_update
+from tests.conftest import (coordinator_awake, guarded_windows, table_scenario,
+                            union)
 
 S = US_PER_S
 
@@ -75,114 +74,80 @@ def test_occurrence_after():
     assert e.occurrence_after(15 * S) == 22 * S
 
 
-# pattern derivation ----------------------------------------------------------
+# the coordinator's awake spans in a tbw run --------------------------------
+
+def _spans(entries, guard, horizon):
+    spans, _ = coordinator_awake(table_scenario(entries, guard, horizon))
+    return spans
+
+
+def test_guarded_open():
+    e = _entry("n", 10.0, offset_s=2.0, window_s=1.0)
+    assert not e.guarded_open(2 * S - 1001, 1000)
+    assert e.guarded_open(2 * S - 1000, 1000)
+    assert e.guarded_open(3 * S + 999, 1000)
+    assert not e.guarded_open(3 * S + 1000, 1000)
+    assert e.guarded_open(12 * S, 0)  # every period
+    assert not _entry("n", 10.0, window_s=10.0).guarded_open(-1, 0)
+
 
 def test_empty_table_empty_pattern():
-    p = derive_bnc_pattern(WakeupTable())
-    assert p.intervals == []
-    assert pattern_awake(p) == 0
+    assert _spans([], 2000, 10 * S) == []
 
 
 def test_overlapping_windows_merge_hand_case():
     # (10 s, offset 0, window 1 s) and (10 s, offset 0.5 s, window 1 s),
-    # guard 0 -> single merged interval [0, 1.5 s) per hyperperiod
-    t = WakeupTable()
-    table_update(t, _entry("a", 10.0, 0.0, 1.0), TableAction.INSERT)
-    table_update(t, _entry("b", 10.0, 0.5, 1.0), TableAction.INSERT)
-    p = derive_bnc_pattern(t, guard=0)
-    assert p.hyperperiod == 10 * S
-    assert p.intervals == [(0, int(1.5 * S))]
+    # guard 0 -> awake [0, 1.5 s) in every 10 s
+    spans = _spans([(10 * S, 0, S), (10 * S, S // 2, S)], 0, 20 * S)
+    assert spans == [(0, int(1.5 * S)), (10 * S, int(11.5 * S))]
 
 
 def test_disjoint_windows_hand_case():
-    # offsets 0 and 5 s, window 1 s, period 10 s -> two intervals, 2 s awake
-    t = WakeupTable()
-    table_update(t, _entry("a", 10.0, 0.0, 1.0), TableAction.INSERT)
-    table_update(t, _entry("b", 10.0, 5.0, 1.0), TableAction.INSERT)
-    p = derive_bnc_pattern(t, guard=0)
-    assert p.intervals == [(0, 1 * S), (5 * S, 6 * S)]
-    assert pattern_awake(p) == 2 * S
+    # offsets 0 and 5 s, window 1 s, period 10 s -> two spans, 2 s awake
+    spans = _spans([(10 * S, 0, S), (10 * S, 5 * S, S)], 0, 10 * S)
+    assert spans == [(0, 1 * S), (5 * S, 6 * S)]
 
 
 def test_mixed_periods_unroll_over_hyperperiod():
-    t = WakeupTable()
-    table_update(t, _entry("a", 2.0, 0.0, 0.5), TableAction.INSERT)
-    table_update(t, _entry("b", 4.0, 1.0, 0.5), TableAction.INSERT)
-    p = derive_bnc_pattern(t, guard=0)
-    assert p.hyperperiod == 4 * S
-    assert p.intervals == [(0, S // 2), (S, int(1.5 * S)),
-                           (2 * S, int(2.5 * S))]
+    spans = _spans([(2 * S, 0, S // 2), (4 * S, S, S // 2)], 0, 4 * S)
+    assert spans == [(0, S // 2), (S, int(1.5 * S)), (2 * S, int(2.5 * S))]
 
 
 def test_guard_extends_and_merges():
-    t = WakeupTable()
-    table_update(t, _entry("a", 10.0, 1.0, 1.0), TableAction.INSERT)
-    p = derive_bnc_pattern(t, guard=2000)
-    assert p.intervals == [(1 * S - 2000, 2 * S + 2000)]
+    spans = _spans([(10 * S, S, S)], 2000, 20 * S)
+    assert spans == [(1 * S - 2000, 2 * S + 2000),
+                     (11 * S - 2000, 12 * S + 2000)]
 
 
-def test_hyperperiod_overflow_falls_back():
-    t = WakeupTable()
-    table_update(t, _entry("a", 999.983, 0.0, 1.0), TableAction.INSERT)
-    table_update(t, _entry("b", 999.979, 0.0, 1.0), TableAction.INSERT)
-    table_update(t, _entry("c", 999.961, 0.0, 1.0), TableAction.INSERT)
-    p = derive_bnc_pattern(t, max_hyperperiod=10**13)
-    assert p.fallback is True
-    assert p.intervals == []
+def test_window_near_the_origin_wakes_a_guard_early_every_period():
+    # offset 1 ms under a 2 ms guard: only the first window is clipped at 0
+    spans = _spans([(S, 1000, 100_000)], 2000, int(2.5 * S))
+    assert spans == [(0, 103_000), (S - 1000, S + 103_000),
+                     (2 * S - 1000, 2 * S + 103_000)]
+
+
+def test_guarded_window_across_the_period_end():
+    # guarded [9.948, 10.152) s runs into the next period's first window,
+    # guarded [10.118, 10.222) s: the two merge, and so on every period
+    entries = [(10 * S, int(9.95 * S), 200_000), (10 * S, 120_000, 100_000)]
+    spans = _spans(entries, 2000, 30 * S)
+    assert spans == union(guarded_windows(entries, 2000, 30 * S)[1])
+    assert (int(9.95 * S) - 2000, 10 * S + 222_000) in spans
+
+
+def test_thousand_second_periods_wake_a_guard_early():
+    # three ~1000 s periods whose least common multiple is about 10**18
+    # ticks; the coordinator still wakes a guard before every window
+    entries = [(999_983_000, 0, S), (999_979_000, 0, S), (999_961_000, 0, S)]
+    horizon = 2100 * S
+    spans = _spans(entries, 2000, horizon)
+    assert spans == [(0, S + 2000),
+                     (999_961_000 - 2000, 999_983_000 + S + 2000),
+                     (2 * 999_961_000 - 2000, 2 * 999_983_000 + S + 2000)]
+    windows, guarded = guarded_windows(entries, 2000, horizon)
+    assert spans == union(guarded)
 
 
 def test_merge_intervals_oracle():
-    assert merge_intervals([(5, 7), (1, 3), (2, 4), (7, 9)]) == [(1, 4), (5, 9)]
-    assert merge_intervals([(1, 1), (2, 2)]) == []  # empty spans vanish
-
-
-# Property: pattern covers every window and is minimal (union measure).
-
-def sweep_union_measure(intervals):
-    """Independent sweep-line union measure used as the oracle."""
-    total = 0
-    last_end = None
-    for s, e in sorted(intervals):
-        if last_end is None or s > last_end:
-            total += e - s
-            last_end = e
-        elif e > last_end:
-            total += e - last_end
-            last_end = e
-    return total
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from([2, 4, 8, 16]),       # period (s)
-              st.integers(0, 15),                   # offset (s, < period ok'd below)
-              st.integers(1, 2000)),                # window (ms)
-    min_size=1, max_size=6),
-    st.integers(0, 5000))
-def test_pattern_superset_and_minimality(raw_entries, guard_us):
-    t = WakeupTable()
-    windows = []
-    for i, (period_s, offset_s, window_ms) in enumerate(raw_entries):
-        offset_s = offset_s % period_s
-        window = min(window_ms * 1000, period_s * S)
-        e = WakeupEntry(node=f"n{i}", period=period_s * S,
-                        offset=offset_s * S, window=window,
-                        cls=TrafficClass.NORMAL_HIGH)
-        table_update(t, e, TableAction.INSERT)
-    p = derive_bnc_pattern(t, guard=guard_us)
-    assert not p.fallback
-    hyper = p.hyperperiod
-    guarded = []
-    for e in t.values():
-        k = 0
-        while e.offset + k * e.period < hyper:
-            start = e.offset + k * e.period
-            windows.append((start, start + e.window))
-            guarded.append((max(0, start - guard_us),
-                            start + e.window + guard_us))
-            k += 1
-    # superset: every node window fully inside some pattern interval
-    for w in windows:
-        assert pattern_covers(p, *w), f"window {w} escapes the pattern"
-    # minimality: total awake equals the union measure of guarded windows
-    assert pattern_awake(p) == sweep_union_measure(guarded)
+    assert union([(5, 7), (1, 3), (2, 4), (7, 9)]) == [(1, 4), (5, 9)]
+    assert union([(1, 1), (2, 2)]) == []  # empty spans vanish
