@@ -262,8 +262,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
 
     # channels and channel model ---------------------------------------------
     channel_cfg = norm["channels"]
-    channels = {key: ChannelId(Band(cc["band"]), cc["phy"])
-                for key, cc in channel_cfg.items()}
+    channels: dict[str, ChannelId] = {}
+    for key, cc in channel_cfg.items():
+        cid = ChannelId(Band(cc["band"]), cc["phy"])
+        for other, seen in channels.items():
+            if seen == cid:  # the medium would merge the two into one
+                raise ScenarioError(f"channels.{key}: same band and phy as "
+                                    f"{other!r}")
+        channels[key] = cid
     if norm["wakeup_channel"] is not None:
         _known(norm["wakeup_channel"], channels, "wakeup_channel", "channel key")
     cm = norm["channel_model"]

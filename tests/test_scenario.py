@@ -239,6 +239,10 @@ def _n1(**fields):
      "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
     ({"on_demand": [{"at_s": 1.0, "target": "ghost"}]},
      "on_demand[0].target: unknown device 'ghost'"),
+    ({"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
+                   "ism2": {"band": "ISM_2_4", "phy": 0,
+                            "data_rate_bps": 1_000_000}}},
+     "channels.ism2: same band and phy as 'ism'"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
