@@ -140,13 +140,13 @@ GOLDEN = {
         "ff5c68f61becc3d33107e034286e3c22326ea15f7c0cb2d8f0bd07260a332084"),
     "emergency-tbw": (
         "a64dcf12ccee32454a9b86c5c64a716bbda8d2059baeee02728737ac524ae22c",
-        "06523db9cfbfb3976278ef1246d9ac11e1919cc60602ff92c890e84935139dd1"),
+        "e54caa819c962483adf8e69bffcdf67363d2547362b7bf6d74baa003d306576a"),
     "emergency-tbw_alwayson": (
         "53bb2dd7beb78228a08f2776e0a45df167edde8cc1a81bc2e6b8c97cb3a8e6e8",
         "fa97f950c9d6a3db9e04fc011652524ea6724ac82baaacf0171e77beb0158d97"),
     "emergency-dying-tbw": (
         "be18e313bbbe98367a8f998d4fe9dacde5857dfcf81c51528f5afb10bb5f6425",
-        "1508bc918b88d663406360deee3c1f7b13fdb53c4dd9dc00e8e316c4715b29fc"),
+        "2721b9154c219863dbb4355d4416d0c68b2fb6e49e43b625bde34e611670c458"),
     "emergency-dying-tbw_alwayson": (
         "354940263c0319bf503221e7f658fec75d45ac24f9fdd9dff75cfd43b342aee3",
         "e8f423dc6f2a8cdda4db66f0f283cec86d7caa56869d926b31f482f9b4466a11"),
@@ -158,7 +158,7 @@ GOLDEN = {
         "b210ce5ef2202eb66456fb528e64b3bd5005c60abb61b41e2b6f7c64b90a6147"),
     "on-demand-tbw": (
         "35c862249af438f646f85e91dd8a6001e3c7ca6da5aa9f6aee79a9caa0bcaa6c",
-        "78497a0c6c72ec255375c50c93b9c4823fcdbfa93330472741bb3ca2b5b354cc"),
+        "940768f9c4d3f753c82261b25be33ada194429efdbebcffd6b1149616913d46d"),
 }
 
 
