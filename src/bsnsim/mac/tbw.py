@@ -128,8 +128,7 @@ class TbwMac(MacBase):
 
     def _chain_window(self, entry: WakeupEntry) -> None:
         """Wake every data radio `guard` before each of the entry's windows
-        and let them sleep `guard` after it ends; each opening arms the next,
-        so windows of one entry that touch or overlap keep the radios up."""
+        and offer each one sleep (`_sleep_if_idle`) `guard` after it ends."""
         def open_window(occ):
             for radio in self.data_radios.values():
                 if radio.state == "sleep":

@@ -2,8 +2,9 @@
 
 The coordinator owns the table of per-node periodic wakeup windows. It wakes
 for each window widened by a guard margin on both sides and sleeps whenever
-no widened window is open (`WakeupEntry.guarded_open`), so it is awake for
-exactly the union of the guarded windows.
+no widened window is open (`WakeupEntry.guarded_open`), so that, apart from
+emergency and on-demand exchanges, it is awake for exactly the union of the
+guarded windows.
 """
 
 from __future__ import annotations

@@ -70,11 +70,11 @@ def table_scenario(entries, guard: int, horizon: int) -> Scenario:
     })
 
 
-def coordinator_awake(scenario: Scenario, protocol: str = "tbw", seed: int = 1):
-    """Run `scenario` and return the spans [start, end) in which the
-    coordinator's one data radio was awake (listen, rx or tx), with that
+def coordinator_awake(scenario: Scenario):
+    """Run `scenario` under tbw and return the spans [start, end) in which
+    the coordinator's one data radio was awake (listen, rx or tx), with that
     radio, its account closed at the horizon."""
-    network, _ = build_network(scenario, protocol, seed)
+    network, _ = build_network(scenario, "tbw", seed=1)
     radio, = network.coordinator_mac.data_radios.values()
     spans: list[tuple[int, int]] = []
     since = None if radio.state == "sleep" else 0

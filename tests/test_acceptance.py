@@ -204,7 +204,7 @@ def test_07_energy_ledger_closure():
 _pattern_cases = [0]
 
 
-# each family of periods (s) keeps the hyperperiod at 12 or 16 s
+# each family of periods (s) keeps the hyperperiod at most 12 or 16 s
 @settings(max_examples=1000, deadline=None)
 @given(st.sampled_from([(2, 3, 4, 6, 12), (2, 4, 8, 16)]).flatmap(
            lambda periods: st.lists(st.tuples(st.sampled_from(periods),
