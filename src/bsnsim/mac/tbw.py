@@ -384,6 +384,7 @@ class TbwMac(MacBase):
 
         def send_poll():
             if radio.state == "tx":
+                self.node.after(500, "poll_wait", send_poll)
                 return
             poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
                          info={"request": request})

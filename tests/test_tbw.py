@@ -312,6 +312,25 @@ def test_continuous_on_demand_streams_expected_count():
         assert (cc.generated, cc.delivered) == (3, 3)
 
 
+def test_a_poll_due_during_a_window_beacon_waits_for_it():
+    # the poll falls due while the data radio sends the 2.5 s window beacon;
+    # it goes out when the beacon ends, and the request's hold is released
+    sc = tbw_scenario(extra={
+        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+                          "offset_s": 0.5, "window_ms": 50.0}],
+        "on_demand": [{"at_s": 2.490008, "target": "n2"}],
+    }, horizon_s=6.0)
+    net = run_net(sc, "tbw", seed=9)
+    cc = net.metrics.counts[TrafficClass.ON_DEMAND_NON_CONTINUOUS]
+    assert (cc.generated, cc.delivered) == (1, 1)
+    bnc = net.coordinator_mac
+    assert set(bnc._holds.values()) == {0}
+    radio = bnc.data_radios[sc.channel_id("ism")]
+    net.nodes["bnc"].finalize()
+    # six guarded windows plus the request, not the whole run from 2.5 s on
+    assert radio.per_state_ticks["listen"] < 0.6 * S
+
+
 def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
