@@ -10,7 +10,8 @@ from pathlib import Path
 from .bridging import Direct, ViaBridge
 from .core import US_PER_S, ticks_from_seconds
 from .metrics import RunMetrics, aggregate
-from .runner import compare_protocols, run_one, run_replications
+from .runner import (compare_protocols, protocol_settings, run_one,
+                     run_replications)
 from .scenario import Scenario, ScenarioError, load_scenario
 
 
@@ -56,11 +57,18 @@ def write_report(aggregates: dict, ordering: list[str], path: Path) -> None:
 
 
 def _load(args) -> Scenario:
+    """The scenario with the command's overrides. Every protocol the command
+    names must be able to run it, checked before any run or output."""
     scenario = load_scenario(args.scenario)
     if getattr(args, "until", None) is not None:
         scenario.horizon = ticks_from_seconds(args.until)
     if getattr(args, "reps", None) is not None:
         scenario.replications = args.reps
+    for protocol in getattr(args, "protocols", None) or [args.protocol]:
+        try:
+            protocol_settings(scenario, protocol)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{protocol}: {exc}") from exc
     return scenario
 
 

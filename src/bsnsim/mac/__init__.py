@@ -1,18 +1,20 @@
-"""MAC protocol registry."""
+"""MAC protocol registry: the module under `bsnsim.mac` that holds each
+protocol's class. A module is imported the first time a scenario or a run
+names one of its protocols, so an interpreter loads only the MACs it uses."""
 
-from .csma import Beacon802154Mac
-from .direct import DirectMac
-from .smac import SMac
-from .tbw import TbwAlwaysOnMac, TbwMac
-from .tdma import PbTdmaMac
+from functools import cache
+from importlib import import_module
 
-PROTOCOLS = {cls.name: cls for cls in (
-    Beacon802154Mac, PbTdmaMac, SMac, TbwMac, TbwAlwaysOnMac, DirectMac)}
+PROTOCOLS = {"csma802154": "csma", "pbtdma": "tdma", "smac": "smac",
+             "tbw": "tbw", "tbw_alwayson": "tbw", "direct": "direct"}
 
 
-def mac_class(name: str):
-    try:
-        return PROTOCOLS[name]
-    except KeyError:
+@cache
+def mac_class(name: str) -> type:
+    """The class whose `name` is `name`, imported on first use."""
+    if name not in PROTOCOLS:
         raise ValueError(f"unknown protocol: {name!r}; "
-                         f"choose from {sorted(PROTOCOLS)}") from None
+                         f"choose from {sorted(PROTOCOLS)}")
+    module = import_module(f"{__name__}.{PROTOCOLS[name]}")
+    return next(cls for cls in vars(module).values()
+                if isinstance(cls, type) and vars(cls).get("name") == name)

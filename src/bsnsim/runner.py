@@ -8,7 +8,6 @@ seed order either way.
 
 from __future__ import annotations
 
-import multiprocessing
 from functools import partial
 from typing import Optional
 
@@ -67,19 +66,26 @@ class Network:
             self.bridge.relay(mpdu)
 
 
-def build_network(scenario: Scenario, protocol: str, seed: int, *,
-                  trace: bool = False, keep_tx_log: bool = False):
+def protocol_settings(scenario: Scenario, protocol: str) -> dict:
+    """The settings a run of `protocol` on `scenario` hands to every MAC.
+    Raises ValueError or TypeError when the protocol cannot run it."""
     mac_cls = mac_class(protocol)
     if scenario.on_demand and not hasattr(mac_cls, "issue_request"):
         raise ValueError(f"{protocol} cannot serve the scenario's on-demand "
                          f"requests")
-    settings = mac_cls.settings(scenario)
+    return mac_cls.settings(scenario)
+
+
+def build_network(scenario: Scenario, protocol: str, seed: int, *,
+                  trace: bool = False, keep_tx_log: bool = False):
+    settings = protocol_settings(scenario, protocol)
+    mac_cls = mac_class(protocol)
     sim = Simulator(master_seed=seed, trace=trace)
     medium = Medium(sim, scenario, keep_tx_log)
     metrics = RunMetrics(seed, protocol, scenario.horizon)
     network = Network(sim, medium, scenario, metrics)
 
-    profile_key = scenario.protocol_profiles[protocol]
+    profile_key = scenario.protocol_profiles[protocol] or mac_cls.profile
     macs = []
     coordinator_spec = scenario.node(scenario.bnc)
     ordered = [coordinator_spec] + [n for n in scenario.nodes
@@ -190,6 +196,7 @@ def _run_jobs(scenario: Scenario, jobs: list, workers: int) -> list[RunMetrics]:
     """
     if workers <= 1 or len(jobs) <= 1:
         return [run_one(scenario, *job) for job in jobs]
+    import multiprocessing  # here, so that a serial run never loads it
     workers = min(workers, len(jobs))
     chunksize = max(1, len(jobs) // (20 * workers))
     ctx = multiprocessing.get_context("fork")

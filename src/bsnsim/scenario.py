@@ -1,17 +1,18 @@
 """Scenario files: schema, validation, tick conversion, bundled scenarios.
 
 A scenario is one JSON document, read against one field table per section
-(`_fields`) into a normalized dict with every default filled in, so load ->
+(`_fields`) into a normalized dict with the defaults filled in, so load ->
 serialize -> load is a fixed point; durations become integer ticks, and
-references, topology, bridge interfaces and MTUs are cross-checked. Each
-MAC class reads and checks its own protocol parameters (`settings`).
+references, topology, bridge interfaces and MTUs are cross-checked. An unset
+`protocol_profiles` entry stays null, for the MAC's own `profile`: loading
+imports only the MACs the scenario names under `protocols`, whose classes
+read and check their own parameters (`settings`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
                       MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
                       PathLossParams, Position)
 from .core import US_PER_S, SimTime, ticks_from_seconds
-from .mac import PROTOCOLS
+from .mac import PROTOCOLS, mac_class
 from .node import PowerProfile
 from .traffic import OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec
 from .wakeup import WakeupEntry
@@ -100,12 +101,11 @@ _DEFAULT_PROFILES = {
 
 
 def bundled_scenario_path(name: str) -> Path:
-    return Path(str(resources.files("bsnsim").joinpath(
-        f"data/scenarios/{name}.json")))
+    return Path(__file__).parent / "data" / "scenarios" / f"{name}.json"
 
 
 def bundled_data_path(name: str) -> Path:
-    return Path(str(resources.files("bsnsim").joinpath(f"data/{name}")))
+    return Path(__file__).parent / "data" / name
 
 
 def resolve_scenario_path(spec: str) -> Path:
@@ -159,8 +159,8 @@ CHANNEL_MODEL_FIELDS = {
 POWER_PROFILE_FIELDS = {
     f.name: (float, ... if f.default is MISSING else f.default, None)
     for f in fields(PowerProfile)}
-PROTOCOL_PROFILE_FIELDS = {name: (str, cls.profile, None)
-                           for name, cls in PROTOCOLS.items()}
+PROTOCOL_PROFILE_FIELDS = {name: (str, None, None)  # null: the MAC's own
+                           for name in PROTOCOLS}
 NODE_FIELDS = {
     "id": (str, ..., None), "site": (str, "", None),
     "kind": (("inbody", "onbody", "bnc"), "onbody", None),
@@ -304,7 +304,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"power_profiles.{key}: {exc}") from exc
     norm["power_profiles"] = {key: asdict(p) for key, p in profiles.items()}
     for proto, key in norm["protocol_profiles"].items():
-        _known(key, profiles, f"protocol_profiles.{proto}", "profile")
+        if key is not None:
+            _known(key, profiles, f"protocol_profiles.{proto}", "profile")
 
     # nodes -------------------------------------------------------------------
     nodes: list[NodeSpec] = []
@@ -361,7 +362,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         if name not in PROTOCOLS:
             raise ScenarioError(f"protocols.{name}: unknown protocol")
         for key in params:
-            if key not in PROTOCOLS[name].params:
+            if key not in mac_class(name).params:
                 raise ScenarioError(f"protocols.{name}.{key}: unknown parameter")
 
     wakeup_table: list[WakeupEntry] = []
@@ -446,7 +447,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         link_matrix=link_matrix, normalized=norm)
     for name in scenario.protocols:
         try:
-            PROTOCOLS[name].settings(scenario)
+            mac_class(name).settings(scenario)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"protocols.{name}: {exc}") from exc
     return scenario

@@ -175,7 +175,7 @@ def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
     path.write_text(json.dumps(raw))
     rc = main(["run", "--scenario", str(path), "--protocol", protocol,
                "--until", "1", "--out", str(tmp_path)])
-    assert rc == 1
+    assert rc == 2
     err = capsys.readouterr().err
     assert f"{protocol} cannot serve the scenario's on-demand requests" in err
     assert "Traceback" not in err
@@ -184,8 +184,34 @@ def test_on_demand_under_a_mac_without_it_exit_code(tmp_path, capsys,
 def test_unknown_protocol_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", "table1_links", "--protocol", "bogus",
                "--until", "1", "--out", str(tmp_path)])
-    assert rc == 1
+    assert rc == 2
     assert "unknown protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ("csma802154", "nodes not on the coordinator's channel 'mics': ankle, "
+                   "chest"),
+    ("pbtdma", "nodes not on the coordinator's channel 'mics': ankle, chest"),
+    ("tbw", "tbw requires a wakeup_channel in the scenario"),
+    ("nosuch", "unknown protocol: 'nosuch'"),
+], ids=["csma802154", "pbtdma", "tbw", "nosuch"])
+@pytest.mark.parametrize("command", ["run", "compare", "trace"])
+def test_a_protocol_that_cannot_run_the_scenario_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch, command, protocol, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("bsnsim.runner.build_network", refuse)
+    out = tmp_path / "out"
+    names = (["--protocols", f"direct,{protocol}"] if command == "compare"
+             else ["--protocol", protocol, "--seed", "1"])
+    rc = main([command, "--scenario", "bridge_inbody", *names, "--until", "1",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: {protocol}: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--reps", "0"), ("--workers", "0"),

@@ -6,6 +6,7 @@ import pytest
 
 from bsnsim.core import US_PER_S
 from bsnsim.frames import FrameKind
+from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.mac.base import TURNAROUND_US
 from bsnsim.runner import build_network, run_one
 from bsnsim.traffic import TrafficClass
@@ -31,6 +32,33 @@ def finalize(network, macs=None):
         leftovers.extend(network.bridge.pending())
     m.finalize(leftovers)
     return m
+
+
+# registry ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_every_registered_name_loads_the_class_of_that_name(name):
+    assert mac_class(name).name == name
+
+
+def test_an_unknown_protocol_lists_the_choices():
+    with pytest.raises(ValueError, match=r"unknown protocol: 'csma'; choose "
+                       r"from \['csma802154', 'direct', 'pbtdma', 'smac', "
+                       r"'tbw', 'tbw_alwayson'\]"):
+        mac_class("csma")
+
+
+@pytest.mark.parametrize("protocol, idle_listen_mw", [("csma802154", 56.0),
+                                                      ("smac", 54.0)])
+def test_a_node_that_names_no_profile_draws_its_macs(protocol,
+                                                     idle_listen_mw):
+    # csma802154 declares cc2420; every other MAC keeps nrf2401
+    sc = _fig2_like()
+    assert sc.protocol_profiles[protocol] is None
+    net, _ = build_network(sc, protocol, seed=1)
+    for node in net.nodes.values():
+        assert node.profile.idle_listen_mw == idle_listen_mw
+        assert node.radios["data"].power_mw["listen"] == idle_listen_mw
 
 
 # 802.15.4 ---------------------------------------------------------------

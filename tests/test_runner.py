@@ -1,7 +1,14 @@
 """Replication driver: the pool path returns what the serial path returns."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bsnsim
 from bsnsim import runner
 from bsnsim.runner import compare_protocols, run_replications
 from bsnsim.scenario import Scenario, load_scenario
@@ -70,3 +77,20 @@ def test_a_protocol_listed_twice_is_rejected_before_any_run(scenario,
     monkeypatch.setattr(runner, "_run_jobs", refuse)
     with pytest.raises(ValueError, match="listed more than once: tbw$"):
         compare_protocols(scenario, ["tbw", "tbw_alwayson", "tbw"], reps=1)
+
+
+def test_a_fresh_interpreter_loads_only_the_mac_it_runs():
+    """Loading a scenario and building one network imports the MAC that runs
+    and the base it shares, and no other MAC; a serial run never imports
+    multiprocessing."""
+    code = ("import json, sys\n"
+            "from bsnsim.runner import build_network\n"
+            "from bsnsim.scenario import load_scenario\n"
+            "build_network(load_scenario('tbw_emergency'), 'tbw', 1)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'bsnsim.mac')))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == ["bsnsim.mac", "bsnsim.mac.base",
+                               "bsnsim.mac.tbw"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bsnsim.mac import PROTOCOLS
+from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.runner import build_network
 from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
                              load_scenario)
@@ -276,8 +276,8 @@ def test_readme_parameter_table_matches_params():
         if len(cells) == 5 and cells[1].startswith("`"):
             documented |= {(name, cells[1].strip("`"))
                            for name in cells[0].split(", ")}
-    declared = {(name, key) for name, cls in PROTOCOLS.items()
-                for key in cls.params}
+    declared = {(name, key) for name in PROTOCOLS
+                for key in mac_class(name).params}
     assert documented == declared
 
 
