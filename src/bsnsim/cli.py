@@ -57,14 +57,14 @@ def write_report(aggregates: dict, ordering: list[str], path: Path) -> None:
 
 
 def _load(args) -> Scenario:
-    """The scenario with the command's overrides. Every protocol the command
-    names must be able to run it, checked before any run or output."""
+    """The scenario, with overrides, checked against each protocol named."""
     scenario = load_scenario(args.scenario)
     if getattr(args, "until", None) is not None:
         scenario.horizon = ticks_from_seconds(args.until)
     if getattr(args, "reps", None) is not None:
         scenario.replications = args.reps
-    for protocol in getattr(args, "protocols", None) or [args.protocol]:
+    named = args.protocols if "protocols" in args else [args.protocol]
+    for protocol in named:
         try:
             protocol_settings(scenario, protocol)
         except (TypeError, ValueError) as exc:

@@ -28,6 +28,13 @@ def test_compare_requires_two_protocols(tmp_path, capsys):
     assert ">= 2" in err
 
 
+def test_compare_with_no_protocols_is_refused(tmp_path, capsys):
+    rc = main(["compare", "--scenario", "table1_links", "--protocols", ",",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert ">= 2" in capsys.readouterr().err
+
+
 def test_compare_emits_aggregate_and_report(tmp_path, capsys):
     rc = main(["compare", "--scenario", "paper_fig2",
                "--protocols", "csma802154,pbtdma", "--reps", "2",
