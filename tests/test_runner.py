@@ -81,8 +81,8 @@ def test_a_protocol_listed_twice_is_rejected_before_any_run(scenario,
 
 def test_a_fresh_interpreter_loads_only_the_mac_it_runs():
     """Loading a scenario and building one network imports the MAC that runs
-    and the base it shares, and no other MAC; a serial run never imports
-    multiprocessing."""
+    and the base it shares, no other MAC, and not multiprocessing, which only
+    a pool needs."""
     code = ("import json, sys\n"
             "from bsnsim.runner import build_network\n"
             "from bsnsim.scenario import load_scenario\n"
