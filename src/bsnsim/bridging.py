@@ -174,17 +174,13 @@ class Bridge:
     def _pump(self) -> None:
         if self._current is not None or self.node.dead or not self.store:
             return
-        mpdu, egress = self.store[0]
-        radio = self.radios[egress]
-        if radio.state == "tx":
-            return  # tried again when the next frame is relayed
-        self.store.pop(0)
+        mpdu, egress = self.store.pop(0)
         self._current = mpdu
+        radio = self.radios[egress]
         frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
-        self.node.after(TURNAROUND_US, "bridge_fwd",
-                        lambda: self.network.medium.begin_tx(
-                            radio, frame, self.node.tx_power_dbm,
-                            on_result=self._sent))
+        self.node.after(TURNAROUND_US, "bridge_fwd", lambda: radio.when_free(
+            lambda: self.network.medium.begin_tx(
+                radio, frame, self.node.tx_power_dbm, on_result=self._sent)))
 
     def _sent(self, outcome: DeliveryOutcome) -> None:
         if outcome is not DeliveryOutcome.DELIVERED:

@@ -171,6 +171,9 @@ def _protocol_list(text: str) -> list[str]:
     if repeated:
         raise argparse.ArgumentTypeError(
             f"listed more than once: {', '.join(repeated)}")
+    if len(protocols) < 2:
+        raise argparse.ArgumentTypeError(
+            f"need >= 2 protocols to compare, got {len(protocols)}")
     return protocols
 
 

@@ -211,24 +211,28 @@ class MacBase:
         self._retries = 0
 
     def send_acked(self, done: Callable[[bool, str], None],
-                   resend: Callable[[], None],
+                   resend: Optional[Callable[[], None]] = None,
                    deadline: Optional[SimTime] = None) -> None:
         """Send the frame in service once on `self.radio`, then wait for its
         ack. Without one, `resend()` runs while `_retries` is within
         `retry_limit` and another attempt would end by `deadline`; it calls
-        `send_acked` again once the radio may send. `done(ok, reason)` ends
-        the exchange with the reason "acked", "retries" or "deadline"."""
+        `send_acked` again once the radio may send, and by default it is that
+        call with the same arguments. `done(ok, reason)` ends the exchange
+        with the reason "acked", "retries" or "deadline". A send due while
+        the radio transmits waits for it, within the session."""
         mpdu = self.in_service
         frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
         self._ack_done = done
+        resend = resend or (lambda: self.send_acked(done, None, deadline))
 
         def _await_ack(outcome):
             self._ack_timer = self.after(
                 self.ack_wait, "ack_timeout",
                 lambda: self._ack_missed(resend, deadline))
 
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=self.in_session(_await_ack))
+        self.radio.when_free(self.in_session(lambda: self.medium.begin_tx(
+            self.radio, frame, self.node.tx_power_dbm,
+            on_result=self.in_session(_await_ack))))
 
     def _ack_missed(self, resend: Callable[[], None],
                     deadline: Optional[SimTime]) -> None:
@@ -253,17 +257,16 @@ class MacBase:
         self._ack_done(True, "acked")
 
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
-        """Receiver side: switch rx for the turnaround, then transmit the ack."""
-        if radio.state == "tx":
-            return
-        radio.set_state("rx")
+        """Receiver side: switch rx for the turnaround, then transmit the ack;
+        each step waits while the radio transmits."""
         ack = Frame.ack(self.node.node_id, to, mpdu.seq, mpdu.src)
 
-        def _tx_ack():
-            if radio.state != "tx":
-                self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)
+        def _turnaround():
+            radio.set_state("rx")
+            self.node.after(TURNAROUND_US, "ack_tx", lambda: radio.when_free(
+                lambda: self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)))
 
-        self.node.after(TURNAROUND_US, "ack_tx", _tx_ack)
+        radio.when_free(_turnaround)
 
     # Reception ---------------------------------------------------------------
 
@@ -368,7 +371,7 @@ class SlottedCsmaMac(MacBase):
             self.at(window_start + UNIT_BACKOFF_US, "tx_start", self._transmit)
 
     def _transmit(self) -> None:
-        if self.radio.state != "tx":
+        if self.radio.state != "tx":  # half-duplex skip: a CCA-won slot is not used late
             self.send_acked(self._exchange_done, self._csma_begin)
 
     def _exchange_done(self, ok: bool, reason: str) -> None:
@@ -378,5 +381,5 @@ class SlottedCsmaMac(MacBase):
         self._start_service()
 
     def _on_data(self, frame: Frame) -> None:
-        super()._on_data(frame)
         self.send_ack_after_turnaround(self.radio, frame.src, frame.mpdu)
+        super()._on_data(frame)  # a relay of the frame queues behind its ack

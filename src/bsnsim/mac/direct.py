@@ -24,7 +24,8 @@ class DirectMac(MacBase):
         self._pump()
 
     def _pump(self) -> None:
-        if (self.node.dead or self.in_service is not None
-                or self.radio.state == "tx" or not len(self.queue)):
-            return
-        self.send_unacked(self._pump)
+        self.radio.when_free(self._send_head)
+
+    def _send_head(self) -> None:
+        if self.in_service is None and len(self.queue) and not self.node.dead:
+            self.send_unacked(self._pump)

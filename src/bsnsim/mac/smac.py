@@ -77,7 +77,7 @@ class SMac(SlottedCsmaMac):
 
     def _enter_sleep(self) -> None:
         self.new_session()  # cancels any pending contention steps
-        if self.radio.state != "tx":
+        if self.radio.state != "tx":  # half-duplex skip: no sleep mid-frame
             self.radio.set_state("sleep")
 
     def _may_contend(self) -> bool:

@@ -150,7 +150,7 @@ class TbwMac(MacBase):
     def _chain_beacon(self, entry: WakeupEntry) -> None:
         def fire():
             radio = self.radio_for(entry.node)
-            if radio.state != "tx":
+            if radio.state != "tx":  # half-duplex skip: a late beacon is not sent
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
                                BEACON_BYTES,
                                info={"window_end": self.sim.now + entry.window,
@@ -230,7 +230,8 @@ class TbwMac(MacBase):
             self._window_close()  # carry over whatever is left
             return
         self.queue.remove(mpdu)
-        self._acked_send(mpdu, self.in_session(
+        self.serve(mpdu)
+        self.send_acked(self.in_session(
             lambda ok, reason: self._window_sent(mpdu, ok, reason)),
             deadline=self._window_end)
 
@@ -244,20 +245,6 @@ class TbwMac(MacBase):
                 return
             self.metrics.on_dropped(mpdu)
         self._window_send_next()
-
-    def _acked_send(self, mpdu: Mpdu, done,
-                    deadline: Optional[SimTime] = None) -> None:
-        """Put `mpdu` in service and run its acknowledged exchange; a send
-        waits while the data radio is still transmitting."""
-        self.serve(mpdu)
-
-        def attempt():
-            if self.radio.state == "tx":
-                self.after(500, "tx_retry_wait", attempt)
-            else:
-                self.send_acked(done, attempt, deadline)
-
-        attempt()
 
     # ------------------------------------------------------------------ #
     # emergency: wakeup burst, grant, immediate access                   #
@@ -328,8 +315,8 @@ class TbwMac(MacBase):
         if self._emg_active is None or self.in_service is not None:
             return
         self.new_session()
-        self._acked_send(self._emg_active,
-                         self.in_session(self._emergency_done))
+        self.serve(self._emg_active)
+        self.send_acked(self.in_session(self._emergency_done))
 
     def _emergency_done(self, ok: bool, reason: str) -> None:
         self.in_service = None
@@ -358,9 +345,6 @@ class TbwMac(MacBase):
         radio = self.data_radios[channel]
 
         def send_grant():
-            if radio.state == "tx":
-                self.node.after(500, "grant_wait", send_grant)
-                return
             grant = Frame(FrameKind.GRANT, self.node.node_id, src, GRANT_BYTES)
             self.medium.begin_tx(radio, grant, self.node.tx_power_dbm)
             # hold the radio until the access completes, then re-sleep
@@ -368,7 +352,8 @@ class TbwMac(MacBase):
                             lambda: self._release(channel))
 
         radio.set_state("rx")
-        self.node.after(TURNAROUND_US, "grant_tx", send_grant)
+        self.node.after(TURNAROUND_US, "grant_tx",
+                        lambda: radio.when_free(send_grant))
 
     # ------------------------------------------------------------------ #
     # on-demand: coordinator-initiated wakeup                            #
@@ -383,9 +368,6 @@ class TbwMac(MacBase):
         radio = self.data_radios[channel]
 
         def send_poll():
-            if radio.state == "tx":
-                self.node.after(500, "poll_wait", send_poll)
-                return
             poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
                          info={"request": request})
             self.medium.begin_tx(radio, poll, self.node.tx_power_dbm)
@@ -393,7 +375,8 @@ class TbwMac(MacBase):
                             lambda: self._release(channel))
 
         def after_signal(_outcome):
-            self.node.after(TURNAROUND_US, "poll_tx", send_poll)
+            self.node.after(TURNAROUND_US, "poll_tx",
+                            lambda: radio.when_free(send_poll))
             self.wakeup_tx.set_state("sleep")
 
         self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,
@@ -448,7 +431,8 @@ class TbwMac(MacBase):
                 return
             mpdu = self.network.new_mpdu(self.node.node_id, self.network.bnc_id,
                                          request.cls)
-            self._acked_send(mpdu, lambda ok, _reason: next_one(k, ok, mpdu))
+            self.serve(mpdu)
+            self.send_acked(lambda ok, _reason: next_one(k, ok, mpdu))
 
         def next_one(k: int, ok: bool, mpdu: Mpdu):
             self.in_service = None
@@ -468,9 +452,9 @@ class TbwMac(MacBase):
     # ------------------------------------------------------------------ #
 
     def _on_data(self, frame: Frame) -> None:
-        super()._on_data(frame)
         self.send_ack_after_turnaround(self.radio_for(frame.src), frame.src,
                                        frame.mpdu)
+        super()._on_data(frame)  # a relay of the frame queues behind its ack
 
     def _on_control(self, frame: Frame) -> None:
         kind = frame.kind

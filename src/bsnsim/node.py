@@ -41,12 +41,13 @@ class Radio:
     `accrue`; the node owns the budget (`Node.power_changed`). `rx_ok_since`
     marks the start of the current uninterrupted receive-capable stretch,
     which decides whether a frame that began earlier can be decoded.
+    A radio cannot send while it sends: see `when_free`.
     """
 
     __slots__ = ("sim", "medium", "node", "label", "channel", "state",
                  "rx_ok_since", "_last_change", "power_mw", "per_state_ticks",
                  "dead", "current_tx", "on_frame", "listening", "_mw",
-                 "chan_state", "nid", "key")
+                 "chan_state", "nid", "key", "_waiting")
 
     def __init__(self, sim: Simulator, medium: Medium, node: "Node", label: str,
                  channel: ChannelId, power_mw: dict[str, float],
@@ -69,6 +70,7 @@ class Radio:
         self.current_tx = None
         self.on_frame: Optional[Callable] = None
         self.chan_state = None  # filled by Medium.register_radio
+        self._waiting: list[Callable[[], None]] = []  # steps for `tx` to end
         medium.register_radio(self)
 
     @property
@@ -115,6 +117,14 @@ class Radio:
             return
         self._apply(state)
 
+    def when_free(self, fn: Callable[[], None]) -> None:
+        """Run `fn` now, or, while the radio transmits, when it stops. Held
+        steps run in order, each after any transmission the one before starts."""
+        if self.state == "tx":
+            self._waiting.append(fn)
+        else:
+            fn()
+
     # Medium hooks ---------------------------------------------------------
 
     def enter_tx(self) -> None:
@@ -124,6 +134,8 @@ class Radio:
         self.current_tx = None
         self._apply("listen")
         self.rx_ok_since = self.sim.now
+        while self._waiting and self.state != "tx":
+            self._waiting.pop(0)()
 
     def deliver(self, frame, tx) -> None:
         if self.on_frame is not None and not self.node.dead:
@@ -133,6 +145,7 @@ class Radio:
         """Close the account at the current instant; the radio goes silent."""
         self.accrue()
         self.dead = True
+        self._waiting.clear()
         self.state = "sleep"
         self.listening = False
         self.rx_ok_since = -1

@@ -1,6 +1,9 @@
 """Bridge relay behavior inside full runs."""
 
+from bsnsim.channel import DeliveryOutcome
 from bsnsim.core import ticks_from_seconds
+from bsnsim.frames import FrameKind
+from bsnsim.mac.base import TURNAROUND_US
 from bsnsim.runner import build_network, run_one
 from bsnsim.scenario import load_scenario
 from bsnsim.traffic import TrafficClass
@@ -69,6 +72,23 @@ def test_retransmitted_frame_is_relayed_once():
     relayed = [m for m in delivered if m.hop_trace]
     assert relayed
     assert all(len(m.hop_trace) == 1 for m in relayed)
+
+
+def test_the_bridge_acks_a_frame_before_it_relays_it():
+    # imp2 -> imp1 enters and leaves the bridge on mics, on bnc's smac radio:
+    # the forward waits for the ack to end instead of pre-empting it
+    sc = load_scenario("bridge_inbody")
+    sc.horizon = ticks_from_seconds(10.0)
+    net, _macs = build_network(sc, "smac", seed=1000, keep_tx_log=True)
+    net.sim.run(sc.horizon)
+    log = net.medium.tx_log
+    received = [end for _start, end, _ch, nid, kind, dst, result in log
+                if nid == "imp2" and kind is FrameKind.DATA and dst == "bnc"
+                and result is DeliveryOutcome.DELIVERED]
+    acks = {start for start, _end, _ch, nid, kind, dst, _result in log
+            if nid == "bnc" and kind is FrameKind.ACK and dst == "imp2"}
+    assert received
+    assert [end for end in received if end + TURNAROUND_US not in acks] == []
 
 
 def test_store_overflow_drops_and_counts():

@@ -20,19 +20,25 @@ def test_run_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "aggregate_direct.csv").exists()
 
 
+def _refused_compare(tmp_path, capsys, protocols: str) -> str:
+    """Run a compare that must be a usage error; its stderr."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", "table1_links", "--protocols",
+              protocols, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 def test_compare_requires_two_protocols(tmp_path, capsys):
-    rc = main(["compare", "--scenario", "table1_links",
-               "--protocols", "direct", "--out", str(tmp_path)])
-    assert rc != 0
-    err = capsys.readouterr().err
-    assert ">= 2" in err
+    err = _refused_compare(tmp_path, capsys, "direct")
+    assert "argument --protocols: need >= 2 protocols to compare, got 1" in err
 
 
 def test_compare_with_no_protocols_is_refused(tmp_path, capsys):
-    rc = main(["compare", "--scenario", "table1_links", "--protocols", ",",
-               "--out", str(tmp_path)])
-    assert rc == 1
-    assert ">= 2" in capsys.readouterr().err
+    err = _refused_compare(tmp_path, capsys, ",")
+    assert "argument --protocols: need >= 2 protocols to compare, got 0" in err
 
 
 def test_compare_emits_aggregate_and_report(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Traffic-based wakeup: windows, emergencies, on-demand, dissemination."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from bsnsim.core import US_PER_S
 from bsnsim.frames import ACK_BYTES, BEACON_BYTES, FrameKind
 from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
@@ -329,6 +331,41 @@ def test_a_poll_due_during_a_window_beacon_waits_for_it():
     net.nodes["bnc"].finalize()
     # six guarded windows plus the request, not the whole run from 2.5 s on
     assert radio.per_state_ticks["listen"] < 0.6 * S
+
+
+# a poll falls due a wakeup signal and a turnaround after its request
+POLL_DELAY_S = (SIGNAL + TURNAROUND_US) / S
+ON_DEMAND = st.fixed_dictionaries({
+    "at_s": st.one_of(
+        st.integers(10_000, 3_000_000).map(lambda us: us / S),
+        # the poll falls due inside the window beacon at k + 0.5 s
+        st.tuples(st.integers(0, 2), st.integers(0, BEACON_AIR - 1)).map(
+            lambda kb: kb[0] + 0.5 - POLL_DELAY_S + kb[1] / S)),
+    "target": st.sampled_from(["n1", "n2"]),
+    "mode": st.sampled_from(["NonContinuous", "Continuous"]),
+    "addressing": st.sampled_from(["Tone", "Broadcast"]),
+    "duration_s": st.integers(0, 1000).map(lambda ms: ms / 1000),
+    "period_s": st.sampled_from([0.1, 0.25, 1.0]),
+})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(ON_DEMAND, min_size=1, max_size=4),
+       st.sampled_from(["tbw", "tbw_alwayson"]))
+@example([{"at_s": 2.490008, "target": "n2", "mode": "NonContinuous",
+           "addressing": "Tone", "duration_s": 0.0, "period_s": 1.0}], "tbw")
+def test_every_hold_is_released_after_a_quiet_tail(requests, protocol):
+    # a request holds its data radio for its duration plus 200 ms after the
+    # poll; the run ends a quiet tail longer than that after the last poll
+    hold_s = max(r["duration_s"] for r in requests) + 0.2
+    horizon_s = max(r["at_s"] for r in requests) + POLL_DELAY_S + hold_s + 0.5
+    sc = tbw_scenario(extra={
+        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+                          "offset_s": 0.5, "window_ms": 50.0}],
+        "on_demand": requests,
+    }, horizon_s=horizon_s)
+    net = run_net(sc, protocol, seed=9)
+    assert set(net.coordinator_mac._holds.values()) == {0}
 
 
 def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
