@@ -53,9 +53,6 @@ class FrameQueue:
     def pop(self) -> Mpdu:
         return self._items.pop(0)[2]
 
-    def remove(self, mpdu: Mpdu) -> None:
-        self._items = [t for t in self._items if t[2] is not mpdu]
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -17,8 +17,8 @@ from typing import Optional
 from ..channel import ChannelId
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
-from ..traffic import OnDemandRequest, TrafficClass
-from ..wakeup import TableAction, WakeupEntry, WakeupTable, table_update
+from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
+from ..wakeup import WakeupEntry
 from .base import TURNAROUND_US, MacBase
 
 GRANT_BYTES = BEACON_BYTES
@@ -28,8 +28,8 @@ POLL_WAIT_US = 20_000
 class TbwMac(MacBase):
     """Node and coordinator roles of the traffic-based wakeup mechanism.
 
-    The coordinator's session is its current table; restarting the window
-    and beacon chains from the table starts a new one.
+    The coordinator serves the scenario's wakeup table as loaded, and each
+    device the one entry the table holds for it, if any.
     """
 
     name = "tbw"
@@ -65,10 +65,7 @@ class TbwMac(MacBase):
             n.id: scenario.channel_id(n.channel) for n in scenario.nodes
             if n.id != scenario.bnc}
         if self.is_coordinator:
-            self.table = WakeupTable(owner=node.node_id)
-            for entry in scenario.wakeup_table:
-                table_update(self.table, entry, TableAction.INSERT,
-                             caller=node.node_id)
+            self.table: list[WakeupEntry] = scenario.wakeup_table
             self.data_radios: dict[ChannelId, object] = {}
             for ch in sorted({*self.node_channels.values()},
                              key=lambda c: (c.band.value, c.phy)):
@@ -84,7 +81,7 @@ class TbwMac(MacBase):
             self.radio.on_frame = self._on_frame
             self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES,
                                                        self.radio.channel)
-            self.entry_view: Optional[WakeupEntry] = next(
+            self.entry: Optional[WakeupEntry] = next(
                 (e for e in scenario.wakeup_table if e.node == node.node_id),
                 None)
             self._window_end: SimTime = 0
@@ -102,10 +99,13 @@ class TbwMac(MacBase):
 
     def start(self) -> None:
         if self.is_coordinator:
-            self._rebuild_schedule()
-        else:
-            if self.entry_view:
-                self._schedule_next_window()
+            if not self.always_on:
+                for entry in self.table:
+                    self._chain_window(entry)
+            for entry in self.table:
+                self._chain_beacon(entry)
+        elif self.entry:
+            self._schedule_next_window()
 
     def radio_for(self, node_id: str):
         if self.is_coordinator:
@@ -115,16 +115,6 @@ class TbwMac(MacBase):
     # ------------------------------------------------------------------ #
     # coordinator: guarded windows and window beacons                    #
     # ------------------------------------------------------------------ #
-
-    def _rebuild_schedule(self) -> None:
-        """Restart the window and beacon chains from the table."""
-        self.new_session()
-        # a dead coordinator opens no window
-        if not (self.always_on or self.node.dead):
-            for entry in self.table.values():
-                self._chain_window(entry)
-        for entry in self.table.values():
-            self._chain_beacon(entry)
 
     def _chain_window(self, entry: WakeupEntry) -> None:
         """Wake every data radio `guard` before each of the entry's windows
@@ -142,7 +132,8 @@ class TbwMac(MacBase):
                 self._sleep_if_idle(channel)
 
         now = self.sim.now
-        occ = entry.occurrence_after(now + self.guard)  # next to open
+        occ = next_occurrence(entry.offset, entry.period,
+                              now + self.guard)  # next to open
         if entry.guarded_open(now, self.guard):
             occ -= entry.period  # the one open now
         self.at(max(now, occ - self.guard), "bnc_wake", lambda: open_window(occ))
@@ -151,21 +142,15 @@ class TbwMac(MacBase):
         def fire():
             radio = self.radio_for(entry.node)
             if radio.state != "tx":  # half-duplex skip: a late beacon is not sent
+                end = self.sim.now + entry.window
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
-                               BEACON_BYTES,
-                               info={"window_end": self.sim.now + entry.window,
-                                     "entry": entry,
-                                     "revision": self.table.revision})
+                               BEACON_BYTES, info={"window_end": end})
                 self.medium.begin_tx(radio, beacon, self.node.tx_power_dbm)
-            self.at(entry.occurrence_after(self.sim.now), "window_beacon", fire)
+            self.at(next_occurrence(entry.offset, entry.period, self.sim.now),
+                    "window_beacon", fire)
 
-        self.at(entry.occurrence_after(self.sim.now - 1), "window_beacon", fire)
-
-    def apply_table_update(self, entry: WakeupEntry, action: TableAction,
-                           caller: str = None) -> None:
-        table_update(self.table, entry, action,
-                     caller=caller if caller is not None else self.node.node_id)
-        self._rebuild_schedule()
+        self.at(next_occurrence(entry.offset, entry.period, self.sim.now - 1),
+                "window_beacon", fire)
 
     def _acquire(self, channel: ChannelId) -> None:
         self._holds[channel] += 1
@@ -184,7 +169,7 @@ class TbwMac(MacBase):
         if (radio.state == "listen" and not self.always_on
                 and self._holds[channel] == 0
                 and not any(e.guarded_open(self.sim.now, self.guard)
-                            for e in self.table.entries.values())):
+                            for e in self.table)):
             radio.set_state("sleep")
 
     # ------------------------------------------------------------------ #
@@ -192,7 +177,8 @@ class TbwMac(MacBase):
     # ------------------------------------------------------------------ #
 
     def _schedule_next_window(self) -> None:
-        occ = self.entry_view.occurrence_after(self.sim.now)
+        entry = self.entry
+        occ = next_occurrence(entry.offset, entry.period, self.sim.now)
         self.at(occ, "window_wake", lambda: self._window_wake(occ))
 
     def _window_wake(self, occ: SimTime) -> None:
@@ -209,7 +195,6 @@ class TbwMac(MacBase):
         if self._od_req is not None:
             return  # windows resume once the on-demand request is served
         self.new_session()
-        self.entry_view = frame.info["entry"]  # disseminates table changes
         self._window_end = frame.info["window_end"]
         if not len(self.queue):
             # stay reachable until the window closes, then sleep
@@ -229,7 +214,7 @@ class TbwMac(MacBase):
         if self.sim.now + self.exchange_ticks(mpdu) > self._window_end:
             self._window_close()  # carry over whatever is left
             return
-        self.queue.remove(mpdu)
+        self.queue.pop()
         self.serve(mpdu)
         self.send_acked(self.in_session(
             lambda ok, reason: self._window_sent(mpdu, ok, reason)),
@@ -333,7 +318,7 @@ class TbwMac(MacBase):
         self.radio.set_state("sleep")
         if self._pending_emergencies:
             self._start_emergency()
-        elif self.entry_view:
+        elif self.entry:
             self._schedule_next_window()
 
     # coordinator side of the emergency path
@@ -407,7 +392,7 @@ class TbwMac(MacBase):
     def _od_finish(self) -> None:
         self._od_req = None
         self.radio.set_state("sleep")
-        if self.entry_view:
+        if self.entry:
             self._schedule_next_window()
 
     def _on_poll(self, frame: Frame) -> None:

@@ -19,8 +19,7 @@ from .mac import mac_class
 from .metrics import RunMetrics, aggregate
 from .node import Node
 from .scenario import Scenario
-from .traffic import (TrafficClass, TrafficSpec, next_emergency,
-                      next_normal_arrival)
+from .traffic import TrafficClass, TrafficSpec, next_emergency, next_occurrence
 
 
 class Network:
@@ -125,7 +124,7 @@ def _schedule_traffic(network: Network) -> None:
             t = next_emergency(spec.rate_per_s, rng, sim.now)
             kind = "traffic_emergency"
         else:
-            t = next_normal_arrival(spec, sim.now)
+            t = next_occurrence(spec.start_offset, spec.period, sim.now)
             kind = "traffic_arrival"
         if t is None or t > horizon:
             return

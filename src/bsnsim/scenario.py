@@ -24,7 +24,8 @@ from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
 from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS, mac_class
 from .node import PowerProfile
-from .traffic import OnDemandMode, OnDemandRequest, TrafficClass, TrafficSpec
+from .traffic import (NORMAL_CLASSES, OnDemandMode, OnDemandRequest,
+                      TrafficClass, TrafficSpec)
 from .wakeup import WakeupEntry
 
 
@@ -137,6 +138,9 @@ def load_scenario(path_or_name) -> Scenario:
 # is left to it.
 _TICK_S = 1 / US_PER_S
 _CLASSES = tuple(c.value for c in TrafficClass)
+# on-demand frames answer a request in `on_demand`; no generator makes them
+_GENERATED_CLASSES = tuple(c.value for c in (*NORMAL_CLASSES,
+                                             TrafficClass.EMERGENCY))
 
 CHANNEL_FIELDS = {"band": (tuple(b.value for b in Band), ..., None),
                   "phy": (int, 0, 0), "data_rate_bps": (int, 250_000, 1),
@@ -168,7 +172,7 @@ NODE_FIELDS = {
     "initial_j": (float | None, 5.0, 0.0),  # null: no energy budget
     "tx_power_dbm": (float, -5.0, None), "profile": (str, None, None)}
 TRAFFIC_FIELDS = {
-    "node": (str, ..., None), "class": (_CLASSES, ..., None),
+    "node": (str, ..., None), "class": (_GENERATED_CLASSES, ..., None),
     "payload_bytes": (int, 128, None), "period_s": (float, None, None),
     "rate_per_s": (float, 0.0, None), "offset_s": (float, 0.0, 0.0),
     "dst": (str, None, None)}  # null: the bnc
@@ -366,9 +370,14 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                 raise ScenarioError(f"protocols.{name}.{key}: unknown parameter")
 
     wakeup_table: list[WakeupEntry] = []
+    entry_of: dict[str, int] = {}  # device -> index of its one entry
     for i, ww in enumerate(norm["wakeup_table"]):
         path = f"wakeup_table[{i}]"
-        _known(ww["node"], ids, f"{path}.node", "node")
+        _known(ww["node"], ids - {bnc}, f"{path}.node", "device")
+        if ww["node"] in entry_of:
+            raise ScenarioError(f"{path}.node: {ww['node']!r} already has an "
+                                f"entry at wakeup_table[{entry_of[ww['node']]}]")
+        entry_of[ww["node"]] = i
         try:
             wakeup_table.append(WakeupEntry(
                 node=ww["node"], cls=TrafficClass(ww["class"]),

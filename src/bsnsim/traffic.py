@@ -65,14 +65,13 @@ class TrafficSpec:
                 raise ValueError("emergency rate must be >= 0")
 
 
-def next_normal_arrival(spec: TrafficSpec, now: SimTime) -> SimTime:
-    """Smallest start_offset + k*period strictly greater than now."""
-    if spec.cls not in NORMAL_CLASSES:
-        raise ValueError(f"wrong generator: {spec.cls.value} is not Normal traffic")
-    if spec.start_offset > now:
-        return spec.start_offset
-    k = (now - spec.start_offset) // spec.period + 1
-    return spec.start_offset + k * spec.period
+def next_occurrence(offset: SimTime, period: SimTime, now: SimTime) -> SimTime:
+    """Smallest offset + k*period (k >= 0) strictly greater than now: the
+    next normal arrival, or the next start of a wakeup window."""
+    if offset > now:
+        return offset
+    k = (now - offset) // period + 1
+    return offset + k * period
 
 
 def next_emergency(rate_per_s: float, rng, now: SimTime) -> Optional[SimTime]:

@@ -161,22 +161,36 @@ def test_bad_link_matrix_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
+          "offset_s": 1.0, "window_ms": 100.0}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda raw: raw.update(horizn_s=600.0), "horizn_s: unknown field"),
     (lambda raw: raw["channel_model"].update(sensitivity_dbm="low"),
      "channel_model.sensitivity_dbm: 'low' is not a number"),
-], ids=["misspelt-key", "wrong-kind"])
+    (lambda raw: raw.update(wakeup_table=[
+        WINDOW, dict(WINDOW, **{"class": "NormalLow", "period_s": 3.0})]),
+     "wakeup_table[1].node: 'ecg' already has an entry at wakeup_table[0]"),
+    (lambda raw: raw.update(wakeup_table=[dict(WINDOW, node="bnc")]),
+     "wakeup_table[0].node: unknown device 'bnc'"),
+    (lambda raw: raw["traffic"][0].update({"class": "OnDemandContinuous"}),
+     "traffic[0].class: 'OnDemandContinuous' is not one of"),
+], ids=["misspelt-key", "wrong-kind", "repeated-wakeup-entry",
+        "wakeup-entry-for-the-bnc", "on-demand-traffic-class"])
 def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
     edit(raw)
     path = tmp_path / "bad_field.json"
     path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
     rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
-               "--reps", "1", "--until", "1", "--out", str(tmp_path)])
+               "--reps", "1", "--until", "1", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma", "smac", "direct"])

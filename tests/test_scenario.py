@@ -243,6 +243,11 @@ def _n1(**fields):
                    "ism2": {"band": "ISM_2_4", "phy": 0,
                             "data_rate_bps": 1_000_000}}},
      "channels.ism2: same band and phy as 'ism'"),
+    # frames of an on-demand class answer on_demand requests; no traffic
+    # record makes them
+    ({"traffic": [{"node": "n1", "class": "OnDemandContinuous",
+                   "period_s": 1.0}]},
+     "traffic[0].class: 'OnDemandContinuous' is not one of"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:

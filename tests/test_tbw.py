@@ -1,13 +1,14 @@
-"""Traffic-based wakeup: windows, emergencies, on-demand, dissemination."""
+"""Traffic-based wakeup: the table, windows, emergencies, on-demand."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bsnsim.core import US_PER_S
-from bsnsim.frames import ACK_BYTES, BEACON_BYTES, FrameKind
+from bsnsim.frames import ACK_BYTES, BEACON_BYTES
 from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
 from bsnsim.runner import build_network, run_one
+from bsnsim.scenario import ScenarioError
 from bsnsim.traffic import OnDemandMode, OnDemandRequest, TrafficClass
-from bsnsim.wakeup import TableAction, WakeupEntry
 from tests.conftest import make_scenario
 
 S = US_PER_S
@@ -152,28 +153,37 @@ def test_window_past_the_table_period_keeps_the_next_window_awake():
         assert (cc.generated, cc.delivered, cc.dropped) == (60, 51, 0)
 
 
-def test_beacon_piggyback_disseminates_table_change():
-    sc = tbw_scenario(extra={
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 2.0,
-                          "offset_s": 1.0, "window_ms": 100.0}],
-    }, horizon_s=10.0)
-    net, macs = build_network(sc, "tbw", seed=5, keep_tx_log=True)
-    coord = net.coordinator_mac
+WAKEUP_ENTRY = st.fixed_dictionaries({
+    "node": st.sampled_from(["bnc", "n1", "n2", "n3"]),  # n3 is no node
+    "class": st.sampled_from(["NormalHigh", "NormalLow"]),
+    "period_s": st.sampled_from([0.25, 0.5, 1.0]),
+    "offset_s": st.integers(0, 1000).map(lambda ms: ms / 1000),
+    "window_ms": st.sampled_from([20.0, 50.0, 100.0]),
+})
 
-    def modify():
-        coord.apply_table_update(
-            WakeupEntry(node="n1", period=4 * S, offset=1 * S,
-                        window=100_000, cls=TrafficClass.NORMAL_HIGH),
-            TableAction.MODIFY)
 
-    net.sim.schedule_at(int(3.5 * S), "test_modify", "test", modify)
-    net.sim.run(sc.horizon)
-    beacons = [t[0] for t in net.medium.tx_log if t[4] is FrameKind.BEACON]
-    # old period 2 s: beacons at 1, 3; after the 3.5 s change, period 4 s
-    # from offset 1: next occurrences at 5 and 9. The node's own wakeups
-    # follow the new period after hearing the 5 s beacon.
-    assert beacons == [1 * S, 3 * S, 5 * S, 9 * S]
-    assert net.nodes["n1"].mac.entry_view.period == 4 * S
+@settings(max_examples=40, deadline=None)
+@given(st.lists(WAKEUP_ENTRY, min_size=1, max_size=4))
+def test_a_table_loads_only_with_one_entry_per_device(table):
+    # the first entry that names no device, or a device named before, is
+    # the load error; any other table runs with every frame accounted for
+    seen, bad = set(), None
+    for i, entry in enumerate(table):
+        if entry["node"] not in ("n1", "n2") or entry["node"] in seen:
+            bad = i
+            break
+        seen.add(entry["node"])
+    extra = {"wakeup_table": table,
+             "traffic": [{"node": n, "class": "NormalHigh", "period_s": 0.3}
+                         for n in ("n1", "n2")]}
+    if bad is not None:
+        path = rf"^wakeup_table\[{bad}\]\.node: "
+        with pytest.raises(ScenarioError, match=path):
+            tbw_scenario(extra=extra, horizon_s=2.0)
+        return
+    m = run_one(tbw_scenario(extra=extra, horizon_s=2.0), "tbw", seed=4)
+    # run_one's finalize asserts frame conservation
+    assert m.counts[TrafficClass.NORMAL_HIGH].generated > 0
 
 
 # Emergency --------------------------------------------------------------------

@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 
 from bsnsim.core import US_PER_S
 from bsnsim.traffic import (OnDemandMode, OnDemandRequest, TrafficClass,
-                            TrafficSpec, next_emergency, next_normal_arrival,
+                            TrafficSpec, next_emergency, next_occurrence,
                             priority)
+
+
+S = US_PER_S
 
 
 def _spec(period_s, offset_s=0.0, cls=TrafficClass.NORMAL_HIGH):
@@ -16,43 +19,47 @@ def _spec(period_s, offset_s=0.0, cls=TrafficClass.NORMAL_HIGH):
                        start_offset=int(offset_s * US_PER_S))
 
 
+def _next_arrival(spec, now):
+    return next_occurrence(spec.start_offset, spec.period, now)
+
+
 def test_ecg_four_per_hour_first_arrival():
     # 4/hour -> period 900 s = 9e8 ticks; offset 0, now 0 -> arrival at 9e8
     spec = _spec(900.0)
     assert spec.period == 900_000_000
-    assert next_normal_arrival(spec, 0) == 900_000_000
+    assert _next_arrival(spec, 0) == 900_000_000
 
 
 def test_four_per_day_period():
     spec = _spec(21600.0, cls=TrafficClass.NORMAL_LOW)
     assert spec.period == 21_600_000_000
-    assert next_normal_arrival(spec, 0) == 21_600_000_000
+    assert _next_arrival(spec, 0) == 21_600_000_000
 
 
-def test_arrival_on_instant_moves_one_full_period():
-    spec = _spec(1.0, offset_s=0.25)
-    at = next_normal_arrival(spec, 0)
-    assert at == 250_000
-    # exactly on an arrival instant -> strictly the next one
-    assert next_normal_arrival(spec, at) == at + 1_000_000
+# the next normal arrival (offset, period) and the next start of a wakeup
+# window (offset, period) follow the one rule
+@pytest.mark.parametrize("offset, period, now, expected", [
+    (S // 4, S, 0, S // 4),                  # a traffic offset still ahead
+    (S // 4, S, S // 4, S // 4 + S),         # on an arrival: the next one
+    (2 * S, 10 * S, 0, 2 * S),               # a window offset still ahead
+    (2 * S, 10 * S, 2 * S, 12 * S),          # on a window start: the next one
+    (2 * S, 10 * S, 15 * S, 22 * S),         # between two windows
+], ids=["arrival-ahead", "arrival-on-instant", "window-ahead",
+        "window-on-start", "window-between"])
+def test_next_occurrence_is_strictly_after_now(offset, period, now, expected):
+    assert next_occurrence(offset, period, now) == expected
 
 
 def test_cbr_count_over_horizon():
     spec = _spec(1.0, offset_s=0.5)
     horizon = 10 * US_PER_S
     count = 0
-    t = next_normal_arrival(spec, 0)
+    t = _next_arrival(spec, 0)
     while t <= horizon:
         count += 1
-        t = next_normal_arrival(spec, t)
+        t = _next_arrival(spec, t)
     # arrivals at 0.5, 1.5, ..., 9.5 -> floor((10-0.5)/1)+1 = 10
     assert count == (horizon - spec.start_offset) // spec.period + 1 == 10
-
-
-def test_wrong_generator_for_emergency_class():
-    spec = TrafficSpec(node="n", cls=TrafficClass.EMERGENCY, rate_per_s=1.0)
-    with pytest.raises(ValueError, match="wrong generator"):
-        next_normal_arrival(spec, 0)
 
 
 def test_emergency_rate_zero_never_fires():

@@ -1,10 +1,10 @@
-"""Wakeup table mutations, and the coordinator's awake spans in a run."""
+"""Wakeup table entries, and the coordinator's awake spans in a run."""
 
 import pytest
 
 from bsnsim.core import US_PER_S
 from bsnsim.traffic import TrafficClass
-from bsnsim.wakeup import TableAction, WakeupEntry, WakeupTable, table_update
+from bsnsim.wakeup import WakeupEntry
 from tests.conftest import (coordinator_awake, guarded_windows, table_scenario,
                             union)
 
@@ -18,46 +18,6 @@ def _entry(node, period_s, offset_s=0.0, window_s=0.2,
                        cls=cls)
 
 
-def test_insert_bumps_revision():
-    t = WakeupTable()
-    table_update(t, _entry("ecg", 900.0), TableAction.INSERT)
-    assert len(t.entries) == 1
-    assert t.revision == 1
-
-
-def test_remove_absent_entry_errors():
-    t = WakeupTable()
-    with pytest.raises(KeyError, match="no such entry"):
-        table_update(t, _entry("ghost", 10.0), TableAction.REMOVE)
-
-
-def test_modify_absent_entry_errors():
-    t = WakeupTable()
-    with pytest.raises(KeyError):
-        table_update(t, _entry("ghost", 10.0), TableAction.MODIFY)
-
-
-def test_duplicate_insert_rejected():
-    t = WakeupTable()
-    table_update(t, _entry("ecg", 900.0), TableAction.INSERT)
-    with pytest.raises(ValueError, match="duplicate"):
-        table_update(t, _entry("ecg", 900.0), TableAction.INSERT)
-
-
-def test_non_coordinator_caller_rejected():
-    t = WakeupTable(owner="bnc")
-    with pytest.raises(PermissionError, match="BNC only"):
-        table_update(t, _entry("ecg", 900.0), TableAction.INSERT, caller="n3")
-
-
-def test_modify_replaces_and_bumps_revision():
-    t = WakeupTable()
-    table_update(t, _entry("ecg", 900.0), TableAction.INSERT)
-    table_update(t, _entry("ecg", 1800.0), TableAction.MODIFY)
-    assert t.revision == 2
-    assert t.entries[("ecg", TrafficClass.NORMAL_HIGH)].period == 1800 * S
-
-
 def test_entry_validation():
     with pytest.raises(ValueError):
         WakeupEntry(node="n", period=0, window=1)
@@ -65,13 +25,6 @@ def test_entry_validation():
         WakeupEntry(node="n", period=10, window=11)  # window > period
     with pytest.raises(ValueError):
         WakeupEntry(node="n", period=10, window=0)
-
-
-def test_occurrence_after():
-    e = _entry("n", 10.0, offset_s=2.0)
-    assert e.occurrence_after(0) == 2 * S
-    assert e.occurrence_after(2 * S) == 12 * S  # strictly after
-    assert e.occurrence_after(15 * S) == 22 * S
 
 
 # the coordinator's awake spans in a tbw run --------------------------------
