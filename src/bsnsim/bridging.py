@@ -9,31 +9,11 @@ channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .channel import ChannelId, DeliveryOutcome
 from .frames import Frame, FrameKind, Mpdu
 from .mac.base import TURNAROUND_US
-
-
-class ConnectionType(Enum):
-    SCHEDULED = "Scheduled"
-    CONTENTION = "Contention"
-    WAKEUP_SERVED = "WakeupServed"
-
-
-@dataclass(frozen=True)
-class ChannelMapRecord:
-    """One registered connection: who talks to whom on which channel."""
-
-    network_info: str
-    channel: ChannelId
-    node_ids: tuple[str, ...]
-    connection_id: int
-    connection_type: ConnectionType
-    src: str
-    dst: str
 
 
 @dataclass(frozen=True)
@@ -48,82 +28,36 @@ class ViaBridge:
     egress: ChannelId
 
 
-@dataclass(frozen=True)
-class NoRoute:
-    pass
+def _first(channels: set[ChannelId]) -> ChannelId:
+    return min(channels, key=lambda c: (c.band.value, c.phy))
 
 
-class ChannelMap:
-    """Registry of connection records plus the route resolution rules."""
+def resolve_routes(members: dict[ChannelId, set[str]], nodes: list[str],
+                   inbody: set[str], bridges: set[str]) -> dict:
+    """The route of every ordered pair of distinct `nodes`, given each
+    channel's `members`: `Direct`, `ViaBridge` or None.
 
-    def __init__(self, inbody_nodes: Optional[set[str]] = None,
-                 bridge_nodes: Optional[set[str]] = None):
-        self.records: dict[int, ChannelMapRecord] = {}
-        self.inbody_nodes = set(inbody_nodes or ())
-        self.bridge_nodes = set(bridge_nodes or ())
-        self._members: dict[ChannelId, set[str]] = {}
-        self._routes: dict[tuple[str, str], object] = {}  # (src, dst) -> route
+    Channels are taken in `(band, phy)` order and bridges in id order. A
+    pair is direct on its first shared channel when neither end is in-body,
+    or when one end is itself a bridge: the relay collapses to the single hop
+    into or out of the bridge (in-body nodes legitimately hold records to
+    bridge nodes). Otherwise it goes through the first bridge that shares a
+    channel with each end.
+    """
+    on = {n: {ch for ch, m in members.items() if n in m} for n in nodes}
 
-    def register(self, record: ChannelMapRecord) -> "ChannelMap":
-        if record.connection_id in self.records:
-            raise ValueError(f"duplicate connection_id {record.connection_id}")
-        twice = sorted({n for n in record.node_ids
-                        if record.node_ids.count(n) > 1})
-        if twice:
-            raise ValueError(f"nodes listed twice: {', '.join(twice)}")
-        members = set(record.node_ids)
-        for endpoint in (record.src, record.dst):
-            if endpoint not in members and not self._on_some_channel(endpoint):
-                raise ValueError(f"unmapped endpoint: {endpoint}")
-        self.records[record.connection_id] = record
-        self._members.setdefault(record.channel, set()).update(record.node_ids)
-        self._routes.clear()
-        return self
-
-    def _on_some_channel(self, node: str) -> bool:
-        return any(node in m for m in self._members.values())
-
-    def channels_of(self, node: str) -> list[ChannelId]:
-        return [ch for ch, members in self._members.items() if node in members]
-
-    def lookup_route(self, src: str, dst: str):
-        """The route from `src` to `dst`, resolved once per registered map."""
-        route = self._routes.get((src, dst))
-        if route is None:
-            route = self._routes[(src, dst)] = self._resolve_route(src, dst)
-        return route
-
-    def _resolve_route(self, src: str, dst: str):
-        """Direct only when both ends share a channel and neither is in-body.
-
-        A pair whose endpoint is itself a bridge is also direct on a shared
-        channel: the relay collapses to the single hop into or out of the
-        bridge (in-body nodes legitimately hold records to bridge nodes).
-        """
-        src_ch = set(self.channels_of(src))
-        dst_ch = set(self.channels_of(dst))
-        shared = src_ch & dst_ch
-        inbody = src in self.inbody_nodes or dst in self.inbody_nodes
-        endpoint_is_bridge = src in self.bridge_nodes or dst in self.bridge_nodes
-        if shared and (not inbody or endpoint_is_bridge):
-            return Direct(sorted(shared, key=lambda c: (c.band.value, c.phy))[0])
-        for bridge in sorted(self.bridge_nodes):
-            if bridge in (src, dst):
-                continue
-            bridge_ch = set(self.channels_of(bridge))
-            ingress = bridge_ch & src_ch
-            egress = bridge_ch & dst_ch
+    def route(src: str, dst: str):
+        shared = on[src] & on[dst]
+        if shared and (not {src, dst} & inbody or {src, dst} & bridges):
+            return Direct(_first(shared))
+        for bridge in sorted(bridges - {src, dst}):
+            ingress, egress = on[bridge] & on[src], on[bridge] & on[dst]
             if ingress and egress:
-                key = lambda c: (c.band.value, c.phy)
-                return ViaBridge(sorted(ingress, key=key)[0], bridge,
-                                 sorted(egress, key=key)[0])
-        return NoRoute()
+                return ViaBridge(_first(ingress), bridge, _first(egress))
+        return None
 
-
-def validate_bridge(interfaces: list[ChannelId]) -> None:
-    """A bridge needs at least two distinct ChannelIds."""
-    if len(set(interfaces)) < 2:
-        raise ValueError("bridge requires two or more distinct channel interfaces")
+    return {(src, dst): route(src, dst)
+            for src in nodes for dst in nodes if src != dst}
 
 
 class Bridge:
@@ -133,7 +67,7 @@ class Bridge:
     def __init__(self, network, node, channels: list[ChannelId],
                  capacity: int):
         self.network = network
-        self.routes = network.scenario.channel_map
+        self.routes = network.scenario.routes
         self.node = node
         self.capacity = capacity
         self.radios = {}  # ChannelId -> Radio
@@ -159,7 +93,7 @@ class Bridge:
         The hop is recorded when the frame is stored, so a retransmission of
         a frame the bridge holds or has forwarded is not relayed again.
         """
-        route = self.routes.lookup_route(mpdu.src, mpdu.dst)
+        route = self.routes.get((mpdu.src, mpdu.dst))
         if (not isinstance(route, ViaBridge)
                 or any(hop[0] == self.node.node_id for hop in mpdu.hop_trace)):
             return

@@ -115,22 +115,15 @@ def cmd_compare(args) -> int:
 def cmd_dump_routes(args) -> int:
     scenario = load_scenario(args.scenario)
     print("src,dst,route_kind,ingress,bridge,egress")
-    if not scenario.channel_map.records:
-        return 0
-    for src in scenario.nodes:
-        for dst in scenario.nodes:
-            if src.id == dst.id:
-                continue
-            route = scenario.channel_map.lookup_route(src.id, dst.id)
-            if isinstance(route, Direct):
-                key = scenario.channel_key(route.channel)
-                print(f"{src.id},{dst.id},direct,{key},,{key}")
-            elif isinstance(route, ViaBridge):
-                print(f"{src.id},{dst.id},via_bridge,"
-                      f"{scenario.channel_key(route.ingress)},{route.bridge},"
-                      f"{scenario.channel_key(route.egress)}")
-            else:
-                print(f"{src.id},{dst.id},no_route,,,")
+    for (src, dst), route in scenario.routes.items():
+        if isinstance(route, Direct):
+            key = scenario.channel_key(route.channel)
+            print(f"{src},{dst},direct,{key},,{key}")
+        elif isinstance(route, ViaBridge):
+            print(f"{src},{dst},via_bridge,{scenario.channel_key(route.ingress)},"
+                  f"{route.bridge},{scenario.channel_key(route.egress)}")
+        else:
+            print(f"{src},{dst},no_route,,,")
     return 0
 
 

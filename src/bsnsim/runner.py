@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Optional
 
-from .bridging import Bridge, Direct, ViaBridge
+from .bridging import Bridge, ViaBridge
 from .channel import Medium
 from .core import Simulator
 from .frames import Mpdu
@@ -50,12 +50,10 @@ class Network:
         """First-hop link destination for a frame leaving its source."""
         if self.bridge is None:
             return mpdu.dst
-        route = self.scenario.channel_map.lookup_route(mpdu.src, mpdu.dst)
-        if isinstance(route, ViaBridge):
-            return route.bridge
-        if isinstance(route, Direct):
-            return mpdu.dst
-        raise RuntimeError(f"no route {mpdu.src} -> {mpdu.dst}")
+        route = self.scenario.routes.get((mpdu.src, mpdu.dst))
+        if route is None:
+            raise RuntimeError(f"no route {mpdu.src} -> {mpdu.dst}")
+        return route.bridge if isinstance(route, ViaBridge) else mpdu.dst
 
     def handle_data_delivery(self, node: Node, mpdu: Mpdu) -> None:
         if mpdu.dst == node.node_id:

@@ -16,8 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .bridging import (ChannelMap, ChannelMapRecord, ConnectionType,
-                       validate_bridge)
+from .bridging import resolve_routes
 from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
                       MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
                       PathLossParams, Position)
@@ -66,7 +65,7 @@ class Scenario:
     protocols: dict[str, dict]
     wakeup_table: list[WakeupEntry]
     on_demand: list[OnDemandRequest]
-    channel_map: ChannelMap
+    routes: dict  # (src, dst) -> Direct | ViaBridge | None; {} without a map
     bridge: Optional[dict]
     link_matrix: Optional[LinkMatrix]
     normalized: dict = field(repr=False, default_factory=dict)
@@ -190,8 +189,8 @@ BRIDGE_FIELDS = {"node": (str, ..., None), "interfaces": ([str], ..., None),
 CHANNEL_MAP_FIELDS = {
     "network": (str, "bsn0", None), "channel": (str, ..., None),
     "nodes": ([str], ..., None), "connection_id": (int, ..., None),
-    "connection_type": (tuple(t.value for t in ConnectionType), "Contention",
-                        None),
+    "connection_type": (("Scheduled", "Contention", "WakeupServed"),
+                        "Contention", None),
     "src": (str, ..., None), "dst": (str, ..., None)}
 SCENARIO_FIELDS = {
     "name": (str, "unnamed", None), "description": (str, "", None),
@@ -404,16 +403,16 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         ifaces = bridge["interfaces"]
         for k in ifaces:
             _known(k, channels, "bridge.interfaces", "channel")
-        try:
-            validate_bridge([channels[k] for k in ifaces])
-        except ValueError as exc:
-            raise ScenarioError(f"bridge.interfaces: {exc}") from exc
+        if len({channels[k] for k in ifaces}) < 2:
+            raise ScenarioError("bridge.interfaces: bridge requires two or "
+                                "more distinct channel interfaces")
         if len({channel_cfg[k]["mtu_bytes"] for k in ifaces}) > 1:
             raise ScenarioError("bridge.interfaces: differing MTUs across "
                                 "bridged channels are not supported")
 
     bridge_ids = {bridge["node"]} if bridge else set()
-    channel_map = ChannelMap(inbody_nodes=inbody, bridge_nodes=bridge_ids)
+    members: dict[ChannelId, set[str]] = {}  # channel -> the nodes mapped on it
+    connection_ids = set()
     for i, rr in enumerate(norm["channel_map"]):
         path = f"channel_map[{i}]"
         _known(rr["channel"], channels, f"{path}.channel", "channel")
@@ -427,14 +426,21 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                     raise ScenarioError(
                         f"{path}: in-body node {endpoint!r} cannot hold a "
                         f"direct connection to non-bridge node {other!r}")
-        try:
-            channel_map.register(ChannelMapRecord(
-                network_info=rr["network"], channel=channels[rr["channel"]],
-                node_ids=tuple(rr["nodes"]), connection_id=rr["connection_id"],
-                connection_type=ConnectionType(rr["connection_type"]),
-                src=rr["src"], dst=rr["dst"]))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        if rr["connection_id"] in connection_ids:
+            raise ScenarioError(f"{path}: duplicate connection_id "
+                                f"{rr['connection_id']}")
+        connection_ids.add(rr["connection_id"])
+        twice = sorted({n for n in rr["nodes"] if rr["nodes"].count(n) > 1})
+        if twice:
+            raise ScenarioError(f"{path}: nodes listed twice: "
+                                f"{', '.join(twice)}")
+        for endpoint in (rr["src"], rr["dst"]):
+            if (endpoint not in rr["nodes"]
+                    and not any(endpoint in m for m in members.values())):
+                raise ScenarioError(f"{path}: unmapped endpoint: {endpoint}")
+        members.setdefault(channels[rr["channel"]], set()).update(rr["nodes"])
+    routes = (resolve_routes(members, [n.id for n in nodes], inbody, bridge_ids)
+              if norm["channel_map"] else {})
 
     # star topology: without a bridge, all traffic terminates at the BNC
     for i, t in enumerate(traffic):
@@ -452,7 +458,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         protocol_profiles=norm["protocol_profiles"], nodes=nodes, bnc=bnc,
         queue_capacity=norm["queue_capacity"], traffic=traffic,
         protocols=norm["protocols"], wakeup_table=wakeup_table,
-        on_demand=on_demand, channel_map=channel_map, bridge=bridge,
+        on_demand=on_demand, routes=routes, bridge=bridge,
         link_matrix=link_matrix, normalized=norm)
     for name in scenario.protocols:
         try:

@@ -1,100 +1,99 @@
-"""Channel map registration, route resolution, and the relay store."""
+"""Route resolution at load, and the relay store."""
 
 import pytest
 
-from bsnsim.bridging import (ChannelMap, ChannelMapRecord, ConnectionType,
-                             Direct, NoRoute, ViaBridge, validate_bridge)
+from bsnsim.bridging import Direct, ViaBridge
 from bsnsim.channel import Band, ChannelId
 from bsnsim.core import ticks_from_seconds
 from bsnsim.runner import build_network
-from bsnsim.scenario import load_scenario
+from bsnsim.scenario import ScenarioError, load_scenario
 from bsnsim.traffic import TrafficClass
+from tests.conftest import make_scenario
 
 MICS = ChannelId(Band.MICS_402_405, 0)
 ISM = ChannelId(Band.ISM_2_4, 0)
 
 
-def _record(cid, channel, nodes, src, dst,
-            ctype=ConnectionType.CONTENTION):
-    return ChannelMapRecord(network_info="bsn0", channel=channel,
-                            node_ids=tuple(nodes), connection_id=cid,
-                            connection_type=ctype, src=src, dst=dst)
+def _node(node_id, kind, channel, x):
+    return {"id": node_id, "kind": kind, "channel": channel, "pos": [x, 0.0]}
 
 
-def _bsn_map():
-    cmap = ChannelMap(inbody_nodes={"imp1", "imp2"}, bridge_nodes={"bnc"})
-    cmap.register(_record(1, MICS, ["imp1", "imp2", "bnc"], "imp1", "bnc",
-                          ConnectionType.WAKEUP_SERVED))
-    cmap.register(_record(2, MICS, ["imp1", "imp2", "bnc"], "imp2", "bnc",
-                          ConnectionType.WAKEUP_SERVED))
-    cmap.register(_record(3, ISM, ["chest", "ankle", "bnc"], "chest", "bnc"))
-    cmap.register(_record(4, ISM, ["chest", "ankle", "bnc"], "ankle", "chest"))
-    return cmap
+def _record(cid, channel, nodes, src, dst):
+    return {"channel": channel, "nodes": nodes, "connection_id": cid,
+            "src": src, "dst": dst}
 
 
-def test_register_first_record():
-    cmap = ChannelMap()
-    cmap.register(_record(1, MICS, ["imp1", "bnc"], "imp1", "bnc"))
-    assert len(cmap.records) == 1
+# two implants on MICS and two on-body nodes on ISM, bridged by the bnc
+BSN = {
+    "channels": {"mics": {"band": "MICS_402_405", "phy": 0},
+                 "ism": {"band": "ISM_2_4", "phy": 0}},
+    "channel_model": {"mode": "geometric", "pathloss": {}},
+    "nodes": [_node("bnc", "bnc", "mics", 0.0),
+              _node("imp1", "inbody", "mics", 0.1),
+              _node("imp2", "inbody", "mics", 0.2),
+              _node("chest", "onbody", "ism", 0.3),
+              _node("ankle", "onbody", "ism", 0.4)],
+    "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]},
+    "channel_map": [
+        _record(1, "mics", ["imp1", "imp2", "bnc"], "imp1", "bnc"),
+        _record(2, "mics", ["imp1", "imp2", "bnc"], "imp2", "bnc"),
+        _record(3, "ism", ["chest", "ankle", "bnc"], "chest", "bnc"),
+        _record(4, "ism", ["chest", "ankle", "bnc"], "ankle", "chest")]}
 
 
-def test_duplicate_connection_id_rejected():
-    cmap = ChannelMap()
-    cmap.register(_record(1, MICS, ["imp1", "bnc"], "imp1", "bnc"))
-    with pytest.raises(ValueError, match="duplicate connection_id"):
-        cmap.register(_record(1, ISM, ["a", "b"], "a", "b"))
+def _routes(**overrides):
+    return make_scenario({**BSN, **overrides}).routes
 
 
-def test_unmapped_endpoint_rejected():
-    cmap = ChannelMap()
-    with pytest.raises(ValueError, match="unmapped endpoint"):
-        cmap.register(_record(1, MICS, ["imp1", "bnc"], "ghost", "bnc"))
-
-
-def test_mics_record_for_implant():
-    rec = _record(1, MICS, ["pacemaker", "bnc"], "pacemaker", "bnc",
-                  ConnectionType.WAKEUP_SERVED)
-    assert rec.channel.band is Band.MICS_402_405
+def test_every_ordered_pair_resolved_once_at_load():
+    routes = _routes()
+    assert len(routes) == 5 * 4
+    assert all(src != dst for src, dst in routes)
+    assert make_scenario({}).routes == {}  # no channel map, no routes
 
 
 def test_direct_route_between_onbody_peers():
-    route = _bsn_map().lookup_route("chest", "ankle")
-    assert route == Direct(ISM)
+    assert _routes()[("chest", "ankle")] == Direct(ISM)
 
 
 def test_inbody_to_onbody_goes_via_bridge():
-    route = _bsn_map().lookup_route("imp1", "chest")
-    assert route == ViaBridge(MICS, "bnc", ISM)
+    assert _routes()[("imp1", "chest")] == ViaBridge(MICS, "bnc", ISM)
 
 
 def test_inbody_peers_relayed_even_on_shared_channel():
-    route = _bsn_map().lookup_route("imp1", "imp2")
-    assert route == ViaBridge(MICS, "bnc", MICS)
+    assert _routes()[("imp1", "imp2")] == ViaBridge(MICS, "bnc", MICS)
 
 
 def test_no_route_without_shared_infrastructure():
-    cmap = ChannelMap(bridge_nodes=set())
-    cmap.register(_record(1, MICS, ["imp1", "bnc"], "imp1", "bnc"))
-    cmap.register(_record(2, ISM, ["chest"], "chest", "chest"))
-    assert cmap.lookup_route("imp1", "chest") == NoRoute()
+    routes = _routes(
+        nodes=[_node("bnc", "bnc", "mics", 0.0),
+               _node("imp1", "onbody", "mics", 0.1),
+               _node("chest", "onbody", "ism", 0.3)],
+        bridge=None,
+        channel_map=[_record(1, "mics", ["imp1", "bnc"], "imp1", "bnc"),
+                     _record(2, "ism", ["chest"], "chest", "chest")])
+    assert routes[("imp1", "chest")] is None
+    assert routes[("imp1", "bnc")] == Direct(MICS)
 
 
-def test_new_record_re_resolves_a_looked_up_route():
-    cmap = ChannelMap(bridge_nodes=set())
-    cmap.register(_record(1, MICS, ["imp1", "bnc"], "imp1", "bnc"))
-    cmap.register(_record(2, ISM, ["chest"], "chest", "chest"))
-    assert cmap.lookup_route("imp1", "chest") == NoRoute()
-    cmap.register(_record(3, ISM, ["imp1", "chest"], "imp1", "chest"))
-    assert cmap.lookup_route("imp1", "chest") == Direct(ISM)
+def test_unmapped_endpoint_rejected():
+    # an endpoint outside its record's nodes must be on a channel already
+    # mapped by an earlier record
+    earlier = [_record(1, "ism", ["chest", "bnc"], "chest", "bnc"),
+               _record(2, "ism", ["bnc"], "chest", "bnc")]
+    assert _routes(channel_map=earlier)[("chest", "bnc")] == Direct(ISM)
+    with pytest.raises(ScenarioError,
+                       match=r"^channel_map\[0\]: unmapped endpoint: chest$"):
+        _routes(channel_map=earlier[::-1])
 
 
-def test_validate_bridge():
-    validate_bridge([MICS, ISM])  # ok
-    validate_bridge([ChannelId(Band.ISM_2_4, 1), ChannelId(Band.ISM_2_4, 2)])
-    with pytest.raises(ValueError):
-        validate_bridge([ISM])
-    with pytest.raises(ValueError):
-        validate_bridge([ISM, ChannelId(Band.ISM_2_4, 0)])  # same pair twice
+def test_duplicate_connection_id_rejected():
+    # record 1 repeats an id and lists a node twice: the id is reported
+    with pytest.raises(ScenarioError,
+                       match=r"^channel_map\[1\]: duplicate connection_id 1$"):
+        _routes(channel_map=[
+            _record(1, "ism", ["chest", "bnc"], "chest", "bnc"),
+            _record(1, "ism", ["ankle", "ankle", "bnc"], "ankle", "bnc")])
 
 
 def test_channel_id_equality_is_the_pair():
@@ -147,6 +146,7 @@ def test_forwarding_extends_hop_trace_once():
 
 
 def test_bridge_endpoint_pairs_are_single_hop():
-    cmap = _bsn_map()
-    assert cmap.lookup_route("imp1", "bnc") == Direct(MICS)
-    assert cmap.lookup_route("bnc", "imp1") == Direct(MICS)
+    routes = _routes()
+    assert routes[("imp1", "bnc")] == Direct(MICS)
+    assert routes[("bnc", "imp1")] == Direct(MICS)
+    assert routes[("bnc", "chest")] == Direct(ISM)

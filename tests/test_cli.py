@@ -55,18 +55,45 @@ def test_compare_emits_aggregate_and_report(tmp_path, capsys):
     assert "pdr[all]:" in report
 
 
-def test_dump_routes_csv(capsys):
+BRIDGE_INBODY_ROUTES = [
+    "src,dst,route_kind,ingress,bridge,egress",
+    "bnc,imp1,direct,mics,,mics",
+    "bnc,imp2,direct,mics,,mics",
+    "bnc,chest,direct,ism,,ism",
+    "bnc,ankle,direct,ism,,ism",
+    "imp1,bnc,direct,mics,,mics",
+    "imp1,imp2,via_bridge,mics,bnc,mics",
+    "imp1,chest,via_bridge,mics,bnc,ism",
+    "imp1,ankle,via_bridge,mics,bnc,ism",
+    "imp2,bnc,direct,mics,,mics",
+    "imp2,imp1,via_bridge,mics,bnc,mics",
+    "imp2,chest,via_bridge,mics,bnc,ism",
+    "imp2,ankle,via_bridge,mics,bnc,ism",
+    "chest,bnc,direct,ism,,ism",
+    "chest,imp1,via_bridge,ism,bnc,mics",
+    "chest,imp2,via_bridge,ism,bnc,mics",
+    "chest,ankle,direct,ism,,ism",
+    "ankle,bnc,direct,ism,,ism",
+    "ankle,imp1,via_bridge,ism,bnc,mics",
+    "ankle,imp2,via_bridge,ism,bnc,mics",
+    "ankle,chest,direct,ism,,ism",
+]
+
+
+def test_dump_routes_csv(tmp_path, capsys):
     rc = main(["dump-routes", "--scenario", "bridge_inbody"])
     assert rc == 0
+    assert capsys.readouterr().out.splitlines() == BRIDGE_INBODY_ROUTES
+    # a node that is in no record has no route to or from anyone
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["nodes"].append({"id": "wrist", "site": "Wrist", "kind": "onbody",
+                         "pos": [0.3, 0.5], "channel": "ism"})
+    path = tmp_path / "wrist.json"
+    path.write_text(json.dumps(raw))
+    assert main(["dump-routes", "--scenario", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "src,dst,route_kind,ingress,bridge,egress"
-    rows = {tuple(r.split(",")[:3]) for r in out[1:]}
-    assert ("imp1", "chest", "via_bridge") in rows
-    assert ("imp1", "imp2", "via_bridge") in rows
-    assert ("chest", "ankle", "direct") in rows
-    full = {r for r in out[1:]}
-    assert "imp1,chest,via_bridge,mics,bnc,ism" in full
-    assert "imp1,imp2,via_bridge,mics,bnc,mics" in full
+    assert "wrist,bnc,no_route,,," in out
+    assert [r for r in out if "wrist" not in r] == BRIDGE_INBODY_ROUTES
 
 
 def test_trace_determinism_byte_identical(tmp_path):

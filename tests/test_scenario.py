@@ -31,7 +31,7 @@ def test_bundled_scenarios_load():
 
     bridge = load_scenario("bridge_inbody")
     assert bridge.bridge["interfaces"] == ["mics", "ism"]
-    assert len(bridge.channel_map.records) == 4
+    assert len(bridge.routes) == 5 * 4
 
 
 def test_two_bncs_rejected():
@@ -248,6 +248,13 @@ def _n1(**fields):
     ({"traffic": [{"node": "n1", "class": "OnDemandContinuous",
                    "period_s": 1.0}]},
      "traffic[0].class: 'OnDemandContinuous' is not one of"),
+    # a bridge joins two or more distinct channels
+    ({"bridge": {"node": "bnc", "interfaces": ["ism"]}},
+     "bridge.interfaces: bridge requires two or more distinct channel "
+     "interfaces"),
+    ({"bridge": {"node": "bnc", "interfaces": ["ism", "ism"]}},
+     "bridge.interfaces: bridge requires two or more distinct channel "
+     "interfaces"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
