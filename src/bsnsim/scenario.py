@@ -411,6 +411,10 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                                 "bridged channels are not supported")
 
     bridge_ids = {bridge["node"]} if bridge else set()
+    # the channel keys a node has a radio on: its own, and a bridge's
+    radio_keys = {n.id: {n.channel} for n in nodes}
+    if bridge is not None:
+        radio_keys[bridge["node"]].update(bridge["interfaces"])
     members: dict[ChannelId, set[str]] = {}  # channel -> the nodes mapped on it
     connection_ids = set()
     for i, rr in enumerate(norm["channel_map"]):
@@ -438,15 +442,23 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             if (endpoint not in rr["nodes"]
                     and not any(endpoint in m for m in members.values())):
                 raise ScenarioError(f"{path}: unmapped endpoint: {endpoint}")
+        for m in rr["nodes"]:
+            if rr["channel"] not in radio_keys[m]:
+                raise ScenarioError(f"{path}.nodes: {m!r} has no radio on "
+                                    f"{rr['channel']!r}")
         members.setdefault(channels[rr["channel"]], set()).update(rr["nodes"])
     routes = (resolve_routes(members, [n.id for n in nodes], inbody, bridge_ids)
               if norm["channel_map"] else {})
 
-    # star topology: without a bridge, all traffic terminates at the BNC
+    # star topology: without a bridge, all traffic terminates at the BNC;
+    # with one, link_dst reads each flow's route
     for i, t in enumerate(traffic):
         if t.dst != bnc and bridge is None:
             raise ScenarioError(f"traffic[{i}].dst: star topology requires "
                                 f"dst == bnc unless a bridge is configured")
+        if bridge is not None and routes.get((t.node, t.dst)) is None:
+            raise ScenarioError(f"traffic[{i}]: no route from {t.node!r} to "
+                                f"{t.dst!r}")
 
     scenario = Scenario(
         name=norm["name"], description=norm["description"],

@@ -80,14 +80,18 @@ BRIDGE_INBODY_ROUTES = [
 ]
 
 
+# an on-body node on ism that no channel-map record lists
+WRIST = {"id": "wrist", "site": "Wrist", "kind": "onbody", "pos": [0.3, 0.5],
+         "channel": "ism"}
+
+
 def test_dump_routes_csv(tmp_path, capsys):
     rc = main(["dump-routes", "--scenario", "bridge_inbody"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == BRIDGE_INBODY_ROUTES
     # a node that is in no record has no route to or from anyone
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
-    raw["nodes"].append({"id": "wrist", "site": "Wrist", "kind": "onbody",
-                         "pos": [0.3, 0.5], "channel": "ism"})
+    raw["nodes"].append(WRIST)
     path = tmp_path / "wrist.json"
     path.write_text(json.dumps(raw))
     assert main(["dump-routes", "--scenario", str(path)]) == 0
@@ -212,6 +216,36 @@ def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     path.write_text(json.dumps(raw))
     out = tmp_path / "out"
     rc = main(["run", "--scenario", str(path), "--protocol", "csma802154",
+               "--reps", "1", "--until", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _mislay_ism_records(raw):
+    for record in raw["channel_map"][2:]:
+        record["channel"] = "mics"
+
+
+def _add_unrouted_flow(raw):
+    raw["nodes"].append(WRIST)
+    raw["traffic"].append({"node": "wrist", "class": "NormalLow",
+                           "period_s": 2.0, "dst": "bnc"})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_mislay_ism_records, "channel_map[2].nodes: 'chest' has no radio on 'mics'"),
+    (_add_unrouted_flow, "traffic[4]: no route from 'wrist' to 'bnc'"),
+], ids=["mislaid-record", "unrouted-flow"])
+def test_bad_bridge_scenario_exit_code(tmp_path, capsys, edit, message):
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    edit(raw)
+    path = tmp_path / "bad_bridge.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--protocol", "direct",
                "--reps", "1", "--until", "1", "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
