@@ -186,12 +186,13 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _wake_for_beacon(self) -> None:
         self.new_session()
-        self.radio.set_state("listen")
+        self.radio.when_free(lambda: self.radio.set_state("listen"))
         deadline = self._next_beacon_at + self.beacon_airtime + self.guard_us
         self._beacon_timeout = self.at(deadline, "beacon_timeout",
                                        self._beacon_missed)
 
     def _beacon_missed(self) -> None:
+        self._beacon_timeout = None
         self._synced = False
         self._sleep_until_next_beacon()
 
@@ -245,7 +246,9 @@ class Beacon802154Mac(SlottedCsmaMac):
         return self._synced
 
     def _idle(self) -> None:
-        if not self.is_coordinator and self.radio.state == "listen":
+        # a device that woke for a beacon listens until it arrives or times out
+        if (not self.is_coordinator and self.radio.state == "listen"
+                and self._beacon_timeout is None):
             self.radio.set_state("sleep")
 
     def _access_failed(self) -> None:

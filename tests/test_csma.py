@@ -4,7 +4,7 @@ management against enumeration oracles."""
 import pytest
 
 from bsnsim.channel import Medium
-from bsnsim.frames import FrameKind
+from bsnsim.frames import Frame, FrameKind
 from bsnsim.mac.base import UNIT_BACKOFF_US
 from bsnsim.mac.csma import SuperframeConfig, gts_manage
 from bsnsim.runner import build_network
@@ -125,6 +125,33 @@ def test_first_cca_busy_skips_second(monkeypatch):
     # macMaxCSMABackoffs + 1 = 5 backoff rounds per frame, one CCA each
     assert len(calls) == 10
     assert len({window for _now, window in calls}) == 10
+
+
+def test_frame_in_the_beacon_guard_keeps_the_device_listening():
+    # the frame arrives 1 ms before the second beacon, inside the guard, and
+    # cannot fit before it: the device keeps listening, so it hears that
+    # beacon and sends the frame in its superframe, not one superframe later
+    network, _ = _network("csma802154", 10.0, (BI_BO3 - 1000) / 1e6, 1.0,
+                          {"csma802154": {"BO": 3, "SO": 3}})
+    network.sim.run(BI_BO3 + BI_BO3 // 2)
+    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 1
+    assert network.nodes["n1"].mac._synced
+
+
+def test_wake_for_beacon_waits_for_the_frame_on_the_air():
+    # n1 wakes guard_us before the second beacon; a frame it started just
+    # before keeps its radio in tx until the frame ends
+    network, _ = _network("csma802154", 10.0, 5.0, 1.0,
+                          {"csma802154": {"BO": 3, "SO": 3}})
+    radio = network.nodes["n1"].mac.radio
+    wake = BI_BO3 - 2000
+    network.sim.schedule_at(wake - 100, "test_tx", "test",
+                            lambda: network.medium.begin_tx(
+                                radio, Frame.ack("n1", "bnc", 0, "n1"), 0.0))
+    network.sim.run(wake)
+    assert radio.state == "tx"
+    network.sim.run(wake + 1000)
+    assert radio.state == "listen"
 
 
 def test_smac_busy_window_keeps_frame_for_next_window(monkeypatch):

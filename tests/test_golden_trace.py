@@ -121,8 +121,8 @@ CASES = {
 # case -> (results hash, trace hash)
 GOLDEN = {
     "fig2-csma802154": (
-        "91c5cf8c4f0372d57d5abe6a7d221650aa54e5c33e0fe4f6dca31831883845e9",
-        "46ca6c90001b20fa4fdff330e1396a4fa092e504229eecad46b0490a9f4cf354"),
+        "c2eb31ae4280869290900d3c1780c3e7998e4001fed252b62dc0271448e5437e",
+        "f3fb75018ddc707b9b3498812b5ccabda88ffd623479d66542eb67f77dc3455f"),
     "fig2-pbtdma": (
         "20a76d2be30900a5ee0a2daa1c46fa1faab44cbf523609c5e66fc5f2cafb8f30",
         "0aa5495ada869aef20dfe126c0f60a0f1f6369f15b16d330b73e23deddc855e4"),
@@ -130,8 +130,8 @@ GOLDEN = {
         "94172b25a5df1c10e7caff58b56eca21de8ffb3f0fc2d47fbe1f44c00fa828bb",
         "bd6c662bb2c977794b234b269a4c441cc52a452cd27987e3bff039fc52d87911"),
     "fig2-dying-csma802154": (
-        "a0f4a469e416891e7b0330d4dfdaccdd7d13ecb2b0f69a6865463a2ba8cedfbf",
-        "9fb3f15830038fd44208d524140b6f5afb6d03dddf5fa8d58a1aa6f56ca1a953"),
+        "b586b2a72ab9acf97d1734a9f12dc999961fb52862b1d0bc8b866b752fa3fa98",
+        "60a1d88c8c11f59b64629ed242ae0c33d6ef3241a3e542e021d547f5e98a1e2a"),
     "fig2-dying-pbtdma": (
         "567ee26cd59276133dbf9879d957f46aab9db682238a46e76a26c1398fb98f78",
         "9660630148961f58f8140a24021c22132e2bfbd0222c81ab0d59843109e5e7c5"),
@@ -154,8 +154,8 @@ GOLDEN = {
         "26315512053a2d8abed221fd62b173f0ec141b7dcb18689f33275199d936171d",
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
     "gts-csma802154": (
-        "90c3c8b6a7a3674c46ee5b9f0d0ff799faee2ba2efb3a1119bea76cd2c1ec0d8",
-        "b210ce5ef2202eb66456fb528e64b3bd5005c60abb61b41e2b6f7c64b90a6147"),
+        "74b38ff4c6a0426902adf40048edcbf11c5e3ba495f676e874fb729d78953a8f",
+        "431290e40a9fbb085c9c571b53af69dcfd47967512fa6eea9b244db2b03f04ec"),
     "on-demand-tbw": (
         "35c862249af438f646f85e91dd8a6001e3c7ca6da5aa9f6aee79a9caa0bcaa6c",
         "940768f9c4d3f753c82261b25be33ada194429efdbebcffd6b1149616913d46d"),
