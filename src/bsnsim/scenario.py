@@ -3,7 +3,8 @@
 A scenario is one JSON document, read against one field table per section
 (`_fields`) into a normalized dict with the defaults filled in, so load ->
 serialize -> load is a fixed point; durations become integer ticks, and
-references, topology, bridge interfaces and MTUs are cross-checked. An unset
+references, topology, bridge interfaces and MTUs are cross-checked, and the
+channel map becomes one route table (`Scenario.routes`). An unset
 `protocol_profiles` entry stays null, for the MAC's own `profile`: loading
 imports only the MACs the scenario names under `protocols`, whose classes
 read and check their own parameters (`settings`).
