@@ -453,11 +453,12 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
 
     # star topology: without a bridge, all traffic terminates at the BNC;
     # with one, link_dst reads each flow's route
+    routed = {pair for pair, route in routes.items() if route is not None}
     for i, t in enumerate(traffic):
         if t.dst != bnc and bridge is None:
             raise ScenarioError(f"traffic[{i}].dst: star topology requires "
                                 f"dst == bnc unless a bridge is configured")
-        if bridge is not None and routes.get((t.node, t.dst)) is None:
+        if bridge is not None and (t.node, t.dst) not in routed:
             raise ScenarioError(f"traffic[{i}]: no route from {t.node!r} to "
                                 f"{t.dst!r}")
 
