@@ -67,7 +67,7 @@ def _load(args) -> Scenario:
     for protocol in named:
         try:
             protocol_settings(scenario, protocol)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ScenarioError(f"{protocol}: {exc}") from exc
     return scenario
 

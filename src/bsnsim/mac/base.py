@@ -8,7 +8,7 @@ from bisect import insort
 from typing import Callable, Optional
 
 from ..channel import DeliveryOutcome, frame_airtime
-from ..core import Event, SimTime, Simulator
+from ..core import US_PER_S, Event, SimTime, Simulator
 from ..frames import ACK_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import priority
 
@@ -16,6 +16,7 @@ UNIT_BACKOFF_US = 320     # 20 symbols at 250 kb/s
 CCA_US = 128              # 8 symbols
 TURNAROUND_US = 192       # rx/tx switch, charged at rx power
 ACK_WAIT_MARGIN_US = 200
+TICK_MS = 1000 / US_PER_S  # one tick: the shortest slot, preamble or signal
 
 
 def require_one_channel(scenario) -> None:
@@ -72,27 +73,16 @@ class MacBase:
 
     name: str  # the protocol's name in scenarios and on the command line
     profile = "nrf2401"  # power profile of nodes that name none
-    # the keys the protocol accepts under `protocols.<name>` in a scenario,
-    # with their defaults; None: derived from the scenario
-    params: dict = {}
+    params: dict = {}  # the field table of `protocols.<name>` in a scenario
     retry_limit: int  # retransmissions after a missing ack, in acked MACs
 
     @classmethod
     def settings(cls, scenario) -> dict:
-        """The protocol's parameters in `scenario` with the defaults filled
-        in; subclasses add values derived from them. The runner calls this
-        once per run and hands the result to every MAC. Raises TypeError or
-        ValueError on a value the protocol rejects."""
-        out = dict(cls.params)
-        for key, value in scenario.protocols.get(cls.name, {}).items():
-            if isinstance(out[key], (int, float)):
-                number = float if isinstance(out[key], float) else int
-                if (isinstance(value, bool)
-                        or not isinstance(value, (int, number))):
-                    noun = "a number" if number is float else "an integer"
-                    raise TypeError(f"{key}: {value!r} is not {noun}")
-            out[key] = value
-        return out
+        """The protocol's parameters in `scenario`; subclasses check the rules
+        their field table cannot hold and add derived values. The runner hands
+        the result to every MAC of a run. Raises ValueError on a scenario the
+        protocol rejects."""
+        return scenario.protocol_params(cls.name)
 
     def __init__(self, sim: Simulator, medium, node, network, settings: dict):
         self.sim = sim
@@ -301,8 +291,16 @@ class SlottedCsmaMac(MacBase):
     service until `_start_service` runs again.
     """
 
-    params = {"macMinBE": 3, "aMaxBE": 5, "retry_limit": 3}
+    params = {"macMinBE": (int, 3, 0), "aMaxBE": (int, 5, 0),
+              "retry_limit": (int, 3, 0)}
     busy_limit: int
+
+    @classmethod
+    def settings(cls, scenario) -> dict:
+        out = super().settings(scenario)
+        if out["macMinBE"] > out["aMaxBE"]:
+            raise ValueError("need macMinBE <= aMaxBE")
+        return out
 
     def __init__(self, sim: Simulator, medium, node, network, settings: dict):
         super().__init__(sim, medium, node, network, settings)

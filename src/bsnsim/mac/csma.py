@@ -13,6 +13,7 @@ from typing import Optional
 
 from ..core import SimTime
 from ..frames import BEACON_BYTES, Frame, FrameKind, Mpdu
+from ..scenario import ScenarioError
 from .base import TURNAROUND_US, SlottedCsmaMac, require_one_channel
 
 BASE_SLOT_US = 960         # one superframe slot at SO=0
@@ -100,14 +101,20 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     name = "csma802154"
     profile = "cc2420"
-    params = {**SlottedCsmaMac.params, "BO": 6, "SO": 6, "num_gts_slots": 2,
-              "macMaxCSMABackoffs": 4, "guard_us": 2000,
-              "gts_expiry_superframes": 4, "gts_nodes": ()}
+    params = {**SlottedCsmaMac.params, "BO": (int, 6, 0), "SO": (int, 6, 0),
+              "num_gts_slots": (int, 2, 0), "macMaxCSMABackoffs": (int, 4, 0),
+              "guard_us": (int, 2000, 0), "gts_expiry_superframes": (int, 4, 1),
+              "gts_nodes": ([str], [], None)}
 
     @classmethod
     def settings(cls, scenario) -> dict:
         require_one_channel(scenario)
         out = super().settings(scenario)
+        devices = {n.id for n in scenario.nodes} - {scenario.bnc}
+        for node_id in out["gts_nodes"]:
+            if node_id not in devices:
+                raise ScenarioError(f"protocols.{cls.name}.gts_nodes: unknown "
+                                    f"device {node_id!r}")
         out["superframe"] = SuperframeConfig(
             beacon_order=out["BO"], superframe_order=out["SO"],
             num_gts_slots=out["num_gts_slots"])

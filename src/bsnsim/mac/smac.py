@@ -8,27 +8,9 @@ retransmissions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..core import SimTime, ticks_from_seconds
+from ..core import US_PER_S, ticks_from_seconds
 from ..frames import Mpdu
 from .base import SlottedCsmaMac
-
-
-@dataclass(frozen=True)
-class SmacConfig:
-    cycle_ticks: SimTime
-    listen_fraction: float
-
-    def __post_init__(self):
-        if self.cycle_ticks <= 0:
-            raise ValueError("cycle must be positive")
-        if not 0.0 < self.listen_fraction <= 1.0:
-            raise ValueError("listen_fraction must be in (0, 1]")
-
-    @property
-    def listen_ticks(self) -> SimTime:
-        return int(self.cycle_ticks * self.listen_fraction)
 
 
 class SMac(SlottedCsmaMac):
@@ -40,20 +22,23 @@ class SMac(SlottedCsmaMac):
     """
 
     name = "smac"
-    params = {**SlottedCsmaMac.params, "cycle_s": 1.0, "listen_fraction": 0.1,
-              "max_window_attempts": 2}
+    params = {**SlottedCsmaMac.params, "cycle_s": (float, 1.0, 1 / US_PER_S),
+              "listen_fraction": (float, 0.1, None),
+              "max_window_attempts": (int, 2, 1)}
 
     @classmethod
     def settings(cls, scenario) -> dict:
         out = super().settings(scenario)
-        out["duty_cycle"] = SmacConfig(
-            cycle_ticks=ticks_from_seconds(out["cycle_s"]),
-            listen_fraction=out["listen_fraction"])
+        if not 0 < out["listen_fraction"] <= 1:
+            raise ValueError("need 0 < listen_fraction <= 1")
+        out["cycle_ticks"] = ticks_from_seconds(out["cycle_s"])
+        out["listen_ticks"] = int(out["cycle_ticks"] * out["listen_fraction"])
         return out
 
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
-        self.smac = settings["duty_cycle"]
+        self.cycle_ticks = settings["cycle_ticks"]
+        self.listen_ticks = settings["listen_ticks"]
         # a node that keeps losing contention sleeps on the frame until the
         # next listen window instead of burning backoff rounds
         self.busy_limit = settings["max_window_attempts"]
@@ -67,10 +52,10 @@ class SMac(SlottedCsmaMac):
     def _enter_listen(self) -> None:
         self.new_session()
         self._access_start = self.sim.now
-        self._access_end = self.sim.now + self.smac.listen_ticks
+        self._access_end = self.sim.now + self.listen_ticks
         self.radio.set_state("listen")
         self.node.at(self._access_end, "smac_sleep", self._enter_sleep)
-        self.node.at(self._access_start + self.smac.cycle_ticks,
+        self.node.at(self._access_start + self.cycle_ticks,
                      "smac_listen", self._enter_listen)
         if not self.is_coordinator:
             self._start_service()

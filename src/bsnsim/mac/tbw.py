@@ -19,7 +19,7 @@ from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
 from ..wakeup import WakeupEntry
-from .base import TURNAROUND_US, MacBase
+from .base import TICK_MS, TURNAROUND_US, MacBase
 
 GRANT_BYTES = BEACON_BYTES
 POLL_WAIT_US = 20_000
@@ -34,9 +34,10 @@ class TbwMac(MacBase):
 
     name = "tbw"
     always_on = False  # whether the coordinator's data radios never sleep
-    params = {"guard_ms": 2.0, "wakeup_signal_ms": 10.0,
-              "wakeup_retry_ms": 50.0, "wakeup_max_tries": 10,
-              "retry_limit": 3}
+    params = {"guard_ms": (float, 2.0, 0.0),
+              "wakeup_signal_ms": (float, 10.0, TICK_MS),
+              "wakeup_retry_ms": (float, 50.0, 0.0),
+              "wakeup_max_tries": (int, 10, 1), "retry_limit": (int, 3, 0)}
 
     @classmethod
     def settings(cls, scenario) -> dict:
@@ -44,11 +45,8 @@ class TbwMac(MacBase):
             raise ValueError(f"{cls.name} requires a wakeup_channel in the "
                              f"scenario")
         out = super().settings(scenario)
-        out["guard_ticks"] = ticks_from_seconds(out["guard_ms"] / 1000.0)
-        out["wakeup_signal_ticks"] = ticks_from_seconds(
-            out["wakeup_signal_ms"] / 1000.0)
-        out["wakeup_retry_ticks"] = ticks_from_seconds(
-            out["wakeup_retry_ms"] / 1000.0)
+        for key in ("guard", "wakeup_signal", "wakeup_retry"):
+            out[f"{key}_ticks"] = ticks_from_seconds(out[f"{key}_ms"] / 1000.0)
         return out
 
     def __init__(self, sim, medium, node, network, settings):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import Frame, FrameKind
-from .base import TURNAROUND_US, MacBase, require_one_channel
+from ..scenario import ScenarioError
+from .base import TICK_MS, TURNAROUND_US, MacBase, require_one_channel
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,6 @@ class TdmaSchedule:
         owners = list(self.assignment.values())
         if len(owners) != len(set(owners)):
             raise ValueError("each node may own at most one slot")
-        if self.slot_ticks <= 0 or self.preamble_ticks <= 0:
-            raise ValueError("slot and preamble durations must be positive")
 
     @property
     def frame_length(self) -> int:
@@ -49,8 +48,9 @@ class PbTdmaMac(MacBase):
     """Event-driven PB-TDMA node and coordinator."""
 
     name = "pbtdma"
-    params = {"slot_ms": 10.0, "preamble_ms": 10.0,
-              "assignment": None}  # None: devices in id order
+    params = {"slot_ms": (float, 10.0, TICK_MS),
+              "preamble_ms": (float, 10.0, TICK_MS),
+              "assignment": ({str: str}, None, None)}  # null: devices in id order
 
     @classmethod
     def settings(cls, scenario) -> dict:
@@ -59,6 +59,10 @@ class PbTdmaMac(MacBase):
         devices = [n for n in scenario.nodes if n.id != scenario.bnc]
         if not devices:
             raise ValueError("no devices to give slots to")
+        for slot in out["assignment"] or {}:
+            if not slot.isdecimal() or slot != str(int(slot)):  # int() takes "-1", "00"
+                raise ScenarioError(f"protocols.{cls.name}.assignment: {slot!r} "
+                                    f"is not a slot index of 0 or more")
         assignment = out["assignment"] or dict(
             enumerate(sorted(n.id for n in devices)))
         strangers = set(assignment.values()) - {n.id for n in devices}

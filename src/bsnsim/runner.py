@@ -65,7 +65,7 @@ class Network:
 
 def protocol_settings(scenario: Scenario, protocol: str) -> dict:
     """The settings a run of `protocol` on `scenario` hands to every MAC.
-    Raises ValueError or TypeError when the protocol cannot run it."""
+    Raises ValueError when the protocol cannot run it."""
     mac_cls = mac_class(protocol)
     if scenario.on_demand and not hasattr(mac_cls, "issue_request"):
         raise ValueError(f"{protocol} cannot serve the scenario's on-demand "

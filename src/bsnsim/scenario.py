@@ -6,8 +6,8 @@ serialize -> load is a fixed point; durations become integer ticks, and
 references, topology, bridge interfaces and MTUs are cross-checked, and the
 channel map becomes one route table (`Scenario.routes`). An unset
 `protocol_profiles` entry stays null, for the MAC's own `profile`: loading
-imports only the MACs the scenario names under `protocols`, whose classes
-read and check their own parameters (`settings`).
+imports only the MACs the scenario names under `protocols`, and reads each
+one's section with its MAC's field table (`params`) and rules (`settings`).
 """
 
 from __future__ import annotations
@@ -89,6 +89,12 @@ class Scenario:
             if val == cid:
                 return key
         raise KeyError(cid)
+
+    def protocol_params(self, name: str) -> dict:
+        """A copy of `protocols.<name>` as loaded, or its table's defaults."""
+        if name in self.protocols:
+            return dict(self.protocols[name])
+        return _fields({}, f"protocols.{name}", mac_class(name).params)
 
     def serialize(self) -> str:
         return json.dumps(self.normalized, sort_keys=True, indent=2) + "\n"
@@ -203,7 +209,7 @@ SCENARIO_FIELDS = {
     "protocol_profiles": (PROTOCOL_PROFILE_FIELDS, {}, None),
     "nodes": ([NODE_FIELDS], ..., None), "bnc": (str, ..., None),
     "queue_capacity": (int, 16, 1), "traffic": ([TRAFFIC_FIELDS], [], None),
-    "protocols": ({str: dict}, {}, None),  # each MAC checks its own
+    "protocols": ({str: dict}, {}, None),  # each with its MAC's `params`
     "wakeup_table": ([WAKEUP_FIELDS], [], None),
     "on_demand": ([ON_DEMAND_FIELDS], [], None),
     "bridge": (BRIDGE_FIELDS, None, None),
@@ -365,9 +371,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     for name, params in norm["protocols"].items():
         if name not in PROTOCOLS:
             raise ScenarioError(f"protocols.{name}: unknown protocol")
-        for key in params:
-            if key not in mac_class(name).params:
-                raise ScenarioError(f"protocols.{name}.{key}: unknown parameter")
+        norm["protocols"][name] = _fields(params, f"protocols.{name}",
+                                          mac_class(name).params)
 
     wakeup_table: list[WakeupEntry] = []
     entry_of: dict[str, int] = {}  # device -> index of its one entry
@@ -477,7 +482,9 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     for name in scenario.protocols:
         try:
             mac_class(name).settings(scenario)
-        except (TypeError, ValueError) as exc:
+        except ScenarioError:
+            raise  # already names its field
+        except ValueError as exc:
             raise ScenarioError(f"protocols.{name}: {exc}") from exc
     return scenario
 

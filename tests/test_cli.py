@@ -131,7 +131,7 @@ def test_unknown_protocol_parameter_exit_code(tmp_path, capsys):
                "--until", "1", "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "protocols.csma802154.macMaxCSMABackofs: unknown parameter" in err
+    assert "protocols.csma802154.macMaxCSMABackofs: unknown field" in err
 
 
 def test_bad_protocol_value_exit_code(tmp_path, capsys):
@@ -144,6 +144,30 @@ def test_bad_protocol_value_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "protocols.csma802154: need 0 <= SO <= BO <= 14" in err
+
+
+@pytest.mark.parametrize("scenario, protocol, params, message", [
+    ("paper_fig2", "csma802154", {"macMinBE": -1},
+     "protocols.csma802154.macMinBE: -1 is below the minimum 0"),
+    ("paper_fig2", "csma802154", {"gts_nodes": "bpecg"},
+     "protocols.csma802154.gts_nodes: 'bpecg' is not a list"),
+    ("paper_fig2", "pbtdma", {"assignment": {"-1": "bp"}},
+     "protocols.pbtdma.assignment: '-1' is not a slot index of 0 or more"),
+    ("tbw_emergency", "tbw", {"guard_ms": -5},
+     "protocols.tbw.guard_ms: -5.0 is below the minimum 0.0"),
+])
+def test_a_bad_protocol_value_exits_2_and_writes_nothing(
+        tmp_path, capsys, scenario, protocol, params, message):
+    raw = json.loads(bundled_scenario_path(scenario).read_text())
+    raw["protocols"][protocol].update(params)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--protocol", protocol,
+               "--reps", "1", "--until", "20", "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_co_located_nodes_exit_code(tmp_path, capsys):

@@ -131,7 +131,7 @@ def test_duplicate_connection_id_rejected():
 def test_misspelt_protocol_parameter_rejected_with_path():
     with pytest.raises(ScenarioError,
                        match=r"^protocols\.csma802154\.macMaxCSMABackofs: "
-                             r"unknown parameter$"):
+                             r"unknown field$"):
         make_scenario({"protocols": {"csma802154": {"macMaxCSMABackofs": 9}}})
 
 
@@ -152,6 +152,9 @@ def test_protocol_parameters_accepted_per_protocol():
 
 COORDINATOR_ONLY = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
                                "pos": [0.5, 0.5], "initial_j": None}]}
+WAKEUP_CHANNEL = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
+                               "wakeup": {"band": "ISM_2_4", "phy": 99}},
+                  "wakeup_channel": "wakeup"}
 
 
 @pytest.mark.parametrize("name, params, message", [
@@ -165,11 +168,55 @@ COORDINATOR_ONLY = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
      "assignment names non-devices ['ghost']"),
     ("pbtdma", {"assignment": {"0": "bnc"}}, "non-devices ['bnc']"),
     ("pbtdma", {}, "no devices"),  # on COORDINATOR_ONLY
+    # below a field's minimum, or against a rule between two fields
+    ("csma802154", {"macMinBE": -1},
+     "protocols.csma802154.macMinBE: -1 is below the minimum 0"),
+    ("csma802154", {"guard_us": -3000},
+     "protocols.csma802154.guard_us: -3000 is below the minimum 0"),
+    ("csma802154", {"retry_limit": -1},
+     "protocols.csma802154.retry_limit: -1 is below the minimum 0"),
+    ("csma802154", {"macMaxCSMABackoffs": -1},
+     "protocols.csma802154.macMaxCSMABackoffs: -1 is below the minimum 0"),
+    ("csma802154", {"macMinBE": 6, "aMaxBE": 2},
+     "protocols.csma802154: need macMinBE <= aMaxBE"),
+    ("tbw", {"wakeup_signal_ms": 0},
+     "protocols.tbw.wakeup_signal_ms: 0.0 is below the minimum 0.001"),
+    ("tbw", {"guard_ms": -5},
+     "protocols.tbw.guard_ms: -5.0 is below the minimum 0.0"),
+    ("tbw", {"wakeup_retry_ms": -60},
+     "protocols.tbw.wakeup_retry_ms: -60.0 is below the minimum 0.0"),
+    ("tbw", {"wakeup_max_tries": 0},
+     "protocols.tbw.wakeup_max_tries: 0 is below the minimum 1"),
+    ("smac", {"max_window_attempts": 0},
+     "protocols.smac.max_window_attempts: 0 is below the minimum 1"),
+    # a string would be searched as a substring of each node id
+    ("csma802154", {"gts_nodes": "n1x"},
+     "protocols.csma802154.gts_nodes: 'n1x' is not a list"),
+    ("csma802154", {"gts_nodes": ["ghost"]},
+     "protocols.csma802154.gts_nodes: unknown device 'ghost'"),
+    ("csma802154", {"gts_nodes": ["bnc"]},
+     "protocols.csma802154.gts_nodes: unknown device 'bnc'"),
+    ("pbtdma", {"assignment": {"-1": "n1"}},
+     "protocols.pbtdma.assignment: '-1' is not a slot index of 0 or more"),
+    ("pbtdma", {"assignment": {"x": "n1"}},
+     "protocols.pbtdma.assignment: 'x' is not a slot index of 0 or more"),
+    ("smac", {"cycle_s": 0},
+     "protocols.smac.cycle_s: 0.0 is below the minimum 1e-06"),
+    ("smac", {"listen_fraction": 1.5},
+     "protocols.smac: need 0 < listen_fraction <= 1"),
+    ("pbtdma", {"slot_ms": 0},
+     "protocols.pbtdma.slot_ms: 0.0 is below the minimum 0.001"),
+    ("pbtdma", {"preamble_ms": 0},
+     "protocols.pbtdma.preamble_ms: 0.0 is below the minimum 0.001"),
+    # "00" and "0" are one slot to int(), so {"0": a, "00": b} would drop a
+    ("pbtdma", {"assignment": {"00": "n1"}},
+     "protocols.pbtdma.assignment: '00' is not a slot index of 0 or more"),
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
-    nodes = COORDINATOR_ONLY if message == "no devices" else {}
-    with pytest.raises(ScenarioError, match=rf"^protocols\.{name}: ") as err:
-        make_scenario({**nodes, "protocols": {name: params}})
+    base = (COORDINATOR_ONLY if message == "no devices"
+            else WAKEUP_CHANNEL if name == "tbw" else {})
+    with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
+        make_scenario({**base, "protocols": {name: params}})
     assert message in str(err.value)
 
 
@@ -234,9 +281,9 @@ def _n1(**fields):
      "on_demand[0].target: unknown device 'bnc'"),
     # the queue and the CCA threshold are the scenario's, not a protocol's
     ({"protocols": {"direct": {"queue_capacity": -3}}},
-     "protocols.direct.queue_capacity: unknown parameter"),
+     "protocols.direct.queue_capacity: unknown field"),
     ({"protocols": {"pbtdma": {"cca_threshold_dbm": -80.0}}},
-     "protocols.pbtdma.cca_threshold_dbm: unknown parameter"),
+     "protocols.pbtdma.cca_threshold_dbm: unknown field"),
     ({"on_demand": [{"at_s": 1.0, "target": "ghost"}]},
      "on_demand[0].target: unknown device 'ghost'"),
     ({"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
@@ -281,15 +328,23 @@ def test_nodes_off_the_coordinators_channel_rejected(protocol):
 
 
 def test_readme_parameter_table_matches_params():
+    def value(cell):  # a JSON value, or None for "-" and words
+        try:
+            return json.loads(cell.strip("`"))
+        except ValueError:
+            return None
+
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    documented = set()
+    documented = {}
     for line in readme.read_text().splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 5 and cells[1].startswith("`"):
-            documented |= {(name, cells[1].strip("`"))
-                           for name in cells[0].split(", ")}
-    declared = {(name, key) for name in PROTOCOLS
-                for key in mac_class(name).params}
+        if len(cells) == 6 and cells[1].startswith("`"):
+            for name in cells[0].split(", "):
+                documented[name, cells[1].strip("`")] = (value(cells[3]),
+                                                         value(cells[4]))
+    declared = {(name, key): (default, minimum) for name in PROTOCOLS
+                for key, (_, default, minimum)
+                in mac_class(name).params.items()}
     assert documented == declared
 
 

@@ -1,9 +1,8 @@
-"""PB-TDMA schedule arithmetic and S-MAC duty-cycle validation."""
+"""PB-TDMA schedule arithmetic; the S-MAC and PB-TDMA parameter checks are
+rows of test_scenario.test_bad_protocol_value_rejected_at_load."""
 
 import pytest
 
-from bsnsim.core import US_PER_S
-from bsnsim.mac.smac import SmacConfig
 from bsnsim.mac.tdma import TdmaSchedule
 
 
@@ -26,17 +25,3 @@ def test_duplicate_slot_owner_rejected():
     with pytest.raises(ValueError):
         TdmaSchedule(slot_ticks=5000, preamble_ticks=5000,
                      assignment={0: "n0", 1: "n0"})
-
-
-def test_nonpositive_durations_rejected():
-    with pytest.raises(ValueError):
-        TdmaSchedule(slot_ticks=0, preamble_ticks=5000, assignment={0: "a"})
-
-
-def test_smac_config_validation():
-    with pytest.raises(ValueError):
-        SmacConfig(cycle_ticks=0, listen_fraction=0.1)
-    with pytest.raises(ValueError):
-        SmacConfig(cycle_ticks=US_PER_S, listen_fraction=0.0)
-    with pytest.raises(ValueError):
-        SmacConfig(cycle_ticks=US_PER_S, listen_fraction=1.5)
