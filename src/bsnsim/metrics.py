@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -25,6 +26,9 @@ class RunMetrics:
     Every generated frame is disposed exactly once (delivered or dropped) or
     counted in flight at the horizon, so per-class conservation holds:
     generated == delivered + dropped + in_flight.
+
+    Each class's delay samples are one `array('q')` of microseconds, so a
+    result holds and pickles them as one buffer per class.
     """
 
     def __init__(self, seed: int, protocol: str = "", horizon: SimTime = 0):
@@ -32,8 +36,7 @@ class RunMetrics:
         self.protocol = protocol
         self.horizon = horizon
         self.counts: dict[TrafficClass, ClassCounts] = {}
-        self.latency_us: dict[TrafficClass, list[SimTime]] = {}
-        self.emergency_access_delays_us: list[SimTime] = []
+        self.latency_us: dict[TrafficClass, array] = {}
         self.collisions = 0
         self.bridge_drops = 0
         self.wakeup_failures = 0
@@ -48,6 +51,13 @@ class RunMetrics:
             cc = self.counts[cls] = ClassCounts()
         return cc
 
+    @property
+    def emergency_access_delays_us(self) -> memoryview:
+        """The Emergency class's delay samples, read-only. The samples cannot
+        grow while a view is held, so read it once the run is over."""
+        samples = self.latency_us.get(TrafficClass.EMERGENCY, array("q"))
+        return memoryview(samples).toreadonly()
+
     def on_generated(self, mpdu: Mpdu) -> None:
         self._cc(mpdu.cls).generated += 1
 
@@ -59,9 +69,10 @@ class RunMetrics:
         cc = self._cc(mpdu.cls)
         cc.delivered += 1
         self.delivered_bits += mpdu.payload_bytes * 8
-        self.latency_us.setdefault(mpdu.cls, []).append(at - mpdu.created_at)
-        if mpdu.cls is TrafficClass.EMERGENCY:
-            self.emergency_access_delays_us.append(at - mpdu.created_at)
+        samples = self.latency_us.get(mpdu.cls)
+        if samples is None:
+            samples = self.latency_us[mpdu.cls] = array("q")
+        samples.append(at - mpdu.created_at)
         return True
 
     def on_dropped(self, mpdu: Mpdu) -> bool:
@@ -112,8 +123,8 @@ class RunMetrics:
         if all_lat:
             out[("latency_mean_us", "all")] = sum(all_lat) / len(all_lat)
             out[("latency_p95_us", "all")] = percentile(all_lat, 95)
-        if self.emergency_access_delays_us:
-            d = self.emergency_access_delays_us
+        d = self.latency_us.get(TrafficClass.EMERGENCY)
+        if d:
             out[("emergency_delay_max_us", "Emergency")] = max(d)
             out[("emergency_delay_p50_us", "Emergency")] = percentile(d, 50)
         out[("collisions", "all")] = self.collisions

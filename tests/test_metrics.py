@@ -1,12 +1,18 @@
 """Run metrics: PDR, percentile, aggregation, frame conservation."""
 
+import dataclasses
 import math
+import pickle
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bsnsim.core import US_PER_S
 from bsnsim.frames import Mpdu
 from bsnsim.metrics import RunMetrics, aggregate, percentile
+from bsnsim.runner import run_one
+from bsnsim.scenario import load_scenario
 from bsnsim.traffic import TrafficClass
 
 
@@ -83,7 +89,7 @@ def test_latency_sample_at_least_airtime():
     f = _mpdu(0)
     m.on_generated(f)
     m.on_delivered(f, at=4096)  # created at 0, delivered at first possible end
-    assert m.latency_us[TrafficClass.NORMAL_HIGH] == [4096]
+    assert m.latency_us[TrafficClass.NORMAL_HIGH].tolist() == [4096]
 
 
 def test_emergency_delay_recorded():
@@ -91,7 +97,39 @@ def test_emergency_delay_recorded():
     f = _mpdu(0, cls=TrafficClass.EMERGENCY)
     m.on_generated(f)
     m.on_delivered(f, at=14832)
-    assert m.emergency_access_delays_us == [14832]
+    assert m.emergency_access_delays_us.tolist() == [14832]
+
+
+def _bundled_run(name, protocol, horizon_s, dying=False):
+    sc = load_scenario(name)
+    sc.horizon = int(horizon_s * US_PER_S)
+    if dying:  # staggered budgets, so that some nodes die mid-run
+        sc.nodes = [dataclasses.replace(n, initial_j=0.005 * (i + 1))
+                    for i, n in enumerate(sc.nodes)]
+    return run_one(sc, protocol, seed=sc.seed_base)
+
+
+def test_a_run_result_survives_a_pickle_round_trip():
+    m = _bundled_run("paper_fig2", "csma802154", 20, dying=True)
+    back = pickle.loads(pickle.dumps(m))
+    assert back.metric_values() == m.metric_values()
+    assert back.node_death_us == m.node_death_us
+    assert any(t is not None for t in m.node_death_us.values())
+    assert back.latency_us == m.latency_us
+    for samples in back.latency_us.values():
+        assert type(samples) is array and samples.typecode == "q"
+
+
+def test_emergency_delays_are_the_emergency_samples():
+    m = _bundled_run("tbw_emergency", "tbw", 30)
+    assert m.counts[TrafficClass.EMERGENCY].delivered == 3
+    delays = m.emergency_access_delays_us
+    assert delays.readonly
+    assert delays.tolist() == m.latency_us[TrafficClass.EMERGENCY].tolist()
+    quiet = _bundled_run("paper_fig2", "csma802154", 5)
+    assert TrafficClass.EMERGENCY not in quiet.latency_us
+    assert quiet.emergency_access_delays_us.tolist() == []
+    assert "emergency_delay_max_us" not in {k for k, _ in quiet.metric_values()}
 
 
 # percentile -----------------------------------------------------------------
