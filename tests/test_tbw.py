@@ -364,6 +364,13 @@ ON_DEMAND = st.fixed_dictionaries({
        st.sampled_from(["tbw", "tbw_alwayson"]))
 @example([{"at_s": 2.490008, "target": "n2", "mode": "NonContinuous",
            "addressing": "Tone", "duration_s": 0.0, "period_s": 1.0}], "tbw")
+# a second wakeup signal reaches n1 while its data radio sends
+@example([{"at_s": at_s, "target": "n1", "mode": mode, "addressing": "Tone",
+           "duration_s": duration_s, "period_s": 0.1}
+          for at_s, mode, duration_s in [
+              (0.01, "NonContinuous", 0.0), (0.01, "NonContinuous", 0.0),
+              (0.285649, "Continuous", 0.201), (0.489808, "NonContinuous", 0.0)]],
+         "tbw")
 def test_every_hold_is_released_after_a_quiet_tail(requests, protocol):
     # a request holds its data radio for its duration plus 200 ms after the
     # poll; the run ends a quiet tail longer than that after the last poll
