@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..channel import frame_airtime
 from ..core import SimTime
 from ..frames import BEACON_BYTES, Frame, FrameKind, Mpdu
 from ..scenario import ScenarioError
@@ -118,6 +119,16 @@ class Beacon802154Mac(SlottedCsmaMac):
         out["superframe"] = SuperframeConfig(
             beacon_order=out["BO"], superframe_order=out["SO"],
             num_gts_slots=out["num_gts_slots"])
+        # a device wakes guard_us before each beacon, and it learns when the
+        # next one is due only once the current one has ended
+        rate = scenario.channel_cfg[scenario.node(scenario.bnc).channel][
+            "data_rate_bps"]
+        latest = (out["superframe"].beacon_interval
+                  - frame_airtime(BEACON_BYTES, rate))
+        if out["guard_us"] > latest:
+            raise ValueError(f"guard_us {out['guard_us']} must be at most "
+                             f"{latest} us, the beacon interval less the "
+                             f"beacon's airtime")
         return out
 
     def __init__(self, sim, medium, node, network, settings):

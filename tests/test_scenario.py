@@ -211,6 +211,9 @@ WAKEUP_CHANNEL = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
     # "00" and "0" are one slot to int(), so {"0": a, "00": b} would drop a
     ("pbtdma", {"assignment": {"00": "n1"}},
      "protocols.pbtdma.assignment: '00' is not a slot index of 0 or more"),
+    # a wake due before the last beacon has ended: 983040 us less 544 us
+    ("csma802154", {"guard_us": 982497},
+     "protocols.csma802154: guard_us 982497 must be at most 982496 us"),
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
@@ -218,6 +221,11 @@ def test_bad_protocol_value_rejected_at_load(name, params, message):
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
         make_scenario({**base, "protocols": {name: params}})
     assert message in str(err.value)
+
+
+def test_guard_up_to_the_beacon_interval_less_its_airtime_loads():
+    sc = make_scenario({"protocols": {"csma802154": {"guard_us": 982496}}})
+    assert sc.protocol_params("csma802154")["guard_us"] == 982496
 
 
 PATHLOSS = {"ism": {"pl_d0": 40.0, "d0": 0.1, "exponent": 2.0,
