@@ -210,7 +210,8 @@ def test_clean_emergency_access_delay_is_exact():
 
     net.sim.schedule_at(1 * S, "test_emergency", "test", raise_emergency)
     net.sim.run(sc.horizon)
-    assert net.metrics.emergency_access_delays_us.tolist() == [CLEAN_EMERGENCY_DELAY]
+    assert (net.metrics.emergency_access_delays_us.tolist()
+            == [CLEAN_EMERGENCY_DELAY])
     assert CLEAN_EMERGENCY_DELAY < 1_000_000  # well under the 1 s bound
 
 
@@ -369,7 +370,8 @@ ON_DEMAND = st.fixed_dictionaries({
            "duration_s": duration_s, "period_s": 0.1}
           for at_s, mode, duration_s in [
               (0.01, "NonContinuous", 0.0), (0.01, "NonContinuous", 0.0),
-              (0.285649, "Continuous", 0.201), (0.489808, "NonContinuous", 0.0)]],
+              (0.285649, "Continuous", 0.201),
+              (0.489808, "NonContinuous", 0.0)]],
          "tbw")
 def test_every_hold_is_released_after_a_quiet_tail(requests, protocol):
     # a request holds its data radio for its duration plus 200 ms after the
