@@ -67,8 +67,9 @@ class MacBase:
 
     Session rule: a scheduled step belongs to the session in which it was
     scheduled and does nothing once `new_session()` has started another one
-    or the node has died. Its event is still dispatched. Steps that outlive
-    sessions go through `node.at`/`node.after`, which hold the dead-node half.
+    or the node has died, so an ack due after its session ended is not sent.
+    Its event is still dispatched. Steps that outlive sessions go through
+    `node.at`/`node.after`, which hold the dead-node half.
     """
 
     name: str  # the protocol's name in scenarios and on the command line
@@ -244,13 +245,13 @@ class MacBase:
         self._ack_done(True, "acked")
 
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
-        """Receiver side: switch rx for the turnaround, then transmit the ack;
-        each step waits while the radio transmits."""
+        """Receiver side: switch rx for the turnaround, then transmit the ack
+        within the session; each step waits while the radio transmits."""
         ack = Frame.ack(self.node.node_id, to, mpdu.seq, mpdu.src)
 
         def _turnaround():
             radio.set_state("rx")
-            self.node.after(TURNAROUND_US, "ack_tx", lambda: radio.when_free(
+            self.after(TURNAROUND_US, "ack_tx", lambda: radio.when_free(
                 lambda: self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)))
 
         radio.when_free(_turnaround)

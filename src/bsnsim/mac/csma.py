@@ -204,7 +204,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _wake_for_beacon(self) -> None:
         self.new_session()
-        self.radio.when_free(lambda: self.radio.set_state("listen"))
+        self.radio.set_state("listen")
         deadline = self._next_beacon_at + self.beacon_airtime + self.guard_us
         self._beacon_timeout = self.at(deadline, "beacon_timeout",
                                        self._beacon_missed)

@@ -62,8 +62,7 @@ class SMac(SlottedCsmaMac):
 
     def _enter_sleep(self) -> None:
         self.new_session()  # cancels any pending contention steps
-        if self.radio.state != "tx":  # half-duplex skip: no sleep mid-frame
-            self.radio.set_state("sleep")
+        self.radio.set_state("sleep")
 
     def _may_contend(self) -> bool:
         return self._access_start <= self.sim.now < self._access_end

@@ -382,7 +382,7 @@ class TbwMac(MacBase):
         # broadcast or our tone: power the data radio and wait for the poll
         self.new_session()
         self._requeue_in_service()
-        self.radio.when_free(lambda: self.radio.set_state("listen"))
+        self.radio.set_state("listen")
         self._od_req = request
         self.after(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
                    self._od_finish)

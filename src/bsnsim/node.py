@@ -41,7 +41,7 @@ class Radio:
     `accrue`; the node owns the budget (`Node.power_changed`). `rx_ok_since`
     marks the start of the current uninterrupted receive-capable stretch,
     which decides whether a frame that began earlier can be decoded.
-    A radio cannot send while it sends: see `when_free`.
+    A send or a switch asked for while it sends waits: see `when_free`.
     """
 
     __slots__ = ("sim", "medium", "node", "label", "channel", "state",
@@ -113,13 +113,14 @@ class Radio:
         self.node.power_changed()
 
     def set_state(self, state: str) -> None:
-        if self.dead or state == self.state:
-            return
-        self._apply(state)
+        if self.state == "tx":
+            self._waiting.append(lambda: self.set_state(state))
+        elif not self.dead and state != self.state:
+            self._apply(state)
 
     def when_free(self, fn: Callable[[], None]) -> None:
         """Run `fn` now, or, while the radio transmits, when it stops. Held
-        steps run in order, each after any transmission the one before starts."""
+        steps and switches run in order, each after any frame sent before."""
         if self.state == "tx":
             self._waiting.append(fn)
         else:
@@ -133,7 +134,6 @@ class Radio:
     def exit_tx(self) -> None:
         self.current_tx = None
         self._apply("listen")
-        self.rx_ok_since = self.sim.now
         while self._waiting and self.state != "tx":
             self._waiting.pop(0)()
 

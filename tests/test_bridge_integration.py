@@ -91,6 +91,25 @@ def test_the_bridge_acks_a_frame_before_it_relays_it():
     assert [end for end in received if end + TURNAROUND_US not in acks] == []
 
 
+def test_an_ack_due_after_the_smac_window_closed_is_not_sent():
+    # the bridge forwards to chest near the end of chest's listen window; the
+    # ack falls due after the window closed, in an ended session, so chest
+    # sends none from sleep and sleeps through every sleep phase
+    sc = load_scenario("bridge_inbody")
+    sc.horizon = ticks_from_seconds(10.0)
+    net, _macs = build_network(sc, "smac", seed=1000, keep_tx_log=True)
+    net.sim.run(sc.horizon)
+    chest = net.nodes["chest"]
+    chest.finalize()
+    mac = chest.mac
+    acks = [start for start, _end, _ch, nid, kind, _dst, _result
+            in net.medium.tx_log if nid == "chest" and kind is FrameKind.ACK]
+    assert acks
+    assert [t for t in acks if t % mac.cycle_ticks >= mac.listen_ticks] == []
+    sleep = 10 * (mac.cycle_ticks - mac.listen_ticks)
+    assert chest.radios["data"].per_state_ticks["sleep"] == sleep == 9_000_000
+
+
 def test_store_overflow_drops_and_counts():
     sc = load_scenario("bridge_inbody")
     sc.bridge["store_capacity"] = 4

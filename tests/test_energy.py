@@ -23,6 +23,18 @@ def _node(initial_j):
                 initial_j=initial_j)
 
 
+def _switch(radio, state):
+    """Put `radio` in `state` as the medium and the MACs do: into tx only
+    through `enter_tx`, and out of it through `exit_tx`, the frame's end. A
+    switch asked for while the radio is in tx would wait for that end."""
+    if state == "tx":
+        radio.enter_tx()
+        return
+    if radio.state == "tx":
+        radio.exit_tx()
+    radio.set_state(state)
+
+
 def _charged(changes, until):
     """A radio on a node without a budget, put in each (tick, state) of
     `changes` in turn and finalized at `until`."""
@@ -30,7 +42,7 @@ def _charged(changes, until):
     radio = node.add_radio("data", ISM, initial_state="listen")
     for at, state in changes:
         node.sim.run(at)
-        radio.set_state(state)
+        _switch(radio, state)
     node.sim.run(until)
     node.finalize()
     return node, radio
@@ -115,7 +127,7 @@ def test_state_toggles_keep_one_pending_death_event():
     for _ in range(5_000):
         for state in ("tx", "listen"):
             node.sim.run(node.sim.now + 1)
-            radio.set_state(state)
+            _switch(radio, state)
             peak = max(peak, len(node.sim._heap))
     assert peak <= 2
 
@@ -128,8 +140,8 @@ def test_reprojected_death_keeps_its_order_within_the_tick():
     seen = []
     node.sim.schedule_at(92_592_592, "probe", "test",
                          lambda: seen.append(node.dead))
-    radio.set_state("tx")
-    radio.set_state("listen")
+    radio.enter_tx()
+    radio.exit_tx()
     node.sim.run(92_592_592)
     assert seen == [False]
     assert node.death_time == 92_592_592
@@ -184,7 +196,7 @@ def test_death_time_is_the_projection_at_the_last_state_change(initial,
         if new != state:
             consumed += (at - since) * mw[state] * 1e-9
             state, since = new, at
-            radio.set_state(new)
+            _switch(radio, new)
             projected = _projected_death(at, consumed, mw[new])
     sim.run(max(sim.now, DEATH_HORIZON) + 1_000_000)
     assert node.death_time == projected

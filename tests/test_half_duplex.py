@@ -1,8 +1,10 @@
 """The one half-duplex rule: a radio cannot send while it sends. A step due
 on a transmitting radio waits in `Radio.when_free` for the transmission to
-end; held steps run in order, each after any transmission the one before
-starts. A step held for an ended session, or on a radio that dies, sends
-nothing."""
+end, and so does a switch asked for with `Radio.set_state`; held steps run
+in order, each after any transmission the one before starts. A step held
+for an ended session, or on a radio that dies, sends nothing."""
+
+from hypothesis import example, given, settings, strategies as st
 
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.runner import build_network
@@ -91,3 +93,33 @@ def test_a_radio_that_dies_sends_none_of_its_held_steps():
     net.metrics.finalize(mac.pending_frames())
     cc = net.metrics.counts[TrafficClass.NORMAL_HIGH]
     assert (cc.generated, cc.dropped, cc.in_flight) == (3, 0, 3)
+
+
+_SWITCH_TO = st.sampled_from(("sleep", "listen", "rx"))
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("send"), st.integers(5, 128)),
+    st.tuples(st.just("switch"), _SWITCH_TO),
+    st.tuples(st.just("gap"), st.integers(0, 5_000))), max_size=30)
+
+
+@settings(deadline=None)
+@given(_STEPS)
+# a sleep held behind a held send applies when that send's frame ends
+@example([("send", 40), ("send", 10), ("switch", "sleep")])
+def test_no_radio_leaves_tx_before_its_frame_ends(steps):
+    net, radio = _direct_network()
+    asked = "listen"  # the state the radio should end in
+    for op, arg in steps:
+        if op == "send":
+            radio.when_free(_beacon(radio, arg))
+            asked = "listen"  # where a frame's end leaves the radio
+        elif op == "switch":
+            radio.set_state(arg)
+            asked = arg
+        else:
+            net.sim.run(net.sim.now + arg)
+    net.sim.run(net.sim.now + 30 * 128 * 32)  # every held frame has ended
+    net.nodes["n1"].finalize()
+    sent = _sent_by(net, "n1")
+    assert radio.per_state_ticks.get("tx", 0) == sum(e - s for s, e, _k in sent)
+    assert radio.state == asked
