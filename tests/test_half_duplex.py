@@ -95,10 +95,9 @@ def test_a_radio_that_dies_sends_none_of_its_held_steps():
     assert (cc.generated, cc.dropped, cc.in_flight) == (3, 0, 3)
 
 
-_SWITCH_TO = st.sampled_from(("sleep", "listen", "rx"))
 _STEPS = st.lists(st.one_of(
     st.tuples(st.just("send"), st.integers(5, 128)),
-    st.tuples(st.just("switch"), _SWITCH_TO),
+    st.tuples(st.just("switch"), st.sampled_from(("sleep", "listen", "rx"))),
     st.tuples(st.just("gap"), st.integers(0, 5_000))), max_size=30)
 
 
