@@ -60,14 +60,6 @@ class PathLossParams:
     exponent: float
     shadow_sigma: float = 0.0
 
-    def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError("d0 must be positive")
-        if self.exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        if self.shadow_sigma < 0:
-            raise ValueError("shadow_sigma must be non-negative")
-
 
 DEFAULT_PATHLOSS = PathLossParams(pl_d0=40.0, d0=0.1, exponent=3.38,
                                   shadow_sigma=4.0)
@@ -140,16 +132,6 @@ def _link_success(p: float, rng) -> bool:
     if p >= 1.0:
         return True
     return rng.random() < p
-
-
-def interference_gate(enabled: bool, rng,
-                      pass_probability: float = MICROWAVE_PASS_PROBABILITY) -> bool:
-    """True means Pass. Disabled gates always pass."""
-    if not enabled:
-        return True
-    if pass_probability >= 1.0:
-        return True
-    return rng.random() < pass_probability
 
 
 class Transmission:
@@ -392,7 +374,7 @@ class Medium:
             if rng is None:
                 rng = self._intf_rngs[radio] = self.sim.stream(
                     f"intf:{radio.nid}")
-            if not interference_gate(True, rng, self.interference_pass_p):
+            if rng.random() >= self.interference_pass_p:  # the oven hit it
                 self.interference_corrupts += 1
                 return DeliveryOutcome.CORRUPTED
         return DeliveryOutcome.DELIVERED

@@ -21,13 +21,6 @@ class PowerProfile:
     tx_mw: float
     wakeup_rx_uw: float = 50.0
 
-    def __post_init__(self):
-        for name in ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.sleep_mw > self.idle_listen_mw:
-            raise ValueError("sleep power must not exceed idle listen power")
-
     def state_mw(self) -> dict[str, float]:
         return {"sleep": self.sleep_mw, "listen": self.idle_listen_mw,
                 "rx": self.rx_mw, "tx": self.tx_mw}
@@ -264,8 +257,6 @@ class Node:
         self._die()
 
     def _die(self) -> None:
-        if self.dead:
-            return
         self.dead = True
         self.death_time = self.sim.now
         for radio in self.radios.values():

@@ -50,9 +50,7 @@ class Network:
         """First-hop link destination for a frame leaving its source."""
         if self.bridge is None:
             return mpdu.dst
-        route = self.scenario.routes.get((mpdu.src, mpdu.dst))
-        if route is None:
-            raise RuntimeError(f"no route {mpdu.src} -> {mpdu.dst}")
+        route = self.scenario.routes[mpdu.src, mpdu.dst]  # checked at load
         return route.bridge if isinstance(route, ViaBridge) else mpdu.dst
 
     def handle_data_delivery(self, node: Node, mpdu: Mpdu) -> None:

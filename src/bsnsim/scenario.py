@@ -23,6 +23,7 @@ from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
                       PathLossParams, Position)
 from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS, mac_class
+from .mac.base import TICK_MS
 from .node import PowerProfile
 from .traffic import (NORMAL_CLASSES, OnDemandMode, OnDemandRequest,
                       TrafficClass, TrafficSpec)
@@ -139,9 +140,9 @@ def load_scenario(path_or_name) -> Scenario:
 # (`float` takes any number and stores a float), a tuple of the allowed
 # values, the table of a nested section, `[kind]` for a list and
 # `{str: kind}` for an object keyed by name. A default of `...` marks a
-# required key, and null passes where the default is null. A range that a
-# dataclass checks (PathLossParams, PowerProfile, TrafficSpec, WakeupEntry)
-# is left to it.
+# required key, and null passes where the default is null. Minimums are
+# inclusive; an exclusive bound or a rule between fields is one check in
+# `_build`.
 _TICK_S = 1 / US_PER_S
 _CLASSES = tuple(c.value for c in TrafficClass)
 # on-demand frames answer a request in `on_demand`; no generator makes them
@@ -151,8 +152,9 @@ _GENERATED_CLASSES = tuple(c.value for c in (*NORMAL_CLASSES,
 CHANNEL_FIELDS = {"band": (tuple(b.value for b in Band), ..., None),
                   "phy": (int, 0, 0), "data_rate_bps": (int, 250_000, 1),
                   "mtu_bytes": (int, 128, 1)}
-PATHLOSS_FIELDS = {key: (float, value, None)
-                   for key, value in asdict(DEFAULT_PATHLOSS).items()}
+PATHLOSS_FIELDS = {  # d0 > 0 is checked in _build
+    key: (float, value, 0.0 if key in ("exponent", "shadow_sigma") else None)
+    for key, value in asdict(DEFAULT_PATHLOSS).items()}
 INTERFERENCE_FIELDS = {
     "enabled": (bool, False, None),
     "pass_probability": (float, MICROWAVE_PASS_PROBABILITY, 0.0)}
@@ -167,7 +169,7 @@ CHANNEL_MODEL_FIELDS = {
     "link_matrix_csv": (str, None, None),
     "interference": (INTERFERENCE_FIELDS, {}, None)}
 POWER_PROFILE_FIELDS = {
-    f.name: (float, ... if f.default is MISSING else f.default, None)
+    f.name: (float, ... if f.default is MISSING else f.default, 0.0)
     for f in fields(PowerProfile)}
 PROTOCOL_PROFILE_FIELDS = {name: (str, None, None)  # null: the MAC's own
                            for name in PROTOCOLS}
@@ -179,13 +181,13 @@ NODE_FIELDS = {
     "tx_power_dbm": (float, -5.0, None), "profile": (str, None, None)}
 TRAFFIC_FIELDS = {
     "node": (str, ..., None), "class": (_GENERATED_CLASSES, ..., None),
-    "payload_bytes": (int, 128, None), "period_s": (float, None, None),
-    "rate_per_s": (float, 0.0, None), "offset_s": (float, 0.0, 0.0),
+    "payload_bytes": (int, 128, 1), "period_s": (float, None, _TICK_S),
+    "rate_per_s": (float, 0.0, 0.0), "offset_s": (float, 0.0, 0.0),
     "dst": (str, None, None)}  # null: the bnc
 WAKEUP_FIELDS = {
     "node": (str, ..., None), "class": (_CLASSES, "NormalMedium", None),
-    "period_s": (float, ..., None), "offset_s": (float, 0.0, None),
-    "window_ms": (float, ..., None)}
+    "period_s": (float, ..., _TICK_S), "offset_s": (float, 0.0, 0.0),
+    "window_ms": (float, ..., TICK_MS)}
 ON_DEMAND_FIELDS = {
     "at_s": (float, ..., 0.0), "target": (str, ..., None),
     "mode": (tuple(m.value for m in OnDemandMode), "NonContinuous", None),
@@ -295,10 +297,9 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     for key, p in cm["pathloss"].items():
         path = f"channel_model.pathloss.{key}"
         _known(key, channels, path, "channel")
-        try:
-            pathloss[key] = PathLossParams(**p)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        if p["d0"] <= 0:
+            raise ScenarioError(f"{path}.d0: {p['d0']!r} is not above 0")
+        pathloss[key] = PathLossParams(**p)
     matrix_name = cm["link_matrix_csv"]
     if cm["mode"] == "empirical" and not matrix_name:
         raise ScenarioError("channel_model.link_matrix_csv: required in "
@@ -308,10 +309,10 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     # power profiles ----------------------------------------------------------
     profiles = dict(_DEFAULT_PROFILES)
     for key, p in norm["power_profiles"].items():
-        try:
-            profiles[key] = PowerProfile(**p)
-        except ValueError as exc:
-            raise ScenarioError(f"power_profiles.{key}: {exc}") from exc
+        if p["sleep_mw"] > p["idle_listen_mw"]:
+            raise ScenarioError(f"power_profiles.{key}.sleep_mw: above "
+                                f"idle_listen_mw")
+        profiles[key] = PowerProfile(**p)
     norm["power_profiles"] = {key: asdict(p) for key, p in profiles.items()}
     for proto, key in norm["protocol_profiles"].items():
         if key is not None:
@@ -356,17 +357,16 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             tt["dst"] = bnc
         for key in ("node", "dst"):
             _known(tt[key], ids, f"{path}.{key}", "node")
-        try:
-            traffic.append(TrafficSpec(
-                node=tt["node"], cls=TrafficClass(tt["class"]),
-                payload_bytes=tt["payload_bytes"],
-                period=(ticks_from_seconds(tt["period_s"])
-                        if tt["period_s"] is not None else None),
-                rate_per_s=tt["rate_per_s"],
-                start_offset=ticks_from_seconds(tt["offset_s"]),
-                dst=tt["dst"]))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        cls = TrafficClass(tt["class"])
+        if cls in NORMAL_CLASSES and tt["period_s"] is None:
+            raise ScenarioError(f"{path}.period_s: required for class "
+                                f"{cls.value}")
+        traffic.append(TrafficSpec(
+            node=tt["node"], cls=cls, payload_bytes=tt["payload_bytes"],
+            period=(ticks_from_seconds(tt["period_s"])
+                    if tt["period_s"] is not None else None),
+            rate_per_s=tt["rate_per_s"],
+            start_offset=ticks_from_seconds(tt["offset_s"]), dst=tt["dst"]))
 
     for name, params in norm["protocols"].items():
         if name not in PROTOCOLS:
@@ -383,14 +383,13 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"{path}.node: {ww['node']!r} already has an "
                                 f"entry at wakeup_table[{entry_of[ww['node']]}]")
         entry_of[ww["node"]] = i
-        try:
-            wakeup_table.append(WakeupEntry(
-                node=ww["node"], cls=TrafficClass(ww["class"]),
-                period=ticks_from_seconds(ww["period_s"]),
-                offset=ticks_from_seconds(ww["offset_s"]),
-                window=ticks_from_seconds(ww["window_ms"] / 1000.0)))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from exc
+        period = ticks_from_seconds(ww["period_s"])
+        window = ticks_from_seconds(ww["window_ms"] / 1000.0)
+        if window > period:
+            raise ScenarioError(f"{path}.window_ms: longer than period_s")
+        wakeup_table.append(WakeupEntry(
+            node=ww["node"], cls=TrafficClass(ww["class"]), period=period,
+            offset=ticks_from_seconds(ww["offset_s"]), window=window))
 
     on_demand: list[OnDemandRequest] = []
     for i, od in enumerate(norm["on_demand"]):
@@ -457,15 +456,18 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
               if norm["channel_map"] else {})
 
     # star topology: without a bridge, all traffic terminates at the BNC;
-    # with one, link_dst reads each flow's route
+    # with one, link_dst reads the route of each flow and of each on-demand
+    # request's answers to the BNC
     routed = {pair for pair, route in routes.items() if route is not None}
-    for i, t in enumerate(traffic):
-        if t.dst != bnc and bridge is None:
-            raise ScenarioError(f"traffic[{i}].dst: star topology requires "
+    flows = {f"traffic[{i}]": (t.node, t.dst) for i, t in enumerate(traffic)}
+    flows.update((f"on_demand[{i}]", (r.target, bnc))
+                 for i, r in enumerate(on_demand))
+    for path, (src, dst) in flows.items():
+        if bridge is None and dst != bnc:
+            raise ScenarioError(f"{path}.dst: star topology requires "
                                 f"dst == bnc unless a bridge is configured")
-        if bridge is not None and (t.node, t.dst) not in routed:
-            raise ScenarioError(f"traffic[{i}]: no route from {t.node!r} to "
-                                f"{t.dst!r}")
+        if bridge is not None and (src, dst) not in routed:
+            raise ScenarioError(f"{path}: no route from {src!r} to {dst!r}")
 
     scenario = Scenario(
         name=norm["name"], description=norm["description"],

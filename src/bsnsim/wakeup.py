@@ -25,14 +25,6 @@ class WakeupEntry:
     window: SimTime = 0
     cls: TrafficClass = TrafficClass.NORMAL_MEDIUM
 
-    def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if not 0 < self.window <= self.period:
-            raise ValueError("window must satisfy 0 < window <= period")
-        if self.offset < 0:
-            raise ValueError("offset must be non-negative")
-
     def guarded_open(self, now: SimTime, guard: SimTime) -> bool:
         """Whether now lies in a window widened by guard on both sides."""
         k = (now + guard - self.offset) // self.period  # latest one begun

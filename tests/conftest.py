@@ -1,5 +1,6 @@
 """Shared helpers for building small in-memory scenarios, and oracles for
-the coordinator's awake time, path loss and empirical links."""
+the coordinator's awake time, path loss and empirical links; frames sent
+through a medium with its interference gate set."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ from unittest import mock
 
 import pytest
 
-from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, PathLossParams,
-                            _link_success, mean_path_loss_db)
-from bsnsim.core import US_PER_S
-from bsnsim.node import Radio
+from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, Medium,
+                            PathLossParams, _link_success, mean_path_loss_db)
+from bsnsim.core import US_PER_S, Simulator
+from bsnsim.frames import Frame, FrameKind
+from bsnsim.node import Node, Radio
 from bsnsim.runner import build_network
 from bsnsim.scenario import Scenario, _build
 
@@ -145,6 +147,34 @@ def empirical_outcome(src_site: str, dst_site: str, posture: str,
     """One draw against the matrix entry, as `Medium` makes it in empirical
     mode; True means success."""
     return _link_success(matrix.success_p(src_site, dst_site, posture), rng)
+
+
+def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
+    """The outcomes of `n` 128-byte unicasts from n1 to the bnc, one after
+    another, through a medium whose `channel_model.interference` is
+    `interference`. Each would be delivered without the gate."""
+    scenario = make_scenario({"channel_model": {
+        "pathloss": {"ism": {"pl_d0": 40.0, "d0": 0.1, "exponent": 2.0,
+                             "shadow_sigma": 0.0}},
+        "interference": interference}})
+    medium = Medium(Simulator(master_seed=seed), scenario)
+    ism = scenario.channel_id("ism")
+    radios = {}
+    for spec in scenario.nodes:
+        node = Node(medium.sim, medium, spec.id, position=spec.position,
+                    profile=scenario.power_profiles["nrf2401"], initial_j=None)
+        radios[spec.id] = node.add_radio("data", ism, initial_state="listen")
+    frame = Frame(FrameKind.DATA, "n1", "bnc", 128)
+    outcomes = []
+
+    def send(outcome=None):
+        if outcome is not None:
+            outcomes.append(outcome)
+        if len(outcomes) < n:
+            medium.begin_tx(radios["n1"], frame, -5.0, on_result=send)
+    send()
+    medium.sim.run(n * medium.airtime_ticks(128, ism))
+    return outcomes
 
 
 @pytest.fixture

@@ -12,8 +12,8 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bsnsim.channel import (LinkMatrix, Medium, PathLossParams, Position,
-                            interference_gate, rx_power_dbm)
+from bsnsim.channel import (DeliveryOutcome, LinkMatrix, Medium,
+                            PathLossParams, Position, rx_power_dbm)
 from bsnsim.cli import main as cli_main
 from bsnsim.core import US_PER_S, Simulator, ticks_from_seconds
 from bsnsim.frames import Frame, FrameKind
@@ -24,8 +24,8 @@ from bsnsim.runner import build_network, compare_protocols, run_one, \
 from bsnsim.scenario import _build, bundled_data_path, load_scenario
 from bsnsim.traffic import TrafficClass
 from tests.conftest import (coordinator_awake, empirical_outcome,
-                            guarded_windows, path_loss_db, table_scenario,
-                            union)
+                            gated_outcomes, guarded_windows, path_loss_db,
+                            table_scenario, union)
 
 WORKERS = 2
 
@@ -107,13 +107,14 @@ def test_03_link_matrix_reproduction():
 # ---------------------------------------------------------------------------
 
 def test_04_interference_gate():
+    # frames a clear link would deliver, judged by the medium's gate
     n = 100_000
-    rng = random.Random("accept4")
-    passes = sum(interference_gate(True, rng) for _ in range(n))
-    rate = passes / n
+    on = gated_outcomes(n, {"enabled": True}, seed=4)
+    rate = on.count(DeliveryOutcome.DELIVERED) / n
     assert abs(rate - 0.9685) < 0.005, rate
-    off = sum(interference_gate(False, rng) for _ in range(n))
-    assert off == n  # disabled: exactly 1.0
+    assert set(on) == {DeliveryOutcome.DELIVERED, DeliveryOutcome.CORRUPTED}
+    off = gated_outcomes(n, {"enabled": False}, seed=4)
+    assert off.count(DeliveryOutcome.DELIVERED) == n  # disabled: exactly 1.0
     report(4, "interference-gate",
            f"enabled rate {rate:.4f} (target 0.9685 +- 0.005); disabled 1.0")
 

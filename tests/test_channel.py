@@ -1,4 +1,5 @@
-"""Path loss, CCA and delivery on the medium, empirical links, interference gate."""
+"""Path loss, CCA and delivery on the medium, empirical links, the medium's
+interference gate."""
 
 import random
 from dataclasses import asdict
@@ -6,13 +7,14 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, strategies as st
 
-from bsnsim.channel import (DEFAULT_PATHLOSS, Band, ChannelId, DeliveryOutcome,
-                            LinkMatrix, Medium, PathLossParams, Position,
-                            interference_gate, rx_power_dbm)
+from bsnsim.channel import (DEFAULT_PATHLOSS, MICROWAVE_PASS_PROBABILITY,
+                            Band, ChannelId, DeliveryOutcome, LinkMatrix,
+                            Medium, PathLossParams, Position, rx_power_dbm)
 from bsnsim.core import Simulator, substream_seed
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
-from tests.conftest import empirical_outcome, make_scenario, path_loss_db
+from tests.conftest import (empirical_outcome, gated_outcomes, make_scenario,
+                            path_loss_db)
 
 
 def test_reference_distance_identity():
@@ -233,21 +235,25 @@ def test_empirical_outcome_edge_probabilities():
 # Interference gate ---------------------------------------------------------
 
 def test_interference_gate_disabled_always_passes():
-    rng = random.Random(3)
-    assert all(interference_gate(False, rng) for _ in range(10_000))
+    outcomes = gated_outcomes(10_000, {"enabled": False, "pass_probability": 0.0})
+    assert set(outcomes) == {DeliveryOutcome.DELIVERED}
 
 
-def test_interference_gate_pass_rate():
-    rng = random.Random(11)
-    n = 100_000
-    passes = sum(interference_gate(True, rng) for _ in range(n))
-    assert abs(passes / n - 0.9685) < 0.005
+def test_interference_gate_draws_from_the_receivers_stream():
+    # a reception is corrupted when the receiver's `intf:` draw is not below
+    # the pass probability, one draw per reception
+    outcomes = gated_outcomes(2_000, {"enabled": True}, seed=11)
+    oracle = random.Random(substream_seed(11, "intf:bnc"))
+    assert outcomes == [DeliveryOutcome.CORRUPTED
+                        if oracle.random() >= MICROWAVE_PASS_PROBABILITY
+                        else DeliveryOutcome.DELIVERED for _ in outcomes]
+    assert DeliveryOutcome.CORRUPTED in outcomes
 
 
 def test_interference_gate_probability_one_boundary():
-    rng = random.Random(4)
-    assert all(interference_gate(True, rng, pass_probability=1.0)
-               for _ in range(1000))
+    outcomes = gated_outcomes(1_000, {"enabled": True, "pass_probability": 1.0},
+                              seed=4)
+    assert set(outcomes) == {DeliveryOutcome.DELIVERED}
 
 
 def test_airtime_of_128_byte_frame_at_250kbps():

@@ -231,8 +231,11 @@ WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
      "wakeup_table[0].node: unknown device 'bnc'"),
     (lambda raw: raw["traffic"][0].update({"class": "OnDemandContinuous"}),
      "traffic[0].class: 'OnDemandContinuous' is not one of"),
+    (lambda raw: raw.update(wakeup_table=[dict(WINDOW, window_ms=2500.0)]),
+     "wakeup_table[0].window_ms: longer than period_s"),
 ], ids=["misspelt-key", "wrong-kind", "repeated-wakeup-entry",
-        "wakeup-entry-for-the-bnc", "on-demand-traffic-class"])
+        "wakeup-entry-for-the-bnc", "on-demand-traffic-class",
+        "window-longer-than-period"])
 def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
     edit(raw)
@@ -259,10 +262,16 @@ def _add_unrouted_flow(raw):
                            "period_s": 2.0, "dst": "bnc"})
 
 
+def _add_unrouted_request(raw):
+    raw["nodes"].append(WRIST)
+    raw["on_demand"] = [{"at_s": 1.0, "target": "wrist"}]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_mislay_ism_records, "channel_map[2].nodes: 'chest' has no radio on 'mics'"),
     (_add_unrouted_flow, "traffic[4]: no route from 'wrist' to 'bnc'"),
-], ids=["mislaid-record", "unrouted-flow"])
+    (_add_unrouted_request, "on_demand[0]: no route from 'wrist' to 'bnc'"),
+], ids=["mislaid-record", "unrouted-flow", "unrouted-request"])
 def test_bad_bridge_scenario_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
     edit(raw)

@@ -7,7 +7,6 @@ from bsnsim.channel import Band, ChannelId, Medium
 from bsnsim.core import Simulator
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
-from bsnsim.scenario import load_scenario
 from tests.conftest import make_scenario
 
 POWER = {"sleep": 0.001, "listen": 54.0, "rx": 54.0, "tx": 30.0}
@@ -108,16 +107,6 @@ def test_exhaustion_to_zero_remaining():
     assert node.consumed_j() == pytest.approx(5.0, abs=1e-7)
     assert node.consumed_j() <= 5.0
     assert sum(radio.per_state_ticks.values()) == node.death_time
-
-
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        PowerProfile(sleep_mw=100.0, idle_listen_mw=1.0, rx_mw=1.0, tx_mw=1.0)
-    with pytest.raises(ValueError):
-        PowerProfile(sleep_mw=-1.0, idle_listen_mw=1.0, rx_mw=1.0, tx_mw=1.0)
-    # the wakeup receiver draw is orders of magnitude below the main rx
-    for profile in load_scenario("paper_fig2").power_profiles.values():
-        assert profile.wakeup_rx_uw / 1000.0 < profile.rx_mw / 100.0
 
 
 def test_state_toggles_keep_one_pending_death_event():

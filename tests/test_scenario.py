@@ -33,6 +33,10 @@ def test_bundled_scenarios_load():
     assert bridge.bridge["interfaces"] == ["mics", "ism"]
     assert len(bridge.routes) == 5 * 4
 
+    # the wakeup receiver draw is orders of magnitude below the main rx
+    for profile in fig2.power_profiles.values():
+        assert profile.wakeup_rx_uw / 1000.0 < profile.rx_mw / 100.0
+
 
 def test_two_bncs_rejected():
     with pytest.raises(ScenarioError, match="exactly one"):
@@ -241,6 +245,40 @@ def _n1(**fields):
          **fields}]}
 
 
+def _pathloss(**fields):
+    return {"channel_model": {"pathloss": {"ism": {**PATHLOSS["ism"],
+                                                   **fields}}}}
+
+
+def _profile(**fields):
+    return {"power_profiles": {"p": {"sleep_mw": 0.001, "idle_listen_mw": 1.0,
+                                     "rx_mw": 1.0, "tx_mw": 1.0, **fields}}}
+
+
+def _flow(cls="NormalHigh", **fields):
+    return {"traffic": [{"node": "n1", "class": cls, "period_s": 1.0,
+                         **fields}]}
+
+
+def _window(**fields):
+    return {"wakeup_table": [{"node": "n1", "period_s": 1.0,
+                              "window_ms": 50.0, **fields}]}
+
+
+def _unrouted_request():
+    """bridge_inbody with a wakeup channel, no channel map and one
+    on-demand request, which imp1 would answer with no route to the bnc."""
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["channels"]["wakeup"] = {"band": "WMTS", "phy": 0}
+    raw.update(wakeup_channel="wakeup", traffic=[], channel_map=[],
+               protocols={"tbw": {}}, horizon_s=3.0,
+               on_demand=[{"at_s": 1.0, "target": "imp1"}])
+    return raw
+
+
+POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
+
+
 @pytest.mark.parametrize("override, message", [
     ({"horizn_s": 10.0}, "horizn_s: unknown field"),
     ({"channel_model": {"pathloss": PATHLOSS, "capture_margin_DB": 3.0}},
@@ -271,7 +309,7 @@ def _n1(**fields):
                                              "exponnet": 2.0}}}},
      "channel_model.pathloss.ism.exponnet: unknown field"),
     (_n1(pos=[0.5]), "nodes[1].pos: needs 2 or 3 coordinates"),
-    ([], "scenario: must be an object"),  # the document itself
+    (lambda: [], "scenario: must be an object"),  # the document itself
     # rules that no field table holds: an exclusive minimum, a maximum, and
     # the channel-map records, registered at load
     ({"channel_model": {"pathloss": PATHLOSS, "min_distance_m": 0}},
@@ -310,14 +348,50 @@ def _n1(**fields):
     ({"bridge": {"node": "bnc", "interfaces": ["ism", "ism"]}},
      "bridge.interfaces: bridge requires two or more distinct channel "
      "interfaces"),
+    # an on-demand request is answered to the bnc, through the bridge's routes
+    (_unrouted_request, "on_demand[0]: no route from 'imp1' to 'bnc'"),
+    ({"nodes": _n1()["nodes"] + [{"id": "n1", "channel": "ism",
+                                  "pos": [0.2, 0.2]}]},
+     "nodes[2].id: duplicate node id 'n1'"),
+    ({"traffic": [{"node": "n1", "period_s": 1.0}]},
+     "traffic[0].class: required field missing"),
+    # the ranges of path loss, power, traffic and wakeup windows
+    (_pathloss(d0=0), "channel_model.pathloss.ism.d0: 0.0 is not above 0"),
+    (_pathloss(exponent=-1),
+     "channel_model.pathloss.ism.exponent: -1.0 is below the minimum 0.0"),
+    (_pathloss(shadow_sigma=-0.5),
+     "channel_model.pathloss.ism.shadow_sigma: -0.5 is below the minimum 0.0"),
+    *[(_profile(**{key: -1.0}),
+       f"power_profiles.p.{key}: -1.0 is below the minimum 0.0")
+      for key in POWER_FIELDS],
+    (_profile(sleep_mw=100.0), "power_profiles.p.sleep_mw: above idle_listen_mw"),
+    (_flow(period_s=None), "traffic[0].period_s: required for class NormalHigh"),
+    (_flow("NormalLow", period_s=0),
+     "traffic[0].period_s: 0.0 is below the minimum 1e-06"),
+    (_flow("NormalLow", payload_bytes=0),
+     "traffic[0].payload_bytes: 0 is below the minimum 1"),
+    (_flow("Emergency", rate_per_s=-1.0),
+     "traffic[0].rate_per_s: -1.0 is below the minimum 0.0"),
+    (_window(period_s=0),
+     "wakeup_table[0].period_s: 0.0 is below the minimum 1e-06"),
+    (_window(window_ms=1000.5), "wakeup_table[0].window_ms: longer than period_s"),
+    (_window(window_ms=0),
+     "wakeup_table[0].window_ms: 0.0 is below the minimum 0.001"),
+    (_window(offset_s=-1),
+     "wakeup_table[0].offset_s: -1.0 is below the minimum 0.0"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
-        if isinstance(override, dict):
-            make_scenario(override)
+        if callable(override):  # the whole document
+            _build(override())
         else:
-            _build(override)
+            make_scenario(override)
     assert str(err.value).startswith(message)
+
+
+def test_window_as_long_as_its_period_loads():
+    sc = make_scenario(_window(period_s=0.5, window_ms=500.0))
+    assert sc.wakeup_table[0].window == sc.wakeup_table[0].period == 500_000
 
 
 @pytest.mark.parametrize("protocol", ["csma802154", "pbtdma"])

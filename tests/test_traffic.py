@@ -127,13 +127,3 @@ def test_priority_is_total_and_antisymmetric(a, b):
     assert (pa == pb) == (a is b) or (pa == pb and a is not b) is False
     if a is not b:
         assert pa != pb
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        TrafficSpec(node="n", cls=TrafficClass.NORMAL_HIGH, period=0)
-    with pytest.raises(ValueError):
-        TrafficSpec(node="n", cls=TrafficClass.EMERGENCY, rate_per_s=-1.0)
-    with pytest.raises(ValueError):
-        TrafficSpec(node="n", cls=TrafficClass.NORMAL_LOW, period=10,
-                    payload_bytes=0)

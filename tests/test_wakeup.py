@@ -1,7 +1,5 @@
 """Wakeup table entries, and the coordinator's awake spans in a run."""
 
-import pytest
-
 from bsnsim.core import US_PER_S
 from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import WakeupEntry
@@ -16,15 +14,6 @@ def _entry(node, period_s, offset_s=0.0, window_s=0.2,
     return WakeupEntry(node=node, period=int(period_s * S),
                        offset=int(offset_s * S), window=int(window_s * S),
                        cls=cls)
-
-
-def test_entry_validation():
-    with pytest.raises(ValueError):
-        WakeupEntry(node="n", period=0, window=1)
-    with pytest.raises(ValueError):
-        WakeupEntry(node="n", period=10, window=11)  # window > period
-    with pytest.raises(ValueError):
-        WakeupEntry(node="n", period=10, window=0)
 
 
 # the coordinator's awake spans in a tbw run --------------------------------
