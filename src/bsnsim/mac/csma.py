@@ -203,7 +203,8 @@ class Beacon802154Mac(SlottedCsmaMac):
     # -- device -------------------------------------------------------------
 
     def _wake_for_beacon(self) -> None:
-        self.new_session()
+        if self.radio.state == "sleep":  # an awake one may be mid-exchange
+            self.new_session()
         self.radio.set_state("listen")
         deadline = self._next_beacon_at + self.beacon_airtime + self.guard_us
         self._beacon_timeout = self.at(deadline, "beacon_timeout",

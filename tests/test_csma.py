@@ -1,13 +1,16 @@
 """The shared slotted CSMA/CA engine, run by 802.15.4 and S-MAC, and GTS
 management against enumeration oracles."""
 
+import json
+
 import pytest
 
 from bsnsim.channel import Medium
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.mac.base import UNIT_BACKOFF_US
 from bsnsim.mac.csma import SuperframeConfig, gts_manage
-from bsnsim.runner import build_network
+from bsnsim.runner import build_network, run_one
+from bsnsim.scenario import _build, bundled_scenario_path
 from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
 
@@ -152,6 +155,39 @@ def test_wake_for_beacon_waits_for_the_frame_on_the_air():
     assert radio.state == "tx"
     network.sim.run(wake + 1000)
     assert radio.state == "listen"
+
+
+def _fig2(horizon_s, **csma):
+    """paper_fig2 over `horizon_s` with `csma` set on its csma802154 section."""
+    raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
+    raw["horizon_s"] = horizon_s
+    raw["protocols"]["csma802154"].update(csma)
+    return raw
+
+
+def test_beacon_wake_cuts_no_exchange_whatever_the_guard():
+    # a device that wakes for a beacon while it is still in an exchange goes
+    # on with it, so the guard moves only the wake, and not what is delivered
+    # or when
+    results = set()
+    for guard in (2000, 400_000, 982_496):
+        m = run_one(_build(_fig2(60.0, guard_us=guard)), "csma802154",
+                    1000).metric_values()
+        results.add((m["pdr", "all"], m["latency_mean_us", "all"]))
+    assert len(results) == 1, results
+
+
+@pytest.mark.parametrize("bo, asleep", [(7, 29_520_000), (8, 44_268_480)])
+def test_coordinator_sleeps_through_each_inactive_period(bo, asleep):
+    # BI - SD - 192 us of each beacon interval: it sleeps at the end of the
+    # active period and wakes a turnaround before the next beacon
+    raw = _fig2(60.0, BO=bo, SO=6)
+    raw["traffic"] = []
+    network, _ = build_network(_build(raw), "csma802154", seed=1)
+    network.sim.run(network.scenario.horizon)
+    radio = network.coordinator_mac.radio
+    radio.node.finalize()
+    assert radio.per_state_ticks["sleep"] == asleep
 
 
 def test_smac_busy_window_keeps_frame_for_next_window(monkeypatch):
