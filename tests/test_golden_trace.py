@@ -131,7 +131,7 @@ GOLDEN = {
         "bd6c662bb2c977794b234b269a4c441cc52a452cd27987e3bff039fc52d87911"),
     "fig2-dying-csma802154": (
         "b586b2a72ab9acf97d1734a9f12dc999961fb52862b1d0bc8b866b752fa3fa98",
-        "60a1d88c8c11f59b64629ed242ae0c33d6ef3241a3e542e021d547f5e98a1e2a"),
+        "d9f8d6faca125b40e09c418b6404f08ce0f7c125cc6b1816348df33145a4cc67"),
     "fig2-dying-pbtdma": (
         "567ee26cd59276133dbf9879d957f46aab9db682238a46e76a26c1398fb98f78",
         "9660630148961f58f8140a24021c22132e2bfbd0222c81ab0d59843109e5e7c5"),
@@ -155,7 +155,7 @@ GOLDEN = {
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
     "gts-csma802154": (
         "74b38ff4c6a0426902adf40048edcbf11c5e3ba495f676e874fb729d78953a8f",
-        "431290e40a9fbb085c9c571b53af69dcfd47967512fa6eea9b244db2b03f04ec"),
+        "06f58c9e46e81f158dd7fbdf494ed129bc3d97cf3dac8558feaef8fe06b5fffa"),
     "on-demand-tbw": (
         "35c862249af438f646f85e91dd8a6001e3c7ca6da5aa9f6aee79a9caa0bcaa6c",
         "940768f9c4d3f753c82261b25be33ada194429efdbebcffd6b1149616913d46d"),
