@@ -239,9 +239,9 @@ def test_interference_gate_disabled_always_passes():
     assert set(outcomes) == {DeliveryOutcome.DELIVERED}
 
 
-def test_interference_gate_draws_from_the_receivers_stream():
-    # a reception is corrupted when the receiver's `intf:` draw is not below
-    # the pass probability, one draw per reception
+def test_interference_gate_pass_rate():
+    # a reception passes when the receiver's `intf:` draw is below the pass
+    # probability, one draw per reception (test 04 checks the rate itself)
     outcomes = gated_outcomes(2_000, {"enabled": True}, seed=11)
     oracle = random.Random(substream_seed(11, "intf:bnc"))
     assert outcomes == [DeliveryOutcome.CORRUPTED

@@ -266,8 +266,9 @@ def _window(**fields):
 
 
 def _unrouted_request():
-    """bridge_inbody with a wakeup channel, no channel map and one
-    on-demand request, which imp1 would answer with no route to the bnc."""
+    """bridge_inbody, whose keys replace each of make_scenario's, with a
+    wakeup channel, no channel map and one on-demand request, which imp1
+    would answer with no route to the bnc."""
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
     raw["channels"]["wakeup"] = {"band": "WMTS", "phy": 0}
     raw.update(wakeup_channel="wakeup", traffic=[], channel_map=[],
@@ -309,7 +310,7 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
                                              "exponnet": 2.0}}}},
      "channel_model.pathloss.ism.exponnet: unknown field"),
     (_n1(pos=[0.5]), "nodes[1].pos: needs 2 or 3 coordinates"),
-    (lambda: [], "scenario: must be an object"),  # the document itself
+    ([], "scenario: must be an object"),  # the document itself
     # rules that no field table holds: an exclusive minimum, a maximum, and
     # the channel-map records, registered at load
     ({"channel_model": {"pathloss": PATHLOSS, "min_distance_m": 0}},
@@ -349,7 +350,7 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
      "bridge.interfaces: bridge requires two or more distinct channel "
      "interfaces"),
     # an on-demand request is answered to the bnc, through the bridge's routes
-    (_unrouted_request, "on_demand[0]: no route from 'imp1' to 'bnc'"),
+    (_unrouted_request(), "on_demand[0]: no route from 'imp1' to 'bnc'"),
     ({"nodes": _n1()["nodes"] + [{"id": "n1", "channel": "ism",
                                   "pos": [0.2, 0.2]}]},
      "nodes[2].id: duplicate node id 'n1'"),
@@ -382,10 +383,10 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:
-        if callable(override):  # the whole document
-            _build(override())
-        else:
+        if isinstance(override, dict):
             make_scenario(override)
+        else:
+            _build(override)
     assert str(err.value).startswith(message)
 
 
