@@ -8,21 +8,18 @@ channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .channel import ChannelId, DeliveryOutcome
 from .frames import Frame, FrameKind, Mpdu
 from .mac.base import TURNAROUND_US
 
 
-@dataclass(frozen=True)
-class Direct:
+class Direct(NamedTuple):
     channel: ChannelId
 
 
-@dataclass(frozen=True)
-class ViaBridge:
+class ViaBridge(NamedTuple):
     ingress: ChannelId
     bridge: str
     egress: ChannelId

@@ -9,11 +9,9 @@ otherwise-successful receptions.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import SimTime, Simulator
 from .frames import FrameKind
@@ -32,16 +30,14 @@ class Band(Enum):
     UWB = "UWB"
 
 
-@dataclass(frozen=True)
-class ChannelId:
+class ChannelId(NamedTuple):
     """A channel is the pair (frequency band, PHY technique tag)."""
 
     band: Band
     phy: int = 0
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     x: float
     y: float
     z: float = 0.0
@@ -51,8 +47,7 @@ class Position:
                          + (self.z - other.z) ** 2)
 
 
-@dataclass(frozen=True)
-class PathLossParams:
+class PathLossParams(NamedTuple):
     """Log-distance model: pl_d0 + 10*exponent*log10(d/d0) + N(0, sigma^2)."""
 
     pl_d0: float
@@ -103,6 +98,8 @@ class LinkMatrix:
     @classmethod
     def from_csv(cls, path) -> "LinkMatrix":
         """Load from CSV with header posture,src,dst,success_rate."""
+        import csv  # only empirical scenarios read a table
+
         entries = {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SimTime
 from .traffic import TrafficClass
@@ -14,23 +13,29 @@ BEACON_BYTES = 17
 POLL_BYTES = 13
 
 
-@dataclass
 class Mpdu:
     """The link-layer data unit relayed unmodified across hops.
 
     seq is unique per source; hop_trace gains exactly one (node, channel)
-    entry per relay hop and stays empty on direct deliveries.
+    entry per relay hop and stays empty on direct deliveries. `disposed` is
+    run bookkeeping: a frame is disposed exactly once (delivered/dropped).
     """
 
-    seq: int
-    src: str
-    dst: str
-    cls: TrafficClass
-    payload_bytes: int
-    created_at: SimTime
-    hop_trace: list = field(default_factory=list)
-    # Run bookkeeping: a frame is disposed exactly once (delivered/dropped).
-    disposed: Optional[str] = None
+    __slots__ = ("seq", "src", "dst", "cls", "payload_bytes", "created_at",
+                 "hop_trace", "disposed")
+
+    def __init__(self, seq: int, src: str, dst: str, cls: TrafficClass,
+                 payload_bytes: int, created_at: SimTime,
+                 hop_trace: Optional[list] = None,
+                 disposed: Optional[str] = None):
+        self.seq = seq
+        self.src = src
+        self.dst = dst
+        self.cls = cls
+        self.payload_bytes = payload_bytes
+        self.created_at = created_at
+        self.hop_trace = [] if hop_trace is None else hop_trace
+        self.disposed = disposed
 
 
 class FrameKind(Enum):
@@ -43,8 +48,7 @@ class FrameKind(Enum):
     POLL = "poll"
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     """What actually goes on the air for one hop."""
 
     kind: FrameKind
@@ -52,7 +56,7 @@ class Frame:
     link_dst: Optional[str]          # None = broadcast
     nbytes: int
     mpdu: Optional[Mpdu] = None      # DATA frames only
-    info: dict = field(default_factory=dict)
+    info: Optional[dict] = None      # control frames that carry fields
 
     @classmethod
     def data(cls, mpdu: Mpdu, src: str, link_dst: str) -> "Frame":

@@ -8,8 +8,7 @@ Guaranteed slots expire after a configurable number of idle superframes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..channel import frame_airtime
 from ..core import SimTime
@@ -21,21 +20,14 @@ BASE_SLOT_US = 960         # one superframe slot at SO=0
 NUM_SUPERFRAME_SLOTS = 16
 
 
-@dataclass(frozen=True)
-class SuperframeConfig:
-    """Beacon-enabled superframe shape."""
+class SuperframeConfig(NamedTuple):
+    """Beacon-enabled superframe shape; `Beacon802154Mac.settings` checks it."""
 
     beacon_order: int
     superframe_order: int
     num_gts_slots: int
     base_slot_ticks: int = BASE_SLOT_US
     num_slots: int = NUM_SUPERFRAME_SLOTS
-
-    def __post_init__(self):
-        if not 0 <= self.superframe_order <= self.beacon_order <= 14:
-            raise ValueError("need 0 <= SO <= BO <= 14")
-        if not 0 <= self.num_gts_slots < self.num_slots:
-            raise ValueError("GTS slots must leave room for the CAP")
 
     @property
     def beacon_interval(self) -> SimTime:
@@ -50,13 +42,16 @@ class SuperframeConfig:
         return self.base_slot_ticks * (1 << self.superframe_order)
 
 
-@dataclass
 class GtsDescriptor:
     """A granted slot region and its inactivity countdown."""
 
-    owner: str
-    slots: tuple[int, ...]
-    inactivity_countdown: int
+    __slots__ = ("owner", "slots", "inactivity_countdown")
+
+    def __init__(self, owner: str, slots: tuple[int, ...],
+                 inactivity_countdown: int):
+        self.owner = owner
+        self.slots = slots
+        self.inactivity_countdown = inactivity_countdown
 
 
 def gts_manage(requests, descriptors: list[GtsDescriptor],
@@ -116,6 +111,11 @@ class Beacon802154Mac(SlottedCsmaMac):
             if node_id not in devices:
                 raise ScenarioError(f"protocols.{cls.name}.gts_nodes: unknown "
                                     f"device {node_id!r}")
+        # the field table holds each minimum of 0
+        if not out["SO"] <= out["BO"] <= 14:
+            raise ValueError("need 0 <= SO <= BO <= 14")
+        if out["num_gts_slots"] >= NUM_SUPERFRAME_SLOTS:
+            raise ValueError("GTS slots must leave room for the CAP")
         out["superframe"] = SuperframeConfig(
             beacon_order=out["BO"], superframe_order=out["SO"],
             num_gts_slots=out["num_gts_slots"])

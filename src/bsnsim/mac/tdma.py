@@ -7,7 +7,7 @@ construction when the assignment is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
@@ -16,18 +16,12 @@ from ..scenario import ScenarioError
 from .base import TICK_MS, TURNAROUND_US, MacBase, require_one_channel
 
 
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Static slot map for one round."""
+class TdmaSchedule(NamedTuple):
+    """Static slot map for one round; `PbTdmaMac.settings` checks it."""
 
     slot_ticks: SimTime
     preamble_ticks: SimTime
-    assignment: dict = field(default_factory=dict)  # slot index -> node id
-
-    def __post_init__(self):
-        owners = list(self.assignment.values())
-        if len(owners) != len(set(owners)):
-            raise ValueError("each node may own at most one slot")
+    assignment: dict  # slot index -> node id
 
     @property
     def frame_length(self) -> int:
@@ -75,6 +69,8 @@ class PbTdmaMac(MacBase):
         if slot < need:
             raise ValueError(f"TDMA slot {slot} us cannot fit a frame "
                              f"({need} us)")
+        if len(set(assignment.values())) != len(assignment):
+            raise ValueError("each node may own at most one slot")
         out["schedule"] = TdmaSchedule(
             slot_ticks=slot,
             preamble_ticks=ticks_from_seconds(out["preamble_ms"] / 1000.0),

@@ -4,20 +4,27 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import SimTime
 from .frames import Mpdu
 from .traffic import TrafficClass
 
 
-@dataclass
 class ClassCounts:
-    generated: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    in_flight: int = 0
+    __slots__ = ("generated", "delivered", "dropped", "in_flight")
+
+    def __init__(self, generated: int = 0, delivered: int = 0,
+                 dropped: int = 0, in_flight: int = 0):
+        self.generated = generated
+        self.delivered = delivered
+        self.dropped = dropped
+        self.in_flight = in_flight
+
+    def __repr__(self) -> str:
+        return (f"ClassCounts(generated={self.generated}, delivered="
+                f"{self.delivered}, dropped={self.dropped}, in_flight="
+                f"{self.in_flight})")
 
 
 class RunMetrics:
@@ -147,8 +154,7 @@ def percentile(samples: list, p: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass
-class Stats:
+class Stats(NamedTuple):
     mean: float
     std: float
     min: float

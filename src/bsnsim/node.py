@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .channel import ChannelId, Medium, Position
 from .core import Event, SimTime, Simulator
@@ -11,8 +10,7 @@ from .core import Event, SimTime, Simulator
 J_PER_MW_TICK = 1e-9  # 1 mW for 1 us
 
 
-@dataclass
-class PowerProfile:
+class PowerProfile(NamedTuple):
     """Per-state draw in mW; the wakeup receiver is quoted in uW."""
 
     sleep_mw: float

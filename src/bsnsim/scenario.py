@@ -13,9 +13,9 @@ one's section with its MAC's field table (`params`) and rules (`settings`).
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bridging import resolve_routes
 from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
@@ -34,8 +34,7 @@ class ScenarioError(ValueError):
     """Validation failure with a field-path diagnostic."""
 
 
-@dataclass
-class NodeSpec:
+class NodeSpec(NamedTuple):
     id: str
     site: str
     kind: str                  # inbody | onbody | bnc
@@ -154,7 +153,7 @@ CHANNEL_FIELDS = {"band": (tuple(b.value for b in Band), ..., None),
                   "mtu_bytes": (int, 128, 1)}
 PATHLOSS_FIELDS = {  # d0 > 0 is checked in _build
     key: (float, value, 0.0 if key in ("exponent", "shadow_sigma") else None)
-    for key, value in asdict(DEFAULT_PATHLOSS).items()}
+    for key, value in DEFAULT_PATHLOSS._asdict().items()}
 INTERFERENCE_FIELDS = {
     "enabled": (bool, False, None),
     "pass_probability": (float, MICROWAVE_PASS_PROBABILITY, 0.0)}
@@ -169,8 +168,8 @@ CHANNEL_MODEL_FIELDS = {
     "link_matrix_csv": (str, None, None),
     "interference": (INTERFERENCE_FIELDS, {}, None)}
 POWER_PROFILE_FIELDS = {
-    f.name: (float, ... if f.default is MISSING else f.default, 0.0)
-    for f in fields(PowerProfile)}
+    name: (float, PowerProfile._field_defaults.get(name, ...), 0.0)
+    for name in PowerProfile._fields}
 PROTOCOL_PROFILE_FIELDS = {name: (str, None, None)  # null: the MAC's own
                            for name in PROTOCOLS}
 NODE_FIELDS = {
@@ -313,7 +312,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioError(f"power_profiles.{key}.sleep_mw: above "
                                 f"idle_listen_mw")
         profiles[key] = PowerProfile(**p)
-    norm["power_profiles"] = {key: asdict(p) for key, p in profiles.items()}
+    norm["power_profiles"] = {key: p._asdict() for key, p in profiles.items()}
     for proto, key in norm["protocol_profiles"].items():
         if key is not None:
             _known(key, profiles, f"protocol_profiles.{proto}", "profile")

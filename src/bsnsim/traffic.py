@@ -8,9 +8,8 @@ on-demand requests, and Poisson emergency events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SimTime, US_PER_S
 
@@ -42,8 +41,7 @@ def priority(cls: TrafficClass) -> int:
     return _PRIORITY[cls]
 
 
-@dataclass
-class TrafficSpec:
+class TrafficSpec(NamedTuple):
     """One node's traffic pattern. CBR classes use period; Emergency uses rate."""
 
     node: str
@@ -77,8 +75,7 @@ class OnDemandMode(Enum):
     NON_CONTINUOUS = "NonContinuous"
 
 
-@dataclass
-class OnDemandRequest:
+class OnDemandRequest(NamedTuple):
     """A coordinator-initiated information request, issued at tick `at`
     and addressed by a tone to the target alone or by broadcast to all."""
 

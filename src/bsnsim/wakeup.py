@@ -9,14 +9,13 @@ exchanges, it is awake for exactly the union of the guarded windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import SimTime
 from .traffic import TrafficClass
 
 
-@dataclass(frozen=True)
-class WakeupEntry:
+class WakeupEntry(NamedTuple):
     """One node's periodic window: awake [offset + k*period, + window)."""
 
     node: str

@@ -7,7 +7,6 @@ import copy
 import math
 import random
 import time
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,7 +143,7 @@ def test_06_cca_blindness():
     loss_3m = path_loss_db(3.0, params)
     assert loss_3m >= 81.0
     raw = copy.deepcopy(scenario.normalized)
-    raw["channel_model"]["pathloss"]["mics"] = asdict(params)
+    raw["channel_model"]["pathloss"]["mics"] = params._asdict()
     sim = Simulator()
     medium = Medium(sim, _build(raw))
     profile = scenario.power_profiles["nrf2401"]
@@ -288,11 +287,11 @@ def test_10_bridging_invariants():
 
     # (b): independent hop losses 0.9 and 0.8, no retries -> 0.72 +- 0.02
     sc2 = load_scenario("bridge_inbody")
-    sc2.traffic = [t for t in sc2.traffic if t.node == "imp1"]
-    sc2.traffic[0].period = 5_000
-    sc2.traffic[0].start_offset = 5_000  # arrivals at 5 ms .. 500 s inclusive
-    for n in sc2.nodes:
-        n.initial_j = None  # loss-statistics harness, not a lifetime study
+    # arrivals at 5 ms .. 500 s inclusive
+    sc2.traffic = [t._replace(period=5_000, start_offset=5_000)
+                   for t in sc2.traffic if t.node == "imp1"]
+    # loss-statistics harness, not a lifetime study
+    sc2.nodes = [n._replace(initial_j=None) for n in sc2.nodes]
     sc2.horizon = ticks_from_seconds(500.0)
     m = run_one(sc2, "direct", seed=77)
     cc = m.counts[TrafficClass.NORMAL_MEDIUM]

@@ -115,8 +115,8 @@ def test_store_overflow_drops_and_counts():
     sc.bridge["store_capacity"] = 4
     # egress channel four times slower than the ingress arrival rate
     sc.channel_cfg["ism"]["data_rate_bps"] = 62_500
-    sc.traffic = [t for t in sc.traffic if t.node == "imp1"]
-    sc.traffic[0].period = 4500
+    sc.traffic = [t._replace(period=4500) for t in sc.traffic
+                  if t.node == "imp1"]
     sc.horizon = ticks_from_seconds(5.0)
     m = run_one(sc, "direct", seed=25)
     assert m.bridge_drops > 0
@@ -128,8 +128,8 @@ def test_two_hop_loss_product():
     # hops at 0.9 (MICS in) and 0.8 (ISM out), no retries: e2e ~ 0.72
     sc = load_scenario("bridge_inbody")
     sc.traffic = [t for t in sc.traffic if t.node == "imp1"]
-    for n in sc.nodes:
-        n.initial_j = None  # statistics harness, not a lifetime study
+    # statistics harness, not a lifetime study
+    sc.nodes = [n._replace(initial_j=None) for n in sc.nodes]
     sc.horizon = ticks_from_seconds(1000.0)  # 20k frames at 50 ms
     m = run_one(sc, "direct", seed=26)
     cc = m.counts[TrafficClass.NORMAL_MEDIUM]

@@ -2,7 +2,6 @@
 interference gate."""
 
 import random
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,7 +77,7 @@ def _medium(pathloss=None, seed=0, rates=(250_000, 250_000)):
         "channels": {"ism": {"band": "ISM_2_4", "data_rate_bps": rates[0]},
                      "mics": {"band": "MICS_402_405",
                               "data_rate_bps": rates[1]}},
-        "channel_model": {"pathloss": {key: asdict(p)
+        "channel_model": {"pathloss": {key: p._asdict()
                                        for key, p in pathloss.items()}}})
     return Medium(Simulator(master_seed=seed), scenario)
 

@@ -65,11 +65,10 @@ def test_superframe_config_invariants():
     assert sf.beacon_interval == 960 * 16 * 64 == 983_040
     assert sf.active_duration == sf.beacon_interval
     assert sf.slot_ticks == 61_440
-    with pytest.raises(ValueError):
-        SuperframeConfig(beacon_order=3, superframe_order=5, num_gts_slots=2)
-    with pytest.raises(ValueError):
-        SuperframeConfig(beacon_order=15, superframe_order=15,
-                         num_gts_slots=2)
+    # Beacon802154Mac.settings holds the orders' bounds at load
+    for orders in ({"BO": 3, "SO": 5}, {"BO": 15, "SO": 15}):
+        with pytest.raises(ValueError, match=r"need 0 <= SO <= BO <= 14"):
+            make_scenario({"protocols": {"csma802154": orders}})
 
 
 def test_backoff_delay_range_for_be3(monkeypatch):
@@ -128,6 +127,31 @@ def test_first_cca_busy_skips_second(monkeypatch):
     # macMaxCSMABackoffs + 1 = 5 backoff rounds per frame, one CCA each
     assert len(calls) == 10
     assert len({window for _now, window in calls}) == 10
+
+
+def test_backoff_once_contention_has_closed_schedules_no_cca(monkeypatch):
+    # n1 loses its beacon sync, as a missed beacon leaves it, while its first
+    # CCA finds the channel busy: the backoff that follows schedules no CCA,
+    # fails no access and keeps the frame for the next superframe
+    network, _ = _network("csma802154", 10.0, 0.03, 1.0,
+                          {"csma802154": {"BO": 3, "SO": 3}})
+    mac = network.nodes["n1"].mac
+
+    def busy(now):
+        if now < BI_BO3:
+            mac._synced = False
+            return True
+        return False
+
+    calls = _patch_cca(monkeypatch, busy)
+    network.sim.run(BI_BO3 - 1)
+    assert len(calls) == 1
+    assert mac.in_service is not None
+    assert network.metrics.csma_failures == 0
+    network.sim.run(2 * BI_BO3)
+    data = [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
+    assert len(data) == 1 and BI_BO3 < data[0][0] < 2 * BI_BO3
+    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 1
 
 
 def test_frame_in_the_beacon_guard_keeps_the_device_listening():

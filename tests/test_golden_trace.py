@@ -29,9 +29,8 @@ def _bundled(name, horizon_s):
 def _dying(sc):
     """Small staggered budgets, the coordinator's too, so that nodes die
     mid-run and their pending steps go stale."""
-    nodes = [dataclasses.replace(
-        n, initial_j=0.4 if n.id == sc.bnc else 0.002 * (i + 1))
-        for i, n in enumerate(sc.nodes)]
+    nodes = [n._replace(initial_j=0.4 if n.id == sc.bnc else 0.002 * (i + 1))
+             for i, n in enumerate(sc.nodes)]
     return dataclasses.replace(sc, nodes=nodes)
 
 

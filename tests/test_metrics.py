@@ -1,6 +1,5 @@
 """Run metrics: PDR, percentile, aggregation, frame conservation."""
 
-import dataclasses
 import math
 import pickle
 from array import array
@@ -104,7 +103,7 @@ def _bundled_run(name, protocol, horizon_s, dying=False):
     sc = load_scenario(name)
     sc.horizon = int(horizon_s * US_PER_S)
     if dying:  # staggered budgets, so that some nodes die mid-run
-        sc.nodes = [dataclasses.replace(n, initial_j=0.005 * (i + 1))
+        sc.nodes = [n._replace(initial_j=0.005 * (i + 1))
                     for i, n in enumerate(sc.nodes)]
     return run_one(sc, protocol, seed=sc.seed_base)
 

@@ -170,6 +170,26 @@ def test_pbtdma_throughput_capped_at_one_frame_per_round():
     assert cc.dropped > 0  # queue overflow under 100 frames/s offered
 
 
+def test_pbtdma_slot_with_an_empty_queue_sleeps_the_radio():
+    # the preamble books n1's slot for its one frame, and the frame then
+    # leaves the queue: the slot's tx step finds nothing to send, sends
+    # nothing and puts the radio it woke back to sleep
+    sc = make_scenario({
+        "horizon_s": 0.1,
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+                     "offset_s": 0.001}],
+        "protocols": {"pbtdma": {}}})
+    network, _ = build_network(sc, "pbtdma", seed=7, keep_tx_log=True)
+    mac = network.nodes["n1"].mac
+    wake = mac.schedule.slot_start(0, 0)
+    network.sim.run(wake)
+    assert mac.radio.state == "rx"
+    mac.queue.pop()
+    network.sim.run(wake + TURNAROUND_US)
+    assert mac.radio.state == "sleep"
+    assert not [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
+
+
 # S-MAC ----------------------------------------------------------------------
 
 def test_smac_never_transmits_in_sleep_phase():
@@ -269,7 +289,7 @@ def _coordinator_dies_before_request():
     before the request due at 4.1 s."""
     sc = _on_demand()
     return dataclasses.replace(sc, nodes=[
-        dataclasses.replace(n, initial_j=0.01) if n.id == sc.bnc else n
+        n._replace(initial_j=0.01) if n.id == sc.bnc else n
         for n in sc.nodes])
 
 

@@ -81,14 +81,14 @@ def test_a_protocol_listed_twice_is_rejected_before_any_run(scenario,
 
 def test_a_fresh_interpreter_loads_only_the_mac_it_runs():
     """Loading a scenario and building one network imports the MAC that runs
-    and the base it shares, no other MAC, and not multiprocessing, which only
-    a pool needs."""
+    and the base it shares, no other MAC, not multiprocessing, which only
+    a pool needs, and not csv, which only an empirical link table needs."""
     code = ("import json, sys\n"
             "from bsnsim.runner import build_network\n"
             "from bsnsim.scenario import load_scenario\n"
             "build_network(load_scenario('tbw_emergency'), 'tbw', 1)\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
-            "('multiprocessing', 'bsnsim.mac')))))")
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'csv' or "
+            "m.startswith(('multiprocessing', 'bsnsim.mac')))))")
     env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -380,6 +380,11 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
      "wakeup_table[0].window_ms: 0.0 is below the minimum 0.001"),
     (_window(offset_s=-1),
      "wakeup_table[0].offset_s: -1.0 is below the minimum 0.0"),
+    # the superframe's bounds, held by Beacon802154Mac.settings
+    ({"protocols": {"csma802154": {"SO": 7}}},  # above the default BO 6
+     "protocols.csma802154: need 0 <= SO <= BO <= 14"),
+    ({"protocols": {"csma802154": {"num_gts_slots": 16}}},
+     "protocols.csma802154: GTS slots must leave room for the CAP"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:

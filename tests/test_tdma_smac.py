@@ -4,6 +4,7 @@ rows of test_scenario.test_bad_protocol_value_rejected_at_load."""
 import pytest
 
 from bsnsim.mac.tdma import TdmaSchedule
+from tests.conftest import make_scenario
 
 
 def nine_node_schedule(slot_ms=5.0, preamble_ms=5.0):
@@ -22,6 +23,7 @@ def test_round_length_arithmetic():
 
 
 def test_duplicate_slot_owner_rejected():
-    with pytest.raises(ValueError):
-        TdmaSchedule(slot_ticks=5000, preamble_ticks=5000,
-                     assignment={0: "n0", 1: "n0"})
+    # PbTdmaMac.settings holds the one-slot rule at load
+    with pytest.raises(ValueError, match="each node may own at most one slot"):
+        make_scenario({"protocols": {"pbtdma": {
+            "assignment": {"0": "n1", "1": "n1"}}}})
