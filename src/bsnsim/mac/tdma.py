@@ -80,6 +80,7 @@ class PbTdmaMac(MacBase):
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
         self.schedule: TdmaSchedule = settings["schedule"]
+        self.round_ticks = self.schedule.round_ticks  # read at every round
         self.radio = node.add_radio(
             "data", self.channel,
             initial_state="listen" if self.is_coordinator else "sleep")
@@ -100,7 +101,7 @@ class PbTdmaMac(MacBase):
                          info={"round_start": start})
         self.medium.begin_tx(self.radio, preamble, self.node.tx_power_dbm,
                              airtime=self.schedule.preamble_ticks)
-        self.node.at(start + self.schedule.round_ticks, "tdma_round",
+        self.node.at(start + self.round_ticks, "tdma_round",
                      self._coord_round)
 
     # Device: wake for the preamble; on success, serve owned slots.
@@ -113,7 +114,7 @@ class PbTdmaMac(MacBase):
         # a missed preamble skips the whole round
         self.at(deadline, "preamble_timeout",
                 lambda: self.radio.set_state("sleep"))
-        self.node.at(self._round_start + self.schedule.round_ticks,
+        self.node.at(self._round_start + self.round_ticks,
                      "tdma_wake", self._wake_for_preamble)
 
     def _on_preamble(self, frame: Frame) -> None:

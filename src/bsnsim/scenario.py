@@ -167,9 +167,9 @@ CHANNEL_MODEL_FIELDS = {
     "posture": (str, "standing", None),
     "link_matrix_csv": (str, None, None),
     "interference": (INTERFERENCE_FIELDS, {}, None)}
-POWER_PROFILE_FIELDS = {
-    name: (float, PowerProfile._field_defaults.get(name, ...), 0.0)
-    for name in PowerProfile._fields}
+POWER_PROFILE_FIELDS = {name: (float, default, 0.0) for name, default in {
+    **dict.fromkeys(PowerProfile._fields, ...),
+    **PowerProfile._field_defaults}.items()}
 PROTOCOL_PROFILE_FIELDS = {name: (str, None, None)  # null: the MAC's own
                            for name in PROTOCOLS}
 NODE_FIELDS = {

@@ -383,6 +383,8 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
     # the superframe's bounds, held by Beacon802154Mac.settings
     ({"protocols": {"csma802154": {"SO": 7}}},  # above the default BO 6
      "protocols.csma802154: need 0 <= SO <= BO <= 14"),
+    ({"protocols": {"csma802154": {"BO": 15, "SO": 15}}},
+     "protocols.csma802154: need 0 <= SO <= BO <= 14"),
     ({"protocols": {"csma802154": {"num_gts_slots": 16}}},
      "protocols.csma802154: GTS slots must leave room for the CAP"),
 ])
