@@ -71,6 +71,9 @@ def test_conservation_holds_with_full_census():
     m.finalize(leftover=frames[2:])  # the rest still queued
     cc = m.counts[TrafficClass.NORMAL_HIGH]
     assert (cc.generated, cc.delivered, cc.dropped, cc.in_flight) == (5, 1, 1, 3)
+    # the bench's conservation message prints the counts
+    assert repr(cc) == ("ClassCounts(generated=5, delivered=1, dropped=1, "
+                        "in_flight=3)")
 
 
 def test_conservation_violation_is_caught():
