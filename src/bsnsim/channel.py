@@ -355,7 +355,9 @@ class Medium:
             rx_dbm = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
             outcome = geometric_outcome(
                 rx_dbm,
-                (rx_power_dbm(o.power_dbm, self._loss_db(o, radio, cs))
+                # the node's own frame drowns any other, with no 0 m link
+                (math.inf if o.radio.nid == radio.nid
+                 else rx_power_dbm(o.power_dbm, self._loss_db(o, radio, cs))
                  for o in interferers),
                 self.sensitivity_dbm, self.capture_margin_db)
             if outcome is not DeliveryOutcome.DELIVERED:

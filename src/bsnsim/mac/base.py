@@ -68,8 +68,10 @@ class MacBase:
     Session rule: a scheduled step belongs to the session in which it was
     scheduled and does nothing once `new_session()` has started another one
     or the node has died, so an ack due after its session ended is not sent.
-    Its event is still dispatched. Steps that outlive sessions go through
-    `node.at`/`node.after`, which hold the dead-node half.
+    Its event is still dispatched. A session ends only where a protocol
+    period ends; a timeout whose wait is answered is cancelled by name with
+    `sim.cancel`. Steps that outlive sessions go through `node.at`/`after`,
+    which hold the dead-node half.
     """
 
     name: str  # the protocol's name in scenarios and on the command line

@@ -80,10 +80,9 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
             continue
         if len(used) >= num_gts_slots:
             continue  # denied, not an error
+        # every kept slot lies in the GTS range, so one of them is free
         free = [s for s in range(num_slots - num_gts_slots, num_slots)
                 if s not in used]
-        if not free:
-            continue
         slot = free[-1]
         used.add(slot)
         owners.add(owner)

@@ -50,7 +50,6 @@ class SMac(SlottedCsmaMac):
         self.node.at(0, "smac_listen", self._enter_listen)
 
     def _enter_listen(self) -> None:
-        self.new_session()
         self._access_start = self.sim.now
         self._access_end = self.sim.now + self.listen_ticks
         self.radio.set_state("listen")
@@ -61,7 +60,7 @@ class SMac(SlottedCsmaMac):
             self._start_service()
 
     def _enter_sleep(self) -> None:
-        self.new_session()  # cancels any pending contention steps
+        self.new_session()  # the window's steps and acks end with it
         self.radio.set_state("sleep")
 
     def _may_contend(self) -> bool:

@@ -87,6 +87,9 @@ class TbwMac(MacBase):
             self._emg_active: Optional[Mpdu] = None
             self._emg_tries = 0
             self._od_req: Optional[OnDemandRequest] = None
+            # the waits a beacon, a grant and a poll answer, each armed
+            # before its frame can arrive
+            self._beacon_timeout = self._grant_timeout = self._poll_timeout = None
         self.wakeup_rx = node.add_wakeup_receiver(self.wakeup_channel)
         self.wakeup_rx.on_frame = self._on_wakeup_signal
         self.wakeup_tx = node.add_radio("wakeup_tx", self.wakeup_channel)
@@ -180,19 +183,16 @@ class TbwMac(MacBase):
         self.at(occ, "window_wake", lambda: self._window_wake(occ))
 
     def _window_wake(self, occ: SimTime) -> None:
-        if self._emg_active:
-            self._schedule_next_window()
-            return
-        self.new_session()
         self.radio.set_state("listen")
         deadline = occ + self.beacon_airtime + self.guard + 500
         # a missed beacon closes the window; the node tries the next one
-        self.at(deadline, "beacon_timeout", self._window_close)
+        self._beacon_timeout = self.at(deadline, "beacon_timeout",
+                                       self._window_close)
 
     def _on_window_beacon(self, frame: Frame) -> None:
-        if self._od_req is not None:
-            return  # windows resume once the on-demand request is served
-        self.new_session()
+        if self._od_req is not None or self._emg_active is not None:
+            return  # windows resume once the request or emergency is served
+        self.sim.cancel(self._beacon_timeout)
         self._window_end = frame.info["window_end"]
         if not len(self.queue):
             # stay reachable until the window closes, then sleep
@@ -264,8 +264,6 @@ class TbwMac(MacBase):
         self._emergency_signal()
 
     def _emergency_signal(self) -> None:
-        if self._emg_active is None:
-            return
         self._emg_tries += 1
         if self._emg_tries > self.max_tries:
             self.metrics.wakeup_failures += 1
@@ -279,8 +277,8 @@ class TbwMac(MacBase):
             # jitter wider than the signal itself so coincident emergencies
             # from different nodes desynchronize within a few retries
             jitter = self.rng.randrange(3 * self.signal_ticks)
-            self.after(self.retry_timeout + jitter, "grant_timeout",
-                       self._grant_timeout)
+            self._grant_timeout = self.after(
+                self.retry_timeout + jitter, "grant_timeout", self._signal_again)
 
         signal = Frame(FrameKind.WAKEUP, self.node.node_id,
                        self.network.bnc_id, 0,
@@ -289,15 +287,13 @@ class TbwMac(MacBase):
                              airtime=self.signal_ticks,
                              on_result=self.in_session(armed))
 
-    def _grant_timeout(self) -> None:
-        if self._emg_active is not None and self.in_service is None:
-            self.radio.set_state("sleep")
-            self._emergency_signal()
+    def _signal_again(self) -> None:
+        self.radio.set_state("sleep")
+        self._emergency_signal()
 
     def _on_grant(self, frame: Frame) -> None:
-        if self._emg_active is None or self.in_service is not None:
-            return
-        self.new_session()
+        if not self.sim.cancel(self._grant_timeout):
+            return  # no signal of this node awaits a grant
         self.serve(self._emg_active)
         self.send_acked(self.in_session(self._emergency_done))
 
@@ -305,13 +301,10 @@ class TbwMac(MacBase):
         self.in_service = None
         if ok:
             self._finish_emergency()
-        else:
-            # grant exchange failed; fall back to another wakeup signal
-            self.radio.set_state("sleep")
-            self._emergency_signal()
+        else:  # the grant's exchange failed
+            self._signal_again()
 
     def _finish_emergency(self) -> None:
-        self.new_session()
         self._emg_active = None
         self.radio.set_state("sleep")
         if self._pending_emergencies:
@@ -373,8 +366,8 @@ class TbwMac(MacBase):
             if purpose == "Emergency":
                 self._coord_on_emergency_signal(frame)
             return
-        if purpose != "OnDemand":
-            return
+        if purpose != "OnDemand" or self._emg_active is not None:
+            return  # an emergency outranks an on-demand wake
         request = frame.info["request"]
         if (request.addressing == "Tone"
                 and request.target != self.node.node_id):
@@ -384,8 +377,8 @@ class TbwMac(MacBase):
         self._requeue_in_service()
         self.radio.set_state("listen")
         self._od_req = request
-        self.after(self.signal_ticks + POLL_WAIT_US, "poll_timeout",
-                   self._od_finish)
+        self._poll_timeout = self.after(self.signal_ticks + POLL_WAIT_US,
+                                        "poll_timeout", self._od_finish)
 
     def _od_finish(self) -> None:
         self._od_req = None
@@ -394,9 +387,10 @@ class TbwMac(MacBase):
             self._schedule_next_window()
 
     def _on_poll(self, frame: Frame) -> None:
-        if self.is_coordinator or self._od_req is None:
+        # a node that serves its own request ignores the polls of others
+        if (self.is_coordinator or self._od_req is None
+                or not self.sim.cancel(self._poll_timeout)):
             return
-        self.new_session()
         request = frame.info["request"]
         if request.target != self.node.node_id:
             # woke for someone else's request: pay the price and go back down

@@ -86,6 +86,7 @@ class PbTdmaMac(MacBase):
             initial_state="listen" if self.is_coordinator else "sleep")
         self.radio.on_frame = self._on_frame
         self._round_start: SimTime = 0
+        self._preamble_timeout = None  # the wait a preamble answers
 
     def start(self) -> None:
         if self.is_coordinator:
@@ -107,18 +108,17 @@ class PbTdmaMac(MacBase):
     # Device: wake for the preamble; on success, serve owned slots.
 
     def _wake_for_preamble(self) -> None:
-        self.new_session()
         self._round_start = self.sim.now
         self.radio.set_state("listen")
         deadline = self.sim.now + self.schedule.preamble_ticks + 500
         # a missed preamble skips the whole round
-        self.at(deadline, "preamble_timeout",
-                lambda: self.radio.set_state("sleep"))
+        self._preamble_timeout = self.at(
+            deadline, "preamble_timeout", lambda: self.radio.set_state("sleep"))
         self.node.at(self._round_start + self.round_ticks,
                      "tdma_wake", self._wake_for_preamble)
 
     def _on_preamble(self, frame: Frame) -> None:
-        self.new_session()  # cancels the pending miss timeout
+        self.sim.cancel(self._preamble_timeout)
         round_start = frame.info["round_start"]
         self.radio.set_state("sleep")
         if not len(self.queue):

@@ -177,6 +177,20 @@ def test_capture_lets_much_stronger_frame_through():
     assert weak == [DeliveryOutcome.COLLIDED]
 
 
+def test_a_frame_overlapping_the_nodes_own_collides_at_its_other_radio():
+    # rx's second radio on the channel sends while its first receives; the
+    # overlap is judged as in empirical mode, with no 0 m link to look up
+    medium = _medium()
+    node = Node(medium.sim, medium, "rx", position=Position(0.5, 0.0),
+                profile=PROFILE, initial_j=None)
+    node.add_radio("data", ISM, initial_state="listen")
+    own = node.add_radio("data2", ISM)
+    out = _send(medium, _radio(medium, "tx", 0.0), "rx")
+    medium.sim.schedule(100, "own_tx", "rx", lambda: _send(medium, own, "x"))
+    medium.sim.run(10_000)
+    assert out == [DeliveryOutcome.COLLIDED]
+
+
 def test_below_sensitivity():
     medium = _medium()  # sensitivity -95 dBm
     _radio(medium, "rx", 400.0)  # loss = 40 + 20*log10(4000) = 112 dB

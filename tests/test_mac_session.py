@@ -3,8 +3,14 @@ it was scheduled in lasts and its node is alive; its event is dispatched
 either way. A step scheduled through the node outlives sessions and runs
 only while the node is alive."""
 
-from bsnsim.runner import build_network
+import os
+import sys
+from collections import Counter, defaultdict
+
+from bsnsim.mac.base import MacBase
+from bsnsim.runner import build_network, run_one
 from tests.conftest import make_scenario
+from tests.test_golden_trace import _bundled, _on_demand
 
 
 def _bare(initial_j=5.0):
@@ -103,3 +109,60 @@ def test_node_steps_are_noops_after_the_node_dies():
     assert net.nodes["n1"].dead and net.nodes["n1"].death_time < 1000
     assert ran == []
     assert _dispatched_node_probes(net) == expected  # still dispatched
+
+
+# Which steps each new_session() cuts -------------------------------------
+
+# the protocol periods whose end abandons the MAC's pending steps; every
+# other pending step is cancelled by name, where its wait is answered
+PERIOD_ENDS = {
+    ("smac.py", "_enter_sleep"),         # the S-MAC listen window
+    ("csma.py", "_wake_for_beacon"),     # the superframe, on a sleeping radio
+    ("tbw.py", "_start_emergency"),      # the emergency preemption
+    ("tbw.py", "_on_wakeup_signal"),     # the on-demand wake
+}
+
+SESSION_RUNS = [
+    (lambda: _bundled("paper_fig2", 120), "csma802154", 1000),
+    (lambda: _bundled("paper_fig2", 120), "pbtdma", 1000),
+    (lambda: _bundled("paper_fig2", 120), "smac", 1000),
+    (lambda: _bundled("bridge_inbody", 60), "smac", 1000),
+    (lambda: _bundled("tbw_emergency", 300), "tbw", 3000),
+    (lambda: _bundled("tbw_emergency", 300), "tbw_alwayson", 3000),
+    (_on_demand, "tbw", 9),
+]
+
+
+def _session_cuts(monkeypatch):
+    """Wrap `MacBase.at` and `new_session`. Returns the calls of each site,
+    (MAC module, function), and the kinds of the live steps they made stale."""
+    pending = defaultdict(list)  # mac -> [(session, event)] since its last cut
+    calls, cuts = Counter(), defaultdict(Counter)
+    at, new_session = MacBase.at, MacBase.new_session
+
+    def counting_at(self, when, kind, fn):
+        event = at(self, when, kind, fn)
+        pending[self].append((self._session, event))
+        return event
+
+    def counting_new_session(self):
+        code = sys._getframe(1).f_code
+        site = (os.path.basename(code.co_filename), code.co_name)
+        calls[site] += 1
+        if not self.node.dead:
+            cuts[site].update(e.kind for s, e in pending.pop(self, ())
+                              if s == self._session
+                              and not (e.fired or e.cancelled))
+        new_session(self)
+
+    monkeypatch.setattr(MacBase, "at", counting_at)
+    monkeypatch.setattr(MacBase, "new_session", counting_new_session)
+    return calls, cuts
+
+
+def test_only_a_protocol_periods_end_cuts_pending_steps(monkeypatch):
+    calls, cuts = _session_cuts(monkeypatch)
+    for build, protocol, seed in SESSION_RUNS:
+        run_one(build(), protocol, seed)
+    assert {site for site, kinds in cuts.items() if kinds} <= PERIOD_ENDS, cuts
+    assert set(calls) == PERIOD_ENDS  # each period ends in these runs

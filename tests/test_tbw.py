@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bsnsim.core import US_PER_S
-from bsnsim.frames import ACK_BYTES, BEACON_BYTES
+from bsnsim.frames import ACK_BYTES, BEACON_BYTES, Frame, FrameKind
 from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
+from bsnsim.mac.tbw import GRANT_BYTES
 from bsnsim.runner import build_network, run_one
 from bsnsim.scenario import ScenarioError
 from bsnsim.traffic import OnDemandMode, OnDemandRequest, TrafficClass
@@ -325,6 +326,23 @@ def test_continuous_on_demand_streams_expected_count():
         assert (cc.generated, cc.delivered) == (3, 3)
 
 
+def test_a_tone_poll_for_another_node_leaves_a_stream_alone():
+    # n1 streams 8 frames from 1 s; the poll of n2's tone request at 2.2 s
+    # also reaches n1's data radio, which goes on as if it had not
+    stream = {"at_s": 1.0, "target": "n1", "mode": "Continuous",
+              "duration_s": 4.0, "period_s": 0.5}
+    ticks = []
+    for requests in ([stream], [stream, {"at_s": 2.2, "target": "n2"}]):
+        net = run_net(tbw_scenario(extra={"on_demand": requests},
+                                   horizon_s=8.0), "tbw", seed=3)
+        cc = net.metrics.counts[TrafficClass.ON_DEMAND_CONTINUOUS]
+        assert (cc.generated, cc.delivered) == (8, 8)
+        radio = net.nodes["n1"].mac.radio
+        radio.accrue()
+        ticks.append(radio.per_state_ticks)
+    assert ticks[0] == ticks[1]
+
+
 def test_a_poll_due_during_a_window_beacon_waits_for_it():
     # the poll falls due while the data radio sends the 2.5 s window beacon;
     # it goes out when the beacon ends, and the request's hold is released
@@ -440,3 +458,78 @@ def test_emergency_preempts_window_without_losing_frames():
     assert m.emergency_access_delays_us[0] < 1_000_000
     normal = m.counts[TrafficClass.NORMAL_HIGH]
     assert normal.delivered > 0  # later windows kept serving the queue
+
+
+def _silent_n1_emergencies(interrupt):
+    """n1 raises emergencies at 1.001 s and 4.001 s, but its signals are too
+    weak for the bnc to hear; `interrupt` adds a 20 ms window every 0.25 s
+    or a tone-addressed request at 1.03 s, between two tries."""
+    nodes = [
+        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+         "initial_j": None},
+        {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
+         "tx_power_dbm": -60.0},
+        {"id": "n2", "kind": "onbody", "channel": "ism", "pos": [0.3, 0.4]},
+    ]
+    extra = {
+        "window": {"wakeup_table": [{"node": "n1", "class": "NormalHigh",
+                                     "period_s": 0.25, "offset_s": 0.0,
+                                     "window_ms": 20.0}]},
+        "tone": {"on_demand": [{"at_s": 1.03, "target": "n1"}]},
+    }.get(interrupt)
+    sc = tbw_scenario(extra=extra, nodes=nodes, horizon_s=6.0)
+    net, _macs = build_network(sc, "tbw", seed=1)
+    mac = net.nodes["n1"].mac
+    for at_s in (1.001, 4.001):
+        net.sim.schedule_at(int(at_s * S), "test_emergency", "test",
+                            lambda: mac.enqueue(net.new_mpdu(
+                                "n1", "bnc", TrafficClass.EMERGENCY)))
+    net.sim.run(sc.horizon)
+    return net, mac
+
+
+@pytest.mark.parametrize("interrupt", [None, "window", "tone"])
+def test_a_window_or_wake_between_tries_leaves_the_emergency_alone(interrupt):
+    # the emergency outranks both: each one is dropped after its 10 tries,
+    # as with no interruption
+    net, mac = _silent_n1_emergencies(interrupt)
+    assert net.metrics.counts[TrafficClass.EMERGENCY].dropped == 2
+    assert net.metrics.wakeup_failures == 2
+    assert mac._emg_active is None and mac._pending_emergencies == []
+
+
+def test_a_grant_that_no_signal_awaits_is_ignored():
+    # a second grant reaches n1 while it waits for the ack of the data the
+    # first grant let it send; n1 sends no second data frame
+    sc = tbw_scenario(horizon_s=2.0)
+    net, _macs = build_network(sc, "tbw", seed=1, keep_tx_log=True)
+    mac = net.nodes["n1"].mac
+    net.sim.schedule_at(1 * S, "test_emergency", "test",
+                        lambda: mac.enqueue(net.new_mpdu(
+                            "n1", "bnc", TrafficClass.EMERGENCY)))
+    grant = Frame(FrameKind.GRANT, "bnc", "n1", GRANT_BYTES)
+    ack_wait_at = 1 * S + CLEAN_EMERGENCY_DELAY + TURNAROUND_US
+    net.sim.schedule_at(ack_wait_at, "test_grant", "test",
+                        lambda: mac._on_frame(grant, None))
+    net.sim.run(sc.horizon)
+    assert net.metrics.emergency_access_delays_us.tolist() == [
+        CLEAN_EMERGENCY_DELAY]
+    data = [r for r in net.medium.tx_log
+            if r[3] == "n1" and r[4] is FrameKind.DATA]
+    assert len(data) == 1
+
+
+@pytest.mark.parametrize("offset_us", [-5000, 0, 5000])
+def test_an_emergency_signal_overlapping_a_broadcast_wake_runs(offset_us):
+    # n1's wakeup_tx sends while its wakeup_rx hears the bnc's broadcast
+    # signal for n2 on the same channel, in geometric mode
+    sc = tbw_scenario(extra={"on_demand": [
+        {"at_s": 1.0, "target": "n2", "addressing": "Broadcast"}]},
+        horizon_s=3.0)
+    net, _macs = build_network(sc, "tbw", seed=1)
+    mac = net.nodes["n1"].mac
+    net.sim.schedule_at(1 * S + offset_us, "test_emergency", "test",
+                        lambda: mac.enqueue(net.new_mpdu(
+                            "n1", "bnc", TrafficClass.EMERGENCY)))
+    net.sim.run(sc.horizon)
+    assert net.metrics.counts[TrafficClass.EMERGENCY].delivered == 1
