@@ -124,7 +124,7 @@ GOLDEN = {
         "f3fb75018ddc707b9b3498812b5ccabda88ffd623479d66542eb67f77dc3455f"),
     "fig2-pbtdma": (
         "20a76d2be30900a5ee0a2daa1c46fa1faab44cbf523609c5e66fc5f2cafb8f30",
-        "0aa5495ada869aef20dfe126c0f60a0f1f6369f15b16d330b73e23deddc855e4"),
+        "b81c9631ca65a99e7be74c534c3e935b901dc562570c386008bc730327922cda"),
     "fig2-smac": (
         "94172b25a5df1c10e7caff58b56eca21de8ffb3f0fc2d47fbe1f44c00fa828bb",
         "bd6c662bb2c977794b234b269a4c441cc52a452cd27987e3bff039fc52d87911"),
@@ -133,22 +133,22 @@ GOLDEN = {
         "d9f8d6faca125b40e09c418b6404f08ce0f7c125cc6b1816348df33145a4cc67"),
     "fig2-dying-pbtdma": (
         "567ee26cd59276133dbf9879d957f46aab9db682238a46e76a26c1398fb98f78",
-        "9660630148961f58f8140a24021c22132e2bfbd0222c81ab0d59843109e5e7c5"),
+        "5e3737dd9b125a0a09fc65d428059fecc548a2c7ed2bb6e4844e2f89920cfb8f"),
     "fig2-dying-smac": (
         "2e468bd30226feb712a9d2f9d1a40f96cd1f5e9ccecf80797d848b3dd1888264",
         "ff5c68f61becc3d33107e034286e3c22326ea15f7c0cb2d8f0bd07260a332084"),
     "emergency-tbw": (
         "a64dcf12ccee32454a9b86c5c64a716bbda8d2059baeee02728737ac524ae22c",
-        "e54caa819c962483adf8e69bffcdf67363d2547362b7bf6d74baa003d306576a"),
+        "06910b77204a9ecf4008d7ffdbcbfd1909185924e8b9fb35a81db8de612e5758"),
     "emergency-tbw_alwayson": (
         "53bb2dd7beb78228a08f2776e0a45df167edde8cc1a81bc2e6b8c97cb3a8e6e8",
-        "fa97f950c9d6a3db9e04fc011652524ea6724ac82baaacf0171e77beb0158d97"),
+        "de7a5c73bd1ec2f298b1031360efd9ebb8fb31b0264ed24a9fd7127643665d99"),
     "emergency-dying-tbw": (
         "be18e313bbbe98367a8f998d4fe9dacde5857dfcf81c51528f5afb10bb5f6425",
-        "2721b9154c219863dbb4355d4416d0c68b2fb6e49e43b625bde34e611670c458"),
+        "b5d9f9b0fecbf3d6ba09a01eaf03ff74f0388eb58a2400c0fcc8e516dac00296"),
     "emergency-dying-tbw_alwayson": (
         "354940263c0319bf503221e7f658fec75d45ac24f9fdd9dff75cfd43b342aee3",
-        "e8f423dc6f2a8cdda4db66f0f283cec86d7caa56869d926b31f482f9b4466a11"),
+        "0356aa277ced838ed721715fca5309e438eeb621be7e6cf8a09f3ed43887752a"),
     "bridge-direct": (
         "26315512053a2d8abed221fd62b173f0ec141b7dcb18689f33275199d936171d",
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
@@ -157,7 +157,7 @@ GOLDEN = {
         "06f58c9e46e81f158dd7fbdf494ed129bc3d97cf3dac8558feaef8fe06b5fffa"),
     "on-demand-tbw": (
         "35c862249af438f646f85e91dd8a6001e3c7ca6da5aa9f6aee79a9caa0bcaa6c",
-        "940768f9c4d3f753c82261b25be33ada194429efdbebcffd6b1149616913d46d"),
+        "0a2b167454121f13598a56ef28c6c3feeece9b7a1783f43580ea70529084a08c"),
 }
 
 
