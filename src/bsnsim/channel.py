@@ -221,7 +221,6 @@ class Medium:
         self._links: dict[tuple, _Link] = {}  # (tx radio, rx radio) -> link
         self._intf_rngs: dict = {}  # rx radio -> its `intf:` stream
         self.data_collisions = 0
-        self.interference_corrupts = 0
         self.tx_log: Optional[list] = [] if keep_tx_log else None
 
     def airtime_ticks(self, nbytes: int, channel: ChannelId) -> SimTime:
@@ -374,7 +373,6 @@ class Medium:
                 rng = self._intf_rngs[radio] = self.sim.stream(
                     f"intf:{radio.nid}")
             if rng.random() >= self.interference_pass_p:  # the oven hit it
-                self.interference_corrupts += 1
                 return DeliveryOutcome.CORRUPTED
         return DeliveryOutcome.DELIVERED
 

@@ -19,6 +19,12 @@ ACK_WAIT_MARGIN_US = 200
 TICK_MS = 1000 / US_PER_S  # one tick: the shortest slot, preamble or signal
 
 
+def ack_wait_ticks(medium, channel) -> SimTime:
+    """How long a sender on `channel` waits for an ack."""
+    return (TURNAROUND_US + medium.airtime_ticks(ACK_BYTES, channel)
+            + ACK_WAIT_MARGIN_US)
+
+
 def require_one_channel(scenario) -> None:
     """Raise ValueError naming each node off the coordinator's channel. A MAC
     whose devices follow the coordinator's beacons or preambles cannot serve
@@ -96,10 +102,7 @@ class MacBase:
         scenario = network.scenario
         self.queue = FrameQueue(scenario.queue_capacity)
         self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
-        # how long a sender on `self.channel` waits for an ack
-        self.ack_wait: SimTime = (
-            TURNAROUND_US + medium.airtime_ticks(ACK_BYTES, self.channel)
-            + ACK_WAIT_MARGIN_US)
+        self.ack_wait = ack_wait_ticks(medium, self.channel)
         self.target = node.target
         self.in_service: Optional[Mpdu] = None
         self._session = 0
@@ -118,7 +121,8 @@ class MacBase:
         return self.node.node_id == self.network.bnc_id
 
     def start(self) -> None:
-        raise NotImplementedError
+        """Schedule the first steps, once every MAC of the run is built; a MAC
+        that only answers frames and its queue has none."""
 
     def enqueue(self, mpdu: Mpdu) -> None:
         if not self.queue.push(mpdu):
@@ -288,7 +292,8 @@ class SlottedCsmaMac(MacBase):
     `_access_end`. `busy_limit` busy CCAs in a row end the attempt.
 
     Subclasses create `self.radio` with `_on_frame` as its receive hook, set
-    `busy_limit`, move the access period, and say when contention may run.
+    `busy_limit`, move the access period, and say in `_may_contend` when
+    contention may run.
     By default an empty queue, a frame that does not fit and an attempt lost
     to a busy channel all leave the radio as it is; a lost frame stays in
     service until `_start_service` runs again.
@@ -315,9 +320,6 @@ class SlottedCsmaMac(MacBase):
         self._access_end: SimTime = 0
         self._nb = 0
         self._be = self.min_be
-
-    def _may_contend(self) -> bool:
-        raise NotImplementedError
 
     def _idle(self) -> None:
         """Nothing to send now, or the frame waits for the next access period."""

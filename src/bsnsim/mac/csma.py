@@ -247,8 +247,6 @@ class Beacon802154Mac(SlottedCsmaMac):
             self.radio.set_state("sleep")
 
     def _on_enqueued(self, mpdu: Mpdu) -> None:
-        if self.is_coordinator:
-            return  # downlink service not modelled; coordinator is the sink
         if self.gts_enabled:
             if not self._my_gts:
                 self.network.coordinator_mac.request_gts(self.node.node_id)
@@ -265,8 +263,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _idle(self) -> None:
         # a device that woke for a beacon listens until it arrives or times out
-        if (not self.is_coordinator and self.radio.state == "listen"
-                and self._beacon_timeout is None):
+        if self.radio.state == "listen" and self._beacon_timeout is None:
             self.radio.set_state("sleep")
 
     def _access_failed(self) -> None:
@@ -287,7 +284,7 @@ class Beacon802154Mac(SlottedCsmaMac):
     # -- reception ----------------------------------------------------------
 
     def _on_control(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.BEACON and not self.is_coordinator:
+        if frame.kind is FrameKind.BEACON:
             self._on_beacon(frame)
 
     def _on_data(self, frame: Frame) -> None:

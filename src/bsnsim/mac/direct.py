@@ -17,9 +17,6 @@ class DirectMac(MacBase):
                                     initial_state="listen")
         self.radio.on_frame = self._on_frame
 
-    def start(self) -> None:
-        pass
-
     def _on_enqueued(self, mpdu: Mpdu) -> None:
         self._pump()
 

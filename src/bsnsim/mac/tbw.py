@@ -19,7 +19,7 @@ from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
 from ..wakeup import WakeupEntry
-from .base import TICK_MS, TURNAROUND_US, MacBase
+from .base import TICK_MS, TURNAROUND_US, MacBase, ack_wait_ticks
 
 GRANT_BYTES = BEACON_BYTES
 POLL_WAIT_US = 20_000
@@ -65,6 +65,9 @@ class TbwMac(MacBase):
         if self.is_coordinator:
             self.table: list[WakeupEntry] = scenario.wakeup_table
             self.data_radios: dict[ChannelId, object] = {}
+            # a grant holds its radio for the device's retry wait, or for the
+            # granted exchange of an MTU frame with every retry if longer
+            self._grant_hold: dict[ChannelId, SimTime] = {}
             for ch in sorted({*self.node_channels.values()},
                              key=lambda c: (c.band.value, c.phy)):
                 radio = node.add_radio(f"data:{ch.band.value}:{ch.phy}", ch,
@@ -72,6 +75,12 @@ class TbwMac(MacBase):
                                        else "sleep")
                 radio.on_frame = self._on_frame
                 self.data_radios[ch] = radio
+                mtu = scenario.channel_cfg[scenario.channel_key(ch)]["mtu_bytes"]
+                attempt = (medium.airtime_ticks(mtu, ch)
+                           + ack_wait_ticks(medium, ch))
+                self._grant_hold[ch] = max(
+                    self.retry_timeout, medium.airtime_ticks(GRANT_BYTES, ch)
+                    + (self.retry_limit + 1) * attempt)
             # holds keep a data radio awake outside the windows
             self._holds: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
         else:
@@ -324,7 +333,7 @@ class TbwMac(MacBase):
             grant = Frame(FrameKind.GRANT, self.node.node_id, src, GRANT_BYTES)
             self.medium.begin_tx(radio, grant, self.node.tx_power_dbm)
             # hold the radio until the access completes, then re-sleep
-            self.node.after(self.retry_timeout, "session_release",
+            self.node.after(self._grant_hold[channel], "session_release",
                             lambda: self._release(channel))
 
         radio.set_state("rx")
@@ -388,8 +397,7 @@ class TbwMac(MacBase):
 
     def _on_poll(self, frame: Frame) -> None:
         # a node that serves its own request ignores the polls of others
-        if (self.is_coordinator or self._od_req is None
-                or not self.sim.cancel(self._poll_timeout)):
+        if self._od_req is None or not self.sim.cancel(self._poll_timeout):
             return
         request = frame.info["request"]
         if request.target != self.node.node_id:
@@ -437,7 +445,7 @@ class TbwMac(MacBase):
         kind = frame.kind
         if kind is FrameKind.POLL:
             self._on_poll(frame)
-        elif not self.is_coordinator and frame.link_dst == self.node.node_id:
+        elif frame.link_dst == self.node.node_id:
             if kind is FrameKind.BEACON:
                 self._on_window_beacon(frame)
             elif kind is FrameKind.GRANT:

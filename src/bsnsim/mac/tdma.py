@@ -130,5 +130,5 @@ class PbTdmaMac(MacBase):
                 self.send_in_slot(slot_at, slot_at + TURNAROUND_US, "tdma_slot")
 
     def _on_control(self, frame: Frame) -> None:
-        if frame.kind is FrameKind.PREAMBLE and not self.is_coordinator:
+        if frame.kind is FrameKind.PREAMBLE:
             self._on_preamble(frame)

@@ -50,7 +50,6 @@ class RunMetrics:
         self.csma_failures = 0
         self.node_energy_j: dict[str, float] = {}
         self.node_death_us: dict[str, Optional[SimTime]] = {}
-        self.delivered_bits = 0
 
     def _cc(self, cls: TrafficClass) -> ClassCounts:
         cc = self.counts.get(cls)
@@ -75,7 +74,6 @@ class RunMetrics:
         mpdu.disposed = "delivered"
         cc = self._cc(mpdu.cls)
         cc.delivered += 1
-        self.delivered_bits += mpdu.payload_bytes * 8
         samples = self.latency_us.get(mpdu.cls)
         if samples is None:
             samples = self.latency_us[mpdu.cls] = array("q")
@@ -147,8 +145,6 @@ def percentile(samples: list, p: float) -> float:
     """Nearest-rank percentile: the ceil(p/100 * n)-th order statistic."""
     if not samples:
         raise ValueError("empty samples")
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile out of range: {p}")
     ordered = sorted(samples)
     rank = max(1, math.ceil(p / 100.0 * len(ordered)))
     return ordered[rank - 1]

@@ -145,9 +145,8 @@ def _schedule_traffic(network: Network) -> None:
 
 
 def run_one(scenario: Scenario, protocol: str, seed: int, *,
-            trace: bool = False, keep_tx_log: bool = False) -> RunMetrics:
-    network, macs = build_network(scenario, protocol, seed, trace=trace,
-                                  keep_tx_log=keep_tx_log)
+            trace: bool = False) -> RunMetrics:
+    network, macs = build_network(scenario, protocol, seed, trace=trace)
     sim = network.sim
     sim.run(scenario.horizon)
     metrics = network.metrics
@@ -164,8 +163,6 @@ def run_one(scenario: Scenario, protocol: str, seed: int, *,
     metrics.finalize(leftovers)
     if trace:
         metrics.trace_lines = list(sim.trace_lines)
-    if keep_tx_log:
-        metrics.tx_log = list(network.medium.tx_log)
     return metrics
 
 

@@ -1,11 +1,13 @@
 """Bridge relay behavior inside full runs."""
 
+import json
+
 from bsnsim.channel import DeliveryOutcome
 from bsnsim.core import ticks_from_seconds
 from bsnsim.frames import FrameKind
 from bsnsim.mac.base import TURNAROUND_US
 from bsnsim.runner import build_network, run_one
-from bsnsim.scenario import load_scenario
+from bsnsim.scenario import _build, bundled_scenario_path, load_scenario
 from bsnsim.traffic import TrafficClass
 
 
@@ -89,6 +91,35 @@ def test_the_bridge_acks_a_frame_before_it_relays_it():
             if nid == "bnc" and kind is FrameKind.ACK and dst == "imp2"}
     assert received
     assert [end for end in received if end + TURNAROUND_US not in acks] == []
+
+
+def test_a_tbw_device_acks_a_relayed_frame_on_its_data_radio():
+    # bridge_inbody's imp2 -> imp1 flow under tbw, in geometric mode: imp2
+    # sends in its window at k + 0.52 s, inside imp1's window, and imp1
+    # acks each frame the bridge relays to it
+    pl = {"pl_d0": 47.0, "d0": 0.05, "exponent": 2.0, "shadow_sigma": 0.0}
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["channels"]["wakeup"] = {"band": "WMTS", "phy": 0}
+    window = {"class": "NormalLow", "period_s": 1.0, "window_ms": 100.0}
+    raw.update(
+        horizon_s=10.0, wakeup_channel="wakeup", protocols={"tbw": {}},
+        channel_model={"mode": "geometric", "pathloss": {
+            key: pl for key in ("mics", "ism", "wakeup")}},
+        traffic=[t for t in raw["traffic"] if t["node"] == "imp2"],
+        wakeup_table=[dict(window, node="imp1", offset_s=0.5),
+                      dict(window, node="imp2", offset_s=0.52)])
+    sc = _build(raw)
+    net, _macs = build_network(sc, "tbw", seed=1, keep_tx_log=True)
+    net.sim.run(sc.horizon)
+    log = net.medium.tx_log
+    relayed = [end for _start, end, _ch, nid, kind, dst, result in log
+               if nid == "bnc" and kind is FrameKind.DATA and dst == "imp1"
+               and result is DeliveryOutcome.DELIVERED]
+    acks = [start for start, _end, ch, nid, kind, dst, _result in log
+            if nid == "imp1" and kind is FrameKind.ACK and dst == "bnc"
+            and ch == sc.channel_id("mics")]
+    assert net.metrics.counts[TrafficClass.NORMAL_LOW].delivered == 5
+    assert acks == [end + TURNAROUND_US for end in relayed] != []
 
 
 def test_an_ack_due_after_the_smac_window_closed_is_not_sent():

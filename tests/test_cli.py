@@ -20,6 +20,30 @@ def test_run_writes_csvs(tmp_path, capsys):
     assert (tmp_path / "aggregate_direct.csv").exists()
 
 
+def test_run_with_no_traffic_says_so(tmp_path, capsys):
+    # table1_links' first frame is due at 10 ms
+    rc = main(["run", "--scenario", "table1_links", "--protocol", "direct",
+               "--seed", "2000", "--until", "0.005", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "direct: no traffic generated" in capsys.readouterr().out
+    lines = (tmp_path / "run_direct_2000.csv").read_text().splitlines()
+    assert not any(line.startswith("pdr,") for line in lines)
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_an_error_inside_a_run_exits_1(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("the run broke")
+
+    monkeypatch.setattr("bsnsim.runner.build_network", fail)
+    rc = main(["run", "--scenario", "table1_links", "--protocol", "direct",
+               "--seed", "2000", "--until", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: the run broke" in err
+    assert "Traceback" not in err
+
+
 def _refused_compare(tmp_path, capsys, protocols: str) -> str:
     """Run a compare that must be a usage error; its stderr."""
     out = tmp_path / "out"
@@ -336,7 +360,7 @@ def test_a_protocol_that_cannot_run_the_scenario_exits_2_before_any_run(
 
 
 @pytest.mark.parametrize("flag,value", [("--reps", "0"), ("--workers", "0"),
-                                        ("--workers", "-1")])
+                                        ("--workers", "-1"), ("--reps", "x")])
 @pytest.mark.parametrize("command", [
     ["run", "--protocol", "tbw"],
     ["compare", "--protocols", "tbw,tbw_alwayson"],
@@ -349,12 +373,14 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, command, flag,
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: must be at least 1, got {value}" in err
+    expected = (f"not an integer: {value!r}" if value == "x"
+                else f"must be at least 1, got {value}")
+    assert f"argument {flag}: {expected}" in err
     assert "Number of processes" not in err
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "4e-7", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-1", "4e-7", "nan", "inf", "x"])
 @pytest.mark.parametrize("command", [
     ["run", "--protocol", "tbw"],
     ["compare", "--protocols", "tbw,tbw_alwayson"],
@@ -368,7 +394,9 @@ def test_horizons_below_one_tick_are_usage_errors(tmp_path, capsys, command,
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument --until: must be at least 1e-06, got {value}" in err
+    expected = (f"not a number: {value!r}" if value == "x"
+                else f"must be at least 1e-06, got {value}")
+    assert f"argument --until: {expected}" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -167,6 +167,9 @@ def _projected_death(now, consumed_j, mw):
 @example("listen", [(100, "sleep"), (1_800, "tx"), (50, "listen")])
 # no draw, a death (rx), no draw, then an earlier death (listen)
 @example("sleep", [(500, "rx"), (300, "sleep"), (300, "listen")])
+# a death projected past the horizon (listen from 3,200), then a change
+# once the budget is spent (tx at 5,200): no death, not one in the past
+@example("sleep", [(3_200, "listen"), (2_000, "tx")])
 def test_death_time_is_the_projection_at_the_last_state_change(initial,
                                                               steps):
     sim = Simulator()

@@ -129,6 +129,47 @@ def test_csma802154_gts_grant_transmit_and_expiry():
     assert net.coordinator_mac.descriptors == []
 
 
+def _data_starts(net, node_id):
+    """The start of each data frame `node_id` sent, as (superframe index,
+    slot index) at BO = SO = 3."""
+    bi, slot = 15360 * 8, 960 * 8
+    return [(t[0] // bi, t[0] % bi // slot) for t in net.medium.tx_log
+            if t[3] == node_id and t[4] is FrameKind.DATA]
+
+
+def test_a_gts_device_denied_a_slot_asks_again_at_each_beacon():
+    # one GTS slot, two GTS devices with a frame each at 0.5 s: n1 is granted
+    # the slot at the beacon of superframe 5 and n2 is denied; n2 asks again
+    # at every beacon and is granted the slot once n1's descriptor has
+    # expired, four idle superframes after n1 sent in superframe 5
+    sc = _fig2_like(extra={
+        "traffic": [{"node": n, "class": "NormalHigh", "period_s": 10.0,
+                     "offset_s": 0.5} for n in ("n1", "n2")],
+        "protocols": {"csma802154": {"BO": 3, "SO": 3, "num_gts_slots": 1,
+                                     "gts_nodes": ["n1", "n2"]}},
+    }, horizon_s=2.0)
+    net = run_net(sc, "csma802154", seed=3, keep_tx_log=True)
+    assert _data_starts(net, "n1") == [(5, 15)]
+    assert _data_starts(net, "n2") == [(10, 15)]
+    assert net.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 2
+
+
+def test_a_gts_owner_that_asks_again_keeps_its_one_slot():
+    # n1's second frame arrives while the beacon that grants its first
+    # request is on the air (614,400-614,944 us), so n1 asks again for the
+    # slot it already holds; the coordinator keeps the one descriptor and
+    # n1 goes on sending in slot 15
+    sc = _fig2_like(extra={
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.1145,
+                     "offset_s": 0.5}],
+        "protocols": {"csma802154": {"BO": 3, "SO": 3, "num_gts_slots": 2,
+                                     "gts_nodes": ["n1"]}},
+    }, horizon_s=1.5)
+    net = run_net(sc, "csma802154", seed=3, keep_tx_log=True)
+    assert _data_starts(net, "n1") == [(sf, 15) for sf in range(5, 12)]
+    assert [d.slots for d in net.coordinator_mac.descriptors] == [(15,)]
+
+
 def test_beacon_order_shapes_interval():
     sc = _fig2_like(extra={"protocols": {"csma802154": {"BO": 4, "SO": 4}}})
     net = run_net(sc, "csma802154", seed=4, keep_tx_log=True)

@@ -79,6 +79,17 @@ def test_a_protocol_listed_twice_is_rejected_before_any_run(scenario,
         compare_protocols(scenario, ["tbw", "tbw_alwayson", "tbw"], reps=1)
 
 
+@pytest.mark.parametrize("protocols", [[], ["tbw"]])
+def test_fewer_than_two_protocols_are_rejected_before_any_run(
+        scenario, monkeypatch, protocols):
+    def refuse(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(runner, "_run_jobs", refuse)
+    with pytest.raises(ValueError, match="^need >= 2 protocols to compare$"):
+        compare_protocols(scenario, protocols, reps=1)
+
+
 def test_a_fresh_interpreter_loads_only_the_mac_it_runs():
     """Loading a scenario and building one network imports the MAC that runs
     and the base it shares, no other MAC, not multiprocessing, which only

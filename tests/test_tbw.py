@@ -460,24 +460,27 @@ def test_emergency_preempts_window_without_losing_frames():
     assert normal.delivered > 0  # later windows kept serving the queue
 
 
+# n1 sends at -60 dBm: the bnc, 0.3 m away, hears none of its frames
+QUIET_NODES = [
+    {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+     "initial_j": None},
+    {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
+     "tx_power_dbm": -60.0},
+    {"id": "n2", "kind": "onbody", "channel": "ism", "pos": [0.3, 0.4]},
+]
+
+
 def _silent_n1_emergencies(interrupt):
     """n1 raises emergencies at 1.001 s and 4.001 s, but its signals are too
     weak for the bnc to hear; `interrupt` adds a 20 ms window every 0.25 s
     or a tone-addressed request at 1.03 s, between two tries."""
-    nodes = [
-        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
-         "initial_j": None},
-        {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8],
-         "tx_power_dbm": -60.0},
-        {"id": "n2", "kind": "onbody", "channel": "ism", "pos": [0.3, 0.4]},
-    ]
     extra = {
         "window": {"wakeup_table": [{"node": "n1", "class": "NormalHigh",
                                      "period_s": 0.25, "offset_s": 0.0,
                                      "window_ms": 20.0}]},
         "tone": {"on_demand": [{"at_s": 1.03, "target": "n1"}]},
     }.get(interrupt)
-    sc = tbw_scenario(extra=extra, nodes=nodes, horizon_s=6.0)
+    sc = tbw_scenario(extra=extra, nodes=QUIET_NODES, horizon_s=6.0)
     net, _macs = build_network(sc, "tbw", seed=1)
     mac = net.nodes["n1"].mac
     for at_s in (1.001, 4.001):
@@ -533,3 +536,110 @@ def test_an_emergency_signal_overlapping_a_broadcast_wake_runs(offset_us):
                             "n1", "bnc", TrafficClass.EMERGENCY)))
     net.sim.run(sc.horizon)
     assert net.metrics.counts[TrafficClass.EMERGENCY].delivered == 1
+
+
+def _raise_emergencies(net, node_id, *at_s):
+    for at in at_s:
+        net.sim.schedule_at(int(at * S), "test_emergency", "test",
+                            lambda: net.nodes[node_id].mac.enqueue(
+                                net.new_mpdu(node_id, "bnc",
+                                             TrafficClass.EMERGENCY)))
+
+
+@pytest.mark.parametrize("retry_ms", [1.0, 3.0, 5.0, 50.0])
+def test_an_emergency_arrives_whatever_the_retry_wait(retry_ms):
+    # the coordinator holds its data radio through the granted exchange,
+    # also when the device's retry wait is shorter than grant plus data
+    sc = tbw_scenario(extra={"protocols": {"tbw": {
+        "wakeup_retry_ms": retry_ms}}}, horizon_s=3.0)
+    for seed in range(1, 11):
+        net, _macs = build_network(sc, "tbw", seed=seed)
+        _raise_emergencies(net, "n1", 1.0)
+        net.sim.run(sc.horizon)
+        assert net.metrics.counts[TrafficClass.EMERGENCY].delivered == 1, seed
+
+
+def test_a_second_emergency_waits_for_the_first_and_then_starts():
+    # both are raised at 1 s; the second signal starts when the first
+    # exchange ends with its ack
+    sc = tbw_scenario(horizon_s=2.0)
+    net, _macs = build_network(sc, "tbw", seed=1)
+    _raise_emergencies(net, "n1", 1.0, 1.0)
+    net.sim.run(sc.horizon)
+    first_done = CLEAN_EMERGENCY_DELAY + TURNAROUND_US + ACK_AIR
+    assert net.metrics.emergency_access_delays_us.tolist() == [
+        CLEAN_EMERGENCY_DELAY, first_done + CLEAN_EMERGENCY_DELAY]
+
+
+def test_a_granted_exchange_that_fails_signals_again():
+    # the bnc hears n1's wakeup signals (20 dB less path loss on the wakeup
+    # channel) but none of its data: each grant's exchange fails after
+    # retry_limit retries, and n1 signals again until wakeup_max_tries
+    pl = {"pl_d0": 40.0, "d0": 0.1, "exponent": 2.0, "shadow_sigma": 0.0}
+    sc = tbw_scenario(extra={"channel_model": {"mode": "geometric", "pathloss": {
+        "ism": pl, "mics": pl, "wakeup": dict(pl, pl_d0=20.0)}}},
+        nodes=QUIET_NODES, horizon_s=2.0)
+    net, _macs = build_network(sc, "tbw", seed=1, keep_tx_log=True)
+    _raise_emergencies(net, "n1", 1.0)
+    net.sim.run(sc.horizon)
+    sent = [r[4] for r in net.medium.tx_log if r[3] == "n1"]
+    assert sent.count(FrameKind.WAKEUP) == 10
+    assert sent.count(FrameKind.DATA) == 10 * (3 + 1)
+    assert net.metrics.wakeup_failures == 1
+    assert net.metrics.counts[TrafficClass.EMERGENCY].dropped == 1
+
+
+@pytest.mark.parametrize("emergency", [False, True])
+def test_a_frame_that_cannot_go_back_to_a_full_queue_is_dropped(emergency):
+    # n1's first frame (0.5 s) is in service from the 1.0 s window beacon,
+    # unheard, when its second (1.002 s) fills the one-frame queue; the
+    # first is dropped at the window's deadline, or when an emergency at
+    # 1.003 s preempts the window
+    sc = tbw_scenario(extra={
+        "queue_capacity": 1,
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.502,
+                     "offset_s": 0.5}],
+        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+                          "offset_s": 1.0, "window_ms": 10.0}],
+    }, nodes=QUIET_NODES, horizon_s=1.5)
+    net, _macs = build_network(sc, "tbw", seed=1)
+    if emergency:
+        _raise_emergencies(net, "n1", 1.003)
+    net.sim.run(sc.horizon)
+    cc = net.metrics.counts[TrafficClass.NORMAL_HIGH]
+    assert (cc.generated, cc.delivered, cc.dropped) == (2, 0, 1)
+    assert [m.seq for m in net.nodes["n1"].mac.queue.frames()] == [1]
+
+
+def test_an_unacked_on_demand_response_is_dropped():
+    sc = tbw_scenario(extra={"on_demand": [{"at_s": 1.0, "target": "n1"}]},
+                      nodes=QUIET_NODES, horizon_s=2.0)
+    net = run_net(sc, "tbw", seed=1, keep_tx_log=True)
+    cc = net.metrics.counts[TrafficClass.ON_DEMAND_NON_CONTINUOUS]
+    assert (cc.generated, cc.delivered, cc.dropped) == (1, 0, 1)
+    data = [r for r in net.medium.tx_log
+            if r[3] == "n1" and r[4] is FrameKind.DATA]
+    assert len(data) == 3 + 1  # the first send and retry_limit retries
+
+
+def test_a_wakeup_receiver_ignores_frames_that_are_not_wakeup_signals():
+    # n2's data radio is on the wakeup channel, so its window beacons, data
+    # and acks reach every wakeup receiver; none of them wakes n1
+    nodes = [
+        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+         "initial_j": None},
+        {"id": "n1", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.8]},
+        {"id": "n2", "kind": "onbody", "channel": "wakeup", "pos": [0.3, 0.4]},
+    ]
+    sc = tbw_scenario(extra={
+        "traffic": [{"node": "n2", "class": "NormalHigh", "period_s": 0.5,
+                     "offset_s": 0.1}],
+        "wakeup_table": [{"node": "n2", "class": "NormalHigh", "period_s": 1.0,
+                          "offset_s": 0.5, "window_ms": 50.0}],
+    }, nodes=nodes, horizon_s=3.0)
+    net = run_net(sc, "tbw", seed=1)
+    cc = net.metrics.counts[TrafficClass.NORMAL_HIGH]
+    assert (cc.generated, cc.delivered) == (6, 5)  # the last waits for 3.5 s
+    radio = net.nodes["n1"].mac.radio
+    radio.accrue()
+    assert set(radio.per_state_ticks) == {"sleep"}
