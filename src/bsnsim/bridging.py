@@ -10,47 +10,46 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .channel import ChannelId, DeliveryOutcome
+from .channel import DeliveryOutcome
 from .frames import Frame, FrameKind, Mpdu
 from .mac.base import TURNAROUND_US
 
 
 class Direct(NamedTuple):
-    channel: ChannelId
+    channel: str  # each channel is its scenario key
 
 
 class ViaBridge(NamedTuple):
-    ingress: ChannelId
+    ingress: str
     bridge: str
-    egress: ChannelId
+    egress: str
 
 
-def _first(channels: set[ChannelId]) -> ChannelId:
-    return min(channels, key=lambda c: (c.band.value, c.phy))
-
-
-def resolve_routes(members: dict[ChannelId, set[str]], nodes: list[str],
+def resolve_routes(members: dict[str, set[str]], nodes: list[str],
                    inbody: set[str], bridges: set[str]) -> dict:
     """The route of every ordered pair of distinct `nodes`, given each
     channel's `members`: `Direct`, `ViaBridge` or None.
 
-    Channels are taken in `(band, phy)` order and bridges in id order. A
-    pair is direct on its first shared channel when neither end is in-body,
-    or when one end is itself a bridge: the relay collapses to the single hop
-    into or out of the bridge (in-body nodes legitimately hold records to
-    bridge nodes). Otherwise it goes through the first bridge that shares a
-    channel with each end.
+    Channels are taken in the order of `members`, the scenario's `(band,
+    phy)` order, and bridges in id order. A pair is direct on its first
+    shared channel when neither end is in-body, or when one end is itself a
+    bridge: the relay collapses to the single hop into or out of the bridge
+    (in-body nodes legitimately hold records to bridge nodes). Otherwise it
+    goes through the first bridge that shares a channel with each end.
     """
-    on = {n: {ch for ch, m in members.items() if n in m} for n in nodes}
+    on = {n: [ch for ch, m in members.items() if n in m] for n in nodes}
+
+    def shared(a: str, b: str) -> list[str]:
+        return [ch for ch in on[a] if ch in on[b]]  # in channel order
 
     def route(src: str, dst: str):
-        shared = on[src] & on[dst]
-        if shared and (not {src, dst} & inbody or {src, dst} & bridges):
-            return Direct(_first(shared))
+        both = shared(src, dst)
+        if both and (not {src, dst} & inbody or {src, dst} & bridges):
+            return Direct(both[0])
         for bridge in sorted(bridges - {src, dst}):
-            ingress, egress = on[bridge] & on[src], on[bridge] & on[dst]
+            ingress, egress = shared(src, bridge), shared(bridge, dst)
             if ingress and egress:
-                return ViaBridge(_first(ingress), bridge, _first(egress))
+                return ViaBridge(ingress[0], bridge, egress[0])
         return None
 
     return {(src, dst): route(src, dst)
@@ -61,23 +60,21 @@ class Bridge:
     """The relay on the bridge node: its radio on each bridged channel, a
     bounded store, and a pump that forwards one stored frame at a time."""
 
-    def __init__(self, network, node, channels: list[ChannelId],
-                 capacity: int):
+    def __init__(self, network, node, channels: list[str], capacity: int):
         self.network = network
         self.routes = network.scenario.routes
         self.node = node
         self.capacity = capacity
-        self.radios = {}  # ChannelId -> Radio
-        for cid in channels:
-            radio = next((r for r in node.radios.values() if r.channel == cid
+        self.radios = {}  # channel -> Radio
+        for ch in channels:
+            radio = next((r for r in node.radios.values() if r.channel == ch
                           and r.label not in ("wakeup_rx", "wakeup_tx")), None)
             if radio is None:  # the MAC does not listen here
-                key = network.scenario.channel_key(cid)
-                radio = node.add_radio(f"bridge:{key}", cid,
+                radio = node.add_radio(f"bridge:{ch}", ch,
                                        initial_state="listen")
                 radio.on_frame = self._on_frame
-            self.radios[cid] = radio
-        self.store: list[tuple[Mpdu, ChannelId]] = []
+            self.radios[ch] = radio
+        self.store: list[tuple[Mpdu, str]] = []
         self._current: Optional[Mpdu] = None
 
     def _on_frame(self, frame, tx) -> None:

@@ -1,4 +1,4 @@
-"""Bands, channels, path loss with shadowing, CCA, and delivery resolution.
+"""Channels, path loss with shadowing, CCA, and delivery resolution.
 
 Two link modes exist and are never composed: geometric mode (log-distance
 path loss, log-normal shadowing, capture-margin collisions) and empirical
@@ -21,20 +21,6 @@ MICROWAVE_PASS_PROBABILITY = 0.9685  # measured mean packet success, oven ON
 
 # Transmissions that ended this recently are still visible to CCA lookback.
 _RECENT_KEEP_US = 2_000
-
-
-class Band(Enum):
-    MICS_402_405 = "MICS_402_405"
-    ISM_2_4 = "ISM_2_4"
-    WMTS = "WMTS"
-    UWB = "UWB"
-
-
-class ChannelId(NamedTuple):
-    """A channel is the pair (frequency band, PHY technique tag)."""
-
-    band: Band
-    phy: int = 0
 
 
 class Position(NamedTuple):
@@ -167,7 +153,7 @@ class _ChannelState:
     __slots__ = ("channel", "radios", "by_node", "active", "recent", "rate",
                  "params")
 
-    def __init__(self, channel: ChannelId, rate: int, params: PathLossParams):
+    def __init__(self, channel: str, rate: int, params: PathLossParams):
         self.channel = channel
         self.radios: list = []
         self.by_node: dict[str, list] = {}
@@ -215,15 +201,15 @@ class Medium:
         self.sensitivity_dbm = cm["sensitivity_dbm"]
         self.min_distance_m = cm["min_distance_m"]
         self._chans = {
-            cid: _ChannelState(cid, scenario.channel_cfg[key]["data_rate_bps"],
+            key: _ChannelState(key, cc["data_rate_bps"],
                                scenario.pathloss.get(key, DEFAULT_PATHLOSS))
-            for key, cid in scenario.channels.items()}
+            for key, cc in scenario.channels.items()}
         self._links: dict[tuple, _Link] = {}  # (tx radio, rx radio) -> link
         self._intf_rngs: dict = {}  # rx radio -> its `intf:` stream
         self.data_collisions = 0
         self.tx_log: Optional[list] = [] if keep_tx_log else None
 
-    def airtime_ticks(self, nbytes: int, channel: ChannelId) -> SimTime:
+    def airtime_ticks(self, nbytes: int, channel: str) -> SimTime:
         return frame_airtime(nbytes, self._chans[channel].rate)
 
     def register_radio(self, radio) -> None:

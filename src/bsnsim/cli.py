@@ -117,11 +117,10 @@ def cmd_dump_routes(args) -> int:
     print("src,dst,route_kind,ingress,bridge,egress")
     for (src, dst), route in scenario.routes.items():
         if isinstance(route, Direct):
-            key = scenario.channel_key(route.channel)
-            print(f"{src},{dst},direct,{key},,{key}")
+            print(f"{src},{dst},direct,{route.channel},,{route.channel}")
         elif isinstance(route, ViaBridge):
-            print(f"{src},{dst},via_bridge,{scenario.channel_key(route.ingress)},"
-                  f"{route.bridge},{scenario.channel_key(route.egress)}")
+            print(f"{src},{dst},via_bridge,{route.ingress},{route.bridge},"
+                  f"{route.egress}")
         else:
             print(f"{src},{dst},no_route,,,")
     return 0

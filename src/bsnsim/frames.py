@@ -55,7 +55,7 @@ class Frame(NamedTuple):
     src: str
     link_dst: Optional[str]          # None = broadcast
     nbytes: int
-    mpdu: Optional[Mpdu] = None      # DATA frames only
+    mpdu: Optional[Mpdu] = None      # DATA: the frame; ACK: the frame acked
     info: Optional[dict] = None      # control frames that carry fields
 
     @classmethod
@@ -63,6 +63,5 @@ class Frame(NamedTuple):
         return cls(FrameKind.DATA, src, link_dst, mpdu.payload_bytes, mpdu)
 
     @classmethod
-    def ack(cls, src: str, link_dst: str, acked_seq: int, acked_src: str) -> "Frame":
-        return cls(FrameKind.ACK, src, link_dst, ACK_BYTES,
-                   info={"seq": acked_seq, "of": acked_src})
+    def ack(cls, src: str, link_dst: str, acked: Mpdu) -> "Frame":
+        return cls(FrameKind.ACK, src, link_dst, ACK_BYTES, acked)

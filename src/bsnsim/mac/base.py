@@ -30,9 +30,7 @@ def require_one_channel(scenario) -> None:
     whose devices follow the coordinator's beacons or preambles cannot serve
     them: they never hear one."""
     key = scenario.node(scenario.bnc).channel
-    home = scenario.channel_id(key)
-    strays = sorted(n.id for n in scenario.nodes
-                    if scenario.channel_id(n.channel) != home)
+    strays = sorted(n.id for n in scenario.nodes if n.channel != key)
     if strays:
         raise ValueError(f"nodes not on the coordinator's channel {key!r}: "
                          f"{', '.join(strays)}")
@@ -101,7 +99,7 @@ class MacBase:
         self.rng = sim.stream(f"mac:{node.node_id}")
         scenario = network.scenario
         self.queue = FrameQueue(scenario.queue_capacity)
-        self.channel = scenario.channel_id(scenario.node(node.node_id).channel)
+        self.channel = scenario.node(node.node_id).channel
         self.ack_wait = ack_wait_ticks(medium, self.channel)
         self.target = node.target
         self.in_service: Optional[Mpdu] = None
@@ -240,10 +238,8 @@ class MacBase:
             resend()
 
     def _on_ack(self, frame: Frame) -> None:
-        mpdu = self.in_service
-        if (mpdu is None or frame.link_dst != self.node.node_id
-                or frame.info.get("seq") != mpdu.seq
-                or frame.info.get("of") != mpdu.src):
+        if (frame.link_dst != self.node.node_id
+                or frame.mpdu is not self.in_service):
             return
         if self._ack_timer is not None:
             self.sim.cancel(self._ack_timer)
@@ -253,7 +249,7 @@ class MacBase:
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
         """Receiver side: switch rx for the turnaround, then transmit the ack
         within the session; each step waits while the radio transmits."""
-        ack = Frame.ack(self.node.node_id, to, mpdu.seq, mpdu.src)
+        ack = Frame.ack(self.node.node_id, to, mpdu)
 
         def _turnaround():
             radio.set_state("rx")

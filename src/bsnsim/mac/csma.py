@@ -26,20 +26,18 @@ class SuperframeConfig(NamedTuple):
     beacon_order: int
     superframe_order: int
     num_gts_slots: int
-    base_slot_ticks: int = BASE_SLOT_US
-    num_slots: int = NUM_SUPERFRAME_SLOTS
 
     @property
     def beacon_interval(self) -> SimTime:
-        return self.base_slot_ticks * self.num_slots * (1 << self.beacon_order)
+        return BASE_SLOT_US * NUM_SUPERFRAME_SLOTS * (1 << self.beacon_order)
 
     @property
     def active_duration(self) -> SimTime:
-        return self.base_slot_ticks * self.num_slots * (1 << self.superframe_order)
+        return self.slot_ticks * NUM_SUPERFRAME_SLOTS
 
     @property
     def slot_ticks(self) -> SimTime:
-        return self.base_slot_ticks * (1 << self.superframe_order)
+        return BASE_SLOT_US * (1 << self.superframe_order)
 
 
 class GtsDescriptor:
@@ -56,13 +54,13 @@ class GtsDescriptor:
 
 def gts_manage(requests, descriptors: list[GtsDescriptor],
                active_owners: set[str], *, num_gts_slots: int,
-               expiry_threshold: int = 4,
-               num_slots: int = NUM_SUPERFRAME_SLOTS) -> list[GtsDescriptor]:
+               expiry_threshold: int = 4) -> list[GtsDescriptor]:
     """Per-beacon GTS bookkeeping: expire idle descriptors, grant new ones.
 
     Each request is an owner id asking for one slot. Slots are allocated from
     the top of the active period downward; a request that does not fit is
-    denied (the node falls back to the CAP).
+    denied, and the device, which sends nothing in the CAP, asks again at
+    each beacon.
     """
     kept: list[GtsDescriptor] = []
     for d in descriptors:
@@ -81,8 +79,8 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
         if len(used) >= num_gts_slots:
             continue  # denied, not an error
         # every kept slot lies in the GTS range, so one of them is free
-        free = [s for s in range(num_slots - num_gts_slots, num_slots)
-                if s not in used]
+        free = [s for s in range(NUM_SUPERFRAME_SLOTS - num_gts_slots,
+                                 NUM_SUPERFRAME_SLOTS) if s not in used]
         slot = free[-1]
         used.add(slot)
         owners.add(owner)
@@ -120,7 +118,7 @@ class Beacon802154Mac(SlottedCsmaMac):
             num_gts_slots=out["num_gts_slots"])
         # a device wakes guard_us before each beacon, and it learns when the
         # next one is due only once the current one has ended
-        rate = scenario.channel_cfg[scenario.node(scenario.bnc).channel][
+        rate = scenario.channels[scenario.node(scenario.bnc).channel][
             "data_rate_bps"]
         latest = (out["superframe"].beacon_interval
                   - frame_airtime(BEACON_BYTES, rate))
@@ -169,13 +167,13 @@ class Beacon802154Mac(SlottedCsmaMac):
         self.descriptors = gts_manage(
             self.gts_requests, self.descriptors, self._gts_activity,
             num_gts_slots=self.sf.num_gts_slots,
-            expiry_threshold=self.gts_expiry, num_slots=self.sf.num_slots)
+            expiry_threshold=self.gts_expiry)
         self.gts_requests = []
         self._gts_activity = set()
         sd_start = self.sim.now
         gts_slots_used = sorted(s for d in self.descriptors for s in d.slots)
         cap_slots = (min(gts_slots_used) if gts_slots_used
-                     else self.sf.num_slots)
+                     else NUM_SUPERFRAME_SLOTS)
         cap_end = sd_start + cap_slots * self.sf.slot_ticks
         self._gts_region_start = cap_end
         info = {

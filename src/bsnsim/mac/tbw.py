@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..channel import ChannelId
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
@@ -57,32 +56,29 @@ class TbwMac(MacBase):
         self.max_tries = settings["wakeup_max_tries"]
         self.retry_limit = settings["retry_limit"]
         scenario = network.scenario
-        self.wakeup_channel: ChannelId = scenario.channel_id(
-            scenario.wakeup_channel)
-        self.node_channels: dict[str, ChannelId] = {
-            n.id: scenario.channel_id(n.channel) for n in scenario.nodes
-            if n.id != scenario.bnc}
+        self.node_channels: dict[str, str] = {
+            n.id: n.channel for n in scenario.nodes if n.id != scenario.bnc}
         if self.is_coordinator:
             self.table: list[WakeupEntry] = scenario.wakeup_table
-            self.data_radios: dict[ChannelId, object] = {}
+            self.data_radios: dict[str, object] = {}
             # a grant holds its radio for the device's retry wait, or for the
             # granted exchange of an MTU frame with every retry if longer
-            self._grant_hold: dict[ChannelId, SimTime] = {}
-            for ch in sorted({*self.node_channels.values()},
-                             key=lambda c: (c.band.value, c.phy)):
-                radio = node.add_radio(f"data:{ch.band.value}:{ch.phy}", ch,
+            self._grant_hold: dict[str, SimTime] = {}
+            for ch, cc in scenario.channels.items():  # in (band, phy) order
+                if ch not in self.node_channels.values():
+                    continue
+                radio = node.add_radio(f"data:{cc['band']}:{cc['phy']}", ch,
                                        initial_state="listen" if self.always_on
                                        else "sleep")
                 radio.on_frame = self._on_frame
                 self.data_radios[ch] = radio
-                mtu = scenario.channel_cfg[scenario.channel_key(ch)]["mtu_bytes"]
-                attempt = (medium.airtime_ticks(mtu, ch)
+                attempt = (medium.airtime_ticks(cc["mtu_bytes"], ch)
                            + ack_wait_ticks(medium, ch))
                 self._grant_hold[ch] = max(
                     self.retry_timeout, medium.airtime_ticks(GRANT_BYTES, ch)
                     + (self.retry_limit + 1) * attempt)
             # holds keep a data radio awake outside the windows
-            self._holds: dict[ChannelId, int] = {ch: 0 for ch in self.data_radios}
+            self._holds: dict[str, int] = {ch: 0 for ch in self.data_radios}
         else:
             self.radio = node.add_radio("data", self.channel)
             self.radio.on_frame = self._on_frame
@@ -99,9 +95,9 @@ class TbwMac(MacBase):
             # the waits a beacon, a grant and a poll answer, each armed
             # before its frame can arrive
             self._beacon_timeout = self._grant_timeout = self._poll_timeout = None
-        self.wakeup_rx = node.add_wakeup_receiver(self.wakeup_channel)
+        self.wakeup_rx = node.add_wakeup_receiver(scenario.wakeup_channel)
         self.wakeup_rx.on_frame = self._on_wakeup_signal
-        self.wakeup_tx = node.add_radio("wakeup_tx", self.wakeup_channel)
+        self.wakeup_tx = node.add_radio("wakeup_tx", scenario.wakeup_channel)
 
     # ------------------------------------------------------------------ #
     # lifecycle                                                          #
@@ -162,17 +158,17 @@ class TbwMac(MacBase):
         self.at(next_occurrence(entry.offset, entry.period, self.sim.now - 1),
                 "window_beacon", fire)
 
-    def _acquire(self, channel: ChannelId) -> None:
+    def _acquire(self, channel: str) -> None:
         self._holds[channel] += 1
         radio = self.data_radios[channel]
         if radio.state == "sleep":
             radio.set_state("listen")
 
-    def _release(self, channel: ChannelId) -> None:
+    def _release(self, channel: str) -> None:
         self._holds[channel] -= 1
         self._sleep_if_idle(channel)
 
-    def _sleep_if_idle(self, channel: ChannelId) -> None:
+    def _sleep_if_idle(self, channel: str) -> None:
         """Sleep the channel's listening data radio unless a hold is on it or
         a guarded window of the table is open."""
         radio = self.data_radios[channel]

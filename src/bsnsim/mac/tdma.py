@@ -64,7 +64,7 @@ class PbTdmaMac(MacBase):
             raise ValueError(f"assignment names non-devices "
                              f"{sorted(strangers)}")
         slot = ticks_from_seconds(out["slot_ms"] / 1000.0)
-        rate = scenario.channel_cfg[devices[0].channel]["data_rate_bps"]
+        rate = scenario.channels[devices[0].channel]["data_rate_bps"]
         need = TURNAROUND_US + frame_airtime(128, rate)
         if slot < need:
             raise ValueError(f"TDMA slot {slot} us cannot fit a frame "

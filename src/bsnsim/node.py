@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .channel import ChannelId, Medium, Position
+from .channel import Medium, Position
 from .core import Event, SimTime, Simulator
 
 J_PER_MW_TICK = 1e-9  # 1 mW for 1 us
@@ -41,7 +41,7 @@ class Radio:
                  "chan_state", "nid", "key", "_waiting")
 
     def __init__(self, sim: Simulator, medium: Medium, node: "Node", label: str,
-                 channel: ChannelId, power_mw: dict[str, float],
+                 channel: str, power_mw: dict[str, float],
                  initial_state: str = "sleep"):
         self.sim = sim
         self.medium = medium
@@ -175,12 +175,12 @@ class Node:
         self._death_event: Optional[Event] = None
         self.mac = None
 
-    def add_radio(self, label: str, channel: ChannelId,
+    def add_radio(self, label: str, channel: str,
                   initial_state: str = "sleep") -> Radio:
         return self._attach(Radio(self.sim, self.medium, self, label, channel,
                                   self.profile.state_mw(), initial_state))
 
-    def add_wakeup_receiver(self, channel: ChannelId) -> Radio:
+    def add_wakeup_receiver(self, channel: str) -> Radio:
         """Ultra-low-power always-on receiver with its own timeline."""
         power = {"sleep": 0.0, "listen": self.profile.wakeup_rx_uw / 1000.0,
                  "rx": self.profile.wakeup_rx_uw / 1000.0, "tx": 0.0}

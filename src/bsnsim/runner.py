@@ -98,10 +98,9 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
             network.coordinator_mac = mac
 
     if scenario.bridge is not None:
-        network.bridge = Bridge(
-            network, network.nodes[scenario.bridge["node"]],
-            [scenario.channel_id(k) for k in scenario.bridge["interfaces"]],
-            scenario.bridge["store_capacity"])
+        bridge = scenario.bridge
+        network.bridge = Bridge(network, network.nodes[bridge["node"]],
+                                bridge["interfaces"], bridge["store_capacity"])
 
     for mac in macs:
         mac.start()

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .bridging import resolve_routes
 from .channel import (DEFAULT_MIN_DISTANCE_M, DEFAULT_PATHLOSS,
-                      MICROWAVE_PASS_PROBABILITY, Band, ChannelId, LinkMatrix,
+                      MICROWAVE_PASS_PROBABILITY, LinkMatrix,
                       PathLossParams, Position)
 from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS, mac_class
@@ -52,8 +52,7 @@ class Scenario:
     horizon: SimTime
     replications: int
     seed_base: int
-    channels: dict[str, ChannelId]
-    channel_cfg: dict[str, dict]
+    channels: dict[str, dict]  # key -> its section, in (band, phy) order
     wakeup_channel: Optional[str]
     channel_model: dict
     pathloss: dict[str, PathLossParams]
@@ -80,15 +79,6 @@ class Scenario:
             if n.id == node_id:
                 return n
         raise KeyError(node_id)
-
-    def channel_id(self, key: str) -> ChannelId:
-        return self.channels[key]
-
-    def channel_key(self, cid: ChannelId) -> str:
-        for key, val in self.channels.items():
-            if val == cid:
-                return key
-        raise KeyError(cid)
 
     def protocol_params(self, name: str) -> dict:
         """A copy of `protocols.<name>` as loaded, or its table's defaults."""
@@ -148,7 +138,8 @@ _CLASSES = tuple(c.value for c in TrafficClass)
 _GENERATED_CLASSES = tuple(c.value for c in (*NORMAL_CLASSES,
                                              TrafficClass.EMERGENCY))
 
-CHANNEL_FIELDS = {"band": (tuple(b.value for b in Band), ..., None),
+_BANDS = ("MICS_402_405", "ISM_2_4", "WMTS", "UWB")
+CHANNEL_FIELDS = {"band": (_BANDS, ..., None),
                   "phy": (int, 0, 0), "data_rate_bps": (int, 250_000, 1),
                   "mtu_bytes": (int, 128, 1)}
 PATHLOSS_FIELDS = {  # d0 > 0 is checked in _build
@@ -272,15 +263,15 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     norm = _fields(raw, "", SCENARIO_FIELDS)
 
     # channels and channel model ---------------------------------------------
-    channel_cfg = norm["channels"]
-    channels: dict[str, ChannelId] = {}
-    for key, cc in channel_cfg.items():
-        cid = ChannelId(Band(cc["band"]), cc["phy"])
-        for other, seen in channels.items():
-            if seen == cid:  # the medium would merge the two into one
-                raise ScenarioError(f"channels.{key}: same band and phy as "
-                                    f"{other!r}")
-        channels[key] = cid
+    # a channel is its key; routes and radios take channels in this order
+    channels = dict(sorted(norm["channels"].items(),
+                           key=lambda kv: (kv[1]["band"], kv[1]["phy"])))
+    seen: dict[tuple, str] = {}  # (band, phy) -> the first key declaring it
+    for key, cc in norm["channels"].items():
+        other = seen.setdefault((cc["band"], cc["phy"]), key)
+        if other != key:  # the medium would merge the two into one
+            raise ScenarioError(f"channels.{key}: same band and phy as "
+                                f"{other!r}")
     if norm["wakeup_channel"] is not None:
         _known(norm["wakeup_channel"], channels, "wakeup_channel", "channel key")
     cm = norm["channel_model"]
@@ -349,6 +340,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
                             "'bnc' matching the bnc field")
 
     # traffic, protocols, wakeup table, on demand ------------------------------
+    channel_of = {n.id: n.channel for n in nodes}
     traffic: list[TrafficSpec] = []
     for i, tt in enumerate(norm["traffic"]):
         path = f"traffic[{i}]"
@@ -360,6 +352,10 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         if cls in NORMAL_CLASSES and tt["period_s"] is None:
             raise ScenarioError(f"{path}.period_s: required for class "
                                 f"{cls.value}")
+        mtu = channels[channel_of[tt["node"]]]["mtu_bytes"]
+        if tt["payload_bytes"] > mtu:
+            raise ScenarioError(f"{path}.payload_bytes: {tt['payload_bytes']} "
+                                f"is above the mtu_bytes {mtu} of its channel")
         traffic.append(TrafficSpec(
             node=tt["node"], cls=cls, payload_bytes=tt["payload_bytes"],
             period=(ticks_from_seconds(tt["period_s"])
@@ -407,10 +403,10 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         ifaces = bridge["interfaces"]
         for k in ifaces:
             _known(k, channels, "bridge.interfaces", "channel")
-        if len({channels[k] for k in ifaces}) < 2:
+        if len(set(ifaces)) < 2:
             raise ScenarioError("bridge.interfaces: bridge requires two or "
                                 "more distinct channel interfaces")
-        if len({channel_cfg[k]["mtu_bytes"] for k in ifaces}) > 1:
+        if len({channels[k]["mtu_bytes"] for k in ifaces}) > 1:
             raise ScenarioError("bridge.interfaces: differing MTUs across "
                                 "bridged channels are not supported")
 
@@ -419,7 +415,8 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     radio_keys = {n.id: {n.channel} for n in nodes}
     if bridge is not None:
         radio_keys[bridge["node"]].update(bridge["interfaces"])
-    members: dict[ChannelId, set[str]] = {}  # channel -> the nodes mapped on it
+    # channel -> the nodes mapped on it, in channel order
+    members: dict[str, set[str]] = {key: set() for key in channels}
     connection_ids = set()
     for i, rr in enumerate(norm["channel_map"]):
         path = f"channel_map[{i}]"
@@ -450,7 +447,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             if rr["channel"] not in radio_keys[m]:
                 raise ScenarioError(f"{path}.nodes: {m!r} has no radio on "
                                     f"{rr['channel']!r}")
-        members.setdefault(channels[rr["channel"]], set()).update(rr["nodes"])
+        members[rr["channel"]].update(rr["nodes"])
     routes = (resolve_routes(members, [n.id for n in nodes], inbody, bridge_ids)
               if norm["channel_map"] else {})
 
@@ -472,7 +469,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         name=norm["name"], description=norm["description"],
         horizon=ticks_from_seconds(norm["horizon_s"]),
         replications=norm["replications"], seed_base=norm["seed_base"],
-        channels=channels, channel_cfg=channel_cfg,
+        channels=channels,
         wakeup_channel=norm["wakeup_channel"], channel_model=cm,
         pathloss=pathloss, power_profiles=profiles,
         protocol_profiles=norm["protocol_profiles"], nodes=nodes, bnc=bnc,

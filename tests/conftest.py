@@ -158,12 +158,11 @@ def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
                              "shadow_sigma": 0.0}},
         "interference": interference}})
     medium = Medium(Simulator(master_seed=seed), scenario)
-    ism = scenario.channel_id("ism")
     radios = {}
     for spec in scenario.nodes:
         node = Node(medium.sim, medium, spec.id, position=spec.position,
                     profile=scenario.power_profiles["nrf2401"], initial_j=None)
-        radios[spec.id] = node.add_radio("data", ism, initial_state="listen")
+        radios[spec.id] = node.add_radio("data", "ism", initial_state="listen")
     frame = Frame(FrameKind.DATA, "n1", "bnc", 128)
     outcomes = []
 
@@ -173,7 +172,7 @@ def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
         if len(outcomes) < n:
             medium.begin_tx(radios["n1"], frame, -5.0, on_result=send)
     send()
-    medium.sim.run(n * medium.airtime_ticks(128, ism))
+    medium.sim.run(n * medium.airtime_ticks(128, "ism"))
     return outcomes
 
 

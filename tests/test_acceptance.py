@@ -138,7 +138,7 @@ def test_05_tdma_collision_freedom():
 
 def test_06_cca_blindness():
     scenario = load_scenario("tbw_emergency")
-    mics = scenario.channel_id("mics")
+    mics = "mics"
     params = PathLossParams(pl_d0=46.0, d0=0.05, exponent=2.0, shadow_sigma=0.0)
     loss_3m = path_loss_db(3.0, params)
     assert loss_3m >= 81.0

@@ -61,9 +61,8 @@ def test_inbody_peer_frames_relayed_on_same_channel():
     net, delivered = _run_capture(sc, seed=23)
     peer = [m for m in delivered if m.src == "imp2" and m.dst == "imp1"]
     assert peer
-    mics = sc.channel_id("mics")
     for mpdu in peer:
-        assert mpdu.hop_trace == [("bnc", mics)]
+        assert mpdu.hop_trace == [("bnc", "mics")]
 
 
 def test_retransmitted_frame_is_relayed_once():
@@ -117,7 +116,7 @@ def test_a_tbw_device_acks_a_relayed_frame_on_its_data_radio():
                and result is DeliveryOutcome.DELIVERED]
     acks = [start for start, _end, ch, nid, kind, dst, _result in log
             if nid == "imp1" and kind is FrameKind.ACK and dst == "bnc"
-            and ch == sc.channel_id("mics")]
+            and ch == "mics"]
     assert net.metrics.counts[TrafficClass.NORMAL_LOW].delivered == 5
     assert acks == [end + TURNAROUND_US for end in relayed] != []
 
@@ -145,7 +144,7 @@ def test_store_overflow_drops_and_counts():
     sc = load_scenario("bridge_inbody")
     sc.bridge["store_capacity"] = 4
     # egress channel four times slower than the ingress arrival rate
-    sc.channel_cfg["ism"]["data_rate_bps"] = 62_500
+    sc.channels["ism"]["data_rate_bps"] = 62_500
     sc.traffic = [t._replace(period=4500) for t in sc.traffic
                   if t.node == "imp1"]
     sc.horizon = ticks_from_seconds(5.0)

@@ -3,15 +3,13 @@
 import pytest
 
 from bsnsim.bridging import Direct, ViaBridge
-from bsnsim.channel import Band, ChannelId
 from bsnsim.core import ticks_from_seconds
 from bsnsim.runner import build_network
 from bsnsim.scenario import ScenarioError, load_scenario
 from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
 
-MICS = ChannelId(Band.MICS_402_405, 0)
-ISM = ChannelId(Band.ISM_2_4, 0)
+MICS, ISM = "mics", "ism"  # the channel keys of `BSN`
 
 
 def _node(node_id, kind, channel, x):
@@ -64,6 +62,12 @@ def test_inbody_peers_relayed_even_on_shared_channel():
     assert _routes()[("imp1", "imp2")] == ViaBridge(MICS, "bnc", MICS)
 
 
+def test_routes_do_not_follow_the_channel_listing():
+    swapped = dict(reversed(BSN["channels"].items()))
+    assert list(swapped) == ["ism", "mics"]
+    assert _routes(channels=swapped) == _routes()
+
+
 def test_no_route_without_shared_infrastructure():
     routes = _routes(
         nodes=[_node("bnc", "bnc", "mics", 0.0),
@@ -94,11 +98,6 @@ def test_duplicate_connection_id_rejected():
         _routes(channel_map=[
             _record(1, "ism", ["chest", "bnc"], "chest", "bnc"),
             _record(1, "ism", ["ankle", "ankle", "bnc"], "ankle", "bnc")])
-
-
-def test_channel_id_equality_is_the_pair():
-    assert ChannelId(Band.ISM_2_4, 1) != ChannelId(Band.ISM_2_4, 2)
-    assert ChannelId(Band.ISM_2_4, 1) == ChannelId(Band.ISM_2_4, 1)
 
 
 # The relay -------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsnsim.channel import (DEFAULT_PATHLOSS, MICROWAVE_PASS_PROBABILITY,
-                            Band, ChannelId, DeliveryOutcome, LinkMatrix,
-                            Medium, PathLossParams, Position, rx_power_dbm)
+                            DeliveryOutcome, LinkMatrix, Medium,
+                            PathLossParams, Position, rx_power_dbm)
 from bsnsim.core import Simulator, substream_seed
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
@@ -62,8 +62,7 @@ def test_rx_power_arithmetic():
 
 IN_BODY = PathLossParams(pl_d0=46.0, d0=0.05, exponent=2.0, shadow_sigma=0.0)
 FLAT = PathLossParams(pl_d0=40.0, d0=0.1, exponent=2.0, shadow_sigma=0.0)
-MICS = ChannelId(Band.MICS_402_405, 0)
-ISM = ChannelId(Band.ISM_2_4, 0)
+MICS, ISM = "mics", "ism"  # the channel keys of `_medium`
 PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
                        tx_mw=30.0)
 
@@ -277,8 +276,7 @@ def test_each_channel_takes_its_own_rate_and_path_loss():
     medium = _medium({"ism": FLAT}, rates=(250_000, 1_000_000))
     sent = []
     for channel in (ISM, MICS):
-        radio = _radio(medium, f"tx-{channel.band.value}", 0.0,
-                       channel=channel)
+        radio = _radio(medium, f"tx-{channel}", 0.0, channel=channel)
         sent.append(medium.begin_tx(radio, Frame(FrameKind.DATA, radio.nid,
                                                  None, 128), -5.0))
     assert [tx.end - tx.start for tx in sent] == [4096, 1024]

@@ -257,9 +257,11 @@ WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
      "traffic[0].class: 'OnDemandContinuous' is not one of"),
     (lambda raw: raw.update(wakeup_table=[dict(WINDOW, window_ms=2500.0)]),
      "wakeup_table[0].window_ms: longer than period_s"),
+    (lambda raw: raw["traffic"][0].update(payload_bytes=600),
+     "traffic[0].payload_bytes: 600 is above the mtu_bytes 128 of its channel"),
 ], ids=["misspelt-key", "wrong-kind", "repeated-wakeup-entry",
         "wakeup-entry-for-the-bnc", "on-demand-traffic-class",
-        "window-longer-than-period"])
+        "window-longer-than-period", "payload-above-mtu"])
 def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
     edit(raw)

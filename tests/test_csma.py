@@ -6,7 +6,7 @@ import json
 import pytest
 
 from bsnsim.channel import Medium
-from bsnsim.frames import Frame, FrameKind
+from bsnsim.frames import Frame, FrameKind, Mpdu
 from bsnsim.mac.base import UNIT_BACKOFF_US
 from bsnsim.mac.csma import SuperframeConfig, gts_manage
 from bsnsim.runner import build_network, run_one
@@ -172,7 +172,9 @@ def test_wake_for_beacon_waits_for_the_frame_on_the_air():
     wake = BI_BO3 - 2000
     network.sim.schedule_at(wake - 100, "test_tx", "test",
                             lambda: network.medium.begin_tx(
-                                radio, Frame.ack("n1", "bnc", 0, "n1"), 0.0))
+                                radio, Frame.ack("n1", "bnc", Mpdu(
+                                    0, "n1", "bnc", TrafficClass.NORMAL_HIGH,
+                                    128, 0)), 0.0))
     network.sim.run(wake)
     assert radio.state == "tx"
     network.sim.run(wake + 1000)

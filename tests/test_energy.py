@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bsnsim.channel import Band, ChannelId, Medium
+from bsnsim.channel import Medium
 from bsnsim.core import Simulator
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
@@ -12,7 +12,7 @@ from tests.conftest import make_scenario
 POWER = {"sleep": 0.001, "listen": 54.0, "rx": 54.0, "tx": 30.0}
 PROFILE = PowerProfile(sleep_mw=0.001, idle_listen_mw=54.0, rx_mw=54.0,
                        tx_mw=30.0)
-ISM = ChannelId(Band.ISM_2_4, 0)
+ISM = "ism"
 SCENARIO = make_scenario({})  # one ism channel
 
 

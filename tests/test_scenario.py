@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from bsnsim.channel import Band, ChannelId
 from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.runner import build_network
 from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
@@ -64,11 +63,8 @@ def test_unknown_traffic_node_rejected():
 def test_a_node_or_channel_the_scenario_lacks_is_a_key_error():
     sc = make_scenario({})
     assert sc.node("n1").id == "n1"
-    assert sc.channel_key(sc.channel_id("ism")) == "ism"
     with pytest.raises(KeyError, match="ghost"):
         sc.node("ghost")
-    with pytest.raises(KeyError):
-        sc.channel_key(ChannelId(Band.UWB, 3))
 
 
 def test_co_located_nodes_rejected_in_geometric_mode():
@@ -400,6 +396,8 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
      "protocols.csma802154: GTS slots must leave room for the CAP"),
     ({"channel_model": {"mode": "empirical", "pathloss": PATHLOSS}},
      "channel_model.link_matrix_csv: required in empirical mode"),
+    (_flow("NormalLow", payload_bytes=600),
+     "traffic[0].payload_bytes: 600 is above the mtu_bytes 128 of its channel"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:

@@ -154,6 +154,29 @@ def test_window_past_the_table_period_keeps_the_next_window_awake():
         assert (cc.generated, cc.delivered, cc.dropped) == (60, 51, 0)
 
 
+def test_the_coordinators_data_radios_do_not_follow_the_channel_listing():
+    # n1 on mics and n2 on ism: the coordinator builds a data radio on each
+    # in (band, phy) order, whichever channel the scenario lists first
+    channels = {"mics": {"band": "MICS_402_405", "phy": 0},
+                "ism": {"band": "ISM_2_4", "phy": 0},
+                "wakeup": {"band": "ISM_2_4", "phy": 99}}
+    nodes = [
+        {"id": "bnc", "kind": "bnc", "channel": "ism", "pos": [0.5, 0.5],
+         "initial_j": None},
+        {"id": "n1", "kind": "onbody", "channel": "mics", "pos": [0.5, 0.8]},
+        {"id": "n2", "kind": "onbody", "channel": "ism", "pos": [0.3, 0.4]}]
+    built = []
+    for order in (("mics", "ism", "wakeup"), ("ism", "mics", "wakeup")):
+        sc = tbw_scenario(extra={"channels": {k: channels[k] for k in order}},
+                          nodes=nodes)
+        net, _macs = build_network(sc, "tbw", seed=1)
+        built.append((list(net.nodes["bnc"].radios),
+                      list(net.coordinator_mac.data_radios)))
+    assert built[0] == built[1] == (
+        ["data:ISM_2_4:0", "data:MICS_402_405:0", "wakeup_rx", "wakeup_tx"],
+        ["ism", "mics"])
+
+
 WAKEUP_ENTRY = st.fixed_dictionaries({
     "node": st.sampled_from(["bnc", "n1", "n2", "n3"]),  # n3 is no node
     "class": st.sampled_from(["NormalHigh", "NormalLow"]),
@@ -356,7 +379,7 @@ def test_a_poll_due_during_a_window_beacon_waits_for_it():
     assert (cc.generated, cc.delivered) == (1, 1)
     bnc = net.coordinator_mac
     assert set(bnc._holds.values()) == {0}
-    radio = bnc.data_radios[sc.channel_id("ism")]
+    radio = bnc.data_radios["ism"]
     net.nodes["bnc"].finalize()
     # six guarded windows plus the request, not the whole run from 2.5 s on
     assert radio.per_state_ticks["listen"] < 0.6 * S
