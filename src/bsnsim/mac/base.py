@@ -367,7 +367,7 @@ class SlottedCsmaMac(MacBase):
             self.at(window_start + UNIT_BACKOFF_US, "tx_start", self._transmit)
 
     def _transmit(self) -> None:
-        if self.radio.state != "tx":  # half-duplex skip: a CCA-won slot is not used late
+        if self.radio.state != "tx":  # a CCA-won slot is not used late
             self.send_acked(self._exchange_done, self._csma_begin)
 
     def _exchange_done(self, ok: bool, reason: str) -> None:

@@ -147,7 +147,7 @@ class TbwMac(MacBase):
     def _chain_beacon(self, entry: WakeupEntry) -> None:
         def fire():
             radio = self.radio_for(entry.node)
-            if radio.state != "tx":  # half-duplex skip: a late beacon is not sent
+            if radio.state != "tx":  # a late beacon is not sent
                 end = self.sim.now + entry.window
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
                                BEACON_BYTES, info={"window_end": end})
