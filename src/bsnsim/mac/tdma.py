@@ -64,8 +64,9 @@ class PbTdmaMac(MacBase):
             raise ValueError(f"assignment names non-devices "
                              f"{sorted(strangers)}")
         slot = ticks_from_seconds(out["slot_ms"] / 1000.0)
-        rate = scenario.channels[devices[0].channel]["data_rate_bps"]
-        need = TURNAROUND_US + frame_airtime(128, rate)
+        channel = scenario.channels[devices[0].channel]
+        need = TURNAROUND_US + frame_airtime(channel["mtu_bytes"],
+                                             channel["data_rate_bps"])
         if slot < need:
             raise ValueError(f"TDMA slot {slot} us cannot fit a frame "
                              f"({need} us)")

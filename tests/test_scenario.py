@@ -166,12 +166,17 @@ COORDINATOR_ONLY = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
 WAKEUP_CHANNEL = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
                                "wakeup": {"band": "ISM_2_4", "phy": 99}},
                   "wakeup_channel": "wakeup"}
+MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
+           "traffic": [{"node": "n1", "class": "NormalHigh",
+                        "payload_bytes": 255, "period_s": 0.5}]}
 
 
 @pytest.mark.parametrize("name, params, message", [
     ("csma802154", {"BO": 20}, "SO <= BO <= 14"),
     ("smac", {"listen_fraction": 0}, "listen_fraction"),
     ("pbtdma", {"slot_ms": 1.0}, "cannot fit a frame"),
+    # on MTU_255: a 255-byte frame takes 8160 us at 250 kb/s
+    ("pbtdma", {"slot_ms": 5.0}, "slot 5000 us cannot fit a frame (8352 us)"),
     ("smac", {"cycle_s": "fast"}, "cycle_s: 'fast' is not a number"),
     ("pbtdma", {"assignment": {"0": "n1", "1": "n1"}}, "at most one slot"),
     ("csma802154", {"retry_limit": "3"}, "retry_limit: '3' is not an integer"),
@@ -228,6 +233,7 @@ WAKEUP_CHANNEL = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
+            else MTU_255 if "(8352 us)" in message
             else WAKEUP_CHANNEL if name == "tbw" else {})
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
         make_scenario({**base, "protocols": {name: params}})
