@@ -76,7 +76,11 @@ def test_compare_emits_aggregate_and_report(tmp_path, capsys):
     assert any(row.startswith("pbtdma,pdr,all,") for row in agg)
     report = (tmp_path / "report.txt").read_text()
     assert "ordering:" in report
-    assert "pdr[all]:" in report
+    blocks = {b.split("\n", 1)[0]: b for b in report.split("\n\n")}
+    for row in agg[1:]:  # each statistic of the CSV row, under its protocol
+        protocol, metric, cls, mean, std, lo, hi, _ = row.split(",")
+        assert (f"  {metric}[{cls}]:\n    mean: {mean}\n    std: {std}\n"
+                f"    min: {lo}\n    max: {hi}") in blocks[f"protocol: {protocol}"]
 
 
 BRIDGE_INBODY_ROUTES = [
@@ -124,7 +128,7 @@ def test_dump_routes_csv(tmp_path, capsys):
     assert [r for r in out if "wrist" not in r] == BRIDGE_INBODY_ROUTES
 
 
-def test_trace_determinism_byte_identical(tmp_path):
+def test_trace_determinism_byte_identical(tmp_path, capsys):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
@@ -132,6 +136,9 @@ def test_trace_determinism_byte_identical(tmp_path):
                    "--protocol", "csma802154", "--seed", "7",
                    "--until", "3", "--out", str(out)])
         assert rc == 0
+        trace = out / "trace_csma802154_7.txt"
+        lines = len(trace.read_text().splitlines())  # one per dispatch
+        assert capsys.readouterr().out == f"wrote {trace} ({lines} dispatches)\n"
     t1 = (out1 / "trace_csma802154_7.txt").read_bytes()
     t2 = (out2 / "trace_csma802154_7.txt").read_bytes()
     assert t1 == t2

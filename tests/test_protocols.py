@@ -209,6 +209,7 @@ def test_pbtdma_throughput_capped_at_one_frame_per_round():
     rounds = sc.horizon // net.nodes["n1"].mac.schedule.round_ticks
     assert cc.delivered <= rounds + 1
     assert cc.dropped > 0  # queue overflow under 100 frames/s offered
+    assert len(net.nodes["n1"].mac.queue) == 16  # full at the default capacity
 
 
 def test_pbtdma_slot_with_an_empty_queue_sleeps_the_radio():
