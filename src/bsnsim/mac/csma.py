@@ -158,7 +158,6 @@ class Beacon802154Mac(SlottedCsmaMac):
         if self.is_coordinator:
             self.node.at(0, "beacon_prep", self._coord_beacon)
         else:
-            self._next_beacon_at = 0
             self.node.at(0, "wake_beacon", self._wake_for_beacon)
 
     # -- coordinator --------------------------------------------------------
