@@ -30,17 +30,18 @@ def resolve_routes(members: dict[str, set[str]], nodes: list[str],
     """The route of every ordered pair of distinct `nodes`, given each
     channel's `members`: `Direct`, `ViaBridge` or None.
 
-    Channels are taken in the order of `members`, the scenario's `(band,
-    phy)` order, and bridges in id order. A pair is direct on its first
-    shared channel when neither end is in-body, or when one end is itself a
-    bridge: the relay collapses to the single hop into or out of the bridge
-    (in-body nodes legitimately hold records to bridge nodes). Otherwise it
-    goes through the first bridge that shares a channel with each end.
+    A pair is direct on the channel it shares when neither end is in-body,
+    or when one end is itself a bridge: the relay collapses to the single
+    hop into or out of the bridge (in-body nodes legitimately hold records
+    to bridge nodes). Otherwise it goes through the bridge that shares a
+    channel with each end. The loader allows one bridge, and a node off the
+    bridge is on one channel, so no order of channels or bridges decides a
+    route.
     """
     on = {n: [ch for ch, m in members.items() if n in m] for n in nodes}
 
     def shared(a: str, b: str) -> list[str]:
-        return [ch for ch in on[a] if ch in on[b]]  # in channel order
+        return [ch for ch in on[a] if ch in on[b]]
 
     def route(src: str, dst: str):
         both = shared(src, dst)

@@ -415,7 +415,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     radio_keys = {n.id: {n.channel} for n in nodes}
     if bridge is not None:
         radio_keys[bridge["node"]].update(bridge["interfaces"])
-    # channel -> the nodes mapped on it, in channel order
+    # channel -> the nodes mapped on it
     members: dict[str, set[str]] = {key: set() for key in channels}
     connection_ids = set()
     for i, rr in enumerate(norm["channel_map"]):
