@@ -175,8 +175,6 @@ MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
     ("csma802154", {"BO": 20}, "SO <= BO <= 14"),
     ("smac", {"listen_fraction": 0}, "listen_fraction"),
     ("pbtdma", {"slot_ms": 1.0}, "cannot fit a frame"),
-    # on MTU_255: a 255-byte frame takes 8160 us at 250 kb/s
-    ("pbtdma", {"slot_ms": 5.0}, "slot 5000 us cannot fit a frame (8352 us)"),
     ("smac", {"cycle_s": "fast"}, "cycle_s: 'fast' is not a number"),
     ("pbtdma", {"assignment": {"0": "n1", "1": "n1"}}, "at most one slot"),
     ("csma802154", {"retry_limit": "3"}, "retry_limit: '3' is not an integer"),
@@ -230,6 +228,8 @@ MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
     # a wake due before the last beacon has ended: 983040 us less 544 us
     ("csma802154", {"guard_us": 982497},
      "protocols.csma802154: guard_us 982497 must be at most 982496 us"),
+    # on MTU_255: a 255-byte frame takes 8160 us at 250 kb/s
+    ("pbtdma", {"slot_ms": 5.0}, "slot 5000 us cannot fit a frame (8352 us)"),
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
