@@ -8,7 +8,7 @@ Guaranteed slots expire after a configurable number of idle superframes.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..channel import frame_airtime
 from ..core import SimTime
@@ -20,35 +20,14 @@ BASE_SLOT_US = 960         # one superframe slot at SO=0
 NUM_SUPERFRAME_SLOTS = 16
 
 
-class SuperframeConfig(NamedTuple):
-    """Beacon-enabled superframe shape; `Beacon802154Mac.settings` checks it."""
-
-    beacon_order: int
-    superframe_order: int
-    num_gts_slots: int
-
-    @property
-    def beacon_interval(self) -> SimTime:
-        return BASE_SLOT_US * NUM_SUPERFRAME_SLOTS * (1 << self.beacon_order)
-
-    @property
-    def active_duration(self) -> SimTime:
-        return self.slot_ticks * NUM_SUPERFRAME_SLOTS
-
-    @property
-    def slot_ticks(self) -> SimTime:
-        return BASE_SLOT_US * (1 << self.superframe_order)
-
-
 class GtsDescriptor:
-    """A granted slot region and its inactivity countdown."""
+    """A granted slot and its inactivity countdown."""
 
-    __slots__ = ("owner", "slots", "inactivity_countdown")
+    __slots__ = ("owner", "slot", "inactivity_countdown")
 
-    def __init__(self, owner: str, slots: tuple[int, ...],
-                 inactivity_countdown: int):
+    def __init__(self, owner: str, slot: int, inactivity_countdown: int):
         self.owner = owner
-        self.slots = slots
+        self.slot = slot
         self.inactivity_countdown = inactivity_countdown
 
 
@@ -71,7 +50,7 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
             d.inactivity_countdown -= 1
             if d.inactivity_countdown > 0:
                 kept.append(d)
-    used = {s for d in kept for s in d.slots}
+    used = {d.slot for d in kept}
     owners = {d.owner for d in kept}
     for owner in requests:
         if owner in owners:
@@ -84,7 +63,7 @@ def gts_manage(requests, descriptors: list[GtsDescriptor],
         slot = free[-1]
         used.add(slot)
         owners.add(owner)
-        kept.append(GtsDescriptor(owner=owner, slots=(slot,),
+        kept.append(GtsDescriptor(owner=owner, slot=slot,
                                   inactivity_countdown=expiry_threshold))
     return kept
 
@@ -113,15 +92,13 @@ class Beacon802154Mac(SlottedCsmaMac):
             raise ValueError("need 0 <= SO <= BO <= 14")
         if out["num_gts_slots"] >= NUM_SUPERFRAME_SLOTS:
             raise ValueError("GTS slots must leave room for the CAP")
-        out["superframe"] = SuperframeConfig(
-            beacon_order=out["BO"], superframe_order=out["SO"],
-            num_gts_slots=out["num_gts_slots"])
+        out["slot_ticks"] = BASE_SLOT_US << out["SO"]
+        out["beacon_interval"] = BASE_SLOT_US * NUM_SUPERFRAME_SLOTS << out["BO"]
         # a device wakes guard_us before each beacon, and it learns when the
         # next one is due only once the current one has ended
         rate = scenario.channels[scenario.node(scenario.bnc).channel][
             "data_rate_bps"]
-        latest = (out["superframe"].beacon_interval
-                  - frame_airtime(BEACON_BYTES, rate))
+        latest = out["beacon_interval"] - frame_airtime(BEACON_BYTES, rate)
         if out["guard_us"] > latest:
             raise ValueError(f"guard_us {out['guard_us']} must be at most "
                              f"{latest} us, the beacon interval less the "
@@ -130,7 +107,10 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
-        self.sf = settings["superframe"]
+        self.slot_ticks = settings["slot_ticks"]
+        self.active_ticks = NUM_SUPERFRAME_SLOTS * self.slot_ticks
+        self.beacon_interval = settings["beacon_interval"]
+        self.num_gts_slots = settings["num_gts_slots"]
         # channel access fails once NB exceeds macMaxCSMABackoffs
         self.busy_limit = settings["macMaxCSMABackoffs"] + 1
         self.guard_us = settings["guard_us"]
@@ -145,7 +125,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         self._synced = False
         self._next_beacon_at: SimTime = 0
         self._beacon_timeout = None
-        self._my_gts: Optional[tuple[int, ...]] = None
+        self._my_gts: Optional[int] = None
         # coordinator state
         self.gts_requests: list[str] = []
         self.descriptors: list[GtsDescriptor] = []
@@ -165,30 +145,29 @@ class Beacon802154Mac(SlottedCsmaMac):
     def _coord_beacon(self) -> None:
         self.descriptors = gts_manage(
             self.gts_requests, self.descriptors, self._gts_activity,
-            num_gts_slots=self.sf.num_gts_slots,
+            num_gts_slots=self.num_gts_slots,
             expiry_threshold=self.gts_expiry)
         self.gts_requests = []
         self._gts_activity = set()
         sd_start = self.sim.now
-        gts_slots_used = sorted(s for d in self.descriptors for s in d.slots)
-        cap_slots = (min(gts_slots_used) if gts_slots_used
-                     else NUM_SUPERFRAME_SLOTS)
-        cap_end = sd_start + cap_slots * self.sf.slot_ticks
+        cap_slots = min((d.slot for d in self.descriptors),
+                        default=NUM_SUPERFRAME_SLOTS)
+        cap_end = sd_start + cap_slots * self.slot_ticks
         self._gts_region_start = cap_end
         info = {
             "sd_start": sd_start,
             "cap_end": cap_end,
-            "gts": {d.owner: d.slots for d in self.descriptors},
+            "gts": {d.owner: d.slot for d in self.descriptors},
         }
         beacon = Frame(FrameKind.BEACON, self.node.node_id, None, BEACON_BYTES,
                        info=info)
         self.medium.begin_tx(self.radio, beacon, self.node.tx_power_dbm)
-        if self.sf.superframe_order < self.sf.beacon_order:
-            self.node.at(sd_start + self.sf.active_duration, "coord_sleep",
+        if self.active_ticks < self.beacon_interval:
+            self.node.at(sd_start + self.active_ticks, "coord_sleep",
                          lambda: self.radio.set_state("sleep"))
-            self.node.at(sd_start + self.sf.beacon_interval - TURNAROUND_US,
+            self.node.at(sd_start + self.beacon_interval - TURNAROUND_US,
                          "coord_wake", lambda: self.radio.set_state("listen"))
-        self.node.at(sd_start + self.sf.beacon_interval, "beacon_prep",
+        self.node.at(sd_start + self.beacon_interval, "beacon_prep",
                      self._coord_beacon)
 
     def request_gts(self, owner: str) -> None:
@@ -213,7 +192,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _sleep_until_next_beacon(self) -> None:
         self.radio.set_state("sleep")
-        self._next_beacon_at += self.sf.beacon_interval
+        self._next_beacon_at += self.beacon_interval
         wake_at = max(self.sim.now, self._next_beacon_at - self.guard_us)
         self.node.at(wake_at, "wake_beacon", self._wake_for_beacon)
 
@@ -225,16 +204,16 @@ class Beacon802154Mac(SlottedCsmaMac):
         self._synced = True
         self._access_start = self.sim.now
         self._access_end = info["cap_end"]
-        self._next_beacon_at = info["sd_start"] + self.sf.beacon_interval
+        self._next_beacon_at = info["sd_start"] + self.beacon_interval
         self._my_gts = info["gts"].get(self.node.node_id)
         self.node.at(self._next_beacon_at - self.guard_us, "wake_beacon",
                      self._wake_for_beacon)
         if self.gts_enabled:
             has_traffic = len(self.queue) or self.in_service is not None
-            if self._my_gts and has_traffic:
+            if self._my_gts is not None and has_traffic:
                 self._schedule_gts_tx(info["sd_start"])
             else:
-                if has_traffic and not self._my_gts:
+                if has_traffic:
                     self.network.coordinator_mac.request_gts(self.node.node_id)
                 self.radio.set_state("sleep")
             return
@@ -245,7 +224,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _on_enqueued(self, mpdu: Mpdu) -> None:
         if self.gts_enabled:
-            if not self._my_gts:
+            if self._my_gts is None:
                 self.network.coordinator_mac.request_gts(self.node.node_id)
             return
         if (self._synced and self.in_service is None
@@ -269,14 +248,13 @@ class Beacon802154Mac(SlottedCsmaMac):
         self.in_service = None
         self._start_service()
 
-    # GTS transmission: one unacknowledged frame per owned slot.
+    # GTS transmission: one unacknowledged frame in the owned slot.
 
     def _schedule_gts_tx(self, sd_start: SimTime) -> None:
         self.radio.set_state("sleep")
-        for slot in self._my_gts:
-            slot_start = sd_start + slot * self.sf.slot_ticks
-            if slot_start - TURNAROUND_US > self.sim.now:
-                self.send_in_slot(slot_start - TURNAROUND_US, slot_start, "gts")
+        slot_start = sd_start + self._my_gts * self.slot_ticks
+        if slot_start - TURNAROUND_US > self.sim.now:
+            self.send_in_slot(slot_start - TURNAROUND_US, slot_start, "gts")
 
     # -- reception ----------------------------------------------------------
 

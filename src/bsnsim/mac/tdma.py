@@ -7,35 +7,11 @@ construction when the assignment is unique.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import Frame, FrameKind
 from ..scenario import ScenarioError
 from .base import TICK_MS, TURNAROUND_US, MacBase, require_one_channel
-
-
-class TdmaSchedule(NamedTuple):
-    """Static slot map for one round; `PbTdmaMac.settings` checks it."""
-
-    slot_ticks: SimTime
-    preamble_ticks: SimTime
-    assignment: dict  # slot index -> node id
-
-    @property
-    def frame_length(self) -> int:
-        return (max(self.assignment) + 1) if self.assignment else 0
-
-    @property
-    def round_ticks(self) -> SimTime:
-        return self.preamble_ticks + self.frame_length * self.slot_ticks
-
-    def slot_start(self, round_start: SimTime, slot: int) -> SimTime:
-        return round_start + self.preamble_ticks + slot * self.slot_ticks
-
-    def slots_of(self, node: str) -> list[int]:
-        return [s for s, n in self.assignment.items() if n == node]
 
 
 class PbTdmaMac(MacBase):
@@ -72,16 +48,19 @@ class PbTdmaMac(MacBase):
                              f"({need} us)")
         if len(set(assignment.values())) != len(assignment):
             raise ValueError("each node may own at most one slot")
-        out["schedule"] = TdmaSchedule(
-            slot_ticks=slot,
-            preamble_ticks=ticks_from_seconds(out["preamble_ms"] / 1000.0),
-            assignment={int(k): v for k, v in assignment.items()})
+        out["slot_ticks"] = slot
+        out["preamble_ticks"] = ticks_from_seconds(out["preamble_ms"] / 1000.0)
+        out["slot_of"] = {n: int(s) for s, n in assignment.items()}
+        out["round_ticks"] = (out["preamble_ticks"]
+                              + (max(out["slot_of"].values()) + 1) * slot)
         return out
 
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
-        self.schedule: TdmaSchedule = settings["schedule"]
-        self.round_ticks = self.schedule.round_ticks  # read at every round
+        self.slot_ticks = settings["slot_ticks"]
+        self.preamble_ticks = settings["preamble_ticks"]
+        self.round_ticks = settings["round_ticks"]
+        self.slot = settings["slot_of"].get(node.node_id)  # None: no slot
         self.radio = node.add_radio(
             "data", self.channel,
             initial_state="listen" if self.is_coordinator else "sleep")
@@ -102,16 +81,16 @@ class PbTdmaMac(MacBase):
         preamble = Frame(FrameKind.PREAMBLE, self.node.node_id, None, 0,
                          info={"round_start": start})
         self.medium.begin_tx(self.radio, preamble, self.node.tx_power_dbm,
-                             airtime=self.schedule.preamble_ticks)
+                             airtime=self.preamble_ticks)
         self.node.at(start + self.round_ticks, "tdma_round",
                      self._coord_round)
 
-    # Device: wake for the preamble; on success, serve owned slots.
+    # Device: wake for the preamble; on success, serve the owned slot.
 
     def _wake_for_preamble(self) -> None:
         self._round_start = self.sim.now
         self.radio.set_state("listen")
-        deadline = self.sim.now + self.schedule.preamble_ticks + 500
+        deadline = self.sim.now + self.preamble_ticks + 500
         # a missed preamble skips the whole round
         self._preamble_timeout = self.at(
             deadline, "preamble_timeout", lambda: self.radio.set_state("sleep"))
@@ -122,13 +101,12 @@ class PbTdmaMac(MacBase):
         self.sim.cancel(self._preamble_timeout)
         round_start = frame.info["round_start"]
         self.radio.set_state("sleep")
-        if not len(self.queue):
+        if not len(self.queue) or self.slot is None:
             return
-        for slot in self.schedule.slots_of(self.node.node_id):
-            slot_at = self.schedule.slot_start(round_start, slot)
-            if slot_at >= self.sim.now:
-                # the rx/tx turnaround happens inside the owned slot
-                self.send_in_slot(slot_at, slot_at + TURNAROUND_US, "tdma_slot")
+        slot_at = round_start + self.preamble_ticks + self.slot * self.slot_ticks
+        if slot_at >= self.sim.now:
+            # the rx/tx turnaround happens inside the owned slot
+            self.send_in_slot(slot_at, slot_at + TURNAROUND_US, "tdma_slot")
 
     def _on_control(self, frame: Frame) -> None:
         if frame.kind is FrameKind.PREAMBLE:

@@ -143,11 +143,10 @@ class Radio:
 
 
 class Node:
-    """A BAN node: position, body site, role, radios, and an energy budget."""
+    """A BAN node: position, body site, radios, and an energy budget."""
 
     def __init__(self, sim: Simulator, medium: Medium, node_id: str, *,
-                 site: str = "", kind: str = "onbody",
-                 position: Position = Position(0.0, 0.0),
+                 site: str = "", position: Position = Position(0.0, 0.0),
                  profile: PowerProfile,
                  initial_j: Optional[float] = 5.0,
                  tx_power_dbm: float = -5.0,
@@ -156,7 +155,6 @@ class Node:
         self.medium = medium
         self.node_id = node_id
         self.site = site
-        self.kind = kind  # inbody | onbody | bnc
         self.position = position
         self.profile = profile
         self.initial_j = initial_j

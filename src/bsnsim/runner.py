@@ -87,7 +87,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
                                     if n.id != scenario.bnc]
     for spec in ordered:
         profile = scenario.power_profiles[spec.profile or profile_key]
-        node = Node(sim, medium, spec.id, site=spec.site, kind=spec.kind,
+        node = Node(sim, medium, spec.id, site=spec.site,
                     position=spec.position, profile=profile,
                     initial_j=spec.initial_j, tx_power_dbm=spec.tx_power_dbm,
                     horizon_hint=scenario.horizon)
@@ -196,12 +196,8 @@ def _run_jobs(scenario: Scenario, jobs: list, workers: int) -> list[RunMetrics]:
         return pool.map(_pool_run, jobs, chunksize=chunksize)
 
 
-def run_replications(scenario: Scenario, protocol: str,
-                     reps: Optional[int] = None,
-                     seeds: Optional[list[int]] = None,
+def run_replications(scenario: Scenario, protocol: str, seeds: list[int],
                      workers: int = 1) -> list[RunMetrics]:
-    if seeds is None:
-        seeds = scenario.seeds(reps)
     return _run_jobs(scenario, [(protocol, s) for s in seeds], workers)
 
 

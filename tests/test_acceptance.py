@@ -62,7 +62,7 @@ def test_01_fig2_ordering():
 def test_02_emergency_latency_bound():
     sc = load_scenario("tbw_emergency")
     t0 = time.monotonic()
-    runs = run_replications(sc, "tbw", reps=20, workers=WORKERS)
+    runs = run_replications(sc, "tbw", seeds=sc.seeds(20), workers=WORKERS)
     wall = time.monotonic() - t0
     delays = [d for r in runs for d in r.emergency_access_delays_us]
     assert len(delays) > 100, "too few emergencies to judge"

@@ -8,7 +8,7 @@ import pytest
 from bsnsim.channel import Medium
 from bsnsim.frames import Frame, FrameKind, Mpdu
 from bsnsim.mac.base import UNIT_BACKOFF_US
-from bsnsim.mac.csma import SuperframeConfig, gts_manage
+from bsnsim.mac.csma import gts_manage
 from bsnsim.runner import build_network, run_one
 from bsnsim.scenario import _build, bundled_scenario_path
 from bsnsim.traffic import TrafficClass
@@ -61,10 +61,12 @@ def _record_draws(monkeypatch, mac):
 
 
 def test_superframe_config_invariants():
-    sf = SuperframeConfig(beacon_order=6, superframe_order=6, num_gts_slots=2)
-    assert sf.beacon_interval == 960 * 16 * 64 == 983_040
-    assert sf.active_duration == sf.beacon_interval
-    assert sf.slot_ticks == 61_440
+    network, _ = build_network(make_scenario({
+        "protocols": {"csma802154": {"BO": 6, "SO": 6}}}), "csma802154", seed=1)
+    mac = network.coordinator_mac
+    assert mac.beacon_interval == 960 * 16 * 64 == 983_040
+    assert mac.active_ticks == mac.beacon_interval
+    assert mac.slot_ticks == 61_440
     # Beacon802154Mac.settings holds its bounds at load: rows of
     # test_scenario.test_bad_field_rejected_at_load
 
@@ -280,7 +282,7 @@ def test_gts_grant_and_slot_allocation():
     descriptors = gts_manage(["n1", "n2"], [], set(), num_gts_slots=2)
     owners = {d.owner for d in descriptors}
     assert owners == {"n1", "n2"}
-    slots = [s for d in descriptors for s in d.slots]
+    slots = [d.slot for d in descriptors]
     assert len(set(slots)) == 2
     assert all(14 <= s <= 15 for s in slots)  # top of the active period
 

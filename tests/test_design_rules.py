@@ -129,6 +129,15 @@ def test_scenario_is_the_one_dataclass():
             ] == [("scenario.py", "Scenario")]
 
 
+def test_no_namedtuple_records_in_the_macs():
+    # a MAC's `settings` works out the ticks it reads and its __init__ copies
+    # them into attributes; a record's properties would work them out again
+    assert [(m, n.name) for m, _, n, _ in SRC
+            if m.startswith("mac/") and isinstance(n, ast.ClassDef)
+            and any(_dotted(b) in ("NamedTuple", "typing.NamedTuple")
+                    for b in n.bases)] == []
+
+
 def test_protocol_parameters_are_read_at_load():
     # _build reads each protocols.<name> section with its MAC's field table;
     # a MAC reads it with Scenario.protocol_params

@@ -167,7 +167,7 @@ def test_a_gts_owner_that_asks_again_keeps_its_one_slot():
     }, horizon_s=1.5)
     net = run_net(sc, "csma802154", seed=3, keep_tx_log=True)
     assert _data_starts(net, "n1") == [(sf, 15) for sf in range(5, 12)]
-    assert [d.slots for d in net.coordinator_mac.descriptors] == [(15,)]
+    assert [d.slot for d in net.coordinator_mac.descriptors] == [15]
 
 
 def test_beacon_order_shapes_interval():
@@ -186,15 +186,28 @@ def test_pbtdma_slots_and_collision_freedom():
     net = run_net(sc, "pbtdma", seed=5, keep_tx_log=True)
     m = finalize(net)
     assert net.medium.data_collisions == 0
-    sched = net.nodes["n1"].mac.schedule
-    round_ticks = sched.round_ticks
     for (start, end, chan, src, kind, link_dst, outcome) in net.medium.tx_log:
         if kind is FrameKind.DATA:
-            offset = start % round_ticks
-            slots = sched.slots_of(src)
-            assert any(offset == sched.preamble_ticks + s * sched.slot_ticks
-                       + TURNAROUND_US for s in slots)
+            mac = net.nodes[src].mac
+            assert start % mac.round_ticks == (
+                mac.preamble_ticks + mac.slot * mac.slot_ticks + TURNAROUND_US)
     assert m.pdr() > 0.9
+
+
+def test_pbtdma_device_without_a_slot_sends_nothing():
+    # n1 owns slot 2 of a three-slot round and n2 owns none: n2 keeps its ten
+    # frames queued, and n1 sends only in slot 2
+    sc = _fig2_like(extra={"protocols": {"pbtdma": {
+        "slot_ms": 6.0, "preamble_ms": 5.0, "assignment": {"2": "n1"}}}})
+    net = run_net(sc, "pbtdma", seed=5, keep_tx_log=True)
+    sent = {n: [t[0] for t in net.medium.tx_log
+                if t[3] == n and t[4] is FrameKind.DATA] for n in ("n1", "n2")}
+    assert net.nodes["n1"].mac.round_ticks == 5_000 + 3 * 6_000
+    assert len(sent["n1"]) == 25
+    assert {t % 23_000 for t in sent["n1"]} == {
+        5_000 + 2 * 6_000 + TURNAROUND_US}
+    assert sent["n2"] == []
+    assert len(net.nodes["n2"].mac.queue) == 10
 
 
 def test_pbtdma_throughput_capped_at_one_frame_per_round():
@@ -206,7 +219,7 @@ def test_pbtdma_throughput_capped_at_one_frame_per_round():
     net = run_net(sc, "pbtdma", seed=6)
     m = finalize(net)
     cc = m.counts[TrafficClass.NORMAL_HIGH]
-    rounds = sc.horizon // net.nodes["n1"].mac.schedule.round_ticks
+    rounds = sc.horizon // net.nodes["n1"].mac.round_ticks
     assert cc.delivered <= rounds + 1
     assert cc.dropped > 0  # queue overflow under 100 frames/s offered
     assert len(net.nodes["n1"].mac.queue) == 16  # full at the default capacity
@@ -223,7 +236,7 @@ def test_pbtdma_slot_with_an_empty_queue_sleeps_the_radio():
         "protocols": {"pbtdma": {}}})
     network, _ = build_network(sc, "pbtdma", seed=7, keep_tx_log=True)
     mac = network.nodes["n1"].mac
-    wake = mac.schedule.slot_start(0, 0)
+    wake = mac.preamble_ticks + mac.slot * mac.slot_ticks
     network.sim.run(wake)
     assert mac.radio.state == "rx"
     mac.queue.pop()

@@ -1,25 +1,25 @@
-"""PB-TDMA schedule arithmetic; the S-MAC and PB-TDMA parameter checks are
+"""PB-TDMA round arithmetic; the S-MAC and PB-TDMA parameter checks are
 rows of test_scenario.test_bad_protocol_value_rejected_at_load."""
 
 import pytest
 
-from bsnsim.mac.tdma import TdmaSchedule
+from bsnsim.mac.tdma import PbTdmaMac
 from tests.conftest import make_scenario
-
-
-def nine_node_schedule(slot_ms=5.0, preamble_ms=5.0):
-    return TdmaSchedule(slot_ticks=int(slot_ms * 1000),
-                        preamble_ticks=int(preamble_ms * 1000),
-                        assignment={i: f"n{i}" for i in range(9)})
 
 
 def test_round_length_arithmetic():
     # 9 nodes, one 5 ms slot each, 5 ms preamble -> 50 ms round
-    sched = nine_node_schedule()
-    assert sched.frame_length == 9
-    assert sched.round_ticks == 50_000
-    assert sched.slot_start(0, 0) == 5_000
-    assert sched.slot_start(0, 8) == 45_000
+    sc = make_scenario({
+        "nodes": [{"id": "bnc", "kind": "bnc", "pos": [0.5, 0.5],
+                   "channel": "ism", "initial_j": None}]
+        + [{"id": f"n{i}", "kind": "onbody", "pos": [0.1 * i, 0.8],
+            "channel": "ism"} for i in range(9)],
+        "protocols": {"pbtdma": {"slot_ms": 5.0, "preamble_ms": 5.0}}})
+    s = PbTdmaMac.settings(sc)
+    assert s["slot_of"] == {f"n{i}": i for i in range(9)}
+    assert s["round_ticks"] == 50_000
+    assert s["preamble_ticks"] + s["slot_of"]["n0"] * s["slot_ticks"] == 5_000
+    assert s["preamble_ticks"] + s["slot_of"]["n8"] * s["slot_ticks"] == 45_000
 
 
 def test_duplicate_slot_owner_rejected():
