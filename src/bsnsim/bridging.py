@@ -71,14 +71,13 @@ class Bridge:
             radio = next((r for r in node.radios.values() if r.channel == ch
                           and r.label not in ("wakeup_rx", "wakeup_tx")), None)
             if radio is None:  # the MAC does not listen here
-                radio = node.add_radio(f"bridge:{ch}", ch,
-                                       initial_state="listen")
-                radio.on_frame = self._on_frame
+                radio = node.add_radio(f"bridge:{ch}", ch, "listen",
+                                       self._on_frame)
             self.radios[ch] = radio
         self.store: list[tuple[Mpdu, str]] = []
         self._current: Optional[Mpdu] = None
 
-    def _on_frame(self, frame, tx) -> None:
+    def _on_frame(self, frame) -> None:
         if frame.kind is FrameKind.DATA and frame.link_dst == self.node.node_id:
             self.network.handle_data_delivery(self.node, frame.mpdu)
 
@@ -108,8 +107,8 @@ class Bridge:
         radio = self.radios[egress]
         frame = Frame.data(mpdu, self.node.node_id, mpdu.dst)
         self.node.after(TURNAROUND_US, "bridge_fwd", lambda: radio.when_free(
-            lambda: self.network.medium.begin_tx(
-                radio, frame, self.node.tx_power_dbm, on_result=self._sent)))
+            lambda: self.network.medium.begin_tx(radio, frame,
+                                                 on_result=self._sent)))
 
     def _sent(self, outcome: DeliveryOutcome) -> None:
         if outcome is not DeliveryOutcome.DELIVERED:

@@ -199,6 +199,7 @@ class Medium:
         self.interference_pass_p = cm["interference"]["pass_probability"]
         self.capture_margin_db = cm["capture_margin_db"]
         self.sensitivity_dbm = cm["sensitivity_dbm"]
+        self.cca_threshold_dbm = cm["cca_threshold_dbm"]
         self.min_distance_m = cm["min_distance_m"]
         self._chans = {
             key: _ChannelState(key, cc["data_rate_bps"],
@@ -220,16 +221,16 @@ class Medium:
 
     # -- transmission lifecycle ------------------------------------------
 
-    def begin_tx(self, radio, frame, power_dbm: float,
-                 airtime: Optional[SimTime] = None,
+    def begin_tx(self, radio, frame, airtime: Optional[SimTime] = None,
                  on_result: Optional[Callable] = None) -> Transmission:
+        """Put `frame` on the air from `radio` at its node's power."""
         cs = radio.chan_state
         if airtime is None:
             bits = frame.nbytes * 8
             airtime = (bits * 1_000_000 + cs.rate - 1) // cs.rate
         now = self.sim.now
-        tx = Transmission(radio, frame, power_dbm, now, now + airtime,
-                          on_result)
+        tx = Transmission(radio, frame, radio.node.tx_power_dbm, now,
+                          now + airtime, on_result)
         radio.enter_tx()
         radio.current_tx = tx
         cs.active.append(tx)
@@ -280,8 +281,9 @@ class Medium:
             outcome = self._resolve(tx, radio, cs, interferers)
             if node_id == link_dst and link_result is not DeliveryOutcome.DELIVERED:
                 link_result = outcome
-            if outcome is DeliveryOutcome.DELIVERED:
-                radio.deliver(frame, tx)
+            if (outcome is DeliveryOutcome.DELIVERED
+                    and radio.on_frame is not None):
+                radio.on_frame(frame)
         if link_dst is not None and link_result is None:
             link_result = DeliveryOutcome.OFF_CHANNEL
         if (link_result is DeliveryOutcome.COLLIDED
@@ -362,9 +364,9 @@ class Medium:
                 return DeliveryOutcome.CORRUPTED
         return DeliveryOutcome.DELIVERED
 
-    def cca_busy(self, radio, threshold_dbm: float,
-                 window_start: SimTime) -> bool:
-        """Energy detection over [window_start, now] on the radio's channel.
+    def cca_busy(self, radio, window_start: SimTime) -> bool:
+        """Energy detection against the CCA threshold over [window_start, now]
+        on the radio's channel.
 
         A transmission that started at or before `now` and was still in the
         air after `window_start` is visible; other channels never are.
@@ -381,6 +383,6 @@ class Medium:
                 if self.mode == "empirical":
                     return True
                 rx = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
-                if rx >= threshold_dbm:
+                if rx >= self.cca_threshold_dbm:
                     return True
         return False

@@ -126,10 +126,10 @@ class MacBase:
         if not self.queue.push(mpdu):
             self.metrics.on_dropped(mpdu)
             return
-        self._on_enqueued(mpdu)
+        self._on_enqueued()
 
-    def _on_enqueued(self, mpdu: Mpdu) -> None:
-        pass
+    def _on_enqueued(self) -> None:
+        """A frame joined the queue."""
 
     def pending_frames(self) -> list[Mpdu]:
         out = self.queue.frames()
@@ -173,8 +173,7 @@ class MacBase:
             self.in_service = None
             then()
 
-        self.medium.begin_tx(self.radio, frame, self.node.tx_power_dbm,
-                             on_result=_result)
+        self.medium.begin_tx(self.radio, frame, on_result=_result)
 
     def send_in_slot(self, wake_at: SimTime, tx_at: SimTime, kind: str) -> None:
         """Switch to rx at `wake_at`, send one frame unacknowledged at `tx_at`,
@@ -223,8 +222,7 @@ class MacBase:
                 lambda: self._ack_missed(resend, deadline))
 
         self.radio.when_free(self.in_session(lambda: self.medium.begin_tx(
-            self.radio, frame, self.node.tx_power_dbm,
-            on_result=self.in_session(_await_ack))))
+            self.radio, frame, on_result=self.in_session(_await_ack))))
 
     def _ack_missed(self, resend: Callable[[], None],
                     deadline: Optional[SimTime]) -> None:
@@ -254,13 +252,13 @@ class MacBase:
         def _turnaround():
             radio.set_state("rx")
             self.after(TURNAROUND_US, "ack_tx", lambda: radio.when_free(
-                lambda: self.medium.begin_tx(radio, ack, self.node.tx_power_dbm)))
+                lambda: self.medium.begin_tx(radio, ack)))
 
         radio.when_free(_turnaround)
 
     # Reception ---------------------------------------------------------------
 
-    def _on_frame(self, frame: Frame, tx) -> None:
+    def _on_frame(self, frame: Frame) -> None:
         """The receive hook of the MAC's radios."""
         kind = frame.kind
         if kind is FrameKind.DATA:
@@ -311,7 +309,6 @@ class SlottedCsmaMac(MacBase):
         self.min_be = settings["macMinBE"]
         self.max_be = settings["aMaxBE"]
         self.retry_limit = settings["retry_limit"]
-        self.cca_threshold = network.scenario.channel_model["cca_threshold_dbm"]
         self._access_start: SimTime = 0
         self._access_end: SimTime = 0
         self._nb = 0
@@ -352,7 +349,7 @@ class SlottedCsmaMac(MacBase):
         self.at(b0 + CCA_US, "cca", lambda: self._cca_done(b0, False))
 
     def _cca_done(self, window_start: SimTime, second: bool) -> None:
-        if self.medium.cca_busy(self.radio, self.cca_threshold, window_start):
+        if self.medium.cca_busy(self.radio, window_start):
             self._nb += 1
             self._be = min(self._be + 1, self.max_be)
             if self._nb >= self.busy_limit:

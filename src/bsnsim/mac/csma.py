@@ -12,7 +12,7 @@ from typing import Optional
 
 from ..channel import frame_airtime
 from ..core import SimTime
-from ..frames import BEACON_BYTES, Frame, FrameKind, Mpdu
+from ..frames import BEACON_BYTES, Frame, FrameKind
 from ..scenario import ScenarioError
 from .base import TURNAROUND_US, SlottedCsmaMac, require_one_channel
 
@@ -118,8 +118,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         self.gts_enabled = node.node_id in settings["gts_nodes"]
         self.radio = node.add_radio(
             "data", self.channel,
-            initial_state="listen" if self.is_coordinator else "sleep")
-        self.radio.on_frame = self._on_frame
+            "listen" if self.is_coordinator else "sleep", self._on_frame)
         self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES, self.radio.channel)
         # device sync state; the CAP is the access period
         self._synced = False
@@ -161,7 +160,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         }
         beacon = Frame(FrameKind.BEACON, self.node.node_id, None, BEACON_BYTES,
                        info=info)
-        self.medium.begin_tx(self.radio, beacon, self.node.tx_power_dbm)
+        self.medium.begin_tx(self.radio, beacon)
         if self.active_ticks < self.beacon_interval:
             self.node.at(sd_start + self.active_ticks, "coord_sleep",
                          lambda: self.radio.set_state("sleep"))
@@ -222,7 +221,7 @@ class Beacon802154Mac(SlottedCsmaMac):
         else:
             self.radio.set_state("sleep")
 
-    def _on_enqueued(self, mpdu: Mpdu) -> None:
+    def _on_enqueued(self) -> None:
         if self.gts_enabled:
             if self._my_gts is None:
                 self.network.coordinator_mac.request_gts(self.node.node_id)

@@ -4,7 +4,6 @@ contention is not the point. Frames are unacknowledged and never retried."""
 
 from __future__ import annotations
 
-from ..frames import Mpdu
 from .base import MacBase
 
 
@@ -13,11 +12,10 @@ class DirectMac(MacBase):
 
     def __init__(self, sim, medium, node, network, settings):
         super().__init__(sim, medium, node, network, settings)
-        self.radio = node.add_radio("data", self.channel,
-                                    initial_state="listen")
-        self.radio.on_frame = self._on_frame
+        self.radio = node.add_radio("data", self.channel, "listen",
+                                    self._on_frame)
 
-    def _on_enqueued(self, mpdu: Mpdu) -> None:
+    def _on_enqueued(self) -> None:
         self._pump()
 
     def _pump(self) -> None:

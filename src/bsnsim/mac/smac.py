@@ -9,7 +9,6 @@ retransmissions.
 from __future__ import annotations
 
 from ..core import US_PER_S, ticks_from_seconds
-from ..frames import Mpdu
 from .base import SlottedCsmaMac
 
 
@@ -42,9 +41,8 @@ class SMac(SlottedCsmaMac):
         # a node that keeps losing contention sleeps on the frame until the
         # next listen window instead of burning backoff rounds
         self.busy_limit = settings["max_window_attempts"]
-        self.radio = node.add_radio("data", self.channel,
-                                    initial_state="listen")
-        self.radio.on_frame = self._on_frame
+        self.radio = node.add_radio("data", self.channel, "listen",
+                                    self._on_frame)
 
     def start(self) -> None:
         self.node.at(0, "smac_listen", self._enter_listen)
@@ -66,7 +64,7 @@ class SMac(SlottedCsmaMac):
     def _may_contend(self) -> bool:
         return self._access_start <= self.sim.now < self._access_end
 
-    def _on_enqueued(self, mpdu: Mpdu) -> None:
+    def _on_enqueued(self) -> None:
         if (not self.is_coordinator and self.in_service is None
                 and self._may_contend()):
             self._start_service()

@@ -68,9 +68,8 @@ class TbwMac(MacBase):
                 if ch not in self.node_channels.values():
                     continue
                 radio = node.add_radio(f"data:{cc['band']}:{cc['phy']}", ch,
-                                       initial_state="listen" if self.always_on
-                                       else "sleep")
-                radio.on_frame = self._on_frame
+                                       "listen" if self.always_on else "sleep",
+                                       self._on_frame)
                 self.data_radios[ch] = radio
                 attempt = (medium.airtime_ticks(cc["mtu_bytes"], ch)
                            + ack_wait_ticks(medium, ch))
@@ -80,10 +79,12 @@ class TbwMac(MacBase):
             # holds keep a data radio awake outside the windows
             self._holds: dict[str, int] = {ch: 0 for ch in self.data_radios}
         else:
-            self.radio = node.add_radio("data", self.channel)
-            self.radio.on_frame = self._on_frame
+            self.radio = node.add_radio("data", self.channel,
+                                        on_frame=self._on_frame)
             self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES,
                                                        self.radio.channel)
+            # each on-demand answer fills a frame of the channel's MTU
+            self.mtu_bytes = scenario.channels[self.channel]["mtu_bytes"]
             self.entry: Optional[WakeupEntry] = next(
                 (e for e in scenario.wakeup_table if e.node == node.node_id),
                 None)
@@ -95,8 +96,8 @@ class TbwMac(MacBase):
             # the waits a beacon, a grant and a poll answer, each armed
             # before its frame can arrive
             self._beacon_timeout = self._grant_timeout = self._poll_timeout = None
-        self.wakeup_rx = node.add_wakeup_receiver(scenario.wakeup_channel)
-        self.wakeup_rx.on_frame = self._on_wakeup_signal
+        node.add_wakeup_receiver(scenario.wakeup_channel,
+                                 self._on_wakeup_signal)
         self.wakeup_tx = node.add_radio("wakeup_tx", scenario.wakeup_channel)
 
     # ------------------------------------------------------------------ #
@@ -151,7 +152,7 @@ class TbwMac(MacBase):
                 end = self.sim.now + entry.window
                 beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
                                BEACON_BYTES, info={"window_end": end})
-                self.medium.begin_tx(radio, beacon, self.node.tx_power_dbm)
+                self.medium.begin_tx(radio, beacon)
             self.at(next_occurrence(entry.offset, entry.period, self.sim.now),
                     "window_beacon", fire)
 
@@ -286,10 +287,8 @@ class TbwMac(MacBase):
                 self.retry_timeout + jitter, "grant_timeout", self._signal_again)
 
         signal = Frame(FrameKind.WAKEUP, self.node.node_id,
-                       self.network.bnc_id, 0,
-                       info={"purpose": "Emergency"})
-        self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,
-                             airtime=self.signal_ticks,
+                       self.network.bnc_id, 0)
+        self.medium.begin_tx(self.wakeup_tx, signal, self.signal_ticks,
                              on_result=self.in_session(armed))
 
     def _signal_again(self) -> None:
@@ -327,7 +326,7 @@ class TbwMac(MacBase):
 
         def send_grant():
             grant = Frame(FrameKind.GRANT, self.node.node_id, src, GRANT_BYTES)
-            self.medium.begin_tx(radio, grant, self.node.tx_power_dbm)
+            self.medium.begin_tx(radio, grant)
             # hold the radio until the access completes, then re-sleep
             self.node.after(self._grant_hold[channel], "session_release",
                             lambda: self._release(channel))
@@ -345,13 +344,13 @@ class TbwMac(MacBase):
         channel = self.node_channels[request.target]
         self._acquire(channel)
         signal = Frame(FrameKind.WAKEUP, self.node.node_id, None, 0,
-                       info={"purpose": "OnDemand", "request": request})
+                       info={"request": request})
         radio = self.data_radios[channel]
 
         def send_poll():
             poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
                          info={"request": request})
-            self.medium.begin_tx(radio, poll, self.node.tx_power_dbm)
+            self.medium.begin_tx(radio, poll)
             self.node.after(request.duration + 200_000, "session_release",
                             lambda: self._release(channel))
 
@@ -360,18 +359,18 @@ class TbwMac(MacBase):
                             lambda: radio.when_free(send_poll))
             self.wakeup_tx.set_state("sleep")
 
-        self.medium.begin_tx(self.wakeup_tx, signal, self.node.tx_power_dbm,
-                             airtime=self.signal_ticks, on_result=after_signal)
+        self.medium.begin_tx(self.wakeup_tx, signal, self.signal_ticks,
+                             on_result=after_signal)
 
-    def _on_wakeup_signal(self, frame: Frame, tx) -> None:
+    def _on_wakeup_signal(self, frame: Frame) -> None:
+        # emergency signals are unicast to the coordinator, and on-demand
+        # ones broadcast by it, so the receiver's role says which one it is
         if frame.kind is not FrameKind.WAKEUP:
             return
-        purpose = frame.info.get("purpose")
         if self.is_coordinator:
-            if purpose == "Emergency":
-                self._coord_on_emergency_signal(frame)
+            self._coord_on_emergency_signal(frame)
             return
-        if purpose != "OnDemand" or self._emg_active is not None:
+        if self._emg_active is not None:
             return  # an emergency outranks an on-demand wake
         request = frame.info["request"]
         if (request.addressing == "Tone"
@@ -411,7 +410,7 @@ class TbwMac(MacBase):
                 self._od_finish()
                 return
             mpdu = self.network.new_mpdu(self.node.node_id, self.network.bnc_id,
-                                         request.cls)
+                                         request.cls, self.mtu_bytes)
             self.serve(mpdu)
             self.send_acked(lambda ok, _reason: next_one(k, ok, mpdu))
 

@@ -63,8 +63,7 @@ class PbTdmaMac(MacBase):
         self.slot = settings["slot_of"].get(node.node_id)  # None: no slot
         self.radio = node.add_radio(
             "data", self.channel,
-            initial_state="listen" if self.is_coordinator else "sleep")
-        self.radio.on_frame = self._on_frame
+            "listen" if self.is_coordinator else "sleep", self._on_frame)
         self._round_start: SimTime = 0
         self._preamble_timeout = None  # the wait a preamble answers
 
@@ -80,8 +79,7 @@ class PbTdmaMac(MacBase):
         start = self.sim.now
         preamble = Frame(FrameKind.PREAMBLE, self.node.node_id, None, 0,
                          info={"round_start": start})
-        self.medium.begin_tx(self.radio, preamble, self.node.tx_power_dbm,
-                             airtime=self.preamble_ticks)
+        self.medium.begin_tx(self.radio, preamble, self.preamble_ticks)
         self.node.at(start + self.round_ticks, "tdma_round",
                      self._coord_round)
 

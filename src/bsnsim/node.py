@@ -33,6 +33,7 @@ class Radio:
     marks the start of the current uninterrupted receive-capable stretch,
     which decides whether a frame that began earlier can be decoded.
     A send or a switch asked for while it sends waits: see `when_free`.
+    `on_frame(frame)`, given at build, receives each frame delivered to it.
     """
 
     __slots__ = ("sim", "medium", "node", "label", "channel", "state",
@@ -41,8 +42,8 @@ class Radio:
                  "chan_state", "nid", "key", "_waiting")
 
     def __init__(self, sim: Simulator, medium: Medium, node: "Node", label: str,
-                 channel: str, power_mw: dict[str, float],
-                 initial_state: str = "sleep"):
+                 channel: str, power_mw: dict[str, float], initial_state: str,
+                 on_frame: Optional[Callable]):
         self.sim = sim
         self.medium = medium
         self.node = node
@@ -59,7 +60,7 @@ class Radio:
         self._mw = power_mw[initial_state]
         self.dead = False
         self.current_tx = None
-        self.on_frame: Optional[Callable] = None
+        self.on_frame = on_frame
         self.chan_state = None  # filled by Medium.register_radio
         self._waiting: list[Callable[[], None]] = []  # steps for `tx` to end
         medium.register_radio(self)
@@ -128,10 +129,6 @@ class Radio:
         while self._waiting and self.state != "tx":
             self._waiting.pop(0)()
 
-    def deliver(self, frame, tx) -> None:
-        if self.on_frame is not None and not self.node.dead:
-            self.on_frame(frame, tx)
-
     def die(self) -> None:
         """Close the account at the current instant; the radio goes silent."""
         self.accrue()
@@ -173,17 +170,18 @@ class Node:
         self._death_event: Optional[Event] = None
         self.mac = None
 
-    def add_radio(self, label: str, channel: str,
-                  initial_state: str = "sleep") -> Radio:
+    def add_radio(self, label: str, channel: str, initial_state: str = "sleep",
+                  on_frame: Optional[Callable] = None) -> Radio:
         return self._attach(Radio(self.sim, self.medium, self, label, channel,
-                                  self.profile.state_mw(), initial_state))
+                                  self.profile.state_mw(), initial_state,
+                                  on_frame))
 
-    def add_wakeup_receiver(self, channel: str) -> Radio:
+    def add_wakeup_receiver(self, channel: str, on_frame: Callable) -> Radio:
         """Ultra-low-power always-on receiver with its own timeline."""
         power = {"sleep": 0.0, "listen": self.profile.wakeup_rx_uw / 1000.0,
                  "rx": self.profile.wakeup_rx_uw / 1000.0, "tx": 0.0}
         return self._attach(Radio(self.sim, self.medium, self, "wakeup_rx",
-                                  channel, power, initial_state="listen"))
+                                  channel, power, "listen", on_frame))
 
     def _attach(self, radio: Radio) -> Radio:
         self.radios[radio.label] = radio

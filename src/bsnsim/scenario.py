@@ -348,6 +348,9 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             tt["dst"] = bnc
         for key in ("node", "dst"):
             _known(tt[key], ids, f"{path}.{key}", "node")
+        if tt["dst"] == tt["node"]:
+            raise ScenarioError(f"{path}.dst: {tt['dst']!r} is the flow's "
+                                f"own node")
         cls = TrafficClass(tt["class"])
         if cls in NORMAL_CLASSES and tt["period_s"] is None:
             raise ScenarioError(f"{path}.period_s: required for class "
@@ -383,7 +386,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         if window > period:
             raise ScenarioError(f"{path}.window_ms: longer than period_s")
         wakeup_table.append(WakeupEntry(
-            node=ww["node"], cls=TrafficClass(ww["class"]), period=period,
+            node=ww["node"], period=period,
             offset=ticks_from_seconds(ww["offset_s"]), window=window))
 
     on_demand: list[OnDemandRequest] = []
@@ -453,17 +456,23 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
 
     # star topology: without a bridge, all traffic terminates at the BNC;
     # with one, link_dst reads the route of each flow and of each on-demand
-    # request's answers to the BNC
+    # request's answers to the BNC, and the route's first field, the channel
+    # it leaves on, must be the one the source's MAC sends on
     routed = {pair for pair, route in routes.items() if route is not None}
     flows = {f"traffic[{i}]": (t.node, t.dst) for i, t in enumerate(traffic)}
     flows.update((f"on_demand[{i}]", (r.target, bnc))
                  for i, r in enumerate(on_demand))
     for path, (src, dst) in flows.items():
-        if bridge is None and dst != bnc:
-            raise ScenarioError(f"{path}.dst: star topology requires "
-                                f"dst == bnc unless a bridge is configured")
-        if bridge is not None and (src, dst) not in routed:
+        if bridge is None:
+            if dst != bnc:
+                raise ScenarioError(f"{path}.dst: star topology requires dst "
+                                    f"== bnc unless a bridge is configured")
+        elif (src, dst) not in routed:
             raise ScenarioError(f"{path}: no route from {src!r} to {dst!r}")
+        elif routes[src, dst][0] != channel_of[src]:
+            raise ScenarioError(f"{path}: the route from {src!r} to {dst!r} "
+                                f"starts on {routes[src, dst][0]!r}, but "
+                                f"{src!r} sends on {channel_of[src]!r}")
 
     scenario = Scenario(
         name=norm["name"], description=norm["description"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import SimTime
-from .traffic import TrafficClass
 
 
 class WakeupEntry(NamedTuple):
@@ -22,7 +21,6 @@ class WakeupEntry(NamedTuple):
     period: SimTime
     offset: SimTime = 0
     window: SimTime = 0
-    cls: TrafficClass = TrafficClass.NORMAL_MEDIUM
 
     def guarded_open(self, now: SimTime, guard: SimTime) -> bool:
         """Whether now lies in a window widened by guard on both sides."""

@@ -170,7 +170,7 @@ def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
         if outcome is not None:
             outcomes.append(outcome)
         if len(outcomes) < n:
-            medium.begin_tx(radios["n1"], frame, -5.0, on_result=send)
+            medium.begin_tx(radios["n1"], frame, on_result=send)
     send()
     medium.sim.run(n * medium.airtime_ticks(128, "ism"))
     return outcomes

@@ -152,11 +152,10 @@ def test_06_cca_blindness():
         node = Node(sim, medium, node_id, position=Position(x, 0.0),
                     profile=profile, initial_j=None)
         radios[node_id] = node.add_radio("data", mics, initial_state="listen")
-    medium.begin_tx(radios["sender"], Frame(FrameKind.DATA, "sender", None, 128),
-                    -5.0)
+    medium.begin_tx(radios["sender"], Frame(FrameKind.DATA, "sender", None, 128))
     sim.run(100)
-    assert not medium.cca_busy(radios["far"], -85.0, 100)
-    assert medium.cca_busy(radios["near"], -85.0, 100)
+    assert not medium.cca_busy(radios["far"], 100)
+    assert medium.cca_busy(radios["near"], 100)
     report(6, "cca-blindness",
            f"in-body loss {loss_3m:.2f} dB at 3 m -> Idle; "
            f"rx {rx_power_dbm(-5.0, path_loss_db(0.5, params)):.1f} dBm "

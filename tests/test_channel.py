@@ -87,17 +87,17 @@ def _radio(medium, node_id, x, y=0.0, channel=ISM, state="listen"):
     return node.add_radio("data", channel, initial_state=state)
 
 
-def _send(medium, radio, dst, power_dbm=-5.0):
+def _send(medium, radio, dst):
     """Unicast a 4096-us frame now; the list receives its outcome."""
     outcomes = []
     frame = Frame(FrameKind.DATA, radio.nid, dst, 128)
-    medium.begin_tx(radio, frame, power_dbm, on_result=outcomes.append)
+    medium.begin_tx(radio, frame, on_result=outcomes.append)
     return outcomes
 
 
 def _cca_at_100us(medium, listener):
     medium.sim.run(100)
-    return medium.cca_busy(listener, -85.0, 100)
+    return medium.cca_busy(listener, 100)
 
 
 def test_cca_idle_with_no_transmissions():
@@ -128,8 +128,9 @@ def test_cca_same_piconet_within_half_meter_is_busy():
 def test_cca_cross_channel_invisibility():
     medium = _medium()
     listener = _radio(medium, "l", 0.05, channel=ISM)
-    _send(medium, _radio(medium, "s", 0.0, channel=MICS), "x",
-          power_dbm=30.0)  # absurdly strong
+    sender = _radio(medium, "s", 0.0, channel=MICS)
+    sender.node.tx_power_dbm = 30.0  # absurdly strong
+    _send(medium, sender, "x")
     assert not _cca_at_100us(medium, listener)
 
 
@@ -278,7 +279,7 @@ def test_each_channel_takes_its_own_rate_and_path_loss():
     for channel in (ISM, MICS):
         radio = _radio(medium, f"tx-{channel}", 0.0, channel=channel)
         sent.append(medium.begin_tx(radio, Frame(FrameKind.DATA, radio.nid,
-                                                 None, 128), -5.0))
+                                                 None, 128)))
     assert [tx.end - tx.start for tx in sent] == [4096, 1024]
     assert medium.airtime_ticks(128, MICS) == 1024
     # mics names no path loss, so it takes the default
@@ -300,7 +301,7 @@ def _send_at(medium, at, radio, dst, sent, airtime=None):
     Transmission once it is on the air."""
     def go():
         frame = Frame(FrameKind.DATA, radio.nid, dst, 128)
-        sent.append(medium.begin_tx(radio, frame, -5.0, airtime=airtime))
+        sent.append(medium.begin_tx(radio, frame, airtime=airtime))
     medium.sim.schedule_at(at, "send", radio.nid, go)
 
 

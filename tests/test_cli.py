@@ -266,9 +266,11 @@ WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
      "wakeup_table[0].window_ms: longer than period_s"),
     (lambda raw: raw["traffic"][0].update(payload_bytes=600),
      "traffic[0].payload_bytes: 600 is above the mtu_bytes 128 of its channel"),
+    (lambda raw: raw["traffic"][0].update(dst=raw["traffic"][0]["node"]),
+     "traffic[0].dst: 'ecg' is the flow's own node"),
 ], ids=["misspelt-key", "wrong-kind", "repeated-wakeup-entry",
         "wakeup-entry-for-the-bnc", "on-demand-traffic-class",
-        "window-longer-than-period", "payload-above-mtu"])
+        "window-longer-than-period", "payload-above-mtu", "flow-to-own-node"])
 def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
     edit(raw)
@@ -300,11 +302,21 @@ def _add_unrouted_request(raw):
     raw["on_demand"] = [{"at_s": 1.0, "target": "wrist"}]
 
 
+def _add_bnc_flow_to_chest(raw):
+    # the bnc is the bridge: its route to chest is direct on ism, but its
+    # MAC sends on mics
+    raw["traffic"].append({"node": "bnc", "class": "NormalHigh",
+                           "period_s": 0.5, "dst": "chest"})
+
+
 @pytest.mark.parametrize("edit, message", [
     (_mislay_ism_records, "channel_map[2].nodes: 'chest' has no radio on 'mics'"),
     (_add_unrouted_flow, "traffic[4]: no route from 'wrist' to 'bnc'"),
     (_add_unrouted_request, "on_demand[0]: no route from 'wrist' to 'bnc'"),
-], ids=["mislaid-record", "unrouted-flow", "unrouted-request"])
+    (_add_bnc_flow_to_chest, "traffic[4]: the route from 'bnc' to 'chest' "
+                             "starts on 'ism', but 'bnc' sends on 'mics'"),
+], ids=["mislaid-record", "unrouted-flow", "unrouted-request",
+        "route-off-the-source-channel"])
 def test_bad_bridge_scenario_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
     edit(raw)

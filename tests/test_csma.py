@@ -39,7 +39,7 @@ def _patch_cca(monkeypatch, busy):
     """Replace energy detection on the medium; returns the CCA log."""
     calls = []
 
-    def cca_busy(medium, radio, threshold_dbm, window_start):
+    def cca_busy(medium, radio, window_start):
         calls.append((medium.sim.now, window_start))
         return busy(medium.sim.now)
 
@@ -176,7 +176,7 @@ def test_wake_for_beacon_waits_for_the_frame_on_the_air():
                             lambda: network.medium.begin_tx(
                                 radio, Frame.ack("n1", "bnc", Mpdu(
                                     0, "n1", "bnc", TrafficClass.NORMAL_HIGH,
-                                    128, 0)), 0.0))
+                                    128, 0))))
     network.sim.run(wake)
     assert radio.state == "tx"
     network.sim.run(wake + 1000)

@@ -221,3 +221,21 @@ def test_delay_samples_are_typed_arrays():
                      or isinstance(getattr(n, "ctx", None), ast.Store))]
     assert [s for m, s, n, w in SRC if m in metrics and w == "array("
             and any(_is(a, "q") for a in n.args)]
+
+
+def test_a_frame_leaves_at_its_nodes_power():
+    # Medium.begin_tx sends at the power of the radio's node; a MAC or the
+    # bridge that reads the power would hand the medium what it already has
+    assert not _hits(r"\btx_power_dbm\b", {m for m in MODULES
+                                           if m.startswith("mac/")}
+                     | {"bridging.py"})
+
+
+def test_a_radio_gets_its_receive_hook_when_it_is_built():
+    # Node.add_radio and Node.add_wakeup_receiver take the hook; one
+    # assigned afterwards is a second place that wires a radio
+    assert [(m, s) for m, s, n, _ in SRC
+            if isinstance(n, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for t in getattr(n, "targets", [getattr(n, "target", None)])
+            if isinstance(t, ast.Attribute) and t.attr == "on_frame"
+            ] == [("node.py", "Radio.__init__")]

@@ -88,7 +88,7 @@ def test_budget_crossing_prorates_and_dies():
     # The node affords floor(1e-5 / 3e-8) = 333 ticks of tx, then dies.
     node = _node(1e-5)
     radio = node.add_radio("data", ISM, initial_state="listen")
-    node.medium.begin_tx(radio, Frame(FrameKind.DATA, "n", None, 128), 0.0)
+    node.medium.begin_tx(radio, Frame(FrameKind.DATA, "n", None, 128))
     node.sim.run(4096)
     assert node.death_time == 333
     assert radio.per_state_ticks == {"tx": 333}

@@ -30,7 +30,7 @@ def _sent_by(net, node_id):
 
 def _beacon(radio, nbytes):
     return lambda: radio.medium.begin_tx(
-        radio, Frame(BEACON, radio.nid, None, nbytes), 0.0)
+        radio, Frame(BEACON, radio.nid, None, nbytes))
 
 
 def test_a_free_radio_runs_the_step_at_once():
@@ -42,7 +42,7 @@ def test_a_free_radio_runs_the_step_at_once():
 
 def test_held_sends_go_out_in_order_one_after_another_at_tx_end():
     net, radio = _direct_network()
-    first = radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 40), 0.0)
+    first = radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 40))
     ran = []
     for nbytes in (10, 20, 30):
         radio.when_free(_beacon(radio, nbytes))
@@ -67,7 +67,7 @@ def test_a_held_send_of_an_ended_session_sends_nothing():
         mac = net.nodes["n1"].mac
         mac.retry_limit = 0  # bnc's direct MAC never acks: one attempt
         mac.serve(net.new_mpdu("n1", "bnc", TrafficClass.NORMAL_HIGH))
-        radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 40), 0.0)
+        radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 40))
         mac.send_acked(lambda ok, reason: None)
         if end_session:
             mac.new_session()
@@ -80,7 +80,7 @@ def test_a_held_send_of_an_ended_session_sends_nothing():
 def test_a_radio_that_dies_sends_none_of_its_held_steps():
     net, radio = _direct_network()
     node, mac = net.nodes["n1"], net.nodes["n1"].mac
-    radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 100), 0.0)
+    radio.medium.begin_tx(radio, Frame(BEACON, "n1", None, 100))
     for _ in range(3):  # the direct MAC's sends wait behind the beacon
         mac.enqueue(net.new_mpdu("n1", "bnc", TrafficClass.NORMAL_HIGH))
     radio.when_free(_beacon(radio, 10))

@@ -290,6 +290,15 @@ def _unrouted_request():
     return raw
 
 
+def _bnc_flow_to_chest():
+    """bridge_inbody with a flow from the bnc, its bridge, to chest: the
+    route is direct on ism, but the bnc's MAC sends on mics."""
+    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
+    raw["traffic"].append({"node": "bnc", "class": "NormalHigh",
+                           "period_s": 0.5, "dst": "chest"})
+    return raw
+
+
 POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
 
 
@@ -404,6 +413,11 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
      "channel_model.link_matrix_csv: required in empirical mode"),
     (_flow("NormalLow", payload_bytes=600),
      "traffic[0].payload_bytes: 600 is above the mtu_bytes 128 of its channel"),
+    # a flow's dst defaults to the bnc, so a bnc flow needs another dst
+    ({"traffic": [{"node": "bnc", "class": "NormalHigh", "period_s": 0.5}]},
+     "traffic[0].dst: 'bnc' is the flow's own node"),
+    (_bnc_flow_to_chest(), "traffic[4]: the route from 'bnc' to 'chest' "
+                           "starts on 'ism', but 'bnc' sends on 'mics'"),
 ])
 def test_bad_field_rejected_at_load(override, message):
     with pytest.raises(ScenarioError) as err:

@@ -536,7 +536,7 @@ def test_a_grant_that_no_signal_awaits_is_ignored():
     grant = Frame(FrameKind.GRANT, "bnc", "n1", GRANT_BYTES)
     ack_wait_at = 1 * S + CLEAN_EMERGENCY_DELAY + TURNAROUND_US
     net.sim.schedule_at(ack_wait_at, "test_grant", "test",
-                        lambda: mac._on_frame(grant, None))
+                        lambda: mac._on_frame(grant))
     net.sim.run(sc.horizon)
     assert net.metrics.emergency_access_delays_us.tolist() == [
         CLEAN_EMERGENCY_DELAY]
@@ -643,6 +643,21 @@ def test_an_unacked_on_demand_response_is_dropped():
     data = [r for r in net.medium.tx_log
             if r[3] == "n1" and r[4] is FrameKind.DATA]
     assert len(data) == 3 + 1  # the first send and retry_limit retries
+
+
+def test_an_on_demand_answer_is_sized_to_its_channels_mtu():
+    # n1's ism channel carries at most 32 bytes: 1,024 us at 250 kb/s
+    sc = tbw_scenario(extra={
+        "channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 32},
+                     "mics": {"band": "MICS_402_405", "phy": 0},
+                     "wakeup": {"band": "ISM_2_4", "phy": 99}},
+        "on_demand": [{"at_s": 1.0, "target": "n1"}]}, horizon_s=2.0)
+    net = run_net(sc, "tbw", seed=1, keep_tx_log=True)
+    cc = net.metrics.counts[TrafficClass.ON_DEMAND_NON_CONTINUOUS]
+    assert (cc.generated, cc.delivered) == (1, 1)
+    assert [end - start for start, end, _ch, nid, kind, _dst, _res
+            in net.medium.tx_log
+            if nid == "n1" and kind is FrameKind.DATA] == [1024]
 
 
 def test_a_wakeup_receiver_ignores_frames_that_are_not_wakeup_signals():

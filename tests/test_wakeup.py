@@ -1,7 +1,6 @@
 """Wakeup table entries, and the coordinator's awake spans in a run."""
 
 from bsnsim.core import US_PER_S
-from bsnsim.traffic import TrafficClass
 from bsnsim.wakeup import WakeupEntry
 from tests.conftest import (coordinator_awake, guarded_windows, table_scenario,
                             union)
@@ -9,11 +8,9 @@ from tests.conftest import (coordinator_awake, guarded_windows, table_scenario,
 S = US_PER_S
 
 
-def _entry(node, period_s, offset_s=0.0, window_s=0.2,
-           cls=TrafficClass.NORMAL_HIGH):
+def _entry(node, period_s, offset_s=0.0, window_s=0.2):
     return WakeupEntry(node=node, period=int(period_s * S),
-                       offset=int(offset_s * S), window=int(window_s * S),
-                       cls=cls)
+                       offset=int(offset_s * S), window=int(window_s * S))
 
 
 # the coordinator's awake spans in a tbw run --------------------------------
