@@ -36,6 +36,15 @@ def require_one_channel(scenario) -> None:
                          f"{', '.join(strays)}")
 
 
+def require_no_coordinator_traffic(scenario) -> None:
+    """Raise ValueError naming the coordinator's first flow. A MAC whose
+    coordinator only beacons, polls or grants has no way to send it."""
+    for i, spec in enumerate(scenario.traffic):
+        if spec.node == scenario.bnc:
+            raise ValueError(f"traffic[{i}].node: the coordinator "
+                             f"{spec.node!r} cannot send frames of its own")
+
+
 class FrameQueue:
     """Bounded queue ordered by traffic priority, FIFO within a class."""
 
@@ -164,13 +173,12 @@ class MacBase:
     def send_unacked(self, then: Callable[[], None]) -> None:
         """Send the head frame once on `self.radio`; a frame that is not
         delivered is dropped. `then` runs when the transmission ends."""
-        mpdu = self.in_service = self.queue.pop()
+        mpdu = self.queue.pop()
+        self.serve(mpdu)
         frame = Frame.data(mpdu, self.node.node_id, self.network.link_dst(mpdu))
 
         def _result(outcome):
-            if outcome is not DeliveryOutcome.DELIVERED:
-                self.metrics.on_dropped(mpdu)
-            self.in_service = None
+            self.end_service(drop=outcome is not DeliveryOutcome.DELIVERED)
             then()
 
         self.medium.begin_tx(self.radio, frame, on_result=_result)
@@ -200,6 +208,13 @@ class MacBase:
         retries spent."""
         self.in_service = mpdu
         self._retries = 0
+
+    def end_service(self, drop: bool) -> None:
+        """Take the frame in service out of service, counting it dropped when
+        `drop` is true."""
+        if drop:
+            self.metrics.on_dropped(self.in_service)
+        self.in_service = None
 
     def send_acked(self, done: Callable[[bool, str], None],
                    resend: Optional[Callable[[], None]] = None,
@@ -236,12 +251,12 @@ class MacBase:
             resend()
 
     def _on_ack(self, frame: Frame) -> None:
+        # an ack ends its exchange only while its wait is armed: one that
+        # comes after the wait has fired would end the retry that followed
         if (frame.link_dst != self.node.node_id
-                or frame.mpdu is not self.in_service):
+                or frame.mpdu is not self.in_service
+                or not self.sim.cancel(self._ack_timer)):
             return
-        if self._ack_timer is not None:
-            self.sim.cancel(self._ack_timer)
-            self._ack_timer = None
         self._ack_done(True, "acked")
 
     def send_ack_after_turnaround(self, radio, to: str, mpdu: Mpdu) -> None:
@@ -368,9 +383,7 @@ class SlottedCsmaMac(MacBase):
             self.send_acked(self._exchange_done, self._csma_begin)
 
     def _exchange_done(self, ok: bool, reason: str) -> None:
-        if not ok:
-            self.metrics.on_dropped(self.in_service)
-        self.in_service = None
+        self.end_service(drop=not ok)
         self._start_service()
 
     def _on_data(self, frame: Frame) -> None:

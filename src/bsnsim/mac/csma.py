@@ -14,7 +14,8 @@ from ..channel import frame_airtime
 from ..core import SimTime
 from ..frames import BEACON_BYTES, Frame, FrameKind
 from ..scenario import ScenarioError
-from .base import TURNAROUND_US, SlottedCsmaMac, require_one_channel
+from .base import (TURNAROUND_US, SlottedCsmaMac,
+                   require_no_coordinator_traffic, require_one_channel)
 
 BASE_SLOT_US = 960         # one superframe slot at SO=0
 NUM_SUPERFRAME_SLOTS = 16
@@ -81,6 +82,7 @@ class Beacon802154Mac(SlottedCsmaMac):
     @classmethod
     def settings(cls, scenario) -> dict:
         require_one_channel(scenario)
+        require_no_coordinator_traffic(scenario)
         out = super().settings(scenario)
         devices = {n.id for n in scenario.nodes} - {scenario.bnc}
         for node_id in out["gts_nodes"]:
@@ -243,8 +245,7 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _access_failed(self) -> None:
         self.metrics.csma_failures += 1
-        self.metrics.on_dropped(self.in_service)
-        self.in_service = None
+        self.end_service(drop=True)
         self._start_service()
 
     # GTS transmission: one unacknowledged frame in the owned slot.

@@ -13,7 +13,8 @@ from .base import SlottedCsmaMac
 
 
 class SMac(SlottedCsmaMac):
-    """Duty-cycled contention MAC; the coordinator only listens and acks.
+    """Duty-cycled contention MAC; the coordinator contends for its own
+    frames like any other node, and acks the frames it receives.
 
     Each listen window is the access period. A frame that loses
     `max_window_attempts` CCAs in a row, or does not fit before the window
@@ -54,8 +55,7 @@ class SMac(SlottedCsmaMac):
         self.node.at(self._access_end, "smac_sleep", self._enter_sleep)
         self.node.at(self._access_start + self.cycle_ticks,
                      "smac_listen", self._enter_listen)
-        if not self.is_coordinator:
-            self._start_service()
+        self._start_service()
 
     def _enter_sleep(self) -> None:
         self.new_session()  # the window's steps and acks end with it
@@ -65,6 +65,5 @@ class SMac(SlottedCsmaMac):
         return self._access_start <= self.sim.now < self._access_end
 
     def _on_enqueued(self) -> None:
-        if (not self.is_coordinator and self.in_service is None
-                and self._may_contend()):
+        if self.in_service is None and self._may_contend():
             self._start_service()

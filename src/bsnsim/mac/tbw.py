@@ -18,7 +18,8 @@ from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
 from ..wakeup import WakeupEntry
-from .base import TICK_MS, TURNAROUND_US, MacBase, ack_wait_ticks
+from .base import (TICK_MS, TURNAROUND_US, MacBase, ack_wait_ticks,
+                   require_no_coordinator_traffic)
 
 GRANT_BYTES = BEACON_BYTES
 POLL_WAIT_US = 20_000
@@ -43,6 +44,7 @@ class TbwMac(MacBase):
         if scenario.wakeup_channel is None:
             raise ValueError(f"{cls.name} requires a wakeup_channel in the "
                              f"scenario")
+        require_no_coordinator_traffic(scenario)
         out = super().settings(scenario)
         for key in ("guard", "wakeup_signal", "wakeup_retry"):
             out[f"{key}_ticks"] = ticks_from_seconds(out[f"{key}_ms"] / 1000.0)
@@ -218,21 +220,16 @@ class TbwMac(MacBase):
         if self.sim.now + self.exchange_ticks(mpdu) > self._window_end:
             self._window_close()  # carry over whatever is left
             return
-        self.queue.pop()
-        self.serve(mpdu)
-        self.send_acked(self.in_session(
-            lambda ok, reason: self._window_sent(mpdu, ok, reason)),
-            deadline=self._window_end)
+        self.serve(self.queue.pop())
+        self.send_acked(self.in_session(self._window_sent),
+                        deadline=self._window_end)
 
-    def _window_sent(self, mpdu: Mpdu, ok: bool, reason: str) -> None:
-        self.in_service = None
-        if not ok:
-            if reason == "deadline":
-                if not self.queue.push(mpdu):  # carry over to the next window
-                    self.metrics.on_dropped(mpdu)
-                self._window_close()
-                return
-            self.metrics.on_dropped(mpdu)
+    def _window_sent(self, ok: bool, reason: str) -> None:
+        if reason == "deadline":
+            self._requeue_in_service()  # carry over to the next window
+            self._window_close()
+            return
+        self.end_service(drop=not ok)
         self._window_send_next()
 
     # ------------------------------------------------------------------ #
@@ -240,7 +237,7 @@ class TbwMac(MacBase):
     # ------------------------------------------------------------------ #
 
     def enqueue(self, mpdu: Mpdu) -> None:
-        if mpdu.cls is TrafficClass.EMERGENCY and not self.is_coordinator:
+        if mpdu.cls is TrafficClass.EMERGENCY:  # a coordinator flow is refused
             self._pending_emergencies.append(mpdu)
             if self._emg_active is None:
                 self._start_emergency()
@@ -257,9 +254,7 @@ class TbwMac(MacBase):
 
     def _requeue_in_service(self) -> None:
         if self.in_service is not None:
-            if not self.queue.push(self.in_service):
-                self.metrics.on_dropped(self.in_service)
-            self.in_service = None
+            self.end_service(drop=not self.queue.push(self.in_service))
 
     def _start_emergency(self) -> None:
         self.new_session()  # preempt any window or on-demand service
@@ -302,7 +297,7 @@ class TbwMac(MacBase):
         self.send_acked(self.in_session(self._emergency_done))
 
     def _emergency_done(self, ok: bool, reason: str) -> None:
-        self.in_service = None
+        self.end_service(drop=False)  # a failed exchange signals again
         if ok:
             self._finish_emergency()
         else:  # the grant's exchange failed
@@ -409,15 +404,13 @@ class TbwMac(MacBase):
             if k >= len(offsets):
                 self._od_finish()
                 return
-            mpdu = self.network.new_mpdu(self.node.node_id, self.network.bnc_id,
-                                         request.cls, self.mtu_bytes)
-            self.serve(mpdu)
-            self.send_acked(lambda ok, _reason: next_one(k, ok, mpdu))
+            self.serve(self.network.new_mpdu(
+                self.node.node_id, self.network.bnc_id, request.cls,
+                self.mtu_bytes))
+            self.send_acked(lambda ok, _reason: next_one(k, ok))
 
-        def next_one(k: int, ok: bool, mpdu: Mpdu):
-            self.in_service = None
-            if not ok:
-                self.metrics.on_dropped(mpdu)
+        def next_one(k: int, ok: bool):
+            self.end_service(drop=not ok)
             nxt = k + 1
             if nxt < len(offsets):
                 at = max(self.sim.now, base + offsets[nxt])

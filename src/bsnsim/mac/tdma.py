@@ -11,7 +11,8 @@ from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import Frame, FrameKind
 from ..scenario import ScenarioError
-from .base import TICK_MS, TURNAROUND_US, MacBase, require_one_channel
+from .base import (TICK_MS, TURNAROUND_US, MacBase,
+                   require_no_coordinator_traffic, require_one_channel)
 
 
 class PbTdmaMac(MacBase):
@@ -25,6 +26,7 @@ class PbTdmaMac(MacBase):
     @classmethod
     def settings(cls, scenario) -> dict:
         require_one_channel(scenario)
+        require_no_coordinator_traffic(scenario)
         out = super().settings(scenario)
         devices = [n for n in scenario.nodes if n.id != scenario.bnc]
         if not devices:

@@ -25,8 +25,8 @@ from .core import US_PER_S, SimTime, ticks_from_seconds
 from .mac import PROTOCOLS, mac_class
 from .mac.base import TICK_MS
 from .node import PowerProfile
-from .traffic import (NORMAL_CLASSES, OnDemandMode, OnDemandRequest,
-                      TrafficClass, TrafficSpec)
+from .traffic import (NORMAL_CLASSES, OnDemandRequest, TrafficClass,
+                      TrafficSpec)
 from .wakeup import WakeupEntry
 
 
@@ -180,7 +180,7 @@ WAKEUP_FIELDS = {
     "window_ms": (float, ..., TICK_MS)}
 ON_DEMAND_FIELDS = {
     "at_s": (float, ..., 0.0), "target": (str, ..., None),
-    "mode": (tuple(m.value for m in OnDemandMode), "NonContinuous", None),
+    "mode": (("Continuous", "NonContinuous"), "NonContinuous", None),
     "addressing": (("Tone", "Broadcast"), "Tone", None),
     "duration_s": (float, 0.0, 0.0), "period_s": (float, 1.0, _TICK_S)}
 BRIDGE_FIELDS = {"node": (str, ..., None), "interfaces": ([str], ..., None),
@@ -393,7 +393,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     for i, od in enumerate(norm["on_demand"]):
         _known(od["target"], ids - {bnc}, f"on_demand[{i}].target", "device")
         on_demand.append(OnDemandRequest(
-            target=od["target"], mode=OnDemandMode(od["mode"]),
+            target=od["target"], cls=TrafficClass(f"OnDemand{od['mode']}"),
             duration=ticks_from_seconds(od["duration_s"]),
             stream_period=ticks_from_seconds(od["period_s"]),
             at=ticks_from_seconds(od["at_s"]), addressing=od["addressing"]))

@@ -70,17 +70,13 @@ def next_emergency(rate_per_s: float, rng, now: SimTime) -> Optional[SimTime]:
     return now + max(1, math.ceil(delay_s * US_PER_S))
 
 
-class OnDemandMode(Enum):
-    CONTINUOUS = "Continuous"
-    NON_CONTINUOUS = "NonContinuous"
-
-
 class OnDemandRequest(NamedTuple):
     """A coordinator-initiated information request, issued at tick `at`
-    and addressed by a tone to the target alone or by broadcast to all."""
+    and addressed by a tone to the target alone or by broadcast to all.
+    Its class says whether it is answered by one frame or a stream."""
 
     target: str
-    mode: OnDemandMode
+    cls: TrafficClass
     duration: SimTime = 0          # Continuous only
     stream_period: SimTime = US_PER_S
     at: SimTime = 0
@@ -88,7 +84,7 @@ class OnDemandRequest(NamedTuple):
 
     def response_offsets(self) -> list[SimTime]:
         """Offsets of response frames relative to service start."""
-        if self.mode is OnDemandMode.NON_CONTINUOUS:
+        if self.cls is TrafficClass.ON_DEMAND_NON_CONTINUOUS:
             return [0]
         out = []
         t = 0
@@ -96,9 +92,3 @@ class OnDemandRequest(NamedTuple):
             out.append(t)
             t += self.stream_period
         return out
-
-    @property
-    def cls(self) -> TrafficClass:
-        if self.mode is OnDemandMode.CONTINUOUS:
-            return TrafficClass.ON_DEMAND_CONTINUOUS
-        return TrafficClass.ON_DEMAND_NON_CONTINUOUS

@@ -8,6 +8,7 @@ import pytest
 from bsnsim.core import US_PER_S
 from bsnsim.frames import FrameKind
 from bsnsim.runner import build_network
+from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
 from tests.test_tbw import tbw_scenario
 
@@ -66,3 +67,30 @@ def test_tbw_retry_past_the_window_waits_for_the_next_window():
     windows = [start // US_PER_S for start in _data_starts(network, "n1")]
     assert windows == [1, 1, 2, 2]
     assert len(network.nodes["n1"].mac.pending_frames()) == 1
+
+
+@pytest.mark.parametrize("protocol", ["csma802154", "smac"])
+def test_an_ack_after_its_wait_has_fired_does_not_end_the_retry(protocol):
+    # the coordinator's first ack is held back by one ack wait, so it
+    # arrives after n1's wait has fired and while the retry contends: the
+    # retry goes on with the frame in service, and its own ack ends it
+    network, _macs = build_network(_one_frame(protocol, 3), protocol, seed=1,
+                                   keep_tx_log=True)
+    coordinator, n1 = network.coordinator_mac, network.nodes["n1"].mac
+    send_ack = coordinator.send_ack_after_turnaround
+    held = []
+
+    def late_first_ack(radio, to, mpdu):
+        if held:
+            send_ack(radio, to, mpdu)
+            return
+        held.append(mpdu)
+        coordinator.node.after(n1.ack_wait, "late_ack",
+                               lambda: send_ack(radio, to, mpdu))
+
+    coordinator.send_ack_after_turnaround = late_first_ack
+    network.sim.run(network.scenario.horizon)
+    assert len(_data_starts(network, "n1")) == 2
+    counts = network.metrics.counts[TrafficClass.NORMAL_HIGH]
+    assert (counts.delivered, counts.dropped) == (1, 0)
+    assert n1.pending_frames() == []

@@ -6,6 +6,8 @@ import pytest
 
 from bsnsim.cli import main
 from bsnsim.scenario import bundled_scenario_path
+from tests.conftest import make_scenario
+from tests.test_scenario import BNC_FLOW
 
 
 def test_run_writes_csvs(tmp_path, capsys):
@@ -430,3 +432,25 @@ def test_a_protocol_listed_twice_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "argument --protocols: listed more than once: tbw" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("listed, named, message", [
+    ("tbw", "tbw", "protocols.tbw: traffic[0].node: the coordinator 'bnc' "
+                   "cannot send frames of its own"),
+    ("smac", "pbtdma", "pbtdma: traffic[0].node: the coordinator 'bnc' "
+                       "cannot send frames of its own"),
+], ids=["listed", "named"])
+def test_a_coordinator_flow_exits_2_under_a_mac_that_cannot_send_it(
+        tmp_path, capsys, listed, named, message):
+    raw = json.loads(make_scenario(BNC_FLOW).serialize())
+    raw["protocols"] = {listed: {}}
+    path = tmp_path / "bnc_flow.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--protocol", named,
+               "--reps", "1", "--until", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

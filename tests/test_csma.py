@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from bsnsim.channel import Medium
-from bsnsim.frames import Frame, FrameKind, Mpdu
-from bsnsim.mac.base import UNIT_BACKOFF_US
+from bsnsim.channel import Medium, frame_airtime
+from bsnsim.frames import ACK_BYTES, Frame, FrameKind, Mpdu
+from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US, UNIT_BACKOFF_US
 from bsnsim.mac.csma import gts_manage
 from bsnsim.runner import build_network, run_one
 from bsnsim.scenario import _build, bundled_scenario_path
@@ -245,6 +245,25 @@ def test_smac_frame_arriving_as_its_window_opens_draws_once(monkeypatch):
     network.sim.run(horizon)
     assert len(draws) == 3
     assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 3
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_the_exchange_fits_from_two_backoff_units_after_the_backoff(spare):
+    # macMinBE 0 draws no backoff, so the frame that arrives as the 1 s
+    # window opens clears its two CCAs and goes two units after the window
+    # start; it goes only if its exchange then ends by the window's end
+    exchange = (frame_airtime(128, 250_000) + TURNAROUND_US
+                + frame_airtime(ACK_BYTES, 250_000) + ACK_WAIT_MARGIN_US)
+    listen = 2 * UNIT_BACKOFF_US + exchange + spare
+    # half a tick over, so that int() of the float product gives `listen`
+    network, horizon = _network("smac", 10.0, 1.0, 1.5, {"smac": {
+        "cycle_s": 1.0, "listen_fraction": (listen + 0.5) / 1e6,
+        "macMinBE": 0}})
+    assert network.nodes["n1"].mac.listen_ticks == listen
+    network.sim.run(horizon)
+    starts = [t[0] for t in network.medium.tx_log if t[4] is FrameKind.DATA]
+    assert starts == ([1_000_000 + 2 * UNIT_BACKOFF_US] if spare == 0
+                      else [])
 
 
 def test_smac_full_duty_cycle_sends_without_waiting():

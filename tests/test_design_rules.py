@@ -239,3 +239,30 @@ def test_a_radio_gets_its_receive_hook_when_it_is_built():
             for t in getattr(n, "targets", [getattr(n, "target", None)])
             if isinstance(t, ast.Attribute) and t.attr == "on_frame"
             ] == [("node.py", "Radio.__init__")]
+
+
+def test_one_way_into_service_and_one_way_out():
+    # MacBase.serve puts a frame in service and MacBase.end_service takes it
+    # out, counting it dropped or not; a MAC that clears in_service itself
+    # keeps a second copy of the drop-then-clear pair
+    assert sorted((m, s) for m, s, n, _ in SRC
+                  if isinstance(n, (ast.Assign, ast.AnnAssign))
+                  for t in getattr(n, "targets", [getattr(n, "target", None)])
+                  for part in ast.walk(t)
+                  if isinstance(part, ast.Attribute)
+                  and part.attr == "in_service"
+                  and isinstance(part.ctx, ast.Store)) == [
+        ("mac/base.py", "MacBase.__init__"),
+        ("mac/base.py", "MacBase.end_service"),
+        ("mac/base.py", "MacBase.serve")]
+
+
+def test_frames_are_dropped_at_five_exits():
+    # a lost frame is counted where it leaves a queue, its service, an
+    # emergency or the bridge's store; ROADMAP item 8 names the reason there
+    assert sorted((m, s) for m, s, _ in _hits(r"\bon_dropped\($")) == [
+        ("bridging.py", "Bridge._sent"),          # forward lost
+        ("bridging.py", "Bridge.relay"),          # store full
+        ("mac/base.py", "MacBase.end_service"),   # retries, access, loss
+        ("mac/base.py", "MacBase.enqueue"),       # queue full
+        ("mac/tbw.py", "TbwMac._emergency_signal")]  # signals unanswered

@@ -154,6 +154,29 @@ def test_a_gts_device_denied_a_slot_asks_again_at_each_beacon():
     assert net.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 2
 
 
+def test_a_gts_device_sleeps_from_its_beacon_to_its_slot():
+    # n1 asks for a slot at 0.5 s and is granted slot 15 by the beacon of
+    # superframe 5: it sleeps from that beacon's end until a turnaround
+    # before the slot, and sends in the slot
+    sc = _fig2_like(extra={
+        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+                     "offset_s": 0.5}],
+        "protocols": {"csma802154": {"BO": 3, "SO": 3, "num_gts_slots": 1,
+                                     "gts_nodes": ["n1"]}},
+    }, horizon_s=1.0)
+    net, _macs = build_network(sc, "csma802154", seed=3, keep_tx_log=True)
+    radio = net.nodes["n1"].mac.radio
+    bi, slot = 15360 * 8, 960 * 8
+    beacon_end = 5 * bi + 544
+    slot_start = 5 * bi + 15 * slot
+    net.sim.run(beacon_end)
+    assert radio.state == "sleep"
+    net.sim.run(slot_start - TURNAROUND_US - 1)
+    assert radio.state == "sleep"
+    net.sim.run(sc.horizon)
+    assert _data_starts(net, "n1") == [(5, 15)]
+
+
 def test_a_gts_owner_that_asks_again_keeps_its_one_slot():
     # n1's second frame arrives while the beacon that grants its first
     # request is on the air (614,400-614,944 us), so n1 asks again for the

@@ -9,6 +9,7 @@ from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.runner import build_network
 from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
                              load_scenario)
+from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
 from tests.test_golden_trace import _on_demand
 
@@ -166,6 +167,17 @@ COORDINATOR_ONLY = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
 WAKEUP_CHANNEL = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0},
                                "wakeup": {"band": "ISM_2_4", "phy": 99}},
                   "wakeup_channel": "wakeup"}
+# the bnc bridges ism and an empty mics channel, so a flow may leave it
+BNC_FLOW = {
+    "channels": {"ism": {"band": "ISM_2_4", "phy": 0},
+                 "mics": {"band": "MICS_402_405", "phy": 0},
+                 "wakeup": {"band": "ISM_2_4", "phy": 99}},
+    "wakeup_channel": "wakeup",
+    "bridge": {"node": "bnc", "interfaces": ["ism", "mics"]},
+    "channel_map": [{"channel": "ism", "nodes": ["bnc", "n1"],
+                     "connection_id": 1, "src": "bnc", "dst": "n1"}],
+    "traffic": [{"node": "bnc", "class": "NormalHigh", "period_s": 0.5,
+                 "dst": "n1"}]}
 MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
            "traffic": [{"node": "n1", "class": "NormalHigh",
                         "payload_bytes": 255, "period_s": 0.5}]}
@@ -230,10 +242,15 @@ MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
      "protocols.csma802154: guard_us 982497 must be at most 982496 us"),
     # on MTU_255: a 255-byte frame takes 8160 us at 250 kb/s
     ("pbtdma", {"slot_ms": 5.0}, "slot 5000 us cannot fit a frame (8352 us)"),
+    # on BNC_FLOW: only smac and direct serve the coordinator's own queue
+    *[(name, {}, "traffic[0].node: the coordinator 'bnc' cannot send frames "
+                 "of its own") for name in ("csma802154", "pbtdma", "tbw",
+                                           "tbw_alwayson")],
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
             else MTU_255 if "(8352 us)" in message
+            else BNC_FLOW if "traffic[0].node" in message
             else WAKEUP_CHANNEL if name == "tbw" else {})
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
         make_scenario({**base, "protocols": {name: params}})
@@ -551,6 +568,15 @@ def test_round_trip_serialization_is_fixed_point(tmp_path):
         second = load_scenario(p)
         assert second.serialize() == dumped
         assert second.normalized == first.normalized
+
+
+def test_an_on_demand_mode_loads_as_its_traffic_class():
+    sc = _on_demand()
+    assert [r.cls for r in sc.on_demand] == [
+        TrafficClass.ON_DEMAND_NON_CONTINUOUS,  # the default mode
+        TrafficClass.ON_DEMAND_CONTINUOUS]
+    assert [od["mode"] for od in sc.normalized["on_demand"]] == [
+        "NonContinuous", "Continuous"]
 
 
 def test_durations_converted_to_ticks():

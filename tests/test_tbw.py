@@ -9,7 +9,7 @@ from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
 from bsnsim.mac.tbw import GRANT_BYTES
 from bsnsim.runner import build_network, run_one
 from bsnsim.scenario import ScenarioError
-from bsnsim.traffic import OnDemandMode, OnDemandRequest, TrafficClass
+from bsnsim.traffic import OnDemandRequest, TrafficClass
 from tests.conftest import make_scenario
 
 S = US_PER_S
@@ -237,6 +237,13 @@ def test_clean_emergency_access_delay_is_exact():
     assert (net.metrics.emergency_access_delays_us.tolist()
             == [CLEAN_EMERGENCY_DELAY])
     assert CLEAN_EMERGENCY_DELAY < 1_000_000  # well under the 1 s bound
+    # imp1's data radio listens only for the grant and for the ack, and
+    # sleeps once the emergency is served
+    radio = net.nodes["imp1"].mac.radio
+    net.nodes["imp1"].finalize()
+    assert radio.state == "sleep"
+    assert radio.per_state_ticks["listen"] == (
+        TURNAROUND_US + BEACON_AIR + TURNAROUND_US + ACK_AIR)
 
 
 def test_coincident_emergencies_retry_and_both_arrive():
@@ -291,7 +298,8 @@ def test_all_signals_lost_reports_failure():
 
 # On-demand ---------------------------------------------------------------------
 
-def _paired_energy(addressing, request_mode=OnDemandMode.NON_CONTINUOUS,
+def _paired_energy(addressing,
+                   request_cls=TrafficClass.ON_DEMAND_NON_CONTINUOUS,
                    duration=0, period=S, extra=None):
     """Energy per node with and without an on-demand request at 2 s."""
     results = {}
@@ -299,7 +307,7 @@ def _paired_energy(addressing, request_mode=OnDemandMode.NON_CONTINUOUS,
         sc = tbw_scenario(extra=extra, horizon_s=6.0)
         net, macs = build_network(sc, "tbw", seed=9)
         if with_request:
-            req = OnDemandRequest(target="n1", mode=request_mode,
+            req = OnDemandRequest(target="n1", cls=request_cls,
                                   duration=duration, stream_period=period,
                                   addressing=addressing)
             net.sim.schedule_at(
@@ -341,7 +349,8 @@ def test_continuous_on_demand_streams_expected_count():
     window = {"node": "n1", "class": "NormalHigh", "period_s": 10.0,
               "offset_s": 3.5, "window_ms": 50.0}
     for table in ([], [window]):
-        res = _paired_energy("Tone", request_mode=OnDemandMode.CONTINUOUS,
+        res = _paired_energy("Tone",
+                             request_cls=TrafficClass.ON_DEMAND_CONTINUOUS,
                              duration=3 * S, period=S,
                              extra={"wakeup_table": table})
         _, metrics = res[True]
@@ -436,7 +445,7 @@ def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
                           "offset_s": 0.5, "window_ms": 50.0}],
     }, horizon_s=8.0)
     net, macs = build_network(sc, "tbw", seed=12)
-    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
+    req = OnDemandRequest(target="n1", cls=TrafficClass.ON_DEMAND_CONTINUOUS,
                           duration=3 * S, stream_period=S, addressing="Tone")
     net.sim.schedule_at(2 * S, "test_od", "test",
                         lambda: net.coordinator_mac.issue_request(req))

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bsnsim.core import US_PER_S
-from bsnsim.traffic import (OnDemandMode, OnDemandRequest, TrafficClass,
-                            TrafficSpec, next_emergency, next_occurrence,
-                            priority)
+from bsnsim.traffic import (OnDemandRequest, TrafficClass, TrafficSpec,
+                            next_emergency, next_occurrence, priority)
 
 
 S = US_PER_S
@@ -87,21 +86,20 @@ def test_emergency_draws_deterministic_for_seed():
 
 
 def test_on_demand_non_continuous_single_frame():
-    req = OnDemandRequest(target="n1", mode=OnDemandMode.NON_CONTINUOUS)
+    req = OnDemandRequest(target="n1",
+                          cls=TrafficClass.ON_DEMAND_NON_CONTINUOUS)
     assert req.response_offsets() == [0]
-    assert req.cls is TrafficClass.ON_DEMAND_NON_CONTINUOUS
 
 
 def test_on_demand_continuous_count_oracle():
     # duration 10 s at 1 frame/s -> 10 frames
-    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
+    req = OnDemandRequest(target="n1", cls=TrafficClass.ON_DEMAND_CONTINUOUS,
                           duration=10 * US_PER_S, stream_period=US_PER_S)
     assert len(req.response_offsets()) == 10
-    assert req.cls is TrafficClass.ON_DEMAND_CONTINUOUS
 
 
 def test_on_demand_zero_duration_continuous_is_empty():
-    req = OnDemandRequest(target="n1", mode=OnDemandMode.CONTINUOUS,
+    req = OnDemandRequest(target="n1", cls=TrafficClass.ON_DEMAND_CONTINUOUS,
                           duration=0)
     assert req.response_offsets() == []
 
