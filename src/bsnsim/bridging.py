@@ -1,4 +1,4 @@
-"""Channel mapping and MPDU store-and-forward relay across bands/PHYs.
+"""Routes and MPDU store-and-forward relay across bands/PHYs.
 
 A bridge node owns two or more distinct channels and relays frames between
 them unchanged. In-body nodes never talk peer to peer, so any path touching
@@ -25,36 +25,31 @@ class ViaBridge(NamedTuple):
     egress: str
 
 
-def resolve_routes(members: dict[str, set[str]], nodes: list[str],
-                   inbody: set[str], bridges: set[str]) -> dict:
-    """The route of every ordered pair of distinct `nodes`, given each
-    channel's `members`: `Direct`, `ViaBridge` or None.
+def resolve_routes(on: dict[str, list[str]], inbody: set[str],
+                   bridge: str) -> dict:
+    """The route of every ordered pair of distinct nodes, given the channels
+    each node is `on`: `Direct`, `ViaBridge` or None.
 
     A pair is direct on the channel it shares when neither end is in-body,
-    or when one end is itself a bridge: the relay collapses to the single
-    hop into or out of the bridge (in-body nodes legitimately hold records
-    to bridge nodes). Otherwise it goes through the bridge that shares a
-    channel with each end. The loader allows one bridge, and a node off the
-    bridge is on one channel, so no order of channels or bridges decides a
-    route.
+    or when one end is the `bridge`: the relay collapses to the single hop
+    into or out of it. Otherwise it goes through the bridge when the bridge
+    shares a channel with each end. A node off the bridge is on one
+    channel, so no order of channels decides a route.
     """
-    on = {n: [ch for ch, m in members.items() if n in m] for n in nodes}
-
     def shared(a: str, b: str) -> list[str]:
         return [ch for ch in on[a] if ch in on[b]]
 
     def route(src: str, dst: str):
         both = shared(src, dst)
-        if both and (not {src, dst} & inbody or {src, dst} & bridges):
+        if both and (bridge in (src, dst) or not {src, dst} & inbody):
             return Direct(both[0])
-        for bridge in sorted(bridges - {src, dst}):
-            ingress, egress = shared(src, bridge), shared(bridge, dst)
-            if ingress and egress:
-                return ViaBridge(ingress[0], bridge, egress[0])
+        ingress, egress = shared(src, bridge), shared(bridge, dst)
+        if ingress and egress:
+            return ViaBridge(ingress[0], bridge, egress[0])
         return None
 
-    return {(src, dst): route(src, dst)
-            for src in nodes for dst in nodes if src != dst}
+    return {(src, dst): route(src, dst) for src in on for dst in on
+            if src != dst}
 
 
 class Bridge:

@@ -190,9 +190,6 @@ class MacBase:
         self.at(tx_at, f"{kind}_tx", self._slot_tx)
 
     def _slot_tx(self) -> None:
-        if not len(self.queue):
-            self.radio.set_state("sleep")
-            return
         self.send_unacked(lambda: self.radio.set_state("sleep"))
 
     # Acknowledged exchange -------------------------------------------------
@@ -301,8 +298,7 @@ class SlottedCsmaMac(MacBase):
     `_access_end`. `busy_limit` busy CCAs in a row end the attempt.
 
     Subclasses create `self.radio` with `_on_frame` as its receive hook, set
-    `busy_limit`, move the access period, and say in `_may_contend` when
-    contention may run.
+    `busy_limit` and move the access period; contention runs only inside it.
     By default an empty queue, a frame that does not fit and an attempt lost
     to a busy channel all leave the radio as it is; a lost frame stays in
     service until `_start_service` runs again.
@@ -353,8 +349,6 @@ class SlottedCsmaMac(MacBase):
         return self._access_start + max(0, k) * UNIT_BACKOFF_US
 
     def _backoff(self) -> None:
-        if not self._may_contend():
-            return
         delay_units = self.rng.randrange(1 << self._be)
         b0 = self._boundary_after(self.sim.now) + delay_units * UNIT_BACKOFF_US
         tx_at = b0 + 2 * UNIT_BACKOFF_US

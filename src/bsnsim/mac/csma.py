@@ -235,9 +235,6 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     # CAP service: the shared slotted CSMA/CA engine, run while synced.
 
-    def _may_contend(self) -> bool:
-        return self._synced
-
     def _idle(self) -> None:
         # a device that woke for a beacon listens until it arrives or times out
         if self.radio.state == "listen" and self._beacon_timeout is None:

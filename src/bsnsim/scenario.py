@@ -3,11 +3,12 @@
 A scenario is one JSON document, read against one field table per section
 (`_fields`) into a normalized dict with the defaults filled in, so load ->
 serialize -> load is a fixed point; durations become integer ticks, and
-references, topology, bridge interfaces and MTUs are cross-checked, and the
-channel map becomes one route table (`Scenario.routes`). An unset
-`protocol_profiles` entry stays null, for the MAC's own `profile`: loading
-imports only the MACs the scenario names under `protocols`, and reads each
-one's section with its MAC's field table (`params`) and rules (`settings`).
+references, topology, bridge interfaces and MTUs are cross-checked, and under
+a bridge the nodes' channels become one route table (`Scenario.routes`). An
+unset `protocol_profiles` entry stays null, for the MAC's own `profile`:
+loading imports only the MACs the scenario names under `protocols`, and reads
+each one's section with its MAC's field table (`params`) and rules
+(`settings`).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class Scenario:
     protocols: dict[str, dict]
     wakeup_table: list[WakeupEntry]
     on_demand: list[OnDemandRequest]
-    routes: dict  # (src, dst) -> Direct | ViaBridge | None; {} without a map
+    routes: dict  # (src, dst) -> Direct | ViaBridge | None; {} without a bridge
     bridge: Optional[dict]
     link_matrix: Optional[LinkMatrix]
     normalized: dict = field(repr=False, default_factory=dict)
@@ -120,7 +121,9 @@ def load_scenario(path_or_name) -> Scenario:
     path = resolve_scenario_path(str(path_or_name))
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: parse error: {exc}") from exc
     return _build(raw, source=str(path))
 
@@ -133,7 +136,6 @@ def load_scenario(path_or_name) -> Scenario:
 # inclusive; an exclusive bound or a rule between fields is one check in
 # `_build`.
 _TICK_S = 1 / US_PER_S
-_CLASSES = tuple(c.value for c in TrafficClass)
 # on-demand frames answer a request in `on_demand`; no generator makes them
 _GENERATED_CLASSES = tuple(c.value for c in (*NORMAL_CLASSES,
                                              TrafficClass.EMERGENCY))
@@ -175,9 +177,8 @@ TRAFFIC_FIELDS = {
     "rate_per_s": (float, 0.0, 0.0), "offset_s": (float, 0.0, 0.0),
     "dst": (str, None, None)}  # null: the bnc
 WAKEUP_FIELDS = {
-    "node": (str, ..., None), "class": (_CLASSES, "NormalMedium", None),
-    "period_s": (float, ..., _TICK_S), "offset_s": (float, 0.0, 0.0),
-    "window_ms": (float, ..., TICK_MS)}
+    "node": (str, ..., None), "period_s": (float, ..., _TICK_S),
+    "offset_s": (float, 0.0, 0.0), "window_ms": (float, ..., TICK_MS)}
 ON_DEMAND_FIELDS = {
     "at_s": (float, ..., 0.0), "target": (str, ..., None),
     "mode": (("Continuous", "NonContinuous"), "NonContinuous", None),
@@ -185,12 +186,6 @@ ON_DEMAND_FIELDS = {
     "duration_s": (float, 0.0, 0.0), "period_s": (float, 1.0, _TICK_S)}
 BRIDGE_FIELDS = {"node": (str, ..., None), "interfaces": ([str], ..., None),
                  "store_capacity": (int, 16, 1)}
-CHANNEL_MAP_FIELDS = {
-    "network": (str, "bsn0", None), "channel": (str, ..., None),
-    "nodes": ([str], ..., None), "connection_id": (int, ..., None),
-    "connection_type": (("Scheduled", "Contention", "WakeupServed"),
-                        "Contention", None),
-    "src": (str, ..., None), "dst": (str, ..., None)}
 SCENARIO_FIELDS = {
     "name": (str, "unnamed", None), "description": (str, "", None),
     "horizon_s": (float, 60.0, _TICK_S), "replications": (int, 1, 1),
@@ -204,8 +199,7 @@ SCENARIO_FIELDS = {
     "protocols": ({str: dict}, {}, None),  # each with its MAC's `params`
     "wakeup_table": ([WAKEUP_FIELDS], [], None),
     "on_demand": ([ON_DEMAND_FIELDS], [], None),
-    "bridge": (BRIDGE_FIELDS, None, None),
-    "channel_map": ([CHANNEL_MAP_FIELDS], [], None)}
+    "bridge": (BRIDGE_FIELDS, None, None)}
 
 # kind -> (the JSON values it takes, its name in messages)
 _KINDS = {str: ((str,), "a string"), int: ((int,), "an integer"),
@@ -398,9 +392,9 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             stream_period=ticks_from_seconds(od["period_s"]),
             at=ticks_from_seconds(od["at_s"]), addressing=od["addressing"]))
 
-    # channel map + bridge ---------------------------------------------------
-    inbody = {n.id for n in nodes if n.kind == "inbody"}
+    # bridge and routes ------------------------------------------------------
     bridge = norm["bridge"]
+    routes: dict = {}
     if bridge is not None:
         _known(bridge["node"], ids, "bridge.node", "node")
         ifaces = bridge["interfaces"]
@@ -412,53 +406,17 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
         if len({channels[k]["mtu_bytes"] for k in ifaces}) > 1:
             raise ScenarioError("bridge.interfaces: differing MTUs across "
                                 "bridged channels are not supported")
-
-    bridge_ids = {bridge["node"]} if bridge else set()
-    # the channel keys a node has a radio on: its own, and a bridge's
-    radio_keys = {n.id: {n.channel} for n in nodes}
-    if bridge is not None:
-        radio_keys[bridge["node"]].update(bridge["interfaces"])
-    # channel -> the nodes mapped on it
-    members: dict[str, set[str]] = {key: set() for key in channels}
-    connection_ids = set()
-    for i, rr in enumerate(norm["channel_map"]):
-        path = f"channel_map[{i}]"
-        _known(rr["channel"], channels, f"{path}.channel", "channel")
-        for m in rr["nodes"] + [rr["src"], rr["dst"]]:
-            _known(m, ids, path, "node")
-        # in-body endpoints may only appear on a channel with a bridge
-        for endpoint in (rr["src"], rr["dst"]):
-            if endpoint in inbody:
-                other = rr["dst"] if endpoint == rr["src"] else rr["src"]
-                if other not in bridge_ids and other not in inbody:
-                    raise ScenarioError(
-                        f"{path}: in-body node {endpoint!r} cannot hold a "
-                        f"direct connection to non-bridge node {other!r}")
-        if rr["connection_id"] in connection_ids:
-            raise ScenarioError(f"{path}: duplicate connection_id "
-                                f"{rr['connection_id']}")
-        connection_ids.add(rr["connection_id"])
-        twice = sorted({n for n in rr["nodes"] if rr["nodes"].count(n) > 1})
-        if twice:
-            raise ScenarioError(f"{path}: nodes listed twice: "
-                                f"{', '.join(twice)}")
-        for endpoint in (rr["src"], rr["dst"]):
-            if (endpoint not in rr["nodes"]
-                    and not any(endpoint in m for m in members.values())):
-                raise ScenarioError(f"{path}: unmapped endpoint: {endpoint}")
-        for m in rr["nodes"]:
-            if rr["channel"] not in radio_keys[m]:
-                raise ScenarioError(f"{path}.nodes: {m!r} has no radio on "
-                                    f"{rr['channel']!r}")
-        members[rr["channel"]].update(rr["nodes"])
-    routes = (resolve_routes(members, [n.id for n in nodes], inbody, bridge_ids)
-              if norm["channel_map"] else {})
+        # the channels a node has a radio on: its own, and the bridge's
+        on = {n.id: [key for key in channels if key == n.channel
+                     or n.id == bridge["node"] and key in ifaces]
+              for n in nodes}
+        inbody = {n.id for n in nodes if n.kind == "inbody"}
+        routes = resolve_routes(on, inbody, bridge["node"])
 
     # star topology: without a bridge, all traffic terminates at the BNC;
     # with one, link_dst reads the route of each flow and of each on-demand
     # request's answers to the BNC, and the route's first field, the channel
     # it leaves on, must be the one the source's MAC sends on
-    routed = {pair for pair, route in routes.items() if route is not None}
     flows = {f"traffic[{i}]": (t.node, t.dst) for i, t in enumerate(traffic)}
     flows.update((f"on_demand[{i}]", (r.target, bnc))
                  for i, r in enumerate(on_demand))
@@ -467,7 +425,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
             if dst != bnc:
                 raise ScenarioError(f"{path}.dst: star topology requires dst "
                                     f"== bnc unless a bridge is configured")
-        elif (src, dst) not in routed:
+        elif routes[src, dst] is None:
             raise ScenarioError(f"{path}: no route from {src!r} to {dst!r}")
         elif routes[src, dst][0] != channel_of[src]:
             raise ScenarioError(f"{path}: the route from {src!r} to {dst!r} "

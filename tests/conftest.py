@@ -65,7 +65,7 @@ def table_scenario(entries, guard: int, horizon: int) -> Scenario:
             {"id": f"n{i}", "kind": "onbody", "channel": "ism",
              "pos": [0.1 * i, 0.9]} for i in range(max(1, len(entries)))],
         "wakeup_table": [
-            {"node": f"n{i}", "class": "NormalHigh", "period_s": p / US_PER_S,
+            {"node": f"n{i}", "period_s": p / US_PER_S,
              "offset_s": o / US_PER_S, "window_ms": w / 1000}
             for i, (p, o, w) in enumerate(entries)],
         "protocols": {"tbw": {"guard_ms": guard / 1000}},

@@ -37,7 +37,7 @@ def _one_frame(protocol, retry_limit):
         # n1's window opens at 1.0 s and fits every attempt
         return tbw_scenario(extra={
             "traffic": ONE_FRAME,
-            "wakeup_table": [{"node": "n1", "class": "NormalHigh",
+            "wakeup_table": [{"node": "n1",
                               "period_s": 5.0, "offset_s": 1.0,
                               "window_ms": 100.0}],
             "protocols": {"tbw": params}}, horizon_s=2.0)
@@ -60,7 +60,7 @@ def test_tbw_retry_past_the_window_waits_for_the_next_window():
     # wait, fewer than the 1 + 3 the retry limit allows
     sc = tbw_scenario(extra={
         "traffic": ONE_FRAME,
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh",
+        "wakeup_table": [{"node": "n1",
                           "period_s": 1.0, "offset_s": 1.0,
                           "window_ms": 12.0}]}, horizon_s=2.5)
     network = _run_without_acks(sc, "tbw")

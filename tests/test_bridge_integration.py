@@ -99,7 +99,7 @@ def test_a_tbw_device_acks_a_relayed_frame_on_its_data_radio():
     pl = {"pl_d0": 47.0, "d0": 0.05, "exponent": 2.0, "shadow_sigma": 0.0}
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
     raw["channels"]["wakeup"] = {"band": "WMTS", "phy": 0}
-    window = {"class": "NormalLow", "period_s": 1.0, "window_ms": 100.0}
+    window = {"period_s": 1.0, "window_ms": 100.0}
     raw.update(
         horizon_s=10.0, wakeup_channel="wakeup", protocols={"tbw": {}},
         channel_model={"mode": "geometric", "pathloss": {

@@ -1,11 +1,9 @@
 """Route resolution at load, and the relay store."""
 
-import pytest
-
 from bsnsim.bridging import Direct, ViaBridge
 from bsnsim.core import ticks_from_seconds
 from bsnsim.runner import build_network
-from bsnsim.scenario import ScenarioError, load_scenario
+from bsnsim.scenario import load_scenario
 from bsnsim.traffic import TrafficClass
 from tests.conftest import make_scenario
 
@@ -14,11 +12,6 @@ MICS, ISM = "mics", "ism"  # the channel keys of `BSN`
 
 def _node(node_id, kind, channel, x):
     return {"id": node_id, "kind": kind, "channel": channel, "pos": [x, 0.0]}
-
-
-def _record(cid, channel, nodes, src, dst):
-    return {"channel": channel, "nodes": nodes, "connection_id": cid,
-            "src": src, "dst": dst}
 
 
 # two implants on MICS and two on-body nodes on ISM, bridged by the bnc
@@ -31,12 +24,7 @@ BSN = {
               _node("imp2", "inbody", "mics", 0.2),
               _node("chest", "onbody", "ism", 0.3),
               _node("ankle", "onbody", "ism", 0.4)],
-    "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]},
-    "channel_map": [
-        _record(1, "mics", ["imp1", "imp2", "bnc"], "imp1", "bnc"),
-        _record(2, "mics", ["imp1", "imp2", "bnc"], "imp2", "bnc"),
-        _record(3, "ism", ["chest", "ankle", "bnc"], "chest", "bnc"),
-        _record(4, "ism", ["chest", "ankle", "bnc"], "ankle", "chest")]}
+    "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]}}
 
 
 def _routes(**overrides):
@@ -47,7 +35,7 @@ def test_every_ordered_pair_resolved_once_at_load():
     routes = _routes()
     assert len(routes) == 5 * 4
     assert all(src != dst for src, dst in routes)
-    assert make_scenario({}).routes == {}  # no channel map, no routes
+    assert make_scenario({}).routes == {}  # no bridge, no routes
 
 
 def test_direct_route_between_onbody_peers():
@@ -69,35 +57,13 @@ def test_routes_do_not_follow_the_channel_listing():
 
 
 def test_no_route_without_shared_infrastructure():
+    # wrist is on a third channel, where the bridge has no interface
     routes = _routes(
-        nodes=[_node("bnc", "bnc", "mics", 0.0),
-               _node("imp1", "onbody", "mics", 0.1),
-               _node("chest", "onbody", "ism", 0.3)],
-        bridge=None,
-        channel_map=[_record(1, "mics", ["imp1", "bnc"], "imp1", "bnc"),
-                     _record(2, "ism", ["chest"], "chest", "chest")])
-    assert routes[("imp1", "chest")] is None
-    assert routes[("imp1", "bnc")] == Direct(MICS)
-
-
-def test_unmapped_endpoint_rejected():
-    # an endpoint outside its record's nodes must be on a channel already
-    # mapped by an earlier record
-    earlier = [_record(1, "ism", ["chest", "bnc"], "chest", "bnc"),
-               _record(2, "ism", ["bnc"], "chest", "bnc")]
-    assert _routes(channel_map=earlier)[("chest", "bnc")] == Direct(ISM)
-    with pytest.raises(ScenarioError,
-                       match=r"^channel_map\[0\]: unmapped endpoint: chest$"):
-        _routes(channel_map=earlier[::-1])
-
-
-def test_duplicate_connection_id_rejected():
-    # record 1 repeats an id and lists a node twice: the id is reported
-    with pytest.raises(ScenarioError,
-                       match=r"^channel_map\[1\]: duplicate connection_id 1$"):
-        _routes(channel_map=[
-            _record(1, "ism", ["chest", "bnc"], "chest", "bnc"),
-            _record(1, "ism", ["ankle", "ankle", "bnc"], "ankle", "bnc")])
+        channels={**BSN["channels"], "uwb": {"band": "UWB", "phy": 0}},
+        nodes=BSN["nodes"] + [_node("wrist", "onbody", "uwb", 0.5)])
+    assert routes[("wrist", "bnc")] is routes[("bnc", "wrist")] is None
+    assert routes[("chest", "wrist")] is routes[("imp1", "wrist")] is None
+    assert routes[("chest", "bnc")] == Direct(ISM)
 
 
 # The relay -------------------------------------------------------------------

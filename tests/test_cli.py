@@ -110,18 +110,21 @@ BRIDGE_INBODY_ROUTES = [
 ]
 
 
-# an on-body node on ism that no channel-map record lists
-WRIST = {"id": "wrist", "site": "Wrist", "kind": "onbody", "pos": [0.3, 0.5],
-         "channel": "ism"}
+def _add_wrist(raw):
+    """Add an on-body wrist node on a third channel, where the bridge has
+    no interface."""
+    raw["channels"]["uwb"] = {"band": "UWB", "phy": 0}
+    raw["nodes"].append({"id": "wrist", "site": "Wrist", "kind": "onbody",
+                         "pos": [0.3, 0.5], "channel": "uwb"})
 
 
 def test_dump_routes_csv(tmp_path, capsys):
     rc = main(["dump-routes", "--scenario", "bridge_inbody"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines() == BRIDGE_INBODY_ROUTES
-    # a node that is in no record has no route to or from anyone
+    # a node off the bridge's channels has no route to or from anyone
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
-    raw["nodes"].append(WRIST)
+    _add_wrist(raw)
     path = tmp_path / "wrist.json"
     path.write_text(json.dumps(raw))
     assert main(["dump-routes", "--scenario", str(path)]) == 0
@@ -149,10 +152,18 @@ def test_trace_determinism_byte_identical(tmp_path, capsys):
     assert c1 == c2
 
 
-def test_unknown_scenario_exit_code(capsys):
+def test_unknown_scenario_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", "nope", "--protocol", "direct"])
     assert rc == 2
     assert "scenario error" in capsys.readouterr().err
+    # nor can a directory or a file that is not UTF-8 be read as a scenario
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    for path, message in ((tmp_path, "cannot read"), (latin, "parse error")):
+        assert main(["dump-routes", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario error: {path}: {message}: " in err
+        assert "Traceback" not in err
 
 
 def test_unknown_protocol_parameter_exit_code(tmp_path, capsys):
@@ -216,23 +227,6 @@ def test_co_located_nodes_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["run", "dump-routes"])
-def test_unmapped_endpoint_exit_code(tmp_path, capsys, command):
-    # chest is on no channel when the first record is registered
-    raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
-    raw["channel_map"][0]["src"] = "chest"
-    path = tmp_path / "unmapped.json"
-    path.write_text(json.dumps(raw))
-    run_args = ["--protocol", "direct", "--reps", "1", "--until", "1",
-                "--out", str(tmp_path)]
-    rc = main([command, "--scenario", str(path),
-               *(run_args if command == "run" else [])])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "channel_map[0]: unmapped endpoint: chest" in err
-    assert "Traceback" not in err
-
-
 def test_bad_link_matrix_exit_code(tmp_path, capsys):
     csv_path = tmp_path / "links.csv"
     csv_path.write_text("posture,src,dst,success_rate\nstanding,Chest,Waist,1.7\n")
@@ -249,7 +243,7 @@ def test_bad_link_matrix_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
+WINDOW = {"node": "ecg", "period_s": 2.0,
           "offset_s": 1.0, "window_ms": 100.0}
 
 
@@ -258,7 +252,7 @@ WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
     (lambda raw: raw["channel_model"].update(sensitivity_dbm="low"),
      "channel_model.sensitivity_dbm: 'low' is not a number"),
     (lambda raw: raw.update(wakeup_table=[
-        WINDOW, dict(WINDOW, **{"class": "NormalLow", "period_s": 3.0})]),
+        WINDOW, dict(WINDOW, period_s=3.0)]),
      "wakeup_table[1].node: 'ecg' already has an entry at wakeup_table[0]"),
     (lambda raw: raw.update(wakeup_table=[dict(WINDOW, node="bnc")]),
      "wakeup_table[0].node: unknown device 'bnc'"),
@@ -270,9 +264,14 @@ WINDOW = {"node": "ecg", "class": "NormalHigh", "period_s": 2.0,
      "traffic[0].payload_bytes: 600 is above the mtu_bytes 128 of its channel"),
     (lambda raw: raw["traffic"][0].update(dst=raw["traffic"][0]["node"]),
      "traffic[0].dst: 'ecg' is the flow's own node"),
+    # routes come from the nodes' channels, and no rule reads a window's class
+    (lambda raw: raw.update(channel_map=[]), "channel_map: unknown field"),
+    (lambda raw: raw.update(wakeup_table=[dict(WINDOW, **{"class": "NormalLow"})]),
+     "wakeup_table[0].class: unknown field"),
 ], ids=["misspelt-key", "wrong-kind", "repeated-wakeup-entry",
         "wakeup-entry-for-the-bnc", "on-demand-traffic-class",
-        "window-longer-than-period", "payload-above-mtu", "flow-to-own-node"])
+        "window-longer-than-period", "payload-above-mtu", "flow-to-own-node",
+        "channel-map-section", "wakeup-entry-class"])
 def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("paper_fig2").read_text())
     edit(raw)
@@ -288,19 +287,14 @@ def test_bad_field_exit_code(tmp_path, capsys, edit, message):
     assert not out.exists()
 
 
-def _mislay_ism_records(raw):
-    for record in raw["channel_map"][2:]:
-        record["channel"] = "mics"
-
-
 def _add_unrouted_flow(raw):
-    raw["nodes"].append(WRIST)
+    _add_wrist(raw)
     raw["traffic"].append({"node": "wrist", "class": "NormalLow",
                            "period_s": 2.0, "dst": "bnc"})
 
 
 def _add_unrouted_request(raw):
-    raw["nodes"].append(WRIST)
+    _add_wrist(raw)
     raw["on_demand"] = [{"at_s": 1.0, "target": "wrist"}]
 
 
@@ -312,12 +306,11 @@ def _add_bnc_flow_to_chest(raw):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_mislay_ism_records, "channel_map[2].nodes: 'chest' has no radio on 'mics'"),
     (_add_unrouted_flow, "traffic[4]: no route from 'wrist' to 'bnc'"),
     (_add_unrouted_request, "on_demand[0]: no route from 'wrist' to 'bnc'"),
     (_add_bnc_flow_to_chest, "traffic[4]: the route from 'bnc' to 'chest' "
                              "starts on 'ism', but 'bnc' sends on 'mics'"),
-], ids=["mislaid-record", "unrouted-flow", "unrouted-request",
+], ids=["unrouted-flow", "unrouted-request",
         "route-off-the-source-channel"])
 def test_bad_bridge_scenario_exit_code(tmp_path, capsys, edit, message):
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())

@@ -129,31 +129,6 @@ def test_first_cca_busy_skips_second(monkeypatch):
     assert len({window for _now, window in calls}) == 10
 
 
-def test_backoff_once_contention_has_closed_schedules_no_cca(monkeypatch):
-    # n1 loses its beacon sync, as a missed beacon leaves it, while its first
-    # CCA finds the channel busy: the backoff that follows schedules no CCA,
-    # fails no access and keeps the frame for the next superframe
-    network, _ = _network("csma802154", 10.0, 0.03, 1.0,
-                          {"csma802154": {"BO": 3, "SO": 3}})
-    mac = network.nodes["n1"].mac
-
-    def busy(now):
-        if now < BI_BO3:
-            mac._synced = False
-            return True
-        return False
-
-    calls = _patch_cca(monkeypatch, busy)
-    network.sim.run(BI_BO3 - 1)
-    assert len(calls) == 1
-    assert mac.in_service is not None
-    assert network.metrics.csma_failures == 0
-    network.sim.run(2 * BI_BO3)
-    data = [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
-    assert len(data) == 1 and BI_BO3 < data[0][0] < 2 * BI_BO3
-    assert network.metrics.counts[TrafficClass.NORMAL_HIGH].delivered == 1
-
-
 def test_frame_in_the_beacon_guard_keeps_the_device_listening():
     # the frame arrives 1 ms before the second beacon, inside the guard, and
     # cannot fit before it: the device keeps listening, so it hears that

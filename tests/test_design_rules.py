@@ -145,7 +145,7 @@ def test_protocol_parameters_are_read_at_load():
 
 
 def test_routes_are_built_at_load_only():
-    # _build checks every channel_map record and resolves every route once;
+    # _build resolves every route once, from the nodes' channels;
     # a route resolved again could differ from what dump-routes shows
     assert not _hits(r"resolve_routes\(", MODULES - {"scenario.py"})
     assert not _hits("lookup_route|ChannelMap")

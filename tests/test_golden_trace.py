@@ -82,9 +82,9 @@ def _on_demand():
              "offset_s": 0.7},
         ],
         "wakeup_table": [
-            {"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+            {"node": "n1", "period_s": 1.0,
              "offset_s": 0.5, "window_ms": 50.0},
-            {"node": "n2", "class": "NormalMedium", "period_s": 2.0,
+            {"node": "n2", "period_s": 2.0,
              "offset_s": 1.0, "window_ms": 50.0},
         ],
         "on_demand": [

@@ -248,26 +248,6 @@ def test_pbtdma_throughput_capped_at_one_frame_per_round():
     assert len(net.nodes["n1"].mac.queue) == 16  # full at the default capacity
 
 
-def test_pbtdma_slot_with_an_empty_queue_sleeps_the_radio():
-    # the preamble books n1's slot for its one frame, and the frame then
-    # leaves the queue: the slot's tx step finds nothing to send, sends
-    # nothing and puts the radio it woke back to sleep
-    sc = make_scenario({
-        "horizon_s": 0.1,
-        "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 10.0,
-                     "offset_s": 0.001}],
-        "protocols": {"pbtdma": {}}})
-    network, _ = build_network(sc, "pbtdma", seed=7, keep_tx_log=True)
-    mac = network.nodes["n1"].mac
-    wake = mac.preamble_ticks + mac.slot * mac.slot_ticks
-    network.sim.run(wake)
-    assert mac.radio.state == "rx"
-    mac.queue.pop()
-    network.sim.run(wake + TURNAROUND_US)
-    assert mac.radio.state == "sleep"
-    assert not [t for t in network.medium.tx_log if t[4] is FrameKind.DATA]
-
-
 # S-MAC ----------------------------------------------------------------------
 
 def test_smac_never_transmits_in_sleep_phase():

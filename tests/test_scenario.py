@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bsnsim.bridging import ViaBridge
 from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.runner import build_network
 from bsnsim.scenario import (ScenarioError, _build, bundled_scenario_path,
@@ -100,23 +101,20 @@ def test_single_interface_bridge_rejected():
         make_scenario({"bridge": {"node": "bnc", "interfaces": ["ism"]}})
 
 
-def test_inbody_direct_record_to_non_bridge_rejected():
-    with pytest.raises(ScenarioError, match="cannot hold a direct connection"):
-        make_scenario({
-            "channels": {
-                "mics": {"band": "MICS_402_405", "phy": 0},
-                "ism": {"band": "ISM_2_4", "phy": 0},
-            },
-            "channel_model": {"mode": "geometric", "pathloss": {}},
-            "nodes": [
-                {"id": "bnc", "kind": "bnc", "channel": "mics", "pos": [0, 0]},
-                {"id": "imp", "kind": "inbody", "channel": "mics", "pos": [0.1, 0]},
-                {"id": "n1", "kind": "onbody", "channel": "mics", "pos": [0.2, 0]},
-            ],
-            "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]},
-            "channel_map": [
-                {"network": "b", "channel": "mics", "nodes": ["imp", "n1", "bnc"],
-                 "connection_id": 1, "src": "imp", "dst": "n1"}]})
+def test_inbody_to_onbody_on_a_shared_channel_goes_via_bridge():
+    routes = make_scenario({
+        "channels": {
+            "mics": {"band": "MICS_402_405", "phy": 0},
+            "ism": {"band": "ISM_2_4", "phy": 0},
+        },
+        "channel_model": {"mode": "geometric", "pathloss": {}},
+        "nodes": [
+            {"id": "bnc", "kind": "bnc", "channel": "mics", "pos": [0, 0]},
+            {"id": "imp", "kind": "inbody", "channel": "mics", "pos": [0.1, 0]},
+            {"id": "n1", "kind": "onbody", "channel": "mics", "pos": [0.2, 0]},
+        ],
+        "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]}}).routes
+    assert routes[("imp", "n1")] == ViaBridge("mics", "bnc", "mics")
 
 
 def test_mtu_mismatch_across_bridge_rejected():
@@ -127,17 +125,6 @@ def test_mtu_mismatch_across_bridge_rejected():
                 "ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 128},
             },
             "bridge": {"node": "bnc", "interfaces": ["mics", "ism"]}})
-
-
-def test_duplicate_connection_id_rejected():
-    with pytest.raises(ScenarioError, match="duplicate connection_id"):
-        make_scenario({
-            "channel_map": [
-                {"network": "b", "channel": "ism", "nodes": ["bnc", "n1"],
-                 "connection_id": 7, "src": "n1", "dst": "bnc"},
-                {"network": "b", "channel": "ism", "nodes": ["bnc", "n1"],
-                 "connection_id": 7, "src": "bnc", "dst": "n1"}],
-            "bridge": None})
 
 
 def test_misspelt_protocol_parameter_rejected_with_path():
@@ -174,8 +161,6 @@ BNC_FLOW = {
                  "wakeup": {"band": "ISM_2_4", "phy": 99}},
     "wakeup_channel": "wakeup",
     "bridge": {"node": "bnc", "interfaces": ["ism", "mics"]},
-    "channel_map": [{"channel": "ism", "nodes": ["bnc", "n1"],
-                     "connection_id": 1, "src": "bnc", "dst": "n1"}],
     "traffic": [{"node": "bnc", "class": "NormalHigh", "period_s": 0.5,
                  "dst": "n1"}]}
 MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
@@ -297,13 +282,15 @@ def _window(**fields):
 
 def _unrouted_request():
     """bridge_inbody, whose keys replace each of make_scenario's, with a
-    wakeup channel, no channel map and one on-demand request, which imp1
-    would answer with no route to the bnc."""
+    wakeup channel and one on-demand request, which imp1 would answer with
+    no route to the bnc: imp1 is on a third channel, where the bridge has no
+    interface."""
     raw = json.loads(bundled_scenario_path("bridge_inbody").read_text())
     raw["channels"]["wakeup"] = {"band": "WMTS", "phy": 0}
-    raw.update(wakeup_channel="wakeup", traffic=[], channel_map=[],
-               protocols={"tbw": {}}, horizon_s=3.0,
-               on_demand=[{"at_s": 1.0, "target": "imp1"}])
+    raw["channels"]["uwb"] = {"band": "UWB", "phy": 0}
+    raw["nodes"][1]["channel"] = "uwb"
+    raw.update(wakeup_channel="wakeup", traffic=[], protocols={"tbw": {}},
+               horizon_s=3.0, on_demand=[{"at_s": 1.0, "target": "imp1"}])
     return raw
 
 
@@ -342,27 +329,22 @@ POWER_FIELDS = ("sleep_mw", "idle_listen_mw", "rx_mw", "tx_mw", "wakeup_rx_uw")
      "on_demand[0].duration_s: -1.0 is below the minimum 0.0"),
     ({"channel_model": {"pathloss": PATHLOSS, "sensitivity_dbm": "low"}},
      "channel_model.sensitivity_dbm: 'low' is not a number"),
-    ({"wakeup_table": [{"node": "n1", "class": "Urgent", "period_s": 1.0,
-                        "window_ms": 50.0}]},
-     "wakeup_table[0].class: 'Urgent' is not one of"),
+    (_window(**{"class": "NormalHigh"}), "wakeup_table[0].class: unknown field"),
     ({"channel_model": {"pathloss": {"ism": {"pl_d0": 40.0,
                                              "exponnet": 2.0}}}},
      "channel_model.pathloss.ism.exponnet: unknown field"),
     (_n1(pos=[0.5]), "nodes[1].pos: needs 2 or 3 coordinates"),
     ([], "scenario: must be an object"),  # the document itself
-    # rules that no field table holds: an exclusive minimum, a maximum, and
-    # the channel-map records, registered at load
+    # rules that no field table holds: an exclusive minimum and a maximum
     ({"channel_model": {"pathloss": PATHLOSS, "min_distance_m": 0}},
      "channel_model.min_distance_m: 0.0 is not above 0"),
     ({"channel_model": {"pathloss": PATHLOSS,
                         "interference": {"pass_probability": 1.5}}},
      "channel_model.interference.pass_probability: 1.5 is above the maximum 1"),
-    ({"channel_map": [{"channel": "ism", "nodes": ["bnc", "n1", "bnc"],
-                       "connection_id": 1, "src": "n1", "dst": "bnc"}]},
-     "channel_map[0]: nodes listed twice: bnc"),
-    ({"channel_map": [{"channel": "ism", "nodes": ["bnc"],
-                       "connection_id": 1, "src": "n1", "dst": "bnc"}]},
-     "channel_map[0]: unmapped endpoint: n1"),
+    # routes come from the nodes' channels and the bridge's interfaces
+    ({"channel_map": []}, "channel_map: unknown field"),
+    ({"bridge": {"node": "ghost", "interfaces": ["ism", "mics"]}},
+     "bridge.node: unknown node 'ghost'"),
     ({"on_demand": [{"at_s": 1.0, "target": "bnc"}]},
      "on_demand[0].target: unknown device 'bnc'"),
     # the queue and the CCA threshold are the scenario's, not a protocol's
@@ -491,6 +473,13 @@ def test_parse_error_reported(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ScenarioError, match="parse error"):
         load_scenario(p)
+    # text that is not UTF-8 is no JSON either; a directory is not read
+    p.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ScenarioError, match="parse error: 'utf-8' codec"):
+        load_scenario(p)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(tmp_path)
+    assert str(err.value).startswith(f"{tmp_path}: cannot read: ")
 
 
 def test_missing_scenario_reported():

@@ -72,7 +72,7 @@ def test_single_queued_frame_served_in_window():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
                      "offset_s": 0.9}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+        "wakeup_table": [{"node": "n1", "period_s": 5.0,
                           "offset_s": 1.0, "window_ms": 100.0}],
     }, horizon_s=4.0)
     m = run_one(sc, "tbw", seed=1)
@@ -94,7 +94,7 @@ def test_window_fits_two_of_three_frames():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.3,
                      "offset_s": 0.2}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+        "wakeup_table": [{"node": "n1", "period_s": 5.0,
                           "offset_s": 1.0,
                           "window_ms": window_us / 1000.0}],
     }, horizon_s=1.05)
@@ -107,7 +107,7 @@ def test_window_fits_two_of_three_frames():
 
 def test_empty_queue_node_listens_until_window_end():
     sc = tbw_scenario(extra={
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+        "wakeup_table": [{"node": "n1", "period_s": 5.0,
                           "offset_s": 1.0, "window_ms": 100.0}],
     }, horizon_s=4.0)
     net = run_net(sc, "tbw", seed=3)
@@ -124,7 +124,7 @@ def test_bnc_sleeps_outside_pattern_and_alwayson_does_not():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
                      "offset_s": 0.9}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+        "wakeup_table": [{"node": "n1", "period_s": 5.0,
                           "offset_s": 1.0, "window_ms": 100.0}],
     }, horizon_s=5.0)
     a = run_one(sc, "tbw", seed=4)
@@ -143,9 +143,9 @@ def test_window_past_the_table_period_keeps_the_next_window_awake():
         "traffic": [{"node": "n2", "class": "NormalHigh", "period_s": 1.0,
                      "offset_s": 0.1}],
         "wakeup_table": [
-            {"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+            {"node": "n1", "period_s": 10.0,
              "offset_s": 9.95, "window_ms": 200.0},
-            {"node": "n2", "class": "NormalHigh", "period_s": 10.0,
+            {"node": "n2", "period_s": 10.0,
              "offset_s": 0.12, "window_ms": 100.0}],
     }, horizon_s=60.0)
     for protocol in ("tbw", "tbw_alwayson"):
@@ -179,7 +179,6 @@ def test_the_coordinators_data_radios_do_not_follow_the_channel_listing():
 
 WAKEUP_ENTRY = st.fixed_dictionaries({
     "node": st.sampled_from(["bnc", "n1", "n2", "n3"]),  # n3 is no node
-    "class": st.sampled_from(["NormalHigh", "NormalLow"]),
     "period_s": st.sampled_from([0.25, 0.5, 1.0]),
     "offset_s": st.integers(0, 1000).map(lambda ms: ms / 1000),
     "window_ms": st.sampled_from([20.0, 50.0, 100.0]),
@@ -346,7 +345,7 @@ def test_broadcast_addressing_costs_every_node():
 def test_continuous_on_demand_streams_expected_count():
     # the stream runs from about 2 s to 4 s; the second case puts the
     # target's own table window at 3.5 s, inside it
-    window = {"node": "n1", "class": "NormalHigh", "period_s": 10.0,
+    window = {"node": "n1", "period_s": 10.0,
               "offset_s": 3.5, "window_ms": 50.0}
     for table in ([], [window]):
         res = _paired_energy("Tone",
@@ -379,7 +378,7 @@ def test_a_poll_due_during_a_window_beacon_waits_for_it():
     # the poll falls due while the data radio sends the 2.5 s window beacon;
     # it goes out when the beacon ends, and the request's hold is released
     sc = tbw_scenario(extra={
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+        "wakeup_table": [{"node": "n1", "period_s": 1.0,
                           "offset_s": 0.5, "window_ms": 50.0}],
         "on_demand": [{"at_s": 2.490008, "target": "n2"}],
     }, horizon_s=6.0)
@@ -429,7 +428,7 @@ def test_every_hold_is_released_after_a_quiet_tail(requests, protocol):
     hold_s = max(r["duration_s"] for r in requests) + 0.2
     horizon_s = max(r["at_s"] for r in requests) + POLL_DELAY_S + hold_s + 0.5
     sc = tbw_scenario(extra={
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+        "wakeup_table": [{"node": "n1", "period_s": 1.0,
                           "offset_s": 0.5, "window_ms": 50.0}],
         "on_demand": requests,
     }, horizon_s=horizon_s)
@@ -441,7 +440,7 @@ def test_windows_resume_after_an_emergency_cuts_an_on_demand_stream():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
                      "offset_s": 0.3}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 1.0,
+        "wakeup_table": [{"node": "n1", "period_s": 1.0,
                           "offset_s": 0.5, "window_ms": 50.0}],
     }, horizon_s=8.0)
     net, macs = build_network(sc, "tbw", seed=12)
@@ -467,7 +466,7 @@ def test_emergency_preempts_window_without_losing_frames():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.05,
                      "offset_s": 0.5}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 2.0,
+        "wakeup_table": [{"node": "n1", "period_s": 2.0,
                           "offset_s": 1.0, "window_ms": 200.0}],
     }, horizon_s=6.0)
     net, macs = build_network(sc, "tbw", seed=30)
@@ -507,7 +506,7 @@ def _silent_n1_emergencies(interrupt):
     weak for the bnc to hear; `interrupt` adds a 20 ms window every 0.25 s
     or a tone-addressed request at 1.03 s, between two tries."""
     extra = {
-        "window": {"wakeup_table": [{"node": "n1", "class": "NormalHigh",
+        "window": {"wakeup_table": [{"node": "n1",
                                      "period_s": 0.25, "offset_s": 0.0,
                                      "window_ms": 20.0}]},
         "tone": {"on_demand": [{"at_s": 1.03, "target": "n1"}]},
@@ -631,7 +630,7 @@ def test_a_frame_that_cannot_go_back_to_a_full_queue_is_dropped(emergency):
         "queue_capacity": 1,
         "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.502,
                      "offset_s": 0.5}],
-        "wakeup_table": [{"node": "n1", "class": "NormalHigh", "period_s": 5.0,
+        "wakeup_table": [{"node": "n1", "period_s": 5.0,
                           "offset_s": 1.0, "window_ms": 10.0}],
     }, nodes=QUIET_NODES, horizon_s=1.5)
     net, _macs = build_network(sc, "tbw", seed=1)
@@ -681,7 +680,7 @@ def test_a_wakeup_receiver_ignores_frames_that_are_not_wakeup_signals():
     sc = tbw_scenario(extra={
         "traffic": [{"node": "n2", "class": "NormalHigh", "period_s": 0.5,
                      "offset_s": 0.1}],
-        "wakeup_table": [{"node": "n2", "class": "NormalHigh", "period_s": 1.0,
+        "wakeup_table": [{"node": "n2", "period_s": 1.0,
                           "offset_s": 0.5, "window_ms": 50.0}],
     }, nodes=nodes, horizon_s=3.0)
     net = run_net(sc, "tbw", seed=1)
