@@ -234,8 +234,8 @@ class Medium:
         radio.enter_tx()
         radio.current_tx = tx
         cs.active.append(tx)
-        self.sim.schedule(airtime, "tx_end", radio.key,
-                          lambda: self._finish_tx(tx, cs))
+        self.sim.schedule_at(now + airtime, "tx_end", radio.key,
+                             lambda: self._finish_tx(tx, cs))
         return tx
 
     def abort_tx(self, tx: Transmission) -> None:

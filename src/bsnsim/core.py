@@ -69,38 +69,13 @@ class Simulator:
 
     def schedule_at(self, fire_at: SimTime, kind: str, target: str,
                     fn: Callable[[], None]) -> Event:
+        """Put `fn` on the heap at `fire_at`, after every event due then."""
         if fire_at < self.now:
             raise ValueError(f"past event: fire_at={fire_at} < now={self.now}")
         ev = Event(fire_at, self._seq, kind, target, fn)
         self._seq += 1
         heapq.heappush(self._heap, (fire_at, ev.seq, ev))
         return ev
-
-    def reserve_seq(self) -> int:
-        """Take the next sequence number for an event pushed later."""
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def schedule_reserved(self, fire_at: SimTime, seq: int, kind: str,
-                          target: str, fn: Callable[[], None]) -> Event:
-        """Schedule at a key (fire_at, seq) taken earlier by `reserve_seq`.
-
-        It goes through `schedule_at`, so that every push is seen there,
-        and leaves the sequence of later events as it was.
-        """
-        next_seq = self._seq
-        self._seq = seq
-        try:
-            return self.schedule_at(fire_at, kind, target, fn)
-        finally:
-            self._seq = next_seq
-
-    def schedule(self, delay: SimTime, kind: str, target: str,
-                 fn: Callable[[], None]) -> Event:
-        if delay < 0:
-            raise ValueError(f"past event: negative delay {delay}")
-        return self.schedule_at(self.now + delay, kind, target, fn)
 
     def cancel(self, event: Event) -> bool:
         """Cancel a pending event. Idempotent; False if already fired/cancelled."""

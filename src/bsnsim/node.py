@@ -163,10 +163,9 @@ class Node:
         self.dead = False
         self.death_time: Optional[SimTime] = None
         self.target = f"node:{node_id}"
-        # The projected death as a dispatch key (None: no death in sight),
-        # and the one pending death event, never later than that key.
+        # The projected death tick (None: no death in sight), and the one
+        # pending death event, never later than that tick.
         self._death_at: Optional[SimTime] = None
-        self._death_seq = 0
         self._death_event: Optional[Event] = None
         self.mac = None
 
@@ -207,9 +206,10 @@ class Node:
     def power_changed(self) -> None:
         """Project the death at the current total draw.
 
-        The projection takes a sequence number as if it were scheduled, but
-        the one pending death event is pushed again only when the projection
+        The one pending death event is pushed again only when the projection
         moves earlier; when it fires early it moves itself to the projection.
+        So a death sorts within its tick by the time its projection last
+        moved earlier, like any event scheduled then.
         """
         if self.dead or self.initial_j is None:
             return
@@ -229,7 +229,6 @@ class Node:
         if self.horizon_hint is not None and fire_at > self.horizon_hint:
             return
         self._death_at = fire_at
-        self._death_seq = self.sim.reserve_seq()
         pending = self._death_event
         if pending is None or fire_at < pending.fire_at:
             if pending is not None:
@@ -237,15 +236,14 @@ class Node:
             self._push_death()
 
     def _push_death(self) -> None:
-        self._death_event = self.sim.schedule_reserved(
-            self._death_at, self._death_seq, "death", self.target,
-            self._death_due)
+        self._death_event = self.sim.schedule_at(
+            self._death_at, "death", self.target, self._death_due)
 
     def _death_due(self) -> None:
         event, self._death_event = self._death_event, None
         if self._death_at is None:
             return
-        if (event.fire_at, event.seq) != (self._death_at, self._death_seq):
+        if event.fire_at != self._death_at:
             self._push_death()
             return
         self._die()

@@ -152,7 +152,8 @@ def test_receiver_asleep_for_airtime_misses():
     medium = _medium()
     receiver = _radio(medium, "rx", 0.5, state="sleep")
     late = _send(medium, _radio(medium, "tx", 0.0), "rx")
-    medium.sim.schedule(10, "wake", "rx", lambda: receiver.set_state("listen"))
+    medium.sim.schedule_at(10, "wake", "rx",
+                           lambda: receiver.set_state("listen"))
     medium.sim.run(10_000)  # woke after the frame started
     assert late == [DeliveryOutcome.OFF_CHANNEL]
 
@@ -186,7 +187,8 @@ def test_a_frame_overlapping_the_nodes_own_collides_at_its_other_radio():
     node.add_radio("data", ISM, initial_state="listen")
     own = node.add_radio("data2", ISM)
     out = _send(medium, _radio(medium, "tx", 0.0), "rx")
-    medium.sim.schedule(100, "own_tx", "rx", lambda: _send(medium, own, "x"))
+    medium.sim.schedule_at(100, "own_tx", "rx",
+                           lambda: _send(medium, own, "x"))
     medium.sim.run(10_000)
     assert out == [DeliveryOutcome.COLLIDED]
 

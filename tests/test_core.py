@@ -8,8 +8,8 @@ from bsnsim.core import Simulator, substream_seed, ticks_from_seconds
 def test_zero_delay_event_fires_before_later_events():
     sim = Simulator()
     order = []
-    sim.schedule(5, "b", "t", lambda: order.append("later"))
-    sim.schedule(0, "a", "t", lambda: order.append("now"))
+    sim.schedule_at(5, "b", "t", lambda: order.append("later"))
+    sim.schedule_at(0, "a", "t", lambda: order.append("now"))
     sim.run(10)
     assert order == ["now", "later"]
 
@@ -17,9 +17,9 @@ def test_zero_delay_event_fires_before_later_events():
 def test_equal_fire_time_dispatches_in_insertion_order():
     sim = Simulator()
     order = []
-    sim.schedule(7, "a", "t", lambda: order.append(1))
-    sim.schedule(7, "b", "t", lambda: order.append(2))
-    sim.schedule(7, "c", "t", lambda: order.append(3))
+    sim.schedule_at(7, "a", "t", lambda: order.append(1))
+    sim.schedule_at(7, "b", "t", lambda: order.append(2))
+    sim.schedule_at(7, "c", "t", lambda: order.append(3))
     count = sim.run(7)
     assert order == [1, 2, 3]
     assert count == 3
@@ -27,12 +27,10 @@ def test_equal_fire_time_dispatches_in_insertion_order():
 
 def test_scheduling_into_the_past_is_rejected():
     sim = Simulator()
-    sim.schedule(1, "a", "t", lambda: None)
+    sim.schedule_at(1, "a", "t", lambda: None)
     sim.run(5)
     with pytest.raises(ValueError, match="past event"):
         sim.schedule_at(4, "late", "t", lambda: None)
-    with pytest.raises(ValueError, match="past event"):
-        sim.schedule(-1, "neg", "t", lambda: None)
 
 
 def test_run_on_empty_queue_advances_clock():
@@ -44,9 +42,9 @@ def test_run_on_empty_queue_advances_clock():
 def test_three_events_dispatch_count_and_tie_break():
     sim = Simulator()
     seen = []
-    sim.schedule(1, "x", "t", lambda: seen.append("x"))
-    sim.schedule(1, "y", "t", lambda: seen.append("y"))
-    sim.schedule(2, "z", "t", lambda: seen.append("z"))
+    sim.schedule_at(1, "x", "t", lambda: seen.append("x"))
+    sim.schedule_at(1, "y", "t", lambda: seen.append("y"))
+    sim.schedule_at(2, "z", "t", lambda: seen.append("z"))
     assert sim.run(2) == 3
     assert seen == ["x", "y", "z"]
 
@@ -54,13 +52,13 @@ def test_three_events_dispatch_count_and_tie_break():
 def test_cancel_semantics():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(5, "a", "t", lambda: fired.append("a"))
+    ev = sim.schedule_at(5, "a", "t", lambda: fired.append("a"))
     assert sim.cancel(ev) is True
     assert sim.cancel(ev) is False  # idempotent
     sim.run(10)
     assert fired == []
 
-    ev2 = sim.schedule(2, "b", "t", lambda: fired.append("b"))
+    ev2 = sim.schedule_at(12, "b", "t", lambda: fired.append("b"))
     sim.run(20)
     assert fired == ["b"]
     assert sim.cancel(ev2) is False  # already fired
@@ -80,9 +78,10 @@ def test_identical_seed_identical_dispatch_trace():
 
         def recur():
             if sim.now < 5000:
-                sim.schedule(rng.randrange(1, 50), "step", "t", recur)
+                sim.schedule_at(sim.now + rng.randrange(1, 50), "step", "t",
+                                recur)
 
-        sim.schedule(0, "start", "t", recur)
+        sim.schedule_at(0, "start", "t", recur)
         sim.run(10_000)
         return list(sim.trace_lines)
 

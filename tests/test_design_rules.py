@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _dotted(node) -> str:
-    """`self.sim.schedule` for a chain of names; "?" for a part that is not."""
+    """`self.sim.schedule_at` for a chain of names; "?" for a part that is not."""
     if isinstance(node, ast.Attribute):
         return f"{_dotted(node.value)}.{node.attr}"
     return node.id if isinstance(node, ast.Name) else "?"
@@ -83,7 +83,18 @@ def _is(node, value) -> bool:
 def test_only_macbase_at_calls_the_scheduler_in_the_macs_and_the_runner():
     # a step scheduled straight on the simulator escapes the dead-node rule of
     # Node.at/after and the session rule of MacBase.at/after
-    assert not _hits(r"\bsim\.schedule(_at)?\b", MACS | {"runner.py"})
+    assert not _hits(r"\bsim\.schedule_at\b", MACS | {"runner.py"})
+
+
+def test_one_way_onto_the_event_heap():
+    # Simulator.schedule_at gives each event its key (fire_at, seq), so
+    # events due at one tick dispatch in the order they were scheduled; a
+    # key taken or pushed elsewhere would sort by a second rule
+    assert sorted({(m, s) for m, s, _ in _hits(r"\._seq$", {"core.py"})
+                   + _hits(r"\bsim\._seq$")}) == [
+        ("core.py", "Simulator.__init__"), ("core.py", "Simulator.schedule_at")]
+    assert sorted({(m, s) for m, s, _ in _hits("heappush")}) == [
+        ("core.py", "Simulator.schedule_at")]
 
 
 def test_one_acknowledged_exchange():
