@@ -130,25 +130,25 @@ GOLDEN = {
         "bd6c662bb2c977794b234b269a4c441cc52a452cd27987e3bff039fc52d87911"),
     "fig2-dying-csma802154": (
         "b586b2a72ab9acf97d1734a9f12dc999961fb52862b1d0bc8b866b752fa3fa98",
-        "d9f8d6faca125b40e09c418b6404f08ce0f7c125cc6b1816348df33145a4cc67"),
+        "cbbe2ff45a5199f32c5ee08c78e0fb2c22fcf649ac9f4c90740f1141754dbde8"),
     "fig2-dying-pbtdma": (
         "567ee26cd59276133dbf9879d957f46aab9db682238a46e76a26c1398fb98f78",
-        "5e3737dd9b125a0a09fc65d428059fecc548a2c7ed2bb6e4844e2f89920cfb8f"),
+        "896af4381a5019ba297237813b8802e1b536cf7df20478ddec0823d2dd0a0a3f"),
     "fig2-dying-smac": (
         "2e468bd30226feb712a9d2f9d1a40f96cd1f5e9ccecf80797d848b3dd1888264",
-        "ff5c68f61becc3d33107e034286e3c22326ea15f7c0cb2d8f0bd07260a332084"),
+        "bc2c9c1c831cb0c22b401935f0a69d949641822dc8a667aaf7903eeb6ae17696"),
     "emergency-tbw": (
         "a64dcf12ccee32454a9b86c5c64a716bbda8d2059baeee02728737ac524ae22c",
-        "06910b77204a9ecf4008d7ffdbcbfd1909185924e8b9fb35a81db8de612e5758"),
+        "e6081fe5141d0efa2442d59bf925661174202523f19d7f91bd52bccf415e32a3"),
     "emergency-tbw_alwayson": (
         "53bb2dd7beb78228a08f2776e0a45df167edde8cc1a81bc2e6b8c97cb3a8e6e8",
-        "de7a5c73bd1ec2f298b1031360efd9ebb8fb31b0264ed24a9fd7127643665d99"),
+        "9075b21c849898aead9fe6930bdbed0e343a0c04f6f46bebf9e69615ffe0caa1"),
     "emergency-dying-tbw": (
         "be18e313bbbe98367a8f998d4fe9dacde5857dfcf81c51528f5afb10bb5f6425",
-        "b5d9f9b0fecbf3d6ba09a01eaf03ff74f0388eb58a2400c0fcc8e516dac00296"),
+        "5d9753054ec7c1d1d8a2a884057902bbb54975c32dd3810a8ed5c24497065a4f"),
     "emergency-dying-tbw_alwayson": (
         "354940263c0319bf503221e7f658fec75d45ac24f9fdd9dff75cfd43b342aee3",
-        "0356aa277ced838ed721715fca5309e438eeb621be7e6cf8a09f3ed43887752a"),
+        "759badcff238c1b789c1050ba18d94c29507f98aa2faeb0f9f6a4b07d7eb9870"),
     "bridge-direct": (
         "26315512053a2d8abed221fd62b173f0ec141b7dcb18689f33275199d936171d",
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
