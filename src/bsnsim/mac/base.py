@@ -19,9 +19,9 @@ ACK_WAIT_MARGIN_US = 200
 TICK_MS = 1000 / US_PER_S  # one tick: the shortest slot, preamble or signal
 
 
-def ack_wait_ticks(medium, channel) -> SimTime:
-    """How long a sender on `channel` waits for an ack."""
-    return (TURNAROUND_US + medium.airtime_ticks(ACK_BYTES, channel)
+def ack_wait_ticks(rate_bps: int) -> SimTime:
+    """How long a sender at `rate_bps` waits for an ack."""
+    return (TURNAROUND_US + frame_airtime(ACK_BYTES, rate_bps)
             + ACK_WAIT_MARGIN_US)
 
 
@@ -109,7 +109,8 @@ class MacBase:
         scenario = network.scenario
         self.queue = FrameQueue(scenario.queue_capacity)
         self.channel = scenario.node(node.node_id).channel
-        self.ack_wait = ack_wait_ticks(medium, self.channel)
+        self.ack_wait = ack_wait_ticks(
+            scenario.channels[self.channel]["data_rate_bps"])
         self.target = node.target
         self.in_service: Optional[Mpdu] = None
         self._session = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..channel import frame_airtime
 from ..core import SimTime, ticks_from_seconds
 from ..frames import BEACON_BYTES, POLL_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import OnDemandRequest, TrafficClass, next_occurrence
@@ -45,6 +46,25 @@ class TbwMac(MacBase):
             raise ValueError(f"{cls.name} requires a wakeup_channel in the "
                              f"scenario")
         require_no_coordinator_traffic(scenario)
+        # a device sends its normal frames only in its entry's windows, each
+        # opened by a beacon: one exchange of each flow's payload must fit
+        entry_of = {e.node: j for j, e in enumerate(scenario.wakeup_table)}
+        for i, spec in enumerate(scenario.traffic):
+            if spec.cls is TrafficClass.EMERGENCY:
+                continue
+            j = entry_of.get(spec.node)
+            if j is None:
+                raise ValueError(f"traffic[{i}].node: {spec.node!r} has no "
+                                 f"wakeup_table entry to send its frames in")
+            rate = scenario.channels[scenario.node(spec.node).channel][
+                "data_rate_bps"]
+            need = (frame_airtime(BEACON_BYTES, rate) + ack_wait_ticks(rate)
+                    + frame_airtime(spec.payload_bytes, rate))
+            window = scenario.wakeup_table[j].window
+            if window < need:
+                raise ValueError(
+                    f"wakeup_table[{j}].window_ms: {window} us cannot fit the "
+                    f"beacon and one exchange of traffic[{i}] ({need} us)")
         out = super().settings(scenario)
         for key in ("guard", "wakeup_signal", "wakeup_retry"):
             out[f"{key}_ticks"] = ticks_from_seconds(out[f"{key}_ms"] / 1000.0)
@@ -74,7 +94,7 @@ class TbwMac(MacBase):
                                        self._on_frame)
                 self.data_radios[ch] = radio
                 attempt = (medium.airtime_ticks(cc["mtu_bytes"], ch)
-                           + ack_wait_ticks(medium, ch))
+                           + ack_wait_ticks(cc["data_rate_bps"]))
                 self._grant_hold[ch] = max(
                     self.retry_timeout, medium.airtime_ticks(GRANT_BYTES, ch)
                     + (self.retry_limit + 1) * attempt)

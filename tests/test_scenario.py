@@ -163,6 +163,11 @@ BNC_FLOW = {
     "bridge": {"node": "bnc", "interfaces": ["ism", "mics"]},
     "traffic": [{"node": "bnc", "class": "NormalHigh", "period_s": 0.5,
                  "dst": "n1"}]}
+# n1 sends normal frames: with no window, and with one too short for them
+N1_FLOW = {**WAKEUP_CHANNEL, "traffic": [{"node": "n1", "class": "NormalHigh",
+                                          "period_s": 0.5}]}
+SHORT_WINDOW = {**N1_FLOW, "wakeup_table": [{"node": "n1", "period_s": 0.5,
+                                             "window_ms": 5.383}]}
 MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
            "traffic": [{"node": "n1", "class": "NormalHigh",
                         "payload_bytes": 255, "period_s": 0.5}]}
@@ -231,15 +236,30 @@ MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
     *[(name, {}, "traffic[0].node: the coordinator 'bnc' cannot send frames "
                  "of its own") for name in ("csma802154", "pbtdma", "tbw",
                                            "tbw_alwayson")],
+    # on N1_FLOW: n1's frames are sent only in windows of its entry
+    ("tbw", {}, "traffic[0].node: 'n1' has no wakeup_table entry"),
+    # on SHORT_WINDOW: a 544 us beacon, 4096 us for 128 bytes and a 744 us
+    # ack wait
+    ("tbw", {}, "wakeup_table[0].window_ms: 5383 us cannot fit the beacon "
+                "and one exchange of traffic[0] (5384 us)"),
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
             else MTU_255 if "(8352 us)" in message
-            else BNC_FLOW if "traffic[0].node" in message
+            else BNC_FLOW if "'bnc' cannot send" in message
+            else N1_FLOW if "no wakeup_table entry" in message
+            else SHORT_WINDOW if "(5384 us)" in message
             else WAKEUP_CHANNEL if name == "tbw" else {})
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
         make_scenario({**base, "protocols": {name: params}})
     assert message in str(err.value)
+
+
+def test_a_window_for_the_beacon_and_one_exchange_loads():
+    sc = make_scenario({**SHORT_WINDOW, "wakeup_table": [
+        {"node": "n1", "period_s": 0.5, "window_ms": 5.384}],
+        "protocols": {"tbw": {}}})
+    assert sc.wakeup_table[0].window == 5384
 
 
 def test_guard_up_to_the_beacon_interval_less_its_airtime_loads():

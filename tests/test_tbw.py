@@ -1,5 +1,7 @@
 """Traffic-based wakeup: the table, windows, emergencies, on-demand."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,8 +10,8 @@ from bsnsim.frames import ACK_BYTES, BEACON_BYTES, Frame, FrameKind
 from bsnsim.mac.base import ACK_WAIT_MARGIN_US, TURNAROUND_US
 from bsnsim.mac.tbw import GRANT_BYTES
 from bsnsim.runner import build_network, run_one
-from bsnsim.scenario import ScenarioError
-from bsnsim.traffic import OnDemandRequest, TrafficClass
+from bsnsim.scenario import ScenarioError, _build, load_scenario
+from bsnsim.traffic import NORMAL_CLASSES, OnDemandRequest, TrafficClass
 from tests.conftest import make_scenario
 
 S = US_PER_S
@@ -189,24 +191,47 @@ WAKEUP_ENTRY = st.fixed_dictionaries({
 @given(st.lists(WAKEUP_ENTRY, min_size=1, max_size=4))
 def test_a_table_loads_only_with_one_entry_per_device(table):
     # the first entry that names no device, or a device named before, is
-    # the load error; any other table runs with every frame accounted for
-    seen, bad = set(), None
+    # the load error; then the first flow whose device has no entry; any
+    # other table runs with every frame accounted for
+    seen, path = set(), None
     for i, entry in enumerate(table):
         if entry["node"] not in ("n1", "n2") or entry["node"] in seen:
-            bad = i
+            path = rf"^wakeup_table\[{i}\]\.node: "
             break
         seen.add(entry["node"])
+    else:
+        path = next((rf"^protocols\.tbw: traffic\[{i}\]\.node: "
+                     for i, n in enumerate(("n1", "n2")) if n not in seen),
+                    None)
     extra = {"wakeup_table": table,
              "traffic": [{"node": n, "class": "NormalHigh", "period_s": 0.3}
                          for n in ("n1", "n2")]}
-    if bad is not None:
-        path = rf"^wakeup_table\[{bad}\]\.node: "
+    if path is not None:
         with pytest.raises(ScenarioError, match=path):
             tbw_scenario(extra=extra, horizon_s=2.0)
         return
     m = run_one(tbw_scenario(extra=extra, horizon_s=2.0), "tbw", seed=4)
     # run_one's finalize asserts frame conservation
     assert m.counts[TrafficClass.NORMAL_HIGH].generated > 0
+
+
+def test_a_window_loads_only_if_its_beacon_and_one_exchange_fit():
+    # a window shorter than that closes before each exchange, so its
+    # device's frames would wait in flight to the end of the run
+    raw = copy.deepcopy(load_scenario("tbw_emergency").normalized)
+    raw["horizon_s"] = 300.0
+    need = BEACON_AIR + FRAME_AIR + ACK_WAIT  # 5384 us for 128 bytes
+    for entry in raw["wakeup_table"]:
+        entry["window_ms"] = (need - 1) / 1000
+    with pytest.raises(ScenarioError, match=(
+            rf"^protocols\.tbw: wakeup_table\[0\]\.window_ms: {need - 1} us "
+            rf"cannot fit .* \({need} us\)$")):
+        _build(raw)
+    for entry in raw["wakeup_table"]:
+        entry["window_ms"] = need / 1000
+    m = run_one(_build(raw), "tbw", seed=3000)
+    assert [(m.counts[c].generated, m.counts[c].delivered)
+            for c in NORMAL_CLASSES] == [(10, 8), (6, 6), (2, 2)]
 
 
 # Emergency --------------------------------------------------------------------
