@@ -208,8 +208,9 @@ class Node:
 
         The one pending death event is pushed again only when the projection
         moves earlier; when it fires early it moves itself to the projection.
-        So a death sorts within its tick by the time its projection last
-        moved earlier, like any event scheduled then.
+        So a death sorts within its tick like an event scheduled when it was
+        last pushed: when its projection moved before the pending event, or
+        when that event fired early.
         """
         if self.dead or self.initial_j is None:
             return

@@ -121,33 +121,25 @@ def test_state_toggles_keep_one_pending_death_event():
     assert peak <= 2
 
 
-def test_reprojected_death_keeps_its_order_within_the_tick():
-    # Leaving listen and coming back at once projects the same death tick
-    # again, so the pending death keeps its place from the build: before an
-    # event scheduled in between for that tick.
+@pytest.mark.parametrize("initial, switches, seen", [
+    # out of listen and back at once projects the same tick again, so the
+    # death keeps its place from the build, before the probe
+    ("listen", ("tx", "listen"), [True]),
+    # sleep to listen moves the projection earlier, so the death is pushed
+    # at the switch, after the probe
+    ("sleep", ("listen",), [False]),
+], ids=["same-tick", "moved-earlier"])
+def test_a_death_sorts_by_when_its_projection_last_moved_earlier(
+        initial, switches, seen):
     node = _node(5.0)
-    radio = node.add_radio("data", ISM, initial_state="listen")
-    seen = []
+    radio = node.add_radio("data", ISM, initial_state=initial)
+    probe = []
     node.sim.schedule_at(92_592_592, "probe", "test",
-                         lambda: seen.append(node.dead))
-    radio.enter_tx()
-    radio.exit_tx()
+                         lambda: probe.append(node.dead))
+    for state in switches:
+        _switch(radio, state)
     node.sim.run(92_592_592)
-    assert seen == [True]
-    assert node.death_time == 92_592_592
-
-
-def test_a_death_moved_earlier_sorts_after_the_events_due_then():
-    # Sleep to listen moves the projection earlier, so the death is pushed
-    # at the switch: after an event scheduled before it for that tick.
-    node = _node(5.0)
-    radio = node.add_radio("data", ISM, initial_state="sleep")
-    seen = []
-    node.sim.schedule_at(92_592_592, "probe", "test",
-                         lambda: seen.append(node.dead))
-    radio.set_state("listen")
-    node.sim.run(92_592_592)
-    assert seen == [False]
+    assert probe == seen
     assert node.death_time == 92_592_592
 
 

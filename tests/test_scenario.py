@@ -255,13 +255,6 @@ def test_bad_protocol_value_rejected_at_load(name, params, message):
     assert message in str(err.value)
 
 
-def test_a_window_for_the_beacon_and_one_exchange_loads():
-    sc = make_scenario({**SHORT_WINDOW, "wakeup_table": [
-        {"node": "n1", "period_s": 0.5, "window_ms": 5.384}],
-        "protocols": {"tbw": {}}})
-    assert sc.wakeup_table[0].window == 5384
-
-
 def test_guard_up_to_the_beacon_interval_less_its_airtime_loads():
     sc = make_scenario({"protocols": {"csma802154": {"guard_us": 982496}}})
     assert sc.protocol_params("csma802154")["guard_us"] == 982496
