@@ -215,7 +215,7 @@ class TbwMac(MacBase):
         deadline = occ + self.beacon_airtime + self.guard + 500
         # a missed beacon closes the window; the node tries the next one
         self._beacon_timeout = self.at(deadline, "beacon_timeout",
-                                       self._window_close)
+                                       self._resume)
 
     def _on_window_beacon(self, frame: Frame) -> None:
         if self._od_req is not None or self._emg_active is not None:
@@ -224,21 +224,17 @@ class TbwMac(MacBase):
         self._window_end = frame.info["window_end"]
         if not len(self.queue):
             # stay reachable until the window closes, then sleep
-            self.at(self._window_end, "window_close", self._window_close)
+            self.at(self._window_end, "window_close", self._resume)
             return
         self._window_send_next()
 
-    def _window_close(self) -> None:
-        self.radio.set_state("sleep")
-        self._schedule_next_window()
-
     def _window_send_next(self) -> None:
         if not len(self.queue):
-            self._window_close()
+            self._resume()
             return
         mpdu = self.queue.peek()
         if self.sim.now + self.exchange_ticks(mpdu) > self._window_end:
-            self._window_close()  # carry over whatever is left
+            self._resume()  # carry over whatever is left
             return
         self.serve(self.queue.pop())
         self.send_acked(self.in_session(self._window_sent),
@@ -247,7 +243,7 @@ class TbwMac(MacBase):
     def _window_sent(self, ok: bool, reason: str) -> None:
         if reason == "deadline":
             self._requeue_in_service()  # carry over to the next window
-            self._window_close()
+            self._resume()
             return
         self.end_service(drop=not ok)
         self._window_send_next()
@@ -289,7 +285,7 @@ class TbwMac(MacBase):
         if self._emg_tries > self.max_tries:
             self.metrics.wakeup_failures += 1
             self.metrics.on_dropped(self._emg_active)
-            self._finish_emergency()
+            self._resume()
             return
 
         def armed(_outcome):
@@ -319,12 +315,15 @@ class TbwMac(MacBase):
     def _emergency_done(self, ok: bool, reason: str) -> None:
         self.end_service(drop=False)  # a failed exchange signals again
         if ok:
-            self._finish_emergency()
+            self._resume()
         else:  # the grant's exchange failed
             self._signal_again()
 
-    def _finish_emergency(self) -> None:
-        self._emg_active = None
+    def _resume(self) -> None:
+        """End the window, emergency or on-demand service: sleep the data
+        radio, then start the next pending emergency or await the next
+        window. Window service runs only while neither of the others does."""
+        self._emg_active = self._od_req = None
         self.radio.set_state("sleep")
         if self._pending_emergencies:
             self._start_emergency()
@@ -334,21 +333,26 @@ class TbwMac(MacBase):
     # coordinator side of the emergency path
 
     def _coord_on_emergency_signal(self, frame: Frame) -> None:
-        src = frame.src
-        channel = self.node_channels[src]
+        channel = self.node_channels[frame.src]
         self._acquire(channel)
+        self.data_radios[channel].set_state("rx")
+        # hold the radio until the access completes, then re-sleep
+        self._answer(channel, "grant_tx",
+                     Frame(FrameKind.GRANT, self.node.node_id, frame.src,
+                           GRANT_BYTES), self._grant_hold[channel])
+
+    def _answer(self, channel: str, kind: str, frame: Frame,
+                hold: SimTime) -> None:
+        """A turnaround from now, send `frame` on the channel's data radio
+        once it is free, and release the channel's hold `hold` after that."""
         radio = self.data_radios[channel]
 
-        def send_grant():
-            grant = Frame(FrameKind.GRANT, self.node.node_id, src, GRANT_BYTES)
-            self.medium.begin_tx(radio, grant)
-            # hold the radio until the access completes, then re-sleep
-            self.node.after(self._grant_hold[channel], "session_release",
+        def send():
+            self.medium.begin_tx(radio, frame)
+            self.node.after(hold, "session_release",
                             lambda: self._release(channel))
 
-        radio.set_state("rx")
-        self.node.after(TURNAROUND_US, "grant_tx",
-                        lambda: radio.when_free(send_grant))
+        self.node.after(TURNAROUND_US, kind, lambda: radio.when_free(send))
 
     # ------------------------------------------------------------------ #
     # on-demand: coordinator-initiated wakeup                            #
@@ -360,18 +364,12 @@ class TbwMac(MacBase):
         self._acquire(channel)
         signal = Frame(FrameKind.WAKEUP, self.node.node_id, None, 0,
                        info={"request": request})
-        radio = self.data_radios[channel]
-
-        def send_poll():
-            poll = Frame(FrameKind.POLL, self.node.node_id, None, POLL_BYTES,
-                         info={"request": request})
-            self.medium.begin_tx(radio, poll)
-            self.node.after(request.duration + 200_000, "session_release",
-                            lambda: self._release(channel))
 
         def after_signal(_outcome):
-            self.node.after(TURNAROUND_US, "poll_tx",
-                            lambda: radio.when_free(send_poll))
+            self._answer(channel, "poll_tx",
+                         Frame(FrameKind.POLL, self.node.node_id, None,
+                               POLL_BYTES, info={"request": request}),
+                         request.duration + 200_000)
             self.wakeup_tx.set_state("sleep")
 
         self.medium.begin_tx(self.wakeup_tx, signal, self.signal_ticks,
@@ -397,13 +395,7 @@ class TbwMac(MacBase):
         self.radio.set_state("listen")
         self._od_req = request
         self._poll_timeout = self.after(self.signal_ticks + POLL_WAIT_US,
-                                        "poll_timeout", self._od_finish)
-
-    def _od_finish(self) -> None:
-        self._od_req = None
-        self.radio.set_state("sleep")
-        if self.entry:
-            self._schedule_next_window()
+                                        "poll_timeout", self._resume)
 
     def _on_poll(self, frame: Frame) -> None:
         # a node that serves its own request ignores the polls of others
@@ -412,7 +404,7 @@ class TbwMac(MacBase):
         request = frame.info["request"]
         if request.target != self.node.node_id:
             # woke for someone else's request: pay the price and go back down
-            self._od_finish()
+            self._resume()
             return
         offsets = request.response_offsets()
         base = self.sim.now + TURNAROUND_US
@@ -422,7 +414,7 @@ class TbwMac(MacBase):
         @self.in_session
         def send_kth(k: int):
             if k >= len(offsets):
-                self._od_finish()
+                self._resume()
                 return
             self.serve(self.network.new_mpdu(
                 self.node.node_id, self.network.bnc_id, request.cls,

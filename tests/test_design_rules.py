@@ -277,3 +277,19 @@ def test_frames_are_dropped_at_five_exits():
         ("mac/base.py", "MacBase.end_service"),   # retries, access, loss
         ("mac/base.py", "MacBase.enqueue"),       # queue full
         ("mac/tbw.py", "TbwMac._emergency_signal")]  # signals unanswered
+
+
+def test_one_way_to_end_a_tbw_service():
+    # TbwMac._resume ends a window, an emergency and an on-demand service and
+    # says what comes next; _signal_again sleeps between two wakeup signals
+    assert sorted(s for m, s, n, w in SRC if m == "mac/tbw.py"
+                  and w == "self.radio.set_state("
+                  and any(_is(a, "sleep") for a in n.args)) == [
+        "TbwMac._resume", "TbwMac._signal_again"]
+
+
+def test_one_way_for_the_tbw_coordinator_to_answer_a_wakeup():
+    # TbwMac._answer sends a grant or a poll once its data radio is free and
+    # then releases the channel's hold; a second copy could release it twice
+    assert [(m, s) for m, s, _ in _hits("^session_release$")] == [
+        ("mac/tbw.py", "TbwMac._answer.send")]
