@@ -178,8 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run replications of one protocol")
     run.add_argument("--scenario", required=True)
     run.add_argument("--protocol", required=True)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--reps", type=_at_least_one, default=None)
+    # one run of the seed, or the scenario's first `reps` seeds
+    one_or_reps = run.add_mutually_exclusive_group()
+    one_or_reps.add_argument("--seed", type=int, default=None)
+    one_or_reps.add_argument("--reps", type=_at_least_one, default=None)
     run.add_argument("--until", type=_positive_seconds, default=None,
                      help="horizon override in seconds")
     run.add_argument("--out", default=None)

@@ -53,6 +53,10 @@ class PbTdmaMac(MacBase):
         out["slot_ticks"] = slot
         out["preamble_ticks"] = ticks_from_seconds(out["preamble_ms"] / 1000.0)
         out["slot_of"] = {n: int(s) for s, n in assignment.items()}
+        for i, spec in enumerate(scenario.traffic):
+            if spec.node not in out["slot_of"]:
+                raise ValueError(f"traffic[{i}].node: {spec.node!r} has no "
+                                 f"slot to send its frames in")
         out["round_ticks"] = (out["preamble_ticks"]
                               + (max(out["slot_of"].values()) + 1) * slot)
         return out
@@ -101,7 +105,7 @@ class PbTdmaMac(MacBase):
         self.sim.cancel(self._preamble_timeout)
         round_start = frame.info["round_start"]
         self.radio.set_state("sleep")
-        if not len(self.queue) or self.slot is None:
+        if not len(self.queue):  # a device with frames has a slot
             return
         slot_at = round_start + self.preamble_ticks + self.slot * self.slot_ticks
         if slot_at >= self.sim.now:

@@ -263,7 +263,7 @@ def _build(raw: dict, source: str = "<dict>") -> Scenario:
     seen: dict[tuple, str] = {}  # (band, phy) -> the first key declaring it
     for key, cc in norm["channels"].items():
         other = seen.setdefault((cc["band"], cc["phy"]), key)
-        if other != key:  # the medium would merge the two into one
+        if other != key:  # one air, which the medium would split by key
             raise ScenarioError(f"channels.{key}: same band and phy as "
                                 f"{other!r}")
     if norm["wakeup_channel"] is not None:

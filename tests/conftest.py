@@ -1,20 +1,24 @@
 """Shared helpers for building small in-memory scenarios, and oracles for
-the coordinator's awake time, path loss and empirical links; frames sent
-through a medium with its interference gate set."""
+the coordinator's awake time, path loss, empirical links and frames that
+drain once traffic stops; frames sent through a medium with its
+interference gate set."""
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from unittest import mock
 
 import pytest
 
 from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, Medium,
-                            PathLossParams, _link_success, mean_path_loss_db)
+                            PathLossParams, _link_success, frame_airtime,
+                            mean_path_loss_db)
 from bsnsim.core import US_PER_S, Simulator
 from bsnsim.frames import Frame, FrameKind
+from bsnsim.metrics import RunMetrics
 from bsnsim.node import Node, Radio
-from bsnsim.runner import build_network
+from bsnsim.runner import build_network, protocol_settings
 from bsnsim.scenario import Scenario, _build
 
 
@@ -128,6 +132,58 @@ def guarded_windows(entries, guard: int, horizon: int):
                             min(horizon, start + window + guard)))
             start += period
     return windows, guarded
+
+
+# the settings that hold each periodic MAC's period, in ticks
+PERIOD_KEYS = {"csma802154": "beacon_interval", "smac": "cycle_ticks",
+               "pbtdma": "round_ticks"}
+
+
+def drain_ticks(scenario: Scenario, protocol: str) -> int:
+    """How long a frame may still wait once traffic stops: a period to reach
+    the next service, then a period for each try of each frame that a full
+    queue and the bridge's store hold. The period is the protocol's longest:
+    the beacon interval, the S-MAC cycle, the PB-TDMA round or the longest
+    wakeup period plus its window; direct sends back to back, so its period
+    is an MTU frame's airtime on the slowest channel."""
+    settings = protocol_settings(scenario, protocol)
+    if protocol in PERIOD_KEYS:
+        period = settings[PERIOD_KEYS[protocol]]
+    elif protocol == "direct":
+        period = max(frame_airtime(c["mtu_bytes"], c["data_rate_bps"])
+                     for c in scenario.channels.values())
+    else:  # tbw and tbw_alwayson
+        period = max(e.period + e.window for e in scenario.wakeup_table)
+    frames = scenario.queue_capacity + (scenario.bridge["store_capacity"]
+                                        if scenario.bridge else 0)
+    return period * (1 + frames * (settings.get("retry_limit", 0) + 1))
+
+
+def assert_drains(scenario: Scenario, protocol: str, seed: int,
+                  t_stop: int) -> RunMetrics:
+    """Generate traffic until tick `t_stop`, then cancel the pending
+    `traffic_*` events and run on for `drain_ticks`: by then each frame must
+    have been delivered or dropped, with none in flight in any class.
+    Returns the run's metrics, finalized."""
+    end = t_stop + drain_ticks(scenario, protocol)
+    network, macs = build_network(dataclasses.replace(scenario, horizon=end),
+                                  protocol, seed)
+    sim = network.sim
+    sim.run(t_stop)
+    for _, _, event in sim._heap:
+        if event.kind.startswith("traffic_"):
+            sim.cancel(event)
+    sim.run(end)
+    leftovers = [m for mac in macs for m in mac.pending_frames()]
+    if network.bridge is not None:
+        leftovers += network.bridge.pending()
+    metrics = network.metrics
+    metrics.finalize(leftovers)
+    stuck = {cls.value: cc.in_flight for cls, cc in metrics.counts.items()
+             if cc.in_flight}
+    assert not stuck, (f"{protocol}, seed {seed}: in flight {end - t_stop} "
+                       f"us after traffic stopped at {t_stop} us: {stuck}")
+    return metrics
 
 
 def path_loss_db(distance: float, params: PathLossParams, rng=None,

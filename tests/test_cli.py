@@ -7,7 +7,7 @@ import pytest
 from bsnsim.cli import main
 from bsnsim.scenario import bundled_scenario_path
 from tests.conftest import make_scenario
-from tests.test_scenario import BNC_FLOW
+from tests.test_scenario import BNC_FLOW, NO_SLOT
 
 
 def test_run_writes_csvs(tmp_path, capsys):
@@ -447,3 +447,31 @@ def test_a_coordinator_flow_exits_2_under_a_mac_that_cannot_send_it(
     assert f"scenario error: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_pbtdma_device_with_a_flow_and_no_slot_exits_2(tmp_path, capsys):
+    raw = json.loads(make_scenario(NO_SLOT).serialize())
+    raw["protocols"] = {"pbtdma": {"assignment": {"0": "n2"}}}
+    path = tmp_path / "no_slot.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", str(path), "--protocol", "pbtdma",
+               "--reps", "1", "--until", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert ("scenario error: protocols.pbtdma: traffic[0].node: 'n1' has no "
+            "slot to send its frames in") in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_takes_a_seed_or_a_count_of_reps_not_both(tmp_path, capsys):
+    # with both, the seed's one run was all that ran
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "table1_links", "--protocol", "direct",
+              "--seed", "7", "--reps", "5", "--until", "1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --reps: not allowed with argument --seed" in err
+    assert not list(tmp_path.iterdir())

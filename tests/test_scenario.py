@@ -168,6 +168,12 @@ N1_FLOW = {**WAKEUP_CHANNEL, "traffic": [{"node": "n1", "class": "NormalHigh",
                                           "period_s": 0.5}]}
 SHORT_WINDOW = {**N1_FLOW, "wakeup_table": [{"node": "n1", "period_s": 0.5,
                                              "window_ms": 5.383}]}
+# n1 sends, and an assignment that gives n2 the one slot leaves n1 none
+NO_SLOT = {"nodes": [{"id": "bnc", "kind": "bnc", "channel": "ism",
+                      "pos": [0.5, 0.5], "initial_j": None}] + [
+    {"id": f"n{i}", "kind": "onbody", "channel": "ism", "pos": [0.5, 0.4 * i]}
+    for i in (1, 2)],
+    "traffic": [{"node": "n1", "class": "NormalHigh", "period_s": 0.5}]}
 MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
            "traffic": [{"node": "n1", "class": "NormalHigh",
                         "payload_bytes": 255, "period_s": 0.5}]}
@@ -242,6 +248,9 @@ MTU_255 = {"channels": {"ism": {"band": "ISM_2_4", "phy": 0, "mtu_bytes": 255}},
     # ack wait
     ("tbw", {}, "wakeup_table[0].window_ms: 5383 us cannot fit the beacon "
                 "and one exchange of traffic[0] (5384 us)"),
+    # on NO_SLOT: n1's frames would wait in its queue for the whole run
+    ("pbtdma", {"assignment": {"0": "n2"}},
+     "traffic[0].node: 'n1' has no slot to send its frames in"),
 ])
 def test_bad_protocol_value_rejected_at_load(name, params, message):
     base = (COORDINATOR_ONLY if message == "no devices"
@@ -249,6 +258,7 @@ def test_bad_protocol_value_rejected_at_load(name, params, message):
             else BNC_FLOW if "'bnc' cannot send" in message
             else N1_FLOW if "no wakeup_table entry" in message
             else SHORT_WINDOW if "(5384 us)" in message
+            else NO_SLOT if "no slot" in message
             else WAKEUP_CHANNEL if name == "tbw" else {})
     with pytest.raises(ScenarioError, match=rf"^protocols\.{name}[.:]") as err:
         make_scenario({**base, "protocols": {name: params}})
