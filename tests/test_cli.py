@@ -7,7 +7,7 @@ import pytest
 from bsnsim.cli import main
 from bsnsim.scenario import bundled_scenario_path
 from tests.conftest import make_scenario
-from tests.test_scenario import BNC_FLOW, NO_SLOT
+from tests.test_scenario import BNC_FLOW
 
 
 def test_run_writes_csvs(tmp_path, capsys):
@@ -199,6 +199,10 @@ def test_bad_protocol_value_exit_code(tmp_path, capsys):
      "protocols.pbtdma.assignment: '-1' is not a slot index of 0 or more"),
     ("tbw_emergency", "tbw", {"guard_ms": -5},
      "protocols.tbw.guard_ms: -5.0 is below the minimum 0.0"),
+    # ecg's slot alone: emg's flow, traffic[1], could never be sent
+    ("paper_fig2", "pbtdma", {"assignment": {"0": "ecg"}},
+     "protocols.pbtdma: traffic[1].node: 'emg' has no slot to send its "
+     "frames in"),
 ])
 def test_a_bad_protocol_value_exits_2_and_writes_nothing(
         tmp_path, capsys, scenario, protocol, params, message):
@@ -445,22 +449,6 @@ def test_a_coordinator_flow_exits_2_under_a_mac_that_cannot_send_it(
     assert rc == 2
     err = capsys.readouterr().err
     assert f"scenario error: {message}" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_a_pbtdma_device_with_a_flow_and_no_slot_exits_2(tmp_path, capsys):
-    raw = json.loads(make_scenario(NO_SLOT).serialize())
-    raw["protocols"] = {"pbtdma": {"assignment": {"0": "n2"}}}
-    path = tmp_path / "no_slot.json"
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    rc = main(["run", "--scenario", str(path), "--protocol", "pbtdma",
-               "--reps", "1", "--until", "1", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert ("scenario error: protocols.pbtdma: traffic[0].node: 'n1' has no "
-            "slot to send its frames in") in err
     assert "Traceback" not in err
     assert not out.exists()
 
