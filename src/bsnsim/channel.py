@@ -54,10 +54,6 @@ def mean_path_loss_db(distance: float, params: PathLossParams,
     return params.pl_d0 + 10.0 * params.exponent * math.log10(distance / params.d0)
 
 
-def rx_power_dbm(tx_dbm: float, loss_db: float) -> float:
-    return tx_dbm - loss_db
-
-
 def frame_airtime(nbytes: int, rate_bps: int) -> SimTime:
     """Ticks to send `nbytes` at `rate_bps`, rounded up."""
     return (nbytes * 8 * 1_000_000 + rate_bps - 1) // rate_bps
@@ -210,9 +206,6 @@ class Medium:
         self.data_collisions = 0
         self.tx_log: Optional[list] = [] if keep_tx_log else None
 
-    def airtime_ticks(self, nbytes: int, channel: str) -> SimTime:
-        return frame_airtime(nbytes, self._chans[channel].rate)
-
     def register_radio(self, radio) -> None:
         cs = self._chans[radio.channel]
         cs.radios.append(radio)
@@ -226,8 +219,7 @@ class Medium:
         """Put `frame` on the air from `radio` at its node's power."""
         cs = radio.chan_state
         if airtime is None:
-            bits = frame.nbytes * 8
-            airtime = (bits * 1_000_000 + cs.rate - 1) // cs.rate
+            airtime = frame_airtime(frame.nbytes, cs.rate)
         now = self.sim.now
         tx = Transmission(radio, frame, radio.node.tx_power_dbm, now,
                           now + airtime, on_result)
@@ -237,9 +229,6 @@ class Medium:
         self.sim.schedule_at(now + airtime, "tx_end", radio.key,
                              lambda: self._finish_tx(tx, cs))
         return tx
-
-    def abort_tx(self, tx: Transmission) -> None:
-        tx.aborted = True
 
     def _finish_tx(self, tx: Transmission, cs: _ChannelState) -> None:
         cs.active.remove(tx)
@@ -267,9 +256,9 @@ class Medium:
         interferers = None
         for radio in candidates:
             node_id = radio.nid
-            if node_id == tx_node or radio.dead:
+            if node_id == tx_node:
                 continue
-            if not radio.listening or radio.rx_ok_since > tx_start:
+            if radio.rx_ok_since > tx_start:  # deaf at some point since
                 if node_id == link_dst and link_result is None:
                     link_result = DeliveryOutcome.OFF_CHANNEL
                 continue
@@ -312,13 +301,13 @@ class Medium:
             if self.mode == "geometric":
                 params = cs.params
                 link = _Link(mean_db=mean_path_loss_db(
-                    tx_radio.position.distance_to(radio.position), params,
-                    self.min_distance_m))
+                    tx_radio.node.position.distance_to(radio.node.position),
+                    params, self.min_distance_m))
                 if params.shadow_sigma > 0:
                     link.rng = self.sim.stream(f"shadow:{pair}")
             else:
                 link = _Link(success_p=self.link_matrix.success_p(
-                    tx_radio.site, radio.site, self.posture),
+                    tx_radio.node.site, radio.node.site, self.posture),
                     rng=self.sim.stream(f"link:{pair}"))
             self._links[(tx_radio, radio)] = link
         return link
@@ -339,12 +328,12 @@ class Medium:
         """Judge `tx` at a radio that has been receive-capable since its
         start; `interferers` are the transmissions that overlap it."""
         if self.mode == "geometric":
-            rx_dbm = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
+            rx_dbm = tx.power_dbm - self._loss_db(tx, radio, cs)
             outcome = geometric_outcome(
                 rx_dbm,
                 # the node's own frame drowns any other, with no 0 m link
                 (math.inf if o.radio.nid == radio.nid
-                 else rx_power_dbm(o.power_dbm, self._loss_db(o, radio, cs))
+                 else o.power_dbm - self._loss_db(o, radio, cs)
                  for o in interferers),
                 self.sensitivity_dbm, self.capture_margin_db)
             if outcome is not DeliveryOutcome.DELIVERED:
@@ -382,7 +371,7 @@ class Medium:
                     continue
                 if self.mode == "empirical":
                     return True
-                rx = rx_power_dbm(tx.power_dbm, self._loss_db(tx, radio, cs))
-                if rx >= self.cca_threshold_dbm:
+                if (tx.power_dbm - self._loss_db(tx, radio, cs)
+                        >= self.cca_threshold_dbm):
                     return True
         return False

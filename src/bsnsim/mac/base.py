@@ -8,7 +8,7 @@ from bisect import insort
 from typing import Callable, Optional
 
 from ..channel import DeliveryOutcome, frame_airtime
-from ..core import US_PER_S, Event, SimTime, Simulator
+from ..core import US_PER_S, Event, SimTime
 from ..frames import ACK_BYTES, Frame, FrameKind, Mpdu
 from ..traffic import priority
 
@@ -100,12 +100,12 @@ class MacBase:
         protocol rejects."""
         return scenario.protocol_params(cls.name)
 
-    def __init__(self, sim: Simulator, medium, node, network, settings: dict):
-        self.sim = sim
-        self.medium = medium
+    def __init__(self, node, network, settings: dict):
+        self.sim = node.sim
+        self.medium = node.medium
         self.node = node
         self.network = network
-        self.rng = sim.stream(f"mac:{node.node_id}")
+        self.rng = self.sim.stream(f"mac:{node.node_id}")
         scenario = network.scenario
         self.queue = FrameQueue(scenario.queue_capacity)
         self.channel = scenario.node(node.node_id).channel
@@ -316,8 +316,8 @@ class SlottedCsmaMac(MacBase):
             raise ValueError("need macMinBE <= aMaxBE")
         return out
 
-    def __init__(self, sim: Simulator, medium, node, network, settings: dict):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings: dict):
+        super().__init__(node, network, settings)
         self.min_be = settings["macMinBE"]
         self.max_be = settings["aMaxBE"]
         self.retry_limit = settings["retry_limit"]

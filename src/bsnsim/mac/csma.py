@@ -107,8 +107,8 @@ class Beacon802154Mac(SlottedCsmaMac):
                              f"beacon's airtime")
         return out
 
-    def __init__(self, sim, medium, node, network, settings):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings):
+        super().__init__(node, network, settings)
         self.slot_ticks = settings["slot_ticks"]
         self.active_ticks = NUM_SUPERFRAME_SLOTS * self.slot_ticks
         self.beacon_interval = settings["beacon_interval"]
@@ -121,9 +121,10 @@ class Beacon802154Mac(SlottedCsmaMac):
         self.radio = node.add_radio(
             "data", self.channel,
             "listen" if self.is_coordinator else "sleep", self._on_frame)
-        self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES, self.radio.channel)
-        # device sync state; the CAP is the access period
-        self._synced = False
+        self.beacon_airtime = frame_airtime(BEACON_BYTES,
+                                            self.radio.chan_state.rate)
+        # device sync state; the CAP of the last beacon heard is the access
+        # period
         self._next_beacon_at: SimTime = 0
         self._beacon_timeout = None
         self._my_gts: Optional[int] = None
@@ -188,7 +189,6 @@ class Beacon802154Mac(SlottedCsmaMac):
 
     def _beacon_missed(self) -> None:
         self._beacon_timeout = None
-        self._synced = False
         self._sleep_until_next_beacon()
 
     def _sleep_until_next_beacon(self) -> None:
@@ -202,7 +202,6 @@ class Beacon802154Mac(SlottedCsmaMac):
             self.sim.cancel(self._beacon_timeout)
             self._beacon_timeout = None
         info = frame.info
-        self._synced = True
         self._access_start = self.sim.now
         self._access_end = info["cap_end"]
         self._next_beacon_at = info["sd_start"] + self.beacon_interval
@@ -228,8 +227,9 @@ class Beacon802154Mac(SlottedCsmaMac):
             if self._my_gts is None:
                 self.network.coordinator_mac.request_gts(self.node.node_id)
             return
-        if (self._synced and self.in_service is None
-                and self.sim.now < self._access_end):
+        # inside the CAP of the last beacon heard, which has ended before a
+        # missed beacon's timeout fires
+        if self.in_service is None and self.sim.now < self._access_end:
             self.radio.set_state("listen")
             self._start_service()
 

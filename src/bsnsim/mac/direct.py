@@ -10,8 +10,8 @@ from .base import MacBase
 class DirectMac(MacBase):
     name = "direct"
 
-    def __init__(self, sim, medium, node, network, settings):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings):
+        super().__init__(node, network, settings)
         self.radio = node.add_radio("data", self.channel, "listen",
                                     self._on_frame)
 

@@ -35,8 +35,8 @@ class SMac(SlottedCsmaMac):
         out["listen_ticks"] = int(out["cycle_ticks"] * out["listen_fraction"])
         return out
 
-    def __init__(self, sim, medium, node, network, settings):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings):
+        super().__init__(node, network, settings)
         self.cycle_ticks = settings["cycle_ticks"]
         self.listen_ticks = settings["listen_ticks"]
         # a node that keeps losing contention sleeps on the frame until the

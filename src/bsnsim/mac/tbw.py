@@ -70,8 +70,8 @@ class TbwMac(MacBase):
             out[f"{key}_ticks"] = ticks_from_seconds(out[f"{key}_ms"] / 1000.0)
         return out
 
-    def __init__(self, sim, medium, node, network, settings):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings):
+        super().__init__(node, network, settings)
         self.guard = settings["guard_ticks"]
         self.signal_ticks = settings["wakeup_signal_ticks"]
         self.retry_timeout = settings["wakeup_retry_ticks"]
@@ -93,18 +93,19 @@ class TbwMac(MacBase):
                                        "listen" if self.always_on else "sleep",
                                        self._on_frame)
                 self.data_radios[ch] = radio
-                attempt = (medium.airtime_ticks(cc["mtu_bytes"], ch)
-                           + ack_wait_ticks(cc["data_rate_bps"]))
+                rate = cc["data_rate_bps"]
+                attempt = (frame_airtime(cc["mtu_bytes"], rate)
+                           + ack_wait_ticks(rate))
                 self._grant_hold[ch] = max(
-                    self.retry_timeout, medium.airtime_ticks(GRANT_BYTES, ch)
+                    self.retry_timeout, frame_airtime(GRANT_BYTES, rate)
                     + (self.retry_limit + 1) * attempt)
             # holds keep a data radio awake outside the windows
             self._holds: dict[str, int] = {ch: 0 for ch in self.data_radios}
         else:
             self.radio = node.add_radio("data", self.channel,
                                         on_frame=self._on_frame)
-            self.beacon_airtime = medium.airtime_ticks(BEACON_BYTES,
-                                                       self.radio.channel)
+            self.beacon_airtime = frame_airtime(BEACON_BYTES,
+                                                self.radio.chan_state.rate)
             # each on-demand answer fills a frame of the channel's MTU
             self.mtu_bytes = scenario.channels[self.channel]["mtu_bytes"]
             self.entry: Optional[WakeupEntry] = next(

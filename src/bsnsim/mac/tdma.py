@@ -8,7 +8,7 @@ construction when the assignment is unique.
 from __future__ import annotations
 
 from ..channel import frame_airtime
-from ..core import SimTime, ticks_from_seconds
+from ..core import ticks_from_seconds
 from ..frames import Frame, FrameKind
 from ..scenario import ScenarioError
 from .base import (TICK_MS, TURNAROUND_US, MacBase,
@@ -61,8 +61,8 @@ class PbTdmaMac(MacBase):
                               + (max(out["slot_of"].values()) + 1) * slot)
         return out
 
-    def __init__(self, sim, medium, node, network, settings):
-        super().__init__(sim, medium, node, network, settings)
+    def __init__(self, node, network, settings):
+        super().__init__(node, network, settings)
         self.slot_ticks = settings["slot_ticks"]
         self.preamble_ticks = settings["preamble_ticks"]
         self.round_ticks = settings["round_ticks"]
@@ -70,7 +70,6 @@ class PbTdmaMac(MacBase):
         self.radio = node.add_radio(
             "data", self.channel,
             "listen" if self.is_coordinator else "sleep", self._on_frame)
-        self._round_start: SimTime = 0
         self._preamble_timeout = None  # the wait a preamble answers
 
     def start(self) -> None:
@@ -92,14 +91,12 @@ class PbTdmaMac(MacBase):
     # Device: wake for the preamble; on success, serve the owned slot.
 
     def _wake_for_preamble(self) -> None:
-        self._round_start = self.sim.now
         self.radio.set_state("listen")
         deadline = self.sim.now + self.preamble_ticks + 500
         # a missed preamble skips the whole round
         self._preamble_timeout = self.at(
             deadline, "preamble_timeout", lambda: self.radio.set_state("sleep"))
-        self.node.at(self._round_start + self.round_ticks,
-                     "tdma_wake", self._wake_for_preamble)
+        self.node.after(self.round_ticks, "tdma_wake", self._wake_for_preamble)
 
     def _on_preamble(self, frame: Frame) -> None:
         self.sim.cancel(self._preamble_timeout)

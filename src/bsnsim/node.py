@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple, Optional
 
 from .channel import Medium, Position
@@ -30,30 +31,30 @@ class Radio:
     States: sleep, listen (idle receive), rx (turnaround / locked reception),
     tx. The radio keeps its own energy account, ticks per state charged by
     `accrue`; the node owns the budget (`Node.power_changed`). `rx_ok_since`
-    marks the start of the current uninterrupted receive-capable stretch,
-    which decides whether a frame that began earlier can be decoded.
+    marks the start of the current uninterrupted receive-capable stretch
+    (listen or rx), and is infinite while the radio sleeps, sends or is dead:
+    a frame is decoded only if it began no earlier.
     A send or a switch asked for while it sends waits: see `when_free`.
     `on_frame(frame)`, given at build, receives each frame delivered to it.
     """
 
-    __slots__ = ("sim", "medium", "node", "label", "channel", "state",
-                 "rx_ok_since", "_last_change", "power_mw", "per_state_ticks",
-                 "dead", "current_tx", "on_frame", "listening", "_mw",
-                 "chan_state", "nid", "key", "_waiting")
+    __slots__ = ("sim", "node", "label", "channel", "state", "rx_ok_since",
+                 "_last_change", "power_mw", "per_state_ticks", "dead",
+                 "current_tx", "on_frame", "_mw", "chan_state", "nid", "key",
+                 "_waiting")
 
-    def __init__(self, sim: Simulator, medium: Medium, node: "Node", label: str,
-                 channel: str, power_mw: dict[str, float], initial_state: str,
+    def __init__(self, node: "Node", label: str, channel: str,
+                 power_mw: dict[str, float], initial_state: str,
                  on_frame: Optional[Callable]):
-        self.sim = sim
-        self.medium = medium
+        sim = self.sim = node.sim
         self.node = node
         self.label = label
         self.nid = node.node_id
         self.key = f"{node.node_id}/{label}"
         self.channel = channel
         self.state = initial_state
-        self.listening = initial_state in ("listen", "rx")
-        self.rx_ok_since: SimTime = sim.now if self.listening else -1
+        self.rx_ok_since: float = (sim.now if initial_state in ("listen", "rx")
+                                   else math.inf)
         self._last_change: SimTime = sim.now
         self.power_mw = dict(power_mw)
         self.per_state_ticks: dict[str, int] = {}
@@ -63,15 +64,7 @@ class Radio:
         self.on_frame = on_frame
         self.chan_state = None  # filled by Medium.register_radio
         self._waiting: list[Callable[[], None]] = []  # steps for `tx` to end
-        medium.register_radio(self)
-
-    @property
-    def position(self) -> Position:
-        return self.node.position
-
-    @property
-    def site(self) -> str:
-        return self.node.site
+        node.medium.register_radio(self)
 
     @property
     def consumed_j(self) -> float:
@@ -92,16 +85,13 @@ class Radio:
         self._last_change = now
 
     def _apply(self, state: str) -> None:
-        now = self.sim.now
-        prev = self.state
         self.accrue()
+        if state not in ("listen", "rx"):
+            self.rx_ok_since = math.inf
+        elif self.state not in ("listen", "rx"):
+            self.rx_ok_since = self.sim.now
         self.state = state
         self._mw = self.power_mw[state]
-        self.listening = state in ("listen", "rx")
-        if self.listening and prev not in ("listen", "rx"):
-            self.rx_ok_since = now
-        elif state == "sleep":
-            self.rx_ok_since = -1
         self.node.power_changed()
 
     def set_state(self, state: str) -> None:
@@ -130,13 +120,15 @@ class Radio:
             self._waiting.pop(0)()
 
     def die(self) -> None:
-        """Close the account at the current instant; the radio goes silent."""
+        """Close the account at the current instant; the radio goes silent,
+        and a frame it is sending ends aborted."""
         self.accrue()
         self.dead = True
+        if self.current_tx is not None:
+            self.current_tx.aborted = True
         self._waiting.clear()
         self.state = "sleep"
-        self.listening = False
-        self.rx_ok_since = -1
+        self.rx_ok_since = math.inf
 
 
 class Node:
@@ -171,16 +163,15 @@ class Node:
 
     def add_radio(self, label: str, channel: str, initial_state: str = "sleep",
                   on_frame: Optional[Callable] = None) -> Radio:
-        return self._attach(Radio(self.sim, self.medium, self, label, channel,
-                                  self.profile.state_mw(), initial_state,
-                                  on_frame))
+        return self._attach(Radio(self, label, channel, self.profile.state_mw(),
+                                  initial_state, on_frame))
 
     def add_wakeup_receiver(self, channel: str, on_frame: Callable) -> Radio:
         """Ultra-low-power always-on receiver with its own timeline."""
         power = {"sleep": 0.0, "listen": self.profile.wakeup_rx_uw / 1000.0,
                  "rx": self.profile.wakeup_rx_uw / 1000.0, "tx": 0.0}
-        return self._attach(Radio(self.sim, self.medium, self, "wakeup_rx",
-                                  channel, power, "listen", on_frame))
+        return self._attach(Radio(self, "wakeup_rx", channel, power, "listen",
+                                  on_frame))
 
     def _attach(self, radio: Radio) -> Radio:
         self.radios[radio.label] = radio
@@ -253,8 +244,6 @@ class Node:
         self.dead = True
         self.death_time = self.sim.now
         for radio in self.radios.values():
-            if radio.current_tx is not None:
-                self.medium.abort_tx(radio.current_tx)
             radio.die()
 
     def finalize(self) -> None:

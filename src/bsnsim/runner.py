@@ -92,7 +92,7 @@ def build_network(scenario: Scenario, protocol: str, seed: int, *,
                     initial_j=spec.initial_j, tx_power_dbm=spec.tx_power_dbm,
                     horizon_hint=scenario.horizon)
         network.nodes[spec.id] = node
-        mac = mac_cls(sim, medium, node, network, settings)
+        mac = mac_cls(node, network, settings)
         macs.append(mac)
         if spec.id == scenario.bnc:
             network.coordinator_mac = mac

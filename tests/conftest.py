@@ -228,7 +228,8 @@ def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
         if len(outcomes) < n:
             medium.begin_tx(radios["n1"], frame, on_result=send)
     send()
-    medium.sim.run(n * medium.airtime_ticks(128, "ism"))
+    medium.sim.run(
+        n * frame_airtime(128, scenario.channels["ism"]["data_rate_bps"]))
     return outcomes
 
 

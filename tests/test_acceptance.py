@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsnsim.channel import (DeliveryOutcome, LinkMatrix, Medium,
-                            PathLossParams, Position, rx_power_dbm)
+                            PathLossParams, Position)
 from bsnsim.cli import main as cli_main
 from bsnsim.core import US_PER_S, Simulator, ticks_from_seconds
 from bsnsim.frames import Frame, FrameKind
@@ -158,7 +158,7 @@ def test_06_cca_blindness():
     assert medium.cca_busy(radios["near"], 100)
     report(6, "cca-blindness",
            f"in-body loss {loss_3m:.2f} dB at 3 m -> Idle; "
-           f"rx {rx_power_dbm(-5.0, path_loss_db(0.5, params)):.1f} dBm "
+           f"rx {-5.0 - path_loss_db(0.5, params):.1f} dBm "
            f"at 0.5 m -> Busy")
 
 

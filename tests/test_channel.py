@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from bsnsim.channel import (DEFAULT_PATHLOSS, MICROWAVE_PASS_PROBABILITY,
                             DeliveryOutcome, LinkMatrix, Medium,
-                            PathLossParams, Position, rx_power_dbm)
+                            PathLossParams, Position, frame_airtime)
 from bsnsim.core import Simulator, substream_seed
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.node import Node, PowerProfile
@@ -50,12 +50,6 @@ def test_zero_sigma_loss_strictly_increases_with_distance(d1, d2):
         return
     lo, hi = sorted((d1, d2))
     assert path_loss_db(lo, params) < path_loss_db(hi, params)
-
-
-def test_rx_power_arithmetic():
-    assert rx_power_dbm(-5.0, 0.0) == -5.0
-    assert rx_power_dbm(0.0, 60.0) == -60.0
-    assert rx_power_dbm(-5.0, 90.0) == -95.0
 
 
 # CCA and delivery on the medium ---------------------------------------------
@@ -109,7 +103,7 @@ def test_cca_blindness_at_three_meters():
     # loss(3 m) = 46 + 20*log10(60) = 81.56 dB >= 81; rx = -86.56 < -85
     loss = path_loss_db(3.0, IN_BODY)
     assert loss >= 81.0
-    assert rx_power_dbm(-5.0, loss) < -85.0
+    assert -5.0 - loss < -85.0
     medium = _medium()
     listener = _radio(medium, "l", 3.0, channel=MICS)
     _send(medium, _radio(medium, "s", 0.0, channel=MICS), "l")
@@ -118,7 +112,7 @@ def test_cca_blindness_at_three_meters():
 
 def test_cca_same_piconet_within_half_meter_is_busy():
     loss = path_loss_db(0.5, IN_BODY)  # 66 dB -> rx -71 dBm
-    assert rx_power_dbm(-5.0, loss) >= -85.0
+    assert -5.0 - loss >= -85.0
     medium = _medium()
     listener = _radio(medium, "l", 0.5, channel=MICS)
     _send(medium, _radio(medium, "s", 0.0, channel=MICS), "l")
@@ -272,7 +266,7 @@ def test_interference_gate_probability_one_boundary():
 
 
 def test_airtime_of_128_byte_frame_at_250kbps():
-    assert _medium().airtime_ticks(128, ISM) == 4096
+    assert frame_airtime(128, 250_000) == 4096
 
 
 def test_each_channel_takes_its_own_rate_and_path_loss():
@@ -283,7 +277,6 @@ def test_each_channel_takes_its_own_rate_and_path_loss():
         sent.append(medium.begin_tx(radio, Frame(FrameKind.DATA, radio.nid,
                                                  None, 128)))
     assert [tx.end - tx.start for tx in sent] == [4096, 1024]
-    assert medium.airtime_ticks(128, MICS) == 1024
     # mics names no path loss, so it takes the default
     assert [tx.radio.chan_state.params for tx in sent] == [FLAT,
                                                            DEFAULT_PATHLOSS]
@@ -335,8 +328,8 @@ def test_interferer_loss_drawn_once_per_receiver():
         _send_at(medium, 1_000 + k * 5_000, a, "b", sent)
     medium.sim.run(40_000)
     oracle = random.Random(substream_seed(seed, "shadow:i:b"))
-    expected = path_loss_db(i.position.distance_to(b.position), SHADOWED,
-                            oracle)
+    expected = path_loss_db(i.node.position.distance_to(b.node.position),
+                            SHADOWED, oracle)
     assert len(sent) == 3
     assert long_tx[0].loss_cache[b] == expected
     # the stream moved by exactly that one draw
