@@ -373,8 +373,8 @@ class TbwMac(MacBase):
                          request.duration + 200_000)
             self.wakeup_tx.set_state("sleep")
 
-        self.medium.begin_tx(self.wakeup_tx, signal, self.signal_ticks,
-                             on_result=after_signal)
+        self.wakeup_tx.when_free(lambda: self.medium.begin_tx(
+            self.wakeup_tx, signal, self.signal_ticks, on_result=after_signal))
 
     def _on_wakeup_signal(self, frame: Frame) -> None:
         # emergency signals are unicast to the coordinator, and on-demand

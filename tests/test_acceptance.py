@@ -8,7 +8,6 @@ import math
 import random
 import time
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsnsim.channel import (DeliveryOutcome, LinkMatrix, Medium,

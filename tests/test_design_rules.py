@@ -293,3 +293,48 @@ def test_one_way_for_the_tbw_coordinator_to_answer_a_wakeup():
     # then releases the channel's hold; a second copy could release it twice
     assert [(m, s) for m, s, _ in _hits("^session_release$")] == [
         ("mac/tbw.py", "TbwMac._answer.send")]
+
+
+def test_one_receive_field():
+    # Radio.rx_ok_since says whether a radio could decode a frame that began
+    # at a given tick: it is infinite while the radio sleeps, sends or is
+    # dead. A second flag would be a second copy of the receive rule.
+    assert not _hits(r"(^|\.)listening$")
+    assert sorted({(m, s) for m, s, _ in _hits(r"\.rx_ok_since$")}) == [
+        ("channel.py", "Medium._finish_tx"), ("node.py", "Radio.__init__"),
+        ("node.py", "Radio._apply"), ("node.py", "Radio.die")]
+
+
+def test_one_airtime_formula():
+    # channel.frame_airtime turns bytes into ticks; a bit count worked out
+    # anywhere else is a second copy of it
+    assert [(m, s) for m, s, n, _ in SRC if isinstance(n, ast.BinOp)
+            and isinstance(n.op, ast.Mult)
+            and (_is(n.left, 8) or _is(n.right, 8))] == [
+        ("channel.py", "frame_airtime")]
+    assert not _hits(r"\bairtime_ticks\b")
+
+
+def _imports_unused(path: Path) -> list:
+    """(line, name) of each name `path` imports and neither uses nor lists
+    in its `__all__`."""
+    tree = ast.parse(path.read_text())
+    imported = [(n.lineno, (a.asname or a.name).split(".")[0])
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom))
+                and getattr(n, "module", None) != "__future__"
+                for a in n.names if a.name != "*"]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {e.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and any(_word(t) == "__all__" for t in n.targets)
+             for e in ast.walk(n.value) if isinstance(e, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    # no linter runs here, so this is the one check that an import a change
+    # left behind goes with it
+    assert [(path.relative_to(ROOT).as_posix(), line, name)
+            for top in ("src", "tests")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            for line, name in _imports_unused(path)] == []

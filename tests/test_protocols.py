@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from bsnsim.core import US_PER_S
 from bsnsim.frames import FrameKind
 from bsnsim.mac import PROTOCOLS, mac_class
 from bsnsim.mac.base import TURNAROUND_US

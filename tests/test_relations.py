@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from bsnsim.core import US_PER_S
+from bsnsim.node import PowerProfile
 from bsnsim.runner import run_one
 from bsnsim.scenario import load_scenario
 from tests.test_golden_trace import _on_demand
@@ -30,6 +31,25 @@ def test_a_coordinator_that_sleeps_loses_nothing(build, seeds):
 
 T1, T2 = 20 * US_PER_S, 60 * US_PER_S
 
+# Budgets that make some device die between T1 and T2: device i has
+# i * step_j and the coordinator none.
+BUDGETED = pytest.mark.parametrize("name, protocol, seed, step_j", [
+    ("paper_fig2", "csma802154", 1000, 0.002),
+    ("paper_fig2", "pbtdma", 1000, 0.03),
+    ("paper_fig2", "smac", 1000, 0.03),
+    ("tbw_emergency", "tbw", 3000, 0.002),
+    ("tbw_emergency", "tbw_alwayson", 3000, 0.002),
+    ("bridge_inbody", "direct", 4000, 0.5),
+    ("bridge_inbody", "smac", 4000, 0.05),
+])
+
+
+def _budgeted(name, step_j):
+    sc = load_scenario(name)
+    return dataclasses.replace(sc, nodes=[
+        n._replace(initial_j=None if n.id == sc.bnc else i * step_j)
+        for i, n in enumerate(sc.nodes)])
+
 
 def _dispatches(sc, protocol, seed, horizon):
     """(tick, kind, target) of each event a run to `horizon` dispatches,
@@ -41,26 +61,36 @@ def _dispatches(sc, protocol, seed, horizon):
             m.node_death_us)
 
 
-@pytest.mark.parametrize("name, protocol, seed, step_j", [
-    ("paper_fig2", "csma802154", 1000, 0.002),
-    ("paper_fig2", "pbtdma", 1000, 0.03),
-    ("paper_fig2", "smac", 1000, 0.03),
-    ("tbw_emergency", "tbw", 3000, 0.002),
-    ("tbw_emergency", "tbw_alwayson", 3000, 0.002),
-    ("bridge_inbody", "direct", 4000, 0.5),
-    ("bridge_inbody", "smac", 4000, 0.05),
-])
+@BUDGETED
 def test_a_runs_prefix_does_not_depend_on_its_horizon(name, protocol, seed,
                                                        step_j):
     # The horizon hint keeps a death past the horizon off the heap, and the
     # runner keeps traffic and requests past it off too, so only sequence
-    # numbers may differ. Device i has a budget of i * step_j and the
-    # coordinator none, sized so that some device dies between T1 and T2.
-    sc = load_scenario(name)
-    sc = dataclasses.replace(sc, nodes=[
-        n._replace(initial_j=None if n.id == sc.bnc else i * step_j)
-        for i, n in enumerate(sc.nodes)])
+    # numbers may differ.
+    sc = _budgeted(name, step_j)
     short, _ = _dispatches(sc, protocol, seed, T1)
     long, deaths = _dispatches(sc, protocol, seed, T2)
     assert short == [d for d in long if d[0] <= T1]
     assert any(t is not None and T1 < t for t in deaths.values())
+
+
+@BUDGETED
+def test_energy_scales_with_every_draw_and_budget(name, protocol, seed, step_j):
+    # A radio's account is its ticks per state times that state's draw, and a
+    # node dies where its budget runs out at its total draw. Scaling every
+    # draw and every budget by a power of two, which a float multiplies
+    # exactly, scales each node's joules and moves nothing else.
+    sc = dataclasses.replace(_budgeted(name, step_j), horizon=T2)
+    base = run_one(sc, protocol, seed)
+    assert any(t is not None for t in base.node_death_us.values())
+    for k in (2.0, 0.5):
+        scaled = run_one(dataclasses.replace(
+            sc, power_profiles={key: PowerProfile(*(v * k for v in profile))
+                                for key, profile in sc.power_profiles.items()},
+            nodes=[n._replace(initial_j=None if n.initial_j is None
+                              else n.initial_j * k) for n in sc.nodes]),
+            protocol, seed)
+        assert scaled.node_death_us == base.node_death_us
+        assert scaled.metric_values() == {
+            key: v * k if key[0] == "consumed_j" else v
+            for key, v in base.metric_values().items()}

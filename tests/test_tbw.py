@@ -667,6 +667,28 @@ def test_a_frame_that_cannot_go_back_to_a_full_queue_is_dropped(emergency):
     assert [m.seq for m in net.nodes["n1"].mac.queue.frames()] == [1]
 
 
+def test_on_demand_signals_wait_for_the_wakeup_transmitter():
+    # a second request due while the coordinator's first signal is on the
+    # air goes out when that signal ends, and the transmitter sleeps only
+    # after the second; sent together, the two signals would collide
+    for at_s, target in ((0.5, "n2"), (0.504, "n1")):
+        requests = [{"at_s": 0.5, "target": "n1"},
+                    {"at_s": at_s, "target": target}]
+        net = run_net(tbw_scenario(extra={"on_demand": requests},
+                                   horizon_s=2.0), "tbw", seed=1,
+                      keep_tx_log=True)
+        assert [(start, end) for start, end, _ch, nid, kind, _dst, _res
+                in net.medium.tx_log if nid == "bnc"
+                and kind is FrameKind.WAKEUP] == [
+            (S // 2, S // 2 + SIGNAL), (S // 2 + SIGNAL, S // 2 + 2 * SIGNAL)]
+        cc = net.metrics.counts.get(TrafficClass.ON_DEMAND_NON_CONTINUOUS)
+        assert cc is not None and (cc.generated, cc.delivered) == (2, 2)
+        wakeup_tx = net.coordinator_mac.wakeup_tx
+        wakeup_tx.accrue()
+        assert wakeup_tx.per_state_ticks["tx"] == 2 * SIGNAL
+        assert wakeup_tx.state == "sleep"
+
+
 def test_an_unacked_on_demand_response_is_dropped():
     sc = tbw_scenario(extra={"on_demand": [{"at_s": 1.0, "target": "n1"}]},
                       nodes=QUIET_NODES, horizon_s=2.0)
