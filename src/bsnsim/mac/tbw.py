@@ -1,13 +1,14 @@
 """Traffic-Based Wakeup MAC.
 
 Normal traffic is served in table-driven periodic windows: the coordinator
-wakes a guard before each window of its table and sleeps once no window is
-open, emits a short beacon at each window start, and the node uploads queued
-frames with per-frame acks. Emergencies bypass the table entirely: the node
-raises a burst on the always-on wakeup channel, the coordinator powers its
-data radio and grants immediate access. On-demand requests travel the other
-way, either tone addressed (only the target wakes) or broadcast (every node
-wakes and the non-targets pay the price).
+holds its data radios awake from a guard before each window of its table to
+a guard after it, sleeps them once no hold is left, and emits a short beacon
+at each window start; the node uploads queued frames with per-frame acks.
+Emergencies bypass the table entirely: the node raises a burst on the
+always-on wakeup channel, the coordinator powers its data radio and grants
+immediate access. On-demand requests travel the other way, either tone
+addressed (only the target wakes) or broadcast (every node wakes and the
+non-targets pay the price).
 """
 
 from __future__ import annotations
@@ -99,8 +100,10 @@ class TbwMac(MacBase):
                 self._grant_hold[ch] = max(
                     self.retry_timeout, frame_airtime(GRANT_BYTES, rate)
                     + (self.retry_limit + 1) * attempt)
-            # holds keep a data radio awake outside the windows
-            self._holds: dict[str, int] = {ch: 0 for ch in self.data_radios}
+            # a data radio sleeps while no hold is on it: each guarded window,
+            # grant and request is a hold, and always_on one that never ends
+            self._holds: dict[str, int] = {ch: int(self.always_on)
+                                           for ch in self.data_radios}
         else:
             self.radio = node.add_radio("data", self.channel,
                                         on_frame=self._on_frame)
@@ -129,11 +132,9 @@ class TbwMac(MacBase):
 
     def start(self) -> None:
         if self.is_coordinator:
-            if not self.always_on:
-                for entry in self.table:
-                    self._chain_window(entry)
-            for entry in self.table:
-                self._chain_beacon(entry)
+            for e in self.table:  # each entry's first window is at its offset
+                self.at(max(self.sim.now, e.offset - self.guard), "bnc_wake",
+                        lambda e=e: self._open_window(e, e.offset))
         elif self.entry:
             self._schedule_next_window()
 
@@ -146,41 +147,29 @@ class TbwMac(MacBase):
     # coordinator: guarded windows and window beacons                    #
     # ------------------------------------------------------------------ #
 
-    def _chain_window(self, entry: WakeupEntry) -> None:
-        """Wake every data radio `guard` before each of the entry's windows
-        and offer each one sleep (`_sleep_if_idle`) `guard` after it ends."""
-        def open_window(occ):
-            for radio in self.data_radios.values():
-                if radio.state == "sleep":
-                    radio.set_state("listen")
-            nxt = occ + entry.period
-            self.at(nxt - self.guard, "bnc_wake", lambda: open_window(nxt))
-            self.at(occ + entry.window + self.guard, "bnc_sleep", close_window)
+    def _open_window(self, entry: WakeupEntry, occ: SimTime) -> None:
+        """Hold every data radio from `guard` before the entry's window at
+        `occ` to `guard` after it, send the window's beacon at `occ`, and
+        chain the entry's next window."""
+        for channel in self.data_radios:
+            self._acquire(channel)
+        self.at(occ, "window_beacon", lambda: self._window_beacon(entry, occ))
+        nxt = occ + entry.period
+        self.at(max(self.sim.now, nxt - self.guard), "bnc_wake",
+                lambda: self._open_window(entry, nxt))
 
-        def close_window():
+        def close():
             for channel in self.data_radios:
-                self._sleep_if_idle(channel)
+                self._release(channel)
 
-        now = self.sim.now
-        occ = next_occurrence(entry.offset, entry.period,
-                              now + self.guard)  # next to open
-        if entry.guarded_open(now, self.guard):
-            occ -= entry.period  # the one open now
-        self.at(max(now, occ - self.guard), "bnc_wake", lambda: open_window(occ))
+        self.at(occ + entry.window + self.guard, "bnc_sleep", close)
 
-    def _chain_beacon(self, entry: WakeupEntry) -> None:
-        def fire():
-            radio = self.radio_for(entry.node)
-            if radio.state != "tx":  # a late beacon is not sent
-                end = self.sim.now + entry.window
-                beacon = Frame(FrameKind.BEACON, self.node.node_id, entry.node,
-                               BEACON_BYTES, info={"window_end": end})
-                self.medium.begin_tx(radio, beacon)
-            self.at(next_occurrence(entry.offset, entry.period, self.sim.now),
-                    "window_beacon", fire)
-
-        self.at(next_occurrence(entry.offset, entry.period, self.sim.now - 1),
-                "window_beacon", fire)
+    def _window_beacon(self, entry: WakeupEntry, occ: SimTime) -> None:
+        radio = self.radio_for(entry.node)
+        if radio.state != "tx":  # a late beacon is not sent
+            self.medium.begin_tx(radio, Frame(
+                FrameKind.BEACON, self.node.node_id, entry.node, BEACON_BYTES,
+                info={"window_end": occ + entry.window}))
 
     def _acquire(self, channel: str) -> None:
         self._holds[channel] += 1
@@ -189,17 +178,10 @@ class TbwMac(MacBase):
             radio.set_state("listen")
 
     def _release(self, channel: str) -> None:
+        """Drop one hold; a listening data radio sleeps once none is left."""
         self._holds[channel] -= 1
-        self._sleep_if_idle(channel)
-
-    def _sleep_if_idle(self, channel: str) -> None:
-        """Sleep the channel's listening data radio unless a hold is on it or
-        a guarded window of the table is open."""
         radio = self.data_radios[channel]
-        if (radio.state == "listen" and not self.always_on
-                and self._holds[channel] == 0
-                and not any(e.guarded_open(self.sim.now, self.guard)
-                            for e in self.table)):
+        if radio.state == "listen" and not self._holds[channel]:
             radio.set_state("sleep")
 
     # ------------------------------------------------------------------ #

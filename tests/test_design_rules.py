@@ -194,7 +194,7 @@ def test_one_half_duplex_rule():
               if any(_is(n, "tx") for n in nodes)
               and any(re.search(r"state\b", _word(n) or "") for n in nodes)]
     assert sorted(checks) == [("mac/base.py", "SlottedCsmaMac._transmit"),
-                              ("mac/tbw.py", "TbwMac._chain_beacon.fire")]
+                              ("mac/tbw.py", "TbwMac._window_beacon")]
 
 
 def test_only_the_medium_puts_a_radio_in_tx():

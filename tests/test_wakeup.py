@@ -1,33 +1,15 @@
-"""Wakeup table entries, and the coordinator's awake spans in a run."""
+"""The coordinator's awake spans in a tbw run of a wakeup table."""
 
 from bsnsim.core import US_PER_S
-from bsnsim.wakeup import WakeupEntry
 from tests.conftest import (coordinator_awake, guarded_windows, table_scenario,
                             union)
 
 S = US_PER_S
 
 
-def _entry(node, period_s, offset_s=0.0, window_s=0.2):
-    return WakeupEntry(node=node, period=int(period_s * S),
-                       offset=int(offset_s * S), window=int(window_s * S))
-
-
-# the coordinator's awake spans in a tbw run --------------------------------
-
 def _spans(entries, guard, horizon):
     spans, _ = coordinator_awake(table_scenario(entries, guard, horizon))
     return spans
-
-
-def test_guarded_open():
-    e = _entry("n", 10.0, offset_s=2.0, window_s=1.0)
-    assert not e.guarded_open(2 * S - 1001, 1000)
-    assert e.guarded_open(2 * S - 1000, 1000)
-    assert e.guarded_open(3 * S + 999, 1000)
-    assert not e.guarded_open(3 * S + 1000, 1000)
-    assert e.guarded_open(12 * S, 0)  # every period
-    assert not _entry("n", 10.0, window_s=10.0).guarded_open(-1, 0)
 
 
 def test_empty_table_empty_pattern():
