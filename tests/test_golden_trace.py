@@ -139,16 +139,16 @@ GOLDEN = {
         "bc2c9c1c831cb0c22b401935f0a69d949641822dc8a667aaf7903eeb6ae17696"),
     "emergency-tbw": (
         "a64dcf12ccee32454a9b86c5c64a716bbda8d2059baeee02728737ac524ae22c",
-        "e6081fe5141d0efa2442d59bf925661174202523f19d7f91bd52bccf415e32a3"),
+        "44094e7ecb56d866204cfba097b301eb142c7fcbdebf992fd5e67d6f6099ebc7"),
     "emergency-tbw_alwayson": (
         "53bb2dd7beb78228a08f2776e0a45df167edde8cc1a81bc2e6b8c97cb3a8e6e8",
-        "9075b21c849898aead9fe6930bdbed0e343a0c04f6f46bebf9e69615ffe0caa1"),
+        "44094e7ecb56d866204cfba097b301eb142c7fcbdebf992fd5e67d6f6099ebc7"),
     "emergency-dying-tbw": (
         "be18e313bbbe98367a8f998d4fe9dacde5857dfcf81c51528f5afb10bb5f6425",
-        "5d9753054ec7c1d1d8a2a884057902bbb54975c32dd3810a8ed5c24497065a4f"),
+        "a9f354f872ef4406cc4604be70d5ae02dfe31ccce729fd5f0d12e6ad2e6e6b2f"),
     "emergency-dying-tbw_alwayson": (
         "354940263c0319bf503221e7f658fec75d45ac24f9fdd9dff75cfd43b342aee3",
-        "759badcff238c1b789c1050ba18d94c29507f98aa2faeb0f9f6a4b07d7eb9870"),
+        "f5ad4cf8788efa432eaac695b9406db8afd662b401854cf8652119449eca831f"),
     "bridge-direct": (
         "26315512053a2d8abed221fd62b173f0ec141b7dcb18689f33275199d936171d",
         "d1c80da7bc42a09371b26ef638acc03c35236cb101db9c093f37e52df82c3122"),
@@ -157,7 +157,7 @@ GOLDEN = {
         "06f58c9e46e81f158dd7fbdf494ed129bc3d97cf3dac8558feaef8fe06b5fffa"),
     "on-demand-tbw": (
         "35c862249af438f646f85e91dd8a6001e3c7ca6da5aa9f6aee79a9caa0bcaa6c",
-        "0a2b167454121f13598a56ef28c6c3feeece9b7a1783f43580ea70529084a08c"),
+        "99421181e35315365e07c2deee1d39c6047556da2a0e604cbee7d2eaf0ebda5e"),
 }
 
 
