@@ -104,15 +104,6 @@ class LinkMatrix:
         return self._entries.keys()
 
 
-def _link_success(p: float, rng) -> bool:
-    """Bernoulli draw with success probability `p`; none at 0 or 1."""
-    if p <= 0.0:
-        return False
-    if p >= 1.0:
-        return True
-    return rng.random() < p
-
-
 class Transmission:
     """One frame on the air on one channel, from `start` up to `end`."""
 
@@ -342,7 +333,7 @@ class Medium:
             if interferers:
                 return DeliveryOutcome.COLLIDED
             link = self._link(tx.radio, radio, cs)
-            if not _link_success(link.success_p, link.rng):
+            if link.rng.random() >= link.success_p:
                 return DeliveryOutcome.BELOW_SENSITIVITY
         if self.interference_enabled:
             rng = self._intf_rngs.get(radio)

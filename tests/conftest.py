@@ -12,8 +12,7 @@ from unittest import mock
 import pytest
 
 from bsnsim.channel import (DEFAULT_MIN_DISTANCE_M, LinkMatrix, Medium,
-                            PathLossParams, _link_success, frame_airtime,
-                            mean_path_loss_db)
+                            PathLossParams, frame_airtime, mean_path_loss_db)
 from bsnsim.core import US_PER_S, Simulator
 from bsnsim.frames import Frame, FrameKind
 from bsnsim.metrics import RunMetrics
@@ -202,7 +201,7 @@ def empirical_outcome(src_site: str, dst_site: str, posture: str,
                       matrix: LinkMatrix, rng) -> bool:
     """One draw against the matrix entry, as `Medium` makes it in empirical
     mode; True means success."""
-    return _link_success(matrix.success_p(src_site, dst_site, posture), rng)
+    return rng.random() < matrix.success_p(src_site, dst_site, posture)
 
 
 def gated_outcomes(n: int, interference: dict, seed: int = 0) -> list:
