@@ -2,13 +2,14 @@
 compare, each asserted exactly and with no model of either run."""
 
 import dataclasses
+import json
 
 import pytest
 
 from bsnsim.core import US_PER_S
 from bsnsim.node import PowerProfile
 from bsnsim.runner import run_one
-from bsnsim.scenario import load_scenario
+from bsnsim.scenario import _build, load_scenario
 from tests.test_golden_trace import _on_demand
 
 
@@ -33,7 +34,7 @@ T1, T2 = 20 * US_PER_S, 60 * US_PER_S
 
 # Budgets that make some device die between T1 and T2: device i has
 # i * step_j and the coordinator none.
-BUDGETED = pytest.mark.parametrize("name, protocol, seed, step_j", [
+CASES = [
     ("paper_fig2", "csma802154", 1000, 0.002),
     ("paper_fig2", "pbtdma", 1000, 0.03),
     ("paper_fig2", "smac", 1000, 0.03),
@@ -41,7 +42,8 @@ BUDGETED = pytest.mark.parametrize("name, protocol, seed, step_j", [
     ("tbw_emergency", "tbw_alwayson", 3000, 0.002),
     ("bridge_inbody", "direct", 4000, 0.5),
     ("bridge_inbody", "smac", 4000, 0.05),
-])
+]
+BUDGETED = pytest.mark.parametrize("name, protocol, seed, step_j", CASES)
 
 
 def _budgeted(name, step_j):
@@ -94,3 +96,30 @@ def test_energy_scales_with_every_draw_and_budget(name, protocol, seed, step_j):
         assert scaled.metric_values() == {
             key: v * k if key[0] == "consumed_j" else v
             for key, v in base.metric_values().items()}
+
+
+# pbtdma gives every device a slot, so a device that sends nothing still
+# lengthens the round and moves every metric
+@pytest.mark.parametrize("name, protocol, seed, step_j",
+                         [c for c in CASES if c[1] != "pbtdma"])
+def test_a_device_that_sends_nothing_changes_nothing_else(name, protocol,
+                                                          seed, step_j):
+    # A device with no traffic never contends, and its streams are named by
+    # its id, so adding one moves only its own joules
+    raw = json.loads(load_scenario(name).serialize())
+    raw["horizon_s"] = T2 / US_PER_S
+    for i, n in enumerate(raw["nodes"]):
+        n["initial_j"] = None if n["id"] == raw["bnc"] else i * step_j
+    base = run_one(_build(raw), protocol, seed)
+    bnc = next(n for n in raw["nodes"] if n["id"] == raw["bnc"])
+    x, y, z = bnc["pos"]
+    raw["nodes"].append({"id": "quiet", "kind": "onbody", "site": bnc["site"],
+                         "channel": bnc["channel"], "pos": [x + 0.3, y, z],
+                         "initial_j": None})
+    quiet = run_one(_build(raw), protocol, seed)
+    assert any(t is not None for t in base.node_death_us.values())
+    assert quiet.node_death_us.pop("quiet") is None
+    assert quiet.node_death_us == base.node_death_us
+    values = quiet.metric_values()
+    assert values.pop(("consumed_j", "quiet")) > 0
+    assert values == base.metric_values()
