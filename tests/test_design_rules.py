@@ -180,6 +180,18 @@ def test_one_coordinator_wake_rule():
     assert not _hits("hyperperiod|derive_bnc_pattern|fallback")
 
 
+def test_a_coordinator_data_radio_sleeps_in_one_place():
+    # TbwMac._release sleeps a data radio once no guarded window, grant or
+    # request holds it; another sleep, or a scan of the table for an open
+    # window, would write the coordinator's wake rule a second time
+    assert not _hits("guarded_open")
+    assert [(m, s) for m, s, n, w in SRC if m == "mac/tbw.py"
+            and (w or "").endswith(".set_state(")
+            and any(_is(a, "sleep") for a in n.args)
+            and w not in ("self.radio.set_state(", "self.wakeup_tx.set_state(")
+            ] == [("mac/tbw.py", "TbwMac._release")]
+
+
 def test_the_wakeup_table_is_fixed_at_load():
     # an insert/modify/remove layer or a revision counter has no caller in a
     # run and would write the table's rules a second time
